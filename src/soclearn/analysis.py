@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import StateSpace, LikelihoodModel
+from .model import StateSpace, LikelihoodModel, is_strongly_connected
 
 __all__ = [
     "kl_divergence",
@@ -116,7 +116,11 @@ def network_divergence(lik: LikelihoodModel, space: StateSpace) -> np.ndarray:
     entry means the network as a whole accumulates evidence against
     that state.
     """
-    kl = _kl_matrix(lik, space)
+    return _divergence_from_kl(_kl_matrix(lik, space), space)
+
+
+def _divergence_from_kl(kl: np.ndarray, space: StateSpace) -> np.ndarray:
+    """Negated agent mean of a divergence matrix, realized state pinned to 0.0."""
     div = -np.mean(kl, axis=0)
     div[space.true_state_index] = 0.0
     return div
@@ -190,8 +194,7 @@ def identifiability_report(
     lik: LikelihoodModel, space: StateSpace
 ) -> IdentifiabilityReport:
     kl = _kl_matrix(lik, space)
-    div = -np.mean(kl, axis=0)
-    div[space.true_state_index] = 0.0
+    div = _divergence_from_kl(kl, space)
     others = [k for k in range(space.size) if k != space.true_state_index]
     identifiable = all(div[k] < 0.0 for k in others)
     rate = float(min(-div[k] for k in others))
@@ -279,22 +282,7 @@ def check_interval_connectivity(q_sequence, interval) -> bool:
         raise ValueError(
             f"interval {interval} invalid for a sequence of {len(mats)} matrices"
         )
-    n = mats[0].shape[0]
-    if n == 1:
-        return True
-    support = np.zeros((n, n), dtype=bool)
+    support = np.zeros(mats[0].shape, dtype=bool)
     for mat in mats[lo : hi + 1]:
         support |= mat > 0.0
-    np.fill_diagonal(support, False)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.nonzero(support[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    nxt.append(int(j))
-        frontier = nxt
-    return bool(seen.all())
+    return is_strongly_connected(support)

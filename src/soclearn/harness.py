@@ -23,12 +23,13 @@ from typing import Optional
 import numpy as np
 
 from .analysis import estimate_rate, identifiability_report
-from .learning import InformativenessVerdict, _bayes_tv_rows, _log_normalize, \
+from .learning import InformativenessVerdict, _bayes_tv_rows, _lse_last, \
     belief_from_potentials, potential_update
 from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, \
     Prior, StateSpace, complete_edges, metropolis_weights, ring_edges, \
     validate_assumptions
-from .switching import CommLedger, build_switching_matrix, record_round
+from .switching import CommLedger, _mixing_matrices, build_switching_matrix, \
+    record_round
 
 __all__ = [
     "GENERATOR_NAME",
@@ -290,25 +291,20 @@ def generate_signals(
     return out
 
 
+def _round0_beliefs(prior: Prior, fresh: np.ndarray) -> np.ndarray:
+    """The shared prior conditioned on first-signal rows ``(..., n, m)``, normalised."""
+    anchor = prior.log_mass + fresh
+    return anchor - _lse_last(anchor)
+
+
 def initial_state(
     prior: Prior, lik: LikelihoodModel, space: StateSpace, signals_0
 ) -> BeliefState:
     """Round-0 state: each agent conditions the shared prior on its first signal."""
-    n, m = lik.agent_count, lik.state_count
-    sig = np.asarray(signals_0)
-    if sig.shape != (n,):
-        raise ValueError(f"need one signal index per agent, got shape {sig.shape}")
-    fresh = lik.padded_log_lik[np.arange(n), sig, :]
-    if not np.all(np.isfinite(fresh)):
-        bad = int(np.nonzero(~np.all(np.isfinite(fresh), axis=1))[0][0])
-        raise ValueError(
-            f"agent {bad}: signal index {int(sig[bad])} hits a zero-probability "
-            "or padded table row"
-        )
-    logb = _log_normalize(prior.log_mass[None, :] + fresh)
+    logb = _round0_beliefs(prior, lik.fresh_rows(signals_0))
     return BeliefState(
         log_belief=logb,
-        potentials=np.zeros((n, m)),
+        potentials=np.zeros(logb.shape),
         log_belief_initial=logb,
         round=0,
     )
@@ -338,11 +334,7 @@ def run_round(
     n, m = state.agent_count, state.state_count
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
-    sig = np.asarray(signals_t)
-    if sig.shape != (n,):
-        raise ValueError(f"need one signal index per agent, got shape {sig.shape}")
-
-    fresh = lik.padded_log_lik[np.arange(n), sig, :]
+    fresh = lik.fresh_rows(signals_t)
     tvs = _bayes_tv_rows(state.log_belief, fresh)
     verdicts = tuple(
         InformativenessVerdict(
@@ -355,7 +347,7 @@ def run_round(
     )
     uninformative = [i for i in range(n) if tvs[i] < tau]
     q = build_switching_matrix(net, uninformative, round=state.round + 1)
-    phi = potential_update(state.potentials, q, lik, sig)
+    phi = potential_update(state.potentials, q, lik, signals_t)
     logb = belief_from_potentials(state.log_belief_initial, phi)
     new_state = BeliefState(
         log_belief=logb,
@@ -462,13 +454,6 @@ class TrajectoryRecord:
         return touched.mean(axis=0)
 
 
-def _lse_last(arr: np.ndarray) -> np.ndarray:
-    """Logsumexp over the last axis, keepdims, max-shifted."""
-    peak = np.max(arr, axis=-1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    return peak + np.log(np.sum(np.exp(arr - peak), axis=-1, keepdims=True))
-
-
 def run_experiment(config: ExperimentConfig) -> list:
     """Run the switching protocol for every replica of a configuration.
 
@@ -494,8 +479,6 @@ def run_experiment(config: ExperimentConfig) -> list:
     )
     padded = lik.padded_log_lik
     agents = np.arange(n)
-    adjacency = net.adjacency
-    weights = net.weights
 
     if config.thin_every is not None:
         stride = config.thin_every
@@ -512,8 +495,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     last_below = np.full((reps, n), -1, dtype=np.int64)
     log_settled = math.log1p(-config.consensus_delta)
 
-    anchor = prior.log_mass[None, None, :] + padded[agents[None, :], signals[:, 0, :], :]
-    anchor -= _lse_last(anchor)
+    anchor = _round0_beliefs(prior, padded[agents[None, :], signals[:, 0, :], :])
     logb = anchor.copy()
     phi = np.zeros((reps, n, m))
     last_below[logb[:, :, space.true_state_index] < log_settled] = 0
@@ -526,11 +508,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         tv_hist[t - 1] = tv
         uninf_hist[t - 1] = uninf
 
-        pair = uninf[:, :, None] | uninf[:, None, :]
-        q = np.where(pair & adjacency[None, :, :], weights[None, :, :], 0.0)
-        q[:, agents, agents] = 1.0 - np.sum(q, axis=2)
-
-        phi = q @ phi + fresh
+        phi = _mixing_matrices(net, uninf) @ phi + fresh
         logb = anchor + phi
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t

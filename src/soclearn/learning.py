@@ -28,17 +28,16 @@ __all__ = [
 ]
 
 
-def _logsumexp(rows: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp with the usual max shift."""
-    rows = np.atleast_2d(rows)
-    peak = np.max(rows, axis=1, keepdims=True)
+def _lse_last(arr: np.ndarray) -> np.ndarray:
+    """Logsumexp over the last axis, keepdims, max-shifted."""
+    peak = np.max(arr, axis=-1, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    return (peak + np.log(np.sum(np.exp(rows - peak), axis=1, keepdims=True)))[:, 0]
+    return peak + np.log(np.sum(np.exp(arr - peak), axis=-1, keepdims=True))
 
 
 def _log_normalize(rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(rows)
-    return rows - _logsumexp(rows)[:, None]
+    return rows - _lse_last(rows)
 
 
 def _tv_rows(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
@@ -218,17 +217,7 @@ def potential_update(
         or np.any(mix < 0.0)
     ):
         raise ValueError("mixing matrix must be doubly stochastic")
-    sig = np.asarray(signals)
-    if sig.shape != (n,):
-        raise ValueError(f"need one signal index per agent, got shape {sig.shape}")
-    fresh = lik.padded_log_lik[np.arange(n), sig, :]
-    if not np.all(np.isfinite(fresh)):
-        bad = int(np.nonzero(~np.all(np.isfinite(fresh), axis=1))[0][0])
-        raise ValueError(
-            f"agent {bad}: signal index {int(sig[bad])} hits a zero-probability "
-            "or padded table row"
-        )
-    return mix @ phi + fresh
+    return mix @ phi + lik.fresh_rows(signals)
 
 
 def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.ndarray:

@@ -225,22 +225,32 @@ class LikelihoodModel:
         out.setflags(write=False)
         return out
 
+    def fresh_rows(self, signals) -> np.ndarray:
+        """Log-likelihood rows ``(n, m)`` of one round's signal row indices.
 
-def is_strongly_connected(weights: np.ndarray) -> bool:
-    """Reachability check on the positive off-diagonal support.
+        Rejects anything but one index per agent, and any index that
+        hits a zero-probability or padded table row.
+        """
+        n = self.agent_count
+        sig = np.asarray(signals)
+        if sig.shape != (n,):
+            raise ValueError(f"need one signal index per agent, got shape {sig.shape}")
+        fresh = self.padded_log_lik[np.arange(n), sig, :]
+        if not np.all(np.isfinite(fresh)):
+            bad = int(np.nonzero(~np.all(np.isfinite(fresh), axis=1))[0][0])
+            raise ValueError(
+                f"agent {bad}: signal index {int(sig[bad])} hits a zero-probability "
+                "or padded table row"
+            )
+        return fresh
 
-    The weight matrices used here are symmetric, so a single breadth
-    first search from node 0 settles connectivity.
-    """
-    w = np.asarray(weights)
-    n = w.shape[0]
-    if n <= 1:
-        return True
-    support = w > 0.0
-    np.fill_diagonal(support, False)
+
+def _reachable(support: np.ndarray) -> np.ndarray:
+    """Nodes a breadth first search from node 0 reaches over a boolean support."""
+    n = support.shape[0]
     seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
+    frontier = [0] if n else []
+    seen[frontier] = True
     while frontier:
         nxt = []
         for i in frontier:
@@ -249,7 +259,16 @@ def is_strongly_connected(weights: np.ndarray) -> bool:
                     seen[j] = True
                     nxt.append(int(j))
         frontier = nxt
-    return bool(seen.all())
+    return seen
+
+
+def is_strongly_connected(weights: np.ndarray) -> bool:
+    """Reachability check on the positive off-diagonal support.
+
+    The weight matrices used here are symmetric, so a single breadth
+    first search from node 0 settles connectivity.
+    """
+    return bool(_reachable(np.asarray(weights) > 0.0).all())
 
 
 @dataclass(frozen=True)
@@ -491,18 +510,7 @@ def validate_assumptions(
         )
     a2 = not violations
 
-    support = net.weights > 0.0
-    reachable = np.zeros(net.n, dtype=bool)
-    reachable[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.nonzero(support[i])[0]:
-                if not reachable[j]:
-                    reachable[j] = True
-                    nxt.append(int(j))
-        frontier = nxt
+    reachable = _reachable(net.weights > 0.0)
     unreachable = tuple(int(i) for i in np.nonzero(~reachable)[0])
     a3 = not unreachable
 

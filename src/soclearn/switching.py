@@ -72,6 +72,23 @@ class SwitchingMatrix:
         return frozenset((int(i), int(j)) for i, j in zip(rows, cols) if i < j)
 
 
+def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
+    """Mixing matrices ``(..., n, n)`` for uninformative masks ``(..., n)``.
+
+    The one implementation of the mixing rule, shared by the reference
+    round and the batched engine. Where every agent is flagged the
+    network weights are copied verbatim, since the diagonal fill only
+    matches them to ~1 ulp.
+    """
+    flagged = np.asarray(flagged, dtype=bool)
+    pair = (flagged[..., :, None] | flagged[..., None, :]) & net.adjacency
+    q = np.where(pair, net.weights, 0.0)
+    agents = np.arange(net.n)
+    q[..., agents, agents] = 1.0 - np.sum(q, axis=-1)
+    q[np.all(flagged, axis=-1)] = net.weights
+    return q
+
+
 def build_switching_matrix(
     net: Network, uninformative, round: int
 ) -> SwitchingMatrix:
@@ -85,20 +102,11 @@ def build_switching_matrix(
     members = frozenset(int(i) for i in uninformative)
     if members and (min(members) < 0 or max(members) >= net.n):
         raise ValueError("uninformative set contains out-of-range agents")
-    if not members:
-        q = np.eye(net.n)
-    elif len(members) == net.n:
-        # every edge fires; copy verbatim so the extreme case is exact
-        # (the diagonal fill below only matches the weights to ~1 ulp)
-        q = net.weights
-    else:
-        u = np.zeros(net.n, dtype=bool)
-        u[list(members)] = True
-        pair = u[:, None] | u[None, :]
-        np.fill_diagonal(pair, False)
-        q = np.where(pair, net.weights, 0.0)
-        np.fill_diagonal(q, 1.0 - np.sum(q, axis=1))
-    return SwitchingMatrix(q=q, uninformative_set=members, round=round)
+    flagged = np.zeros(net.n, dtype=bool)
+    flagged[list(members)] = True
+    return SwitchingMatrix(
+        q=_mixing_matrices(net, flagged), uninformative_set=members, round=round
+    )
 
 
 class CommLedger:

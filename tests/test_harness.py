@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,18 @@ from soclearn.model import AssumptionViolation, LikelihoodModel
 
 def bernoulli(p1s):
     return (tuple(1.0 - p for p in p1s), tuple(p1s))
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# symmetric and doubly stochastic, but three diagonal entries are not
+# what a row fill gives: 1 - (0.1 + 0.2 + 0.3) == 0.3999999999999999
+EXPLICIT_WEIGHTS = (
+    (0.4, 0.1, 0.2, 0.3),
+    (0.1, 0.5, 0.3, 0.1),
+    (0.2, 0.3, 0.3, 0.2),
+    (0.3, 0.1, 0.2, 0.4),
+)
 
 
 def settling_config(**overrides):
@@ -255,10 +268,29 @@ def test_unidentifiable_config_is_refused():
         run_experiment(config)
 
 
-def test_batched_engine_matches_reference_rounds():
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(reference_config(replicas=2, rounds=60), id="reference"),
+        pytest.param(
+            dataclasses.replace(
+                ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+                tau=1.0, replicas=2, rounds=60,
+            ),
+            id="complete5-tau1",
+        ),
+        pytest.param(
+            ExperimentConfig(
+                agents=4, states=5, weight_rule="explicit",
+                weight_matrix=EXPLICIT_WEIGHTS, tau=1.0, rounds=60, replicas=2,
+            ),
+            id="explicit4-tau1",
+        ),
+    ],
+)
+def test_batched_engine_matches_reference_rounds(config):
     # the vectorized replica engine must be bit-identical to the
     # one-round reference implementation
-    config = reference_config(replicas=2, rounds=60)
     space, prior, lik, net = build_model(config)
     records = run_experiment(config)
     for r, rec in enumerate(records):
@@ -463,6 +495,24 @@ def test_cli_run_writes_outputs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):
         assert (out / fname).exists()
+
+
+def test_export_line_endings_are_pinned(tmp_path):
+    # csv.writer ends rows with \r\n; the two '#' lines of beliefs.csv are
+    # written by hand with \n. Pinned output digests depend on this mix.
+    config = settling_config(replicas=1, rounds=15, tau=1.0)
+    export(run_experiment(config), tmp_path, config)
+    beliefs = (tmp_path / "beliefs.csv").read_bytes()
+    assert beliefs.startswith(
+        b"# generator: philox4x64\n# seed: 21\n"
+        b"replica,t,agent,state_label,belief\r\n"
+    )
+    assert beliefs.count(b"\n") == beliefs.count(b"\r\n") + 2
+    comm = (tmp_path / "comm.csv").read_bytes()
+    assert comm.startswith(b"replica,t,agent_i,agent_j\r\n")
+    assert comm.count(b"\n") == comm.count(b"\r\n") > 1
+    summary = (tmp_path / "summary.txt").read_bytes()
+    assert summary.endswith(b"\n") and b"\r" not in summary
 
 
 def test_cli_run_overrides_seed_and_replicas(tmp_path):

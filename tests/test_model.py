@@ -303,7 +303,7 @@ def test_assumptions_flag_disconnected_network():
     space = StateSpace(states=tuple(range(5)), true_state_index=0)
     report = validate_assumptions(lik, net, space)
     assert not report.a3_passed
-    assert len(report.a3_unreachable) > 0
+    assert report.a3_unreachable == (2, 3)
 
 
 def test_assumptions_reject_dimension_mismatch():
