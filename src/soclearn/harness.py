@@ -55,6 +55,10 @@ __all__ = [
 # Recorded in export headers; the only generator the package uses.
 GENERATOR_NAME = "philox4x64"
 
+# Rounds of signals the batched engine draws at a time, so the signal
+# buffer stays the same size however long the horizon.
+_SIGNAL_CHUNK = 1024
+
 _TOPOLOGIES = ("ring", "complete", "edges")
 _WEIGHT_RULES = ("metropolis", "explicit")
 _LIKELIHOOD_KINDS = ("one_distinguishing_state", "tables")
@@ -265,13 +269,16 @@ def generate_signals(
     seed: int,
     rounds: int,
     replica: int = 0,
+    start: int = 0,
 ) -> np.ndarray:
     """Draw every agent's signal stream under the realized state.
 
-    Returns a ``(rounds, agents)`` array of alphabet row indices. The
-    stream is a pure function of ``(seed, replica)``: each replica gets
-    an independent counter-based key, so adding replicas or reordering
-    calls never perturbs existing streams.
+    Returns a ``(rounds, agents)`` array of alphabet row indices for
+    rounds ``start .. start + rounds - 1``. The stream is a pure
+    function of ``(seed, replica)``: each replica gets an independent
+    counter-based key, so adding replicas or reordering calls never
+    perturbs existing streams, and consecutive slices concatenate to
+    exactly one longer draw.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
@@ -279,10 +286,16 @@ def generate_signals(
         raise ValueError("replica must fit in 64 bits")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    key = np.array([seed, replica], dtype=np.uint64)
-    uniforms = np.random.Generator(np.random.Philox(key=key)).random(
-        (rounds, lik.agent_count)
-    )
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    bitgen = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
+    # one Philox block yields four doubles; skip whole blocks by counter,
+    # then draw and drop the leftover doubles of a partly used block
+    blocks, leftover = divmod(start * lik.agent_count, 4)
+    bitgen.advance(blocks)
+    gen = np.random.Generator(bitgen)
+    gen.random(leftover)
+    uniforms = gen.random((rounds, lik.agent_count))
     out = np.empty((rounds, lik.agent_count), dtype=np.intp)
     for i in range(lik.agent_count):
         cdf = np.cumsum(lik.signal_distribution(i, space.true_state_index))
@@ -368,6 +381,11 @@ class TrajectoryRecord:
     ``1..rounds`` densely. ``last_below[i]`` is the last round at which
     agent ``i``'s belief on the realized state was below
     ``1 - consensus_delta``, or -1 if it never was.
+
+    The arrays are read-only. Records from ``run_experiment`` hold views
+    into one buffer per run, shared by all its replicas, so keeping any
+    one record alive keeps the whole run's history in memory; copy the
+    arrays you need to release it.
     """
 
     replica: int
@@ -422,22 +440,28 @@ class TrajectoryRecord:
             return None
         return max(per_agent)
 
-    def switching_sequence(self) -> list:
-        """Per-round mixing matrices, rebuilt from the recorded verdicts."""
-        return [
-            build_switching_matrix(
+    def _switching_matrices(self):
+        """Yield each round's mixing matrix, rebuilt from the recorded verdicts."""
+        for t in range(self.rounds):
+            yield build_switching_matrix(
                 self.network,
                 np.nonzero(self.uninformative[t])[0],
                 round=t + 1,
             )
-            for t in range(self.rounds)
-        ]
+
+    def switching_sequence(self) -> list:
+        """Per-round mixing matrices, rebuilt from the recorded verdicts."""
+        return list(self._switching_matrices())
 
     @cached_property
     def ledger(self) -> CommLedger:
-        """Communication ledger replayed from the recorded verdicts."""
+        """Communication ledger replayed from the recorded verdicts.
+
+        Rounds are rebuilt and recorded one at a time, so the replay
+        never holds more than one mixing matrix.
+        """
         ledger = CommLedger(self.network.n)
-        for q in self.switching_sequence():
+        for q in self._switching_matrices():
             record_round(ledger, q)
         return ledger
 
@@ -471,14 +495,21 @@ def run_experiment(config: ExperimentConfig) -> list:
 
     reps, horizon = config.replicas, config.rounds
     n, m = net.n, lik.state_count
-    signals = np.stack(
-        [
-            generate_signals(lik, space, config.seed, horizon + 1, replica=r)
-            for r in range(reps)
-        ]
-    )
     padded = lik.padded_log_lik
     agents = np.arange(n)
+
+    def signal_chunk(start):
+        # (rounds, reps, n) signal indices for rounds start .. start + CHUNK - 1
+        rounds = min(_SIGNAL_CHUNK, horizon + 1 - start)
+        return np.stack(
+            [
+                generate_signals(
+                    lik, space, config.seed, rounds, replica=r, start=start
+                )
+                for r in range(reps)
+            ],
+            axis=1,
+        )
 
     if config.thin_every is not None:
         stride = config.thin_every
@@ -489,31 +520,35 @@ def run_experiment(config: ExperimentConfig) -> list:
     stored = sorted(set(range(0, horizon + 1, stride)) | {0, horizon})
     store_at = {t: s for s, t in enumerate(stored)}
 
-    store = np.empty((len(stored), reps, n, m))
-    tv_hist = np.empty((horizon, reps, n))
-    uninf_hist = np.empty((horizon, reps, n), dtype=bool)
+    # replica-major, so each record is a view of its own contiguous block
+    store = np.empty((reps, len(stored), n, m))
+    tv_hist = np.empty((reps, horizon, n))
+    uninf_hist = np.empty((reps, horizon, n), dtype=bool)
     last_below = np.full((reps, n), -1, dtype=np.int64)
     log_settled = math.log1p(-config.consensus_delta)
 
-    anchor = _round0_beliefs(prior, padded[agents[None, :], signals[:, 0, :], :])
+    signals = signal_chunk(0)
+    anchor = _round0_beliefs(prior, padded[agents, signals[0], :])
     logb = anchor.copy()
     phi = np.zeros((reps, n, m))
     last_below[logb[:, :, space.true_state_index] < log_settled] = 0
-    store[0] = logb
+    store[:, 0] = logb
 
     for t in range(1, horizon + 1):
-        fresh = padded[agents[None, :], signals[:, t, :], :]
+        if t % _SIGNAL_CHUNK == 0:
+            signals = signal_chunk(t)
+        fresh = padded[agents, signals[t % _SIGNAL_CHUNK], :]
         tv = _bayes_tv_rows(logb, fresh)
         uninf = tv < config.tau
-        tv_hist[t - 1] = tv
-        uninf_hist[t - 1] = uninf
+        tv_hist[:, t - 1] = tv
+        uninf_hist[:, t - 1] = uninf
 
         phi = _mixing_matrices(net, uninf) @ phi + fresh
         logb = anchor + phi
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t
         if t in store_at:
-            store[store_at[t]] = logb
+            store[:, store_at[t]] = logb
 
     stored_arr = np.array(stored, dtype=np.int64)
     return [
@@ -526,10 +561,10 @@ def run_experiment(config: ExperimentConfig) -> list:
             state_labels=tuple(space.states),
             consensus_delta=config.consensus_delta,
             stored_rounds=stored_arr,
-            log_beliefs=store[:, r].copy(),
-            tv_series=tv_hist[:, r].copy(),
-            uninformative=uninf_hist[:, r].copy(),
-            last_below=last_below[r].copy(),
+            log_beliefs=store[r],
+            tv_series=tv_hist[r],
+            uninformative=uninf_hist[r],
+            last_below=last_below[r],
             network=net,
         )
         for r in range(reps)

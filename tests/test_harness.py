@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from soclearn.analysis import identifiability_report
+from soclearn import harness
 from soclearn.cli import main
 from soclearn.harness import (
     GENERATOR_NAME,
@@ -171,6 +173,28 @@ def test_signal_frequencies_match_the_conditional_law():
         assert abs(got - p) <= band
 
 
+@pytest.mark.parametrize("agents", [15, 4])
+def test_signal_slices_concatenate_to_one_draw(agents):
+    # with 15 agents, starts 7 and 22 leave 1 and 2 doubles of a
+    # partly used Philox block; with 4 agents every start is block-aligned
+    config = reference_config(agents=agents, states=5)
+    space, _, lik, _ = build_model(config)
+    rounds, a, b = 40, 7, 22
+    whole = generate_signals(lik, space, seed=5, rounds=rounds, replica=2)
+    parts = [
+        generate_signals(lik, space, seed=5, rounds=hi - lo, replica=2, start=lo)
+        for lo, hi in ((0, a), (a, b), (b, rounds))
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_signal_start_must_be_nonnegative():
+    config = reference_config()
+    space, _, lik, _ = build_model(config)
+    with pytest.raises(ValueError, match="start"):
+        generate_signals(lik, space, seed=5, rounds=10, start=-1)
+
+
 def test_signals_are_valid_alphabet_indices():
     config = settling_config()
     space, _, lik, _ = build_model(config)
@@ -286,6 +310,10 @@ def test_unidentifiable_config_is_refused():
             ),
             id="explicit4-tau1",
         ),
+        pytest.param(
+            reference_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
+            id="reference-second-chunk",
+        ),
     ],
 )
 def test_batched_engine_matches_reference_rounds(config):
@@ -330,6 +358,55 @@ def test_explicit_thinning_stride():
     config = settling_config(rounds=100, replicas=1, thin_every=30)
     rec = run_experiment(config)[0]
     assert tuple(rec.stored_rounds) == (0, 30, 60, 90, 100)
+
+
+def _engine_overhead_bytes(config):
+    """Traced peak of ``run_experiment`` minus the bytes its records hold."""
+    tracemalloc.start()
+    try:
+        records = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = records[0].stored_rounds.nbytes + sum(
+        rec.log_beliefs.nbytes
+        + rec.tv_series.nbytes
+        + rec.uninformative.nbytes
+        + rec.last_below.nbytes
+        for rec in records
+    )
+    return peak - held
+
+
+def test_engine_memory_does_not_grow_with_the_horizon():
+    # Both horizons store 101 rounds and draw past two signal chunks, so
+    # the working set beyond the returned history is the same: one
+    # signal chunk and its draws (~0.15 MiB here), the per-round
+    # temporaries and the model. A copy of the history or a full-horizon
+    # signal array would add ~0.26 MiB between the two runs.
+    run_experiment(reference_config(agents=3, states=4, rounds=5))  # warm caches
+    overhead = {}
+    for rounds in (2100, 4200):
+        config = reference_config(
+            agents=3, states=4, replicas=2, rounds=rounds, thin_every=rounds // 100
+        )
+        overhead[rounds] = _engine_overhead_bytes(config)
+    assert max(overhead.values()) < 256 * 1024
+    assert overhead[4200] <= overhead[2100] + 16 * 1024
+
+
+def test_engine_records_are_read_only():
+    for rec in run_experiment(settling_config(replicas=2, rounds=30)):
+        for arr in (
+            rec.stored_rounds,
+            rec.log_beliefs,
+            rec.tv_series,
+            rec.uninformative,
+            rec.last_below,
+        ):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 def test_most_replicas_learn_the_realized_state():
