@@ -458,7 +458,8 @@ class TrajectoryRecord:
         """Communication ledger replayed from the recorded verdicts.
 
         Rounds are rebuilt and recorded one at a time, so the replay
-        never holds more than one mixing matrix.
+        never holds more than one mixing matrix. The ledger is cached
+        on the record and keeps its exchanges packed as integers.
         """
         ledger = CommLedger(self.network.n)
         for q in self._switching_matrices():
@@ -473,7 +474,7 @@ class TrajectoryRecord:
         u = self.uninformative
         adj = self.network.adjacency
         has_neighbor = adj.any(axis=1)
-        partner_fired = (u.astype(np.int64) @ adj.astype(np.int64)) > 0
+        partner_fired = u @ adj
         touched = (u & has_neighbor[None, :]) | partner_fired
         return touched.mean(axis=0)
 
@@ -587,10 +588,10 @@ class BaselineComparison:
     baseline: tuple
 
     def switching_event_counts(self) -> np.ndarray:
-        return np.array([len(rec.ledger.events) for rec in self.switching])
+        return np.array([len(rec.ledger) for rec in self.switching])
 
     def baseline_event_counts(self) -> np.ndarray:
-        return np.array([len(rec.ledger.events) for rec in self.baseline])
+        return np.array([len(rec.ledger) for rec in self.baseline])
 
     def summary(self) -> str:
         lines = [
@@ -680,8 +681,7 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
         writer = csv.writer(fh)
         writer.writerow(["replica", "t", "agent_i", "agent_j"])
         for rec in records:
-            for t, i, j in rec.ledger.events:
-                writer.writerow([rec.replica, t, i, j])
+            writer.writerows((rec.replica, t, i, j) for t, i, j in rec.ledger)
 
     space, _, lik, _ = build_model(config)
     report = identifiability_report(lik, space)

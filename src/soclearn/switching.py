@@ -10,6 +10,7 @@ fired so a run's communication cost can be audited afterwards.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,28 +113,49 @@ def build_switching_matrix(
 class CommLedger:
     """Mutable record of which edges fired in which rounds.
 
-    ``events`` holds ``(round, i, j)`` with ``i < j``, one entry per
-    undirected exchange. ``per_agent_rounds`` counts, per agent, the
-    rounds in which the agent touched at least one exchange.
+    Exchanges live in packed integer storage: one growable int64 buffer
+    of consecutive ``round, i, j`` triples with ``i < j``, one triple per
+    undirected exchange, in recorded order (rounds ascending, pairs
+    row-major within a round). Iterating the ledger yields the
+    ``(round, i, j)`` tuples one at a time; ``events`` builds a fresh
+    list of them on each access, and ``len(ledger)`` is the cheap count.
+    ``per_agent_rounds`` counts, per agent, the rounds in which the
+    agent touched at least one exchange.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one agent")
         self.n = n
-        self.events: list = []
+        self._packed = array("q")
         self.per_agent_rounds = np.zeros(n, dtype=int)
         self.rounds_recorded = 0
 
+    def __len__(self) -> int:
+        return len(self._packed) // 3
+
+    def __iter__(self):
+        flat = iter(self._packed)
+        return zip(flat, flat, flat)
+
+    @property
+    def events(self) -> list:
+        """``(round, i, j)`` tuples of Python ints, rebuilt on each access."""
+        return list(self)
+
     def record(self, q: SwitchingMatrix) -> None:
-        support = q.offdiagonal_support()
-        touched = set()
-        for i, j in sorted(support):
-            self.events.append((q.round, i, j))
-            touched.add(i)
-            touched.add(j)
-        for i in touched:
-            self.per_agent_rounds[i] += 1
+        rows, cols = np.nonzero(q.q > 0.0)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+        triples = np.empty((rows.size, 3), dtype=np.int64)
+        triples[:, 0] = q.round
+        triples[:, 1] = rows
+        triples[:, 2] = cols
+        self._packed.frombytes(triples.tobytes())
+        touched = np.zeros(self.n, dtype=bool)
+        touched[rows] = True
+        touched[cols] = True
+        self.per_agent_rounds += touched
         self.rounds_recorded += 1
 
     def communication_fraction(self) -> np.ndarray:
@@ -146,7 +168,7 @@ class CommLedger:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "agent_i", "agent_j"])
-            writer.writerows(self.events)
+            writer.writerows(self)
 
 
 def record_round(ledger: CommLedger, q: SwitchingMatrix) -> CommLedger:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soclearn.analysis import identifiability_report
 from soclearn import harness
@@ -27,7 +29,8 @@ from soclearn.harness import (
     run_round,
 )
 from soclearn.learning import bayes_update, initial_belief
-from soclearn.model import AssumptionViolation, LikelihoodModel
+from soclearn.model import AssumptionViolation, LikelihoodModel, Network, \
+    metropolis_weights
 
 
 def bernoulli(p1s):
@@ -443,6 +446,92 @@ def test_fraction_definitions_agree():
             rec.ledger.communication_fraction(),
             atol=0,
         )
+
+
+@st.composite
+def networks(draw):
+    """Connected graphs on 2..7 agents, Metropolis or explicit weights."""
+    n = draw(st.integers(2, 7))
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    if draw(st.booleans()):
+        return metropolis_weights(edges, n)
+    # explicit: edge weights in (0, 1 / (1 + max degree)], diagonal fills
+    degree = max(sum(k in e for e in edges) for k in range(n))
+    w = np.zeros((n, n))
+    for i, j in sorted(edges):
+        w[i, j] = w[j, i] = draw(st.integers(1, 4)) / (4.0 * (1 + degree))
+    w[np.arange(n), np.arange(n)] = 1.0 - w.sum(axis=1)
+    return Network.from_weights(w)
+
+
+@st.composite
+def replayed_masks(draw):
+    """A network and a ``(rounds, n)`` uninformative mask for it."""
+    net = draw(networks())
+    n = net.n
+    row = st.one_of(
+        st.just([False] * n),
+        st.just([True] * n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+    return net, np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(replayed_masks())
+def test_ledger_replay_matches_vectorised_events(case):
+    net, u = case
+    n = net.n
+    rec = harness.TrajectoryRecord(
+        replica=0,
+        seed=0,
+        tau=0.5,
+        rounds=len(u),
+        true_state_index=0,
+        state_labels=("a",),
+        consensus_delta=1e-6,
+        stored_rounds=np.array([0]),
+        log_beliefs=np.zeros((1, n, 1)),
+        tv_series=np.zeros(u.shape),
+        uninformative=u,
+        last_below=np.full(n, -1),
+        network=net,
+    )
+    fired = np.triu((u[:, :, None] | u[:, None, :]) & net.adjacency, k=1)
+    expect = [(int(t) + 1, int(i), int(j)) for t, i, j in zip(*np.nonzero(fired))]
+    ledger = rec.ledger
+    assert ledger.events == expect
+    assert len(ledger) == len(ledger.events)
+    assert ledger.rounds_recorded == len(u)
+    assert np.array_equal(
+        ledger.per_agent_rounds / ledger.rounds_recorded,
+        rec.communication_fractions(),
+    )
+
+
+def test_ledger_keeps_at_most_32_bytes_per_exchange():
+    # tau = 1 on a complete graph fires every edge in every round, so the
+    # ledger dominates what the replay retains; one Python tuple per
+    # exchange kept ~75 bytes each, packed int64 triples keep ~26
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+        tau=1.0,
+        replicas=2,
+    )
+    records = run_experiment(config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ledgers = [rec.ledger for rec in records]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    events = sum(len(ledger) for ledger in ledgers)
+    assert events == 2 * config.rounds * 10
+    assert retained <= 32 * events
 
 
 # ---------------------------------------------------------- compare_baseline
