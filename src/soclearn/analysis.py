@@ -56,57 +56,50 @@ def equivalence_classes(lik: LikelihoodModel, agent: int) -> tuple:
     """Partition of states into groups this agent cannot tell apart.
 
     States land in the same class when their log-likelihood columns
-    coincide entrywise (within CLASS_TOL). Classes are sorted tuples,
+    coincide entrywise (within CLASS_TOL; -inf matches only -inf). The
+    lowest unclaimed state leads each new class and claims every
+    unclaimed column that matches it. Classes are sorted tuples,
     ordered by their smallest member.
     """
     table = lik.log_lik[agent]
-    m = table.shape[1]
-    leaders: list = []
-    groups: list = []
-    for k in range(m):
-        col = table[:, k]
-        for g, lead in enumerate(leaders):
-            diff = np.abs(col - table[:, lead])
-            # -inf entries match -inf exactly; subtracting them gives nan
-            both_dead = np.isneginf(col) & np.isneginf(table[:, lead])
-            diff = np.where(both_dead, 0.0, diff)
-            if not np.any(np.isnan(diff)) and np.max(diff) <= CLASS_TOL:
-                groups[g].append(k)
-                break
-        else:
-            leaders.append(k)
-            groups.append([k])
-    return tuple(tuple(g) for g in groups)
+    unclaimed = np.ones(table.shape[1], dtype=bool)
+    classes = []
+    while unclaimed.any():
+        lead = table[:, [np.argmax(unclaimed)]]
+        # -inf minus -inf is nan, which fails the tolerance; == catches it
+        with np.errstate(invalid="ignore"):
+            close = (table == lead) | (np.abs(table - lead) <= CLASS_TOL)
+        members = unclaimed & close.all(axis=0)
+        classes.append(tuple(int(k) for k in np.flatnonzero(members)))
+        unclaimed &= ~members
+    return tuple(classes)
 
 
-def _kl_matrix(lik: LikelihoodModel, space: StateSpace) -> np.ndarray:
+def _kl_matrix(lik: LikelihoodModel, t: int, classes: tuple) -> np.ndarray:
     """Per-agent divergences from the realized signal law to each state's.
 
     Entry ``[i, k]`` is D(signal law of agent i under the realized state
-    || its law under state k). Computed from the log tables directly and
-    snapped to exactly 0.0 for states the agent cannot distinguish from
-    the realized one: the divergence is second order in the column log
+    || its law under state k), ``inf`` where state k gives zero mass to
+    a symbol the realized state can emit. Computed from the log tables
+    directly and snapped to exactly 0.0 on the realized state's class in
+    ``classes[i]``: the divergence is second order in the column log
     difference, so anything below the class tolerance is pure noise.
     """
-    n, m = lik.agent_count, lik.state_count
-    t = space.true_state_index
-    out = np.zeros((n, m))
-    for i in range(n):
-        table = lik.log_lik[i]
-        lp = table[:, t]
-        classes = equivalence_classes(lik, i)
-        same = next(c for c in classes if t in c)
-        p = np.exp(lp)
-        for k in range(m):
-            if k in same:
-                continue
-            lq = table[:, k]
-            if np.any((p > 0.0) & np.isneginf(lq)):
-                out[i, k] = np.inf
-                continue
-            support = p > 0.0
-            out[i, k] = np.sum(p[support] * (lp[support] - lq[support]))
+    out = np.empty((lik.agent_count, lik.state_count))
+    for i, table in enumerate(lik.log_lik):
+        p = np.exp(table[:, t])
+        support = p > 0.0
+        # one C-contiguous row of terms per state, so each row sums in
+        # the same order as a 1-d np.sum over the support
+        lq = np.ascontiguousarray(table[support].T)
+        out[i] = np.sum(p[support] * (table[support, t] - lq), axis=1)
+        out[i, list(next(c for c in classes[i] if t in c))] = 0.0
     return out
+
+
+def _not_excluded(div: np.ndarray, t: int) -> tuple:
+    """False states whose network divergence is not strictly negative."""
+    return tuple(k for k in range(div.size) if k != t and not div[k] < 0.0)
 
 
 def network_divergence(lik: LikelihoodModel, space: StateSpace) -> np.ndarray:
@@ -116,14 +109,7 @@ def network_divergence(lik: LikelihoodModel, space: StateSpace) -> np.ndarray:
     entry means the network as a whole accumulates evidence against
     that state.
     """
-    return _divergence_from_kl(_kl_matrix(lik, space), space)
-
-
-def _divergence_from_kl(kl: np.ndarray, space: StateSpace) -> np.ndarray:
-    """Negated agent mean of a divergence matrix, realized state pinned to 0.0."""
-    div = -np.mean(kl, axis=0)
-    div[space.true_state_index] = 0.0
-    return div
+    return identifiability_report(lik, space).network_divergence.copy()
 
 
 @dataclass(frozen=True)
@@ -152,6 +138,11 @@ class IdentifiabilityReport:
         object.__setattr__(self, "kl", kl)
         object.__setattr__(self, "network_divergence", div)
 
+    @property
+    def not_excluded(self) -> tuple:
+        """False states the network does not rule out asymptotically."""
+        return _not_excluded(self.network_divergence, self.true_state_index)
+
     def summary(self) -> str:
         lines = [
             f"states: {len(self.state_labels)}, agents: {self.kl.shape[0]}",
@@ -161,11 +152,7 @@ class IdentifiabilityReport:
         if self.globally_identifiable:
             lines.append(f"asymptotic rate: {self.asymptotic_rate:.12g} nats/round")
         else:
-            stuck = [
-                repr(self.state_labels[k])
-                for k in range(len(self.state_labels))
-                if k != self.true_state_index and not self.network_divergence[k] < 0.0
-            ]
+            stuck = [repr(self.state_labels[k]) for k in self.not_excluded]
             lines.append(f"states not excluded: {', '.join(stuck)}")
         lines.append("network divergence by state:")
         for k, label in enumerate(self.state_labels):
@@ -193,20 +180,18 @@ class IdentifiabilityReport:
 def identifiability_report(
     lik: LikelihoodModel, space: StateSpace
 ) -> IdentifiabilityReport:
-    kl = _kl_matrix(lik, space)
-    div = _divergence_from_kl(kl, space)
-    others = [k for k in range(space.size) if k != space.true_state_index]
-    identifiable = all(div[k] < 0.0 for k in others)
-    rate = float(min(-div[k] for k in others))
+    t = space.true_state_index
+    classes = tuple(equivalence_classes(lik, i) for i in range(lik.agent_count))
+    kl = _kl_matrix(lik, t, classes)
+    div = -np.mean(kl, axis=0)
+    div[t] = 0.0
     return IdentifiabilityReport(
         kl=kl,
         network_divergence=div,
-        equivalence_classes=tuple(
-            equivalence_classes(lik, i) for i in range(lik.agent_count)
-        ),
-        globally_identifiable=identifiable,
-        asymptotic_rate=rate,
-        true_state_index=space.true_state_index,
+        equivalence_classes=classes,
+        globally_identifiable=not _not_excluded(div, t),
+        asymptotic_rate=float(min(-div[k] for k in range(space.size) if k != t)),
+        true_state_index=t,
         state_labels=tuple(space.states),
     )
 

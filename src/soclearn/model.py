@@ -495,15 +495,10 @@ def validate_assumptions(
 
     a1 = bool(np.isfinite(lik.log_bound))
 
-    from .analysis import network_divergence  # local import, avoids a cycle
+    from .analysis import identifiability_report  # local import, avoids a cycle
 
     if a1:
-        div = network_divergence(lik, space)
-        violations = tuple(
-            int(k)
-            for k in range(space.size)
-            if k != space.true_state_index and not div[k] < 0.0
-        )
+        violations = identifiability_report(lik, space).not_excluded
     else:
         violations = tuple(
             k for k in range(space.size) if k != space.true_state_index

@@ -1,12 +1,16 @@
 """Identifiability diagnostics, rate estimation, and mixing checks."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soclearn.analysis import (
+    CLASS_TOL,
     check_interval_connectivity,
     equivalence_classes,
     identifiability_report,
@@ -21,6 +25,7 @@ from soclearn.model import (
     StateSpace,
     metropolis_weights,
     ring_edges,
+    validate_assumptions,
 )
 
 # the reference signal family: fair coin everywhere except one state
@@ -89,6 +94,100 @@ def test_identical_columns_collapse_to_one_class():
 def test_distinct_columns_give_singletons():
     lik = LikelihoodModel.from_probabilities([bernoulli_table([0.2, 0.5, 0.8])])
     assert equivalence_classes(lik, 0) == ((0,), (1,), (2,))
+
+
+def test_zero_entries_classify_without_warnings():
+    # log(0) columns meet -inf against -inf, which must match silently
+    lik = LikelihoodModel.from_probabilities(
+        [[[0.0, 0.5, 0.0], [1.0, 0.5, 1.0]]], allow_zero=True
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert equivalence_classes(lik, 0) == ((0, 2), (1,))
+
+
+def greedy_classes(table):
+    """Plain greedy oracle: each state joins the first matching leader."""
+    classes = []
+    for k in range(table.shape[1]):
+        for cls in classes:
+            if all(a == b or abs(a - b) <= CLASS_TOL
+                   for a, b in zip(table[:, k], table[:, cls[0]])):
+                cls.append(k)
+                break
+        else:
+            classes.append([k])
+    return tuple(tuple(cls) for cls in classes)
+
+
+@st.composite
+def identifiability_models(draw):
+    """1-4 agents over 2-6 states with alphabets of 2-13 symbols.
+
+    Each column after the first is fresh, an exact copy of an earlier
+    one, or a copy with mass moved between its two largest entries by a
+    relative 1e-14 (inside CLASS_TOL in the log domain) or 1e-11
+    (outside it). Some tables hold zero entries.
+    """
+    m = draw(st.integers(2, 6))
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.integers(2, 13))
+        weight = st.floats(0.01, 1.0)
+        if draw(st.booleans()):
+            weight = st.one_of(weight, st.just(0.0))
+        cols = []
+        for k in range(m):
+            kind = draw(st.sampled_from(["fresh", "copy", "near", "far"]))
+            if k == 0 or kind == "fresh":
+                w = np.array(draw(st.lists(weight, min_size=s, max_size=s)))
+                w[0] += w.sum() == 0.0
+                cols.append(w / w.sum())
+                continue
+            col = cols[draw(st.integers(0, k - 1))].copy()
+            if kind != "copy":
+                lo, hi = np.argsort(col)[-2:]
+                shift = (1e-14 if kind == "near" else 1e-11) * col[lo]
+                col[lo] += shift
+                col[hi] -= shift
+            cols.append(col)
+        tables.append(np.column_stack(cols))
+    lik = LikelihoodModel.from_probabilities(tables, allow_zero=True)
+    space = StateSpace(states=tuple(range(m)),
+                       true_state_index=draw(st.integers(0, m - 1)))
+    return lik, space
+
+
+@settings(max_examples=150, deadline=None)
+@given(identifiability_models())
+def test_report_matches_oracles_on_random_tables(model):
+    lik, space = model
+    t = space.true_state_index
+    report = identifiability_report(lik, space)
+    for i in range(lik.agent_count):
+        assert equivalence_classes(lik, i) == greedy_classes(lik.log_lik[i])
+        assert report.equivalence_classes[i] == equivalence_classes(lik, i)
+        same = next(cls for cls in report.equivalence_classes[i] if t in cls)
+        p = lik.signal_distribution(i, t)
+        for k in range(space.size):
+            q = lik.signal_distribution(i, k)
+            if k in same:
+                assert report.kl[i, k] == 0.0
+            elif np.any((p > 0.0) & (q == 0.0)):
+                assert report.kl[i, k] == np.inf
+            else:
+                assert abs(report.kl[i, k] - kl_divergence(p, q)) <= 1e-12
+                # bit for bit the 1-d sum over the support, in its order
+                lp, lq = lik.log_lik[i][p > 0.0][:, [t, k]].T
+                assert report.kl[i, k] == np.sum(p[p > 0.0] * (lp - lq))
+    n = lik.agent_count
+    net = metropolis_weights([(i, j) for i in range(n) for j in range(i + 1, n)], n)
+    violations = validate_assumptions(lik, net, space).a2_violations
+    if lik.bounded:
+        assert violations == report.not_excluded
+    else:
+        assert violations == tuple(k for k in range(space.size) if k != t)
+    assert report.globally_identifiable == (not report.not_excluded)
 
 
 # ------------------------------------------------------- network_divergence

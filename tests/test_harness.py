@@ -317,6 +317,19 @@ def test_unidentifiable_config_is_refused():
             reference_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
             id="reference-second-chunk",
         ),
+        pytest.param(
+            settling_config(
+                agents=4, states=3, topology_kind="ring", tau=0.05,
+                tables=(
+                    ((0.2, 0.5, 0.3), (0.3, 0.2, 0.3), (0.5, 0.3, 0.4)),
+                    bernoulli((0.5, 0.25, 0.5)),
+                    bernoulli((0.6, 0.6, 0.3)),
+                    bernoulli((0.4, 0.5, 0.4)),
+                ),
+                rounds=60, replicas=2,
+            ),
+            id="unequal-alphabets",
+        ),
     ],
 )
 def test_batched_engine_matches_reference_rounds(config):
@@ -441,10 +454,9 @@ def test_fraction_definitions_agree():
     # neighbor) must equal the ledger replay
     records = run_experiment(reference_config(replicas=2))
     for rec in records:
-        assert np.allclose(
+        assert np.array_equal(
             rec.communication_fractions(),
             rec.ledger.communication_fraction(),
-            atol=0,
         )
 
 
