@@ -240,15 +240,17 @@ def mixing_gap(matrix: np.ndarray) -> float:
 def product_convergence_gap(q_sequence) -> float:
     """Mixing gap of the left-ordered product of a matrix sequence.
 
-    ``q_sequence`` lists per-round matrices oldest first; the product
+    ``q_sequence`` yields per-round matrices oldest first; the product
     applies them in run order (each new round multiplies on the left).
+    The product is accumulated while iterating, so a generator is never
+    held in memory as a whole.
     """
-    mats = [np.asarray(getattr(q, "q", q), dtype=float) for q in q_sequence]
-    if not mats:
+    prod = None
+    for q in q_sequence:
+        mat = np.asarray(getattr(q, "q", q), dtype=float)
+        prod = mat if prod is None else mat @ prod
+    if prod is None:
         raise ValueError("need at least one matrix")
-    prod = np.eye(mats[0].shape[0])
-    for mat in mats:
-        prod = mat @ prod
     return mixing_gap(prod)
 
 

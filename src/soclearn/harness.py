@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .analysis import estimate_rate, identifiability_report
-from .learning import InformativenessVerdict, _bayes_tv_rows, _lse_last, \
-    belief_from_potentials, potential_update
+from .learning import InformativenessVerdict, _bayes_tv_rows, _check_threshold, \
+    _lse_last, belief_from_potentials, potential_update
 from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, \
     Prior, StateSpace, complete_edges, metropolis_weights, ring_edges, \
     validate_assumptions
@@ -123,6 +123,8 @@ class ExperimentConfig:
             raise ValueError("true_state out of range")
         if self.state_labels is not None and len(self.state_labels) != self.states:
             raise ValueError("state_labels length must equal states")
+        if self.prior_mass is not None and np.shape(self.prior_mass) != (self.states,):
+            raise ValueError("prior_mass must be a vector whose length equals states")
         if self.topology_kind not in _TOPOLOGIES:
             raise ValueError(f"topology_kind must be one of {_TOPOLOGIES}")
         if (self.topology_kind == "edges") != (self.topology_edges is not None):
@@ -158,8 +160,7 @@ class ExperimentConfig:
                 "prior_mass is required for prior_kind='explicit' "
                 "and meaningless otherwise"
             )
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
+        _check_threshold(self.tau, "tau")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -342,8 +343,7 @@ def run_round(
     This is the reference implementation; ``run_experiment`` reproduces
     it in batched form.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {tau!r}")
+    _check_threshold(tau)
     n, m = state.agent_count, state.state_count
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
@@ -410,7 +410,8 @@ class TrajectoryRecord:
             "uninformative",
             "last_below",
         ):
-            arr = np.asarray(getattr(self, name))
+            # a view, so the caller's own arrays stay writable
+            arr = np.asarray(getattr(self, name)).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -440,18 +441,19 @@ class TrajectoryRecord:
             return None
         return max(per_agent)
 
-    def _switching_matrices(self):
-        """Yield each round's mixing matrix, rebuilt from the recorded verdicts."""
+    def switching_matrices(self):
+        """Yield each round's mixing matrix, rebuilt from the recorded verdicts.
+
+        Matrices are built one at a time as the caller iterates, so
+        consumers such as ``product_convergence_gap`` never hold the
+        whole sequence.
+        """
         for t in range(self.rounds):
             yield build_switching_matrix(
                 self.network,
                 np.nonzero(self.uninformative[t])[0],
                 round=t + 1,
             )
-
-    def switching_sequence(self) -> list:
-        """Per-round mixing matrices, rebuilt from the recorded verdicts."""
-        return list(self._switching_matrices())
 
     @cached_property
     def ledger(self) -> CommLedger:
@@ -462,7 +464,7 @@ class TrajectoryRecord:
         on the record and keeps its exchanges packed as integers.
         """
         ledger = CommLedger(self.network.n)
-        for q in self._switching_matrices():
+        for q in self.switching_matrices():
             record_round(ledger, q)
         return ledger
 

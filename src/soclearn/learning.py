@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LikelihoodModel
+from .model import LikelihoodModel, _check_mixing
 
 __all__ = [
     "initial_belief",
@@ -26,6 +26,20 @@ __all__ = [
     "potential_update",
     "belief_from_potentials",
 ]
+
+
+def _check_threshold(tau: float, name: str = "threshold") -> None:
+    """Reject an informativeness threshold outside ``(0, 1]``."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {tau!r}")
+
+
+def _check_binary(epsilon_prev: float, r: float) -> None:
+    """Reject arguments outside the binary closed form's domain."""
+    if not 0.0 < epsilon_prev < 1.0:
+        raise ValueError("epsilon_prev must lie strictly inside (0, 1)")
+    if r < 0.0:
+        raise ValueError("likelihood ratio must be nonnegative")
 
 
 def _lse_last(arr: np.ndarray) -> np.ndarray:
@@ -128,8 +142,7 @@ class InformativenessVerdict:
     def __post_init__(self):
         if not 0.0 <= self.tv <= 1.0:
             raise ValueError(f"tv {self.tv!r} outside [0, 1]")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold {self.threshold!r} outside (0, 1]")
+        _check_threshold(self.threshold)
         if self.informative != (self.tv >= self.threshold):
             raise ValueError("verdict disagrees with its own tv and threshold")
 
@@ -146,8 +159,7 @@ def is_informative(
     The move is measured as total variation from the current belief row
     to its one-step Bayesian posterior; ties count as informative.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {tau!r}")
+    _check_threshold(tau)
     prev = np.asarray(belief_prev, dtype=float)
     s = lik.symbol_index(agent, signal)
     tv = float(_bayes_tv_rows(prev[None, :], lik.log_lik[agent][s][None, :])[0])
@@ -162,10 +174,7 @@ def binary_tv(epsilon_prev: float, r: float) -> float:
     ``epsilon_prev`` is the current mass on the second state and ``r``
     the likelihood ratio (first state over second) of the new signal.
     """
-    if not 0.0 < epsilon_prev < 1.0:
-        raise ValueError("epsilon_prev must lie strictly inside (0, 1)")
-    if r < 0.0:
-        raise ValueError("likelihood ratio must be nonnegative")
+    _check_binary(epsilon_prev, r)
     e = epsilon_prev
     return e * (1.0 - e) * abs(r - 1.0) / ((1.0 - e) * r + e)
 
@@ -177,12 +186,8 @@ def binary_informative(epsilon_prev: float, r: float, tau: float) -> bool:
     is informative iff epsilon_prev exceeds tau and r clears a threshold
     that is always >= 1, and symmetrically for r < 1. Ties informative.
     """
-    if not 0.0 < epsilon_prev < 1.0:
-        raise ValueError("epsilon_prev must lie strictly inside (0, 1)")
-    if r < 0.0:
-        raise ValueError("likelihood ratio must be nonnegative")
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {tau!r}")
+    _check_binary(epsilon_prev, r)
+    _check_threshold(tau)
     e = epsilon_prev
     if r >= 1.0:
         if e <= tau:
@@ -203,20 +208,16 @@ def potential_update(
 
     New potentials are the network-mixed previous potentials plus each
     agent's fresh log-likelihood row. ``q`` is a mixing matrix or any
-    object exposing one as ``.q``; ``signals`` are alphabet row indices,
-    one per agent.
+    object exposing one as ``.q``, and must be symmetric and doubly
+    stochastic with a positive diagonal; ``signals`` are alphabet row
+    indices, one per agent.
     """
     phi = np.asarray(potentials_prev, dtype=float)
     mix = np.asarray(getattr(q, "q", q), dtype=float)
     n, m = phi.shape
     if mix.shape != (n, n):
         raise ValueError(f"mixing matrix must be {n}x{n}, got {mix.shape}")
-    if (
-        np.max(np.abs(np.sum(mix, axis=1) - 1.0)) > 1e-12
-        or np.max(np.abs(np.sum(mix, axis=0) - 1.0)) > 1e-12
-        or np.any(mix < 0.0)
-    ):
-        raise ValueError("mixing matrix must be doubly stochastic")
+    _check_mixing(mix, "mixing matrix")
     return mix @ phi + lik.fresh_rows(signals)
 
 

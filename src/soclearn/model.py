@@ -271,76 +271,78 @@ def is_strongly_connected(weights: np.ndarray) -> bool:
     return bool(_reachable(np.asarray(weights) > 0.0).all())
 
 
+def _check_mixing(mat: np.ndarray, what: str) -> None:
+    """Reject a matrix that cannot mix: the one mixing-matrix invariant.
+
+    ``mat`` must be square, symmetric, nonnegative, have rows and columns
+    summing to one and a positive diagonal, all within ``PROB_SUM_TOL``.
+    Network weights, per-round switching matrices and the potential
+    recursion all rely on exactly this.
+    """
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{what} must be a square matrix")
+    if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
+        raise ValueError(f"{what} must be symmetric")
+    if np.any(mat < 0.0):
+        raise ValueError(f"{what} must be nonnegative")
+    if (
+        np.max(np.abs(np.sum(mat, axis=1) - 1.0)) > PROB_SUM_TOL
+        or np.max(np.abs(np.sum(mat, axis=0) - 1.0)) > PROB_SUM_TOL
+    ):
+        raise ValueError(f"{what} must be doubly stochastic")
+    if np.any(np.diag(mat) <= 0.0):
+        raise ValueError(f"{what} must have a positive diagonal")
+
+
 @dataclass(frozen=True)
 class Network:
     """Symmetric stochastic communication weights over ``n`` agents.
 
-    ``edges`` holds unordered pairs with positive weight, self-loops
-    included. Off-diagonal entry ``(i, j)`` is positive exactly when the
-    pair is an edge, every diagonal entry is positive, and rows sum to
-    one, which together with symmetry makes the matrix doubly stochastic.
+    The weights are the one record of the graph: agents ``i != j`` are
+    neighbours exactly when entry ``(i, j)`` is positive, and ``n``,
+    ``adjacency`` and ``neighbors`` are all read off the matrix. Input
+    within ``PROB_SUM_TOL`` of symmetric is symmetrised before the
+    mixing-matrix checks, so the stored weights are exactly symmetric.
     """
 
-    n: int
-    edges: frozenset
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise ValueError(f"weights must be {self.n}x{self.n}")
+        # ahead of the raw symmetry test, where a row would broadcast against a column
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError("weights must be a square matrix")
         if np.max(np.abs(w - w.T), initial=0.0) > PROB_SUM_TOL:
             raise ValueError("weights must be symmetric")
         w = (w + w.T) / 2.0
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if np.max(np.abs(np.sum(w, axis=1) - 1.0)) > PROB_SUM_TOL:
-            raise ValueError("weight rows must sum to 1")
-        if np.any(np.diag(w) <= 0.0):
-            raise ValueError("every agent must keep positive self-weight")
-        edges = frozenset(tuple(sorted(e)) for e in self.edges)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (w[i, j] > 0.0) != ((i, j) in edges):
-                    raise ValueError(
-                        f"edge set and positive weights disagree at ({i}, {j})"
-                    )
-        edges |= {(i, i) for i in range(self.n)}
+        _check_mixing(w, "weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_weights(cls, weights, require_connected: bool = True) -> "Network":
-        """Build a network from a weight matrix, deriving the edge set.
+        """Build a network from a weight matrix.
 
         ``require_connected`` may be dropped only to build instances for
         diagnostic use; protocol runs re-check connectivity anyway.
         """
         w = np.asarray(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix")
-        n = w.shape[0]
-        edges = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if w[i, j] > 0.0 or w[j, i] > 0.0
-        }
+        net = cls(weights=w)
         if require_connected and not is_strongly_connected(w):
             raise ValueError("communication graph is not connected")
-        return cls(n=n, edges=frozenset(edges), weights=w)
+        return net
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
 
     def neighbors(self, agent: int) -> tuple:
-        return tuple(
-            int(j) for j in np.nonzero(self.weights[agent] > 0.0)[0] if j != agent
-        )
+        return tuple(int(j) for j in np.nonzero(self.adjacency[agent])[0])
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Boolean off-diagonal support of the weights."""
         adj = self.weights > 0.0
-        adj = adj.copy()
         np.fill_diagonal(adj, False)
         adj.setflags(write=False)
         return adj

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PROB_SUM_TOL, Network
+from .model import Network, _check_mixing
 
 __all__ = [
     "SwitchingMatrix",
@@ -35,42 +35,34 @@ class SwitchingMatrix:
     """
 
     q: np.ndarray
-    uninformative_set: frozenset
     round: int
 
     def __post_init__(self):
         mat = np.array(self.q, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("mixing matrix must be square")
-        n = mat.shape[0]
-        if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
-            raise ValueError("mixing matrix must be symmetric")
-        if np.any(mat < 0.0):
-            raise ValueError("mixing matrix entries must be nonnegative")
-        if (
-            np.max(np.abs(np.sum(mat, axis=1) - 1.0)) > PROB_SUM_TOL
-            or np.max(np.abs(np.sum(mat, axis=0) - 1.0)) > PROB_SUM_TOL
-        ):
-            raise ValueError("mixing matrix must be doubly stochastic")
-        if np.any(np.diag(mat) <= 0.0):
-            raise ValueError("mixing matrix diagonal must stay positive")
-        members = frozenset(int(i) for i in self.uninformative_set)
-        if members and (min(members) < 0 or max(members) >= n):
-            raise ValueError("uninformative set contains out-of-range agents")
+        _check_mixing(mat, "mixing matrix")
         if self.round < 0:
             raise ValueError("round must be nonnegative")
         mat.setflags(write=False)
         object.__setattr__(self, "q", mat)
-        object.__setattr__(self, "uninformative_set", members)
 
     @property
     def n(self) -> int:
         return self.q.shape[0]
 
+    def fired_pairs(self) -> tuple:
+        """Index arrays ``(i, j)`` of the pairs that exchanged this round.
+
+        Each unordered pair appears once, with ``i < j``, in row-major
+        order.
+        """
+        rows, cols = np.nonzero(self.q > 0.0)
+        upper = rows < cols
+        return rows[upper], cols[upper]
+
     def offdiagonal_support(self) -> frozenset:
         """Unordered pairs that exchanged potentials this round."""
-        rows, cols = np.nonzero(self.q > 0.0)
-        return frozenset((int(i), int(j)) for i, j in zip(rows, cols) if i < j)
+        rows, cols = self.fired_pairs()
+        return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
 def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
@@ -100,14 +92,12 @@ def build_switching_matrix(
     An empty set yields the exact identity, the full set the network
     weights themselves.
     """
-    members = frozenset(int(i) for i in uninformative)
+    members = [int(i) for i in uninformative]
     if members and (min(members) < 0 or max(members) >= net.n):
         raise ValueError("uninformative set contains out-of-range agents")
     flagged = np.zeros(net.n, dtype=bool)
-    flagged[list(members)] = True
-    return SwitchingMatrix(
-        q=_mixing_matrices(net, flagged), uninformative_set=members, round=round
-    )
+    flagged[members] = True
+    return SwitchingMatrix(q=_mixing_matrices(net, flagged), round=round)
 
 
 class CommLedger:
@@ -144,9 +134,7 @@ class CommLedger:
         return list(self)
 
     def record(self, q: SwitchingMatrix) -> None:
-        rows, cols = np.nonzero(q.q > 0.0)
-        upper = rows < cols
-        rows, cols = rows[upper], cols[upper]
+        rows, cols = q.fired_pairs()
         triples = np.empty((rows.size, 3), dtype=np.int64)
         triples[:, 0] = q.round
         triples[:, 1] = rows

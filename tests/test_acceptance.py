@@ -452,7 +452,7 @@ def test_criterion_09_mixing_product_converges(default_scenario):
     and the product gap stays near 0.86.
     """
     config, records, _ = default_scenario
-    gap = product_convergence_gap(records[0].switching_sequence())
+    gap = product_convergence_gap(records[0].switching_matrices())
     ok = gap < 1e-6
     record_criterion(
         9,

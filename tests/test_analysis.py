@@ -1,6 +1,7 @@
 """Identifiability diagnostics, rate estimation, and mixing checks."""
 
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -358,6 +359,26 @@ def test_prefix_gaps_never_increase():
         gap = mixing_gap(prod)
         assert gap <= prev_gap + 1e-14
         prev_gap = gap
+
+
+def test_gap_streams_a_generator():
+    # 500 factors of 32 KiB each: a list of them would peak near 16 MiB,
+    # a running product near a few factors
+    size = 64
+    factor = np.eye(size).nbytes
+
+    def factors():
+        for _ in range(500):
+            yield np.full((size, size), 1.0 / size)
+
+    tracemalloc.start()
+    try:
+        gap = product_convergence_gap(factors())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gap <= 1e-12
+    assert peak < 6 * factor
 
 
 def test_gap_requires_matrices():

@@ -30,7 +30,7 @@ from soclearn.harness import (
 )
 from soclearn.learning import bayes_update, initial_belief
 from soclearn.model import AssumptionViolation, LikelihoodModel, Network, \
-    metropolis_weights
+    metropolis_weights, ring_edges
 
 
 def bernoulli(p1s):
@@ -99,6 +99,11 @@ def test_config_rejects_threshold_outside_unit_interval():
         reference_config(tau=0.0)
     with pytest.raises(ValueError):
         reference_config(tau=1.5)
+
+
+def test_config_rejects_prior_mass_of_wrong_length():
+    with pytest.raises(ValueError, match="prior_mass.*states"):
+        reference_config(prior_kind="explicit", prior_mass=(0.2, 0.3, 0.5))
 
 
 def test_config_rejects_bad_consensus_delta():
@@ -423,6 +428,32 @@ def test_engine_records_are_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
+
+
+def test_record_leaves_the_callers_arrays_writable():
+    net = metropolis_weights(ring_edges(3), 3)
+    arrays = dict(
+        stored_rounds=np.array([0, 2]),
+        log_beliefs=np.full((2, 3, 2), np.log(0.5)),
+        tv_series=np.zeros((2, 3)),
+        uninformative=np.zeros((2, 3), dtype=bool),
+        last_below=np.full(3, -1),
+    )
+    rec = harness.TrajectoryRecord(
+        replica=0,
+        seed=1,
+        tau=0.5,
+        rounds=2,
+        true_state_index=0,
+        state_labels=("a", "b"),
+        consensus_delta=1e-6,
+        network=net,
+        **arrays,
+    )
+    for name, arr in arrays.items():
+        assert arr.flags.writeable
+        assert not getattr(rec, name).flags.writeable
+        assert np.shares_memory(getattr(rec, name), arr)
 
 
 def test_most_replicas_learn_the_realized_state():

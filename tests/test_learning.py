@@ -277,6 +277,22 @@ def test_potential_update_rejects_non_doubly_stochastic():
         potential_update(np.zeros((3, 3)), bad, lik, np.array([0, 0, 0]))
 
 
+@pytest.mark.parametrize(
+    "mix",
+    [
+        # doubly stochastic but not symmetric: a cyclic shift mixed with the identity
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+        # symmetric and doubly stochastic, but agent 0 drops its own potential
+        [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+    ],
+    ids=["asymmetric", "zero-diagonal"],
+)
+def test_potential_update_rejects_invalid_mixing(mix):
+    lik = three_agent_model()
+    with pytest.raises(ValueError):
+        potential_update(np.zeros((3, 3)), np.array(mix), lik, np.array([0, 0, 0]))
+
+
 def test_recursion_matches_expanded_product_form():
     # unrolled check: potentials at T equal the mixed sum of every past
     # round's fresh evidence, with each round's evidence pushed through

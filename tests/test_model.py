@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soclearn.model import (
     BeliefState,
@@ -200,6 +202,32 @@ def test_network_invariants_hold_for_constructions():
 def test_network_neighbors():
     net = metropolis_weights(ring_edges(4), 4)
     assert net.neighbors(0) == (1, 3)
+
+
+@st.composite
+def symmetric_weights(draw):
+    # random symmetric support and weights; the diagonal takes up each
+    # row's remainder and stays positive
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    upper = np.triu(rng.uniform(0.01, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    w = upper + upper.T
+    w /= 1.0 + w.sum(axis=1).max()
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_weights())
+def test_network_structure_is_read_off_the_weights(w):
+    net = Network.from_weights(w, require_connected=False)
+    n = w.shape[0]
+    off = (w > 0.0) & ~np.eye(n, dtype=bool)
+    assert net.n == n
+    assert np.array_equal(net.adjacency, off)
+    for i in range(n):
+        assert net.neighbors(i) == tuple(np.flatnonzero(off[i]).tolist())
 
 
 def test_network_from_weights_rejects_asymmetric():

@@ -101,10 +101,10 @@ def test_growing_the_set_only_adds_support():
 def test_switching_matrix_validates_input():
     bad = np.array([[0.9, 0.2], [0.2, 0.8]])  # rows exceed one
     with pytest.raises(ValueError):
-        SwitchingMatrix(q=bad, uninformative_set=frozenset(), round=1)
+        SwitchingMatrix(q=bad, round=1)
     asym = np.array([[0.5, 0.5], [0.4, 0.6]])
     with pytest.raises(ValueError):
-        SwitchingMatrix(q=asym, uninformative_set=frozenset(), round=1)
+        SwitchingMatrix(q=asym, round=1)
 
 
 def test_out_of_range_agents_rejected(path3):
