@@ -11,6 +11,7 @@ state sets the asymptotic learning rate.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -259,17 +260,18 @@ def check_interval_connectivity(q_sequence, interval) -> bool:
 
     ``interval`` is an inclusive positional pair into ``q_sequence``.
     The union of off-diagonal supports over the interval is treated as
-    an undirected graph; returns True iff it is connected.
+    an undirected graph; returns True iff it is connected. The union is
+    taken while iterating, and nothing past position ``hi`` is read.
     """
-    mats = [np.asarray(getattr(q, "q", q), dtype=float) for q in q_sequence]
     lo, hi = int(interval[0]), int(interval[1])
-    if not mats:
-        raise ValueError("empty matrix sequence")
-    if lo > hi or lo < 0 or hi >= len(mats):
+    if lo > hi or lo < 0:
+        raise ValueError(f"interval {interval} is invalid")
+    seen, support = 0, False
+    for seen, q in enumerate(itertools.islice(q_sequence, hi + 1), 1):
+        if seen > lo:
+            support = support | (np.asarray(getattr(q, "q", q), dtype=float) > 0.0)
+    if seen <= hi:
         raise ValueError(
-            f"interval {interval} invalid for a sequence of {len(mats)} matrices"
+            f"interval {interval} invalid for a sequence of {seen} matrices"
         )
-    support = np.zeros(mats[0].shape, dtype=bool)
-    for mat in mats[lo : hi + 1]:
-        support |= mat > 0.0
     return is_strongly_connected(support)

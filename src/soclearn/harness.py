@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,9 +66,32 @@ _LIKELIHOOD_KINDS = ("one_distinguishing_state", "tables")
 _PRIOR_KINDS = ("uniform", "explicit")
 
 
-def _deep_tuple(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_deep_tuple(v) for v in value)
+# Expected JSON type of each config field that is not a string: lists
+# nested this deep around values of this kind, and how to say so.
+_INTEGER, _NUMBER = (0, numbers.Integral, "an integer"), (0, numbers.Real, "a number")
+_FIELD_TYPES = {
+    **dict.fromkeys(("agents", "states", "true_state", "rounds", "seed", "replicas",
+                     "thin_every", "comparison_agent"), _INTEGER),
+    **dict.fromkeys(("p_eq", "p_diff", "tau", "consensus_delta"), _NUMBER),
+    "state_labels": (1, (str, numbers.Real), "a list of labels"),
+    "topology_edges": (2, numbers.Integral, "a list of [i, j] agent pairs"),
+    "weight_matrix": (2, numbers.Real, "a list of rows of numbers"),
+    "alphabets": (2, (str, numbers.Real), "one list of symbols per agent"),
+    "tables": (3, numbers.Real, "one list of rows of numbers per agent"),
+    "prior_mass": (1, numbers.Real, "a list of numbers"),
+}
+
+
+def _typed(value, depth: int, kind):
+    """``value`` as tuples nested ``depth`` deep around ``kind`` values.
+
+    Raises ``TypeError`` where it is not that shape. bool is an int
+    subclass, but never a valid count, number or label here.
+    """
+    if depth and isinstance(value, (list, tuple)):
+        return tuple(_typed(v, depth - 1, kind) for v in value)
+    if depth or not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError
     return value
 
 
@@ -106,15 +130,15 @@ class ExperimentConfig:
     comparison_agent: int = 0
 
     def __post_init__(self):
-        for name in (
-            "state_labels",
-            "topology_edges",
-            "weight_matrix",
-            "alphabets",
-            "tables",
-            "prior_mass",
-        ):
-            object.__setattr__(self, name, _deep_tuple(getattr(self, name)))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            depth, kind, what = _FIELD_TYPES.get(f.name, (0, str, "a string"))
+            try:
+                object.__setattr__(self, f.name, _typed(value, depth, kind))
+            except TypeError:
+                raise ValueError(f"{f.name} must be {what}") from None
         if self.agents < 1:
             raise ValueError("agents must be >= 1")
         if self.states < 2:
@@ -127,20 +151,25 @@ class ExperimentConfig:
             raise ValueError("prior_mass must be a vector whose length equals states")
         if self.topology_kind not in _TOPOLOGIES:
             raise ValueError(f"topology_kind must be one of {_TOPOLOGIES}")
-        if (self.topology_kind == "edges") != (self.topology_edges is not None):
-            raise ValueError(
-                "topology_edges is required for topology_kind='edges' "
-                "and meaningless otherwise"
-            )
         if self.weight_rule not in _WEIGHT_RULES:
             raise ValueError(f"weight_rule must be one of {_WEIGHT_RULES}")
-        if (self.weight_rule == "explicit") != (self.weight_matrix is not None):
-            raise ValueError(
-                "weight_matrix is required for weight_rule='explicit' "
-                "and meaningless otherwise"
-            )
         if self.likelihood_kind not in _LIKELIHOOD_KINDS:
             raise ValueError(f"likelihood_kind must be one of {_LIKELIHOOD_KINDS}")
+        if self.prior_kind not in _PRIOR_KINDS:
+            raise ValueError(f"prior_kind must be one of {_PRIOR_KINDS}")
+        for name, switch, choice in (
+            ("topology_edges", "topology_kind", "edges"),
+            ("weight_matrix", "weight_rule", "explicit"),
+            ("prior_mass", "prior_kind", "explicit"),
+        ):
+            if (getattr(self, switch) == choice) != (getattr(self, name) is not None):
+                raise ValueError(
+                    f"{name} is required for {switch}={choice!r} "
+                    "and meaningless otherwise"
+                )
+        edges = self.topology_edges
+        if edges is not None and any(len(e) != 2 for e in edges):
+            raise ValueError("topology_edges must be a list of [i, j] agent pairs")
         if self.likelihood_kind == "tables":
             if self.tables is None:
                 raise ValueError("tables are required for likelihood_kind='tables'")
@@ -151,15 +180,6 @@ class ExperimentConfig:
                 )
             if not 0.0 < self.p_eq < 1.0 or not 0.0 < self.p_diff < 1.0:
                 raise ValueError("p_eq and p_diff must lie strictly inside (0, 1)")
-            if self.p_eq == self.p_diff:
-                raise ValueError("p_eq == p_diff makes every signal law identical")
-        if self.prior_kind not in _PRIOR_KINDS:
-            raise ValueError(f"prior_kind must be one of {_PRIOR_KINDS}")
-        if (self.prior_kind == "explicit") != (self.prior_mass is not None):
-            raise ValueError(
-                "prior_mass is required for prior_kind='explicit' "
-                "and meaningless otherwise"
-            )
         _check_threshold(self.tau, "tau")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -176,10 +196,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - names)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(data) - {f.name for f in fields})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields
+                   if f.default is dataclasses.MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(**data)
 
     @classmethod
@@ -226,8 +252,7 @@ def build_prior(config: ExperimentConfig) -> Prior:
 def build_likelihoods(config: ExperimentConfig) -> LikelihoodModel:
     if config.likelihood_kind == "tables":
         return LikelihoodModel.from_probabilities(
-            [np.asarray(t, dtype=float) for t in config.tables],
-            alphabets=config.alphabets,
+            config.tables, alphabets=config.alphabets
         )
     n, m = config.agents, config.states
     tables = []
@@ -244,7 +269,7 @@ def build_likelihoods(config: ExperimentConfig) -> LikelihoodModel:
 
 def build_network(config: ExperimentConfig) -> Network:
     if config.weight_rule == "explicit":
-        return Network.from_weights(np.asarray(config.weight_matrix, dtype=float))
+        return Network(config.weight_matrix)
     if config.topology_kind == "ring":
         edges = ring_edges(config.agents)
     elif config.topology_kind == "complete":

@@ -1,10 +1,11 @@
 """Domain types for networked belief-learning experiments.
 
 Holds the finite state space, the shared prior, per-agent signal
-likelihoods, and the communication network. Every type validates its
-invariants at construction and is immutable afterwards, so downstream
-update code can assume well-formed inputs and instances can be shared
-freely across replicas.
+likelihoods, and the communication network. Every type checks that it
+is well formed at construction (shapes, symmetry, stochasticity,
+finiteness) and is immutable afterwards, so instances can be shared
+freely across replicas. The standing assumptions A1-A3 are decided in
+one place only, ``validate_assumptions``.
 """
 
 from __future__ import annotations
@@ -154,28 +155,21 @@ class LikelihoodModel:
         object.__setattr__(self, "log_lik", tables)
 
     @classmethod
-    def from_probabilities(cls, tables, alphabets=None, allow_zero: bool = False):
+    def from_probabilities(cls, tables, alphabets=None):
         """Build from linear-domain tables, one ``(symbols, states)`` per agent.
 
-        Zero entries are rejected unless ``allow_zero`` is set; a model
-        with zeros has an infinite log bound and is unusable for protocol
-        runs, but can still drive signal generation in tests.
+        Zero entries are accepted as ``-inf`` log likelihoods; such a
+        model is unbounded and fails A1 in ``validate_assumptions``.
         """
         arrs = [np.asarray(t, dtype=float) for t in tables]
         if alphabets is None:
             alphabets = [tuple(range(a.shape[0])) for a in arrs]
-        logs = []
         for i, a in enumerate(arrs):
             if np.any(a < 0.0):
                 raise ValueError(f"agent {i}: negative probabilities")
-            if not allow_zero and np.any(a == 0.0):
-                raise ValueError(
-                    f"agent {i}: zero-probability signals give an unbounded "
-                    "log likelihood; pass allow_zero=True only for testing"
-                )
-            with np.errstate(divide="ignore"):
-                logs.append(np.log(a))
-        return cls(tuple(alphabets), tuple(logs))
+        with np.errstate(divide="ignore"):
+            logs = tuple(np.log(a) for a in arrs)
+        return cls(tuple(alphabets), logs)
 
     @property
     def agent_count(self) -> int:
@@ -192,7 +186,8 @@ class LikelihoodModel:
 
     @property
     def bounded(self) -> bool:
-        return np.isfinite(self.log_bound)
+        """A1: every log likelihood is finite."""
+        return bool(np.isfinite(self.log_bound))
 
     @cached_property
     def _symbol_maps(self) -> tuple:
@@ -274,17 +269,18 @@ def is_strongly_connected(weights: np.ndarray) -> bool:
 def _check_mixing(mat: np.ndarray, what: str) -> None:
     """Reject a matrix that cannot mix: the one mixing-matrix invariant.
 
-    ``mat`` must be square, symmetric, nonnegative, have rows and columns
-    summing to one and a positive diagonal, all within ``PROB_SUM_TOL``.
-    Network weights, per-round switching matrices and the potential
-    recursion all rely on exactly this.
+    ``mat`` must be square, symmetric, nonnegative (hence free of NaN),
+    have rows and columns summing to one and a positive diagonal, all
+    within ``PROB_SUM_TOL``. Network weights, per-round switching
+    matrices and the potential recursion all rely on exactly this.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
     if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
         raise ValueError(f"{what} must be symmetric")
-    if np.any(mat < 0.0):
-        raise ValueError(f"{what} must be nonnegative")
+    # false on NaN as well, which every other comparison here lets through
+    if not (mat >= 0.0).all():
+        raise ValueError(f"{what} must be nonnegative and free of NaN")
     if (
         np.max(np.abs(np.sum(mat, axis=1) - 1.0)) > PROB_SUM_TOL
         or np.max(np.abs(np.sum(mat, axis=0) - 1.0)) > PROB_SUM_TOL
@@ -318,19 +314,6 @@ class Network:
         _check_mixing(w, "weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_weights(cls, weights, require_connected: bool = True) -> "Network":
-        """Build a network from a weight matrix.
-
-        ``require_connected`` may be dropped only to build instances for
-        diagnostic use; protocol runs re-check connectivity anyway.
-        """
-        w = np.asarray(weights, dtype=float)
-        net = cls(weights=w)
-        if require_connected and not is_strongly_connected(w):
-            raise ValueError("communication graph is not connected")
-        return net
 
     @property
     def n(self) -> int:
@@ -372,27 +355,22 @@ def metropolis_weights(adjacency: Iterable, n: int) -> Network:
     where ``d`` are node degrees, and the diagonal absorbs the remainder.
     The result is symmetric and doubly stochastic with positive diagonal.
 
-    Raises ``ValueError`` on self-loops, out-of-range nodes, or a
-    disconnected adjacency.
+    Raises ``ValueError`` on self-loops or out-of-range nodes. A
+    disconnected adjacency gives a valid network that fails A3 in
+    ``validate_assumptions``.
     """
-    pairs = set()
+    adj = np.zeros((n, n), dtype=bool)
     for e in adjacency:
         i, j = int(e[0]), int(e[1])
         if i == j:
             raise ValueError("self-loops are implicit; adjacency must not list them")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-        pairs.add((min(i, j), max(i, j)))
-    degree = np.zeros(n, dtype=int)
-    for i, j in pairs:
-        degree[i] += 1
-        degree[j] += 1
-    w = np.zeros((n, n))
-    for i, j in pairs:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
-    for i in range(n):
-        w[i, i] = 1.0 - np.sum(w[i])
-    return Network.from_weights(w, require_connected=True)
+        adj[i, j] = adj[j, i] = True
+    degree = adj.sum(axis=1)
+    w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(degree, degree)), 0.0)
+    w[np.diag_indices(n)] = 1.0 - w.sum(axis=1)
+    return Network(w)
 
 
 @dataclass(frozen=True)
@@ -483,8 +461,9 @@ def validate_assumptions(
 ) -> ValidationReport:
     """Check A1-A3 for a model triple and report per-assumption outcomes.
 
-    Pure function; raises ``ValueError`` only on dimension mismatches
-    between the three inputs.
+    The one place that decides the standing assumptions: constructors
+    only check that their inputs are well formed. Pure function; raises
+    ``ValueError`` only on dimension mismatches between the three inputs.
     """
     if lik.agent_count != net.n:
         raise ValueError(
@@ -495,27 +474,17 @@ def validate_assumptions(
             f"likelihood tables cover {lik.state_count} states, space has {space.size}"
         )
 
-    a1 = bool(np.isfinite(lik.log_bound))
-
     from .analysis import identifiability_report  # local import, avoids a cycle
 
-    if a1:
-        violations = identifiability_report(lik, space).not_excluded
-    else:
-        violations = tuple(
-            k for k in range(space.size) if k != space.true_state_index
-        )
-    a2 = not violations
+    violations = identifiability_report(lik, space).not_excluded
 
-    reachable = _reachable(net.weights > 0.0)
-    unreachable = tuple(int(i) for i in np.nonzero(~reachable)[0])
-    a3 = not unreachable
+    unreachable = tuple(int(i) for i in np.flatnonzero(~_reachable(net.weights > 0.0)))
 
     return ValidationReport(
-        a1_passed=a1,
+        a1_passed=lik.bounded,
         log_bound=lik.log_bound,
-        a2_passed=a2,
+        a2_passed=not violations,
         a2_violations=violations,
-        a3_passed=a3,
+        a3_passed=not unreachable,
         a3_unreachable=unreachable,
     )

@@ -371,7 +371,7 @@ def test_criterion_07_mixing_matrix_invariants():
             perms += np.eye(n)[rng.permutation(n)]
         sym = (perms + perms.T) / 8.0
         weights = 0.4 * np.eye(n) + 0.2 * np.full((n, n), 1.0 / n) + 0.4 * sym
-        networks.append(Network.from_weights(weights))
+        networks.append(Network(weights))
 
     per_network = 40
     for net in networks:

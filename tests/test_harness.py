@@ -30,7 +30,7 @@ from soclearn.harness import (
 )
 from soclearn.learning import bayes_update, initial_belief
 from soclearn.model import AssumptionViolation, LikelihoodModel, Network, \
-    metropolis_weights, ring_edges
+    metropolis_weights, ring_edges, validate_assumptions
 
 
 def bernoulli(p1s):
@@ -113,9 +113,16 @@ def test_config_rejects_bad_consensus_delta():
         reference_config(consensus_delta=1.0)
 
 
-def test_config_rejects_equal_bernoulli_parameters():
-    with pytest.raises(ValueError):
-        reference_config(p_eq=0.3, p_diff=0.3)
+def test_equal_bernoulli_parameters_fail_a2():
+    # the config allows it; with every signal law the same, A2 fails for
+    # every false state and the run is refused
+    config = reference_config(p_eq=0.3, p_diff=0.3, replicas=1, rounds=10)
+    space, _, lik, net = build_model(config)
+    report = validate_assumptions(lik, net, space)
+    assert report.a1_passed and report.a3_passed
+    assert report.a2_violations == tuple(range(1, config.states))
+    with pytest.raises(AssumptionViolation, match="A2"):
+        run_experiment(config)
 
 
 def test_config_rejects_unknown_keys():
@@ -338,8 +345,12 @@ def test_unidentifiable_config_is_refused():
     ],
 )
 def test_batched_engine_matches_reference_rounds(config):
+    assert_engine_matches_reference(config)
+
+
+def assert_engine_matches_reference(config):
     # the vectorized replica engine must be bit-identical to the
-    # one-round reference implementation
+    # one-round reference implementation: beliefs, tvs and masks
     space, prior, lik, net = build_model(config)
     records = run_experiment(config)
     for r, rec in enumerate(records):
@@ -351,8 +362,68 @@ def test_batched_engine_matches_reference_rounds(config):
                 state, net, lik, space, config.tau, sig[t]
             )
             assert np.array_equal(rec.log_beliefs[t], state.log_belief)
-            flagged = {v.agent for v in verdicts if not v.informative}
-            assert set(np.nonzero(rec.uninformative[t - 1])[0]) == flagged
+            assert np.array_equal(rec.tv_series[t - 1], [v.tv for v in verdicts])
+            assert np.array_equal(
+                rec.uninformative[t - 1], [not v.informative for v in verdicts]
+            )
+
+
+@st.composite
+def engine_configs(draw):
+    """Small random experiments, some of which fail A1 or A3.
+
+    1-6 agents on a random edge set, usually grown from a spanning tree
+    (connected) and sometimes not; Metropolis or explicit weights on it.
+    Tables over 2-4 states with 2-4 symbols per agent, now and then with
+    zero entries; uniform or skewed explicit priors; three thresholds.
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = set()
+    if pairs:
+        edges = set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    if draw(st.integers(0, 3)):
+        edges |= {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    net = {"topology_kind": "edges", "topology_edges": tuple(sorted(edges))}
+    if draw(st.booleans()):
+        degree = max((sum(k in e for e in edges) for k in range(n)), default=0)
+        w = np.zeros((n, n))
+        for i, j in sorted(edges):
+            w[i, j] = w[j, i] = draw(st.integers(1, 4)) / (4.0 * (1 + degree))
+        w[np.arange(n), np.arange(n)] = 1.0 - w.sum(axis=1)
+        net = {"weight_rule": "explicit", "weight_matrix": w.tolist()}
+    weight = st.integers(0 if draw(st.integers(0, 4)) == 0 else 1, 9)
+    tables = []
+    for _ in range(n):
+        s = draw(st.integers(2, 4))
+        t = np.array(draw(st.lists(weight, min_size=s * m, max_size=s * m)), float)
+        t = t.reshape(s, m)
+        t[0] += t.sum(axis=0) == 0.0
+        tables.append((t / t.sum(axis=0)).tolist())
+    prior = {}
+    if draw(st.booleans()):
+        decades = draw(st.lists(st.integers(-8, 0), min_size=m, max_size=m))
+        mass = 10.0 ** np.array(decades)
+        prior = {"prior_kind": "explicit", "prior_mass": (mass / mass.sum()).tolist()}
+    return ExperimentConfig(
+        agents=n, states=m, true_state=draw(st.integers(0, m - 1)),
+        likelihood_kind="tables", tables=tables,
+        tau=draw(st.sampled_from([1e-17, 0.05, 1.0])),
+        rounds=draw(st.integers(1, 40)), replicas=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**32)), **net, **prior,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_configs())
+def test_batched_engine_matches_reference_on_random_models(config):
+    # run_experiment refuses exactly the models validate_assumptions fails
+    space, _, lik, net = build_model(config)
+    if validate_assumptions(lik, net, space).passed:
+        assert_engine_matches_reference(config)
+    else:
+        with pytest.raises(AssumptionViolation):
+            run_experiment(config)
 
 
 def test_switching_and_baseline_share_round_zero():
@@ -507,7 +578,7 @@ def networks(draw):
     for i, j in sorted(edges):
         w[i, j] = w[j, i] = draw(st.integers(1, 4)) / (4.0 * (1 + degree))
     w[np.arange(n), np.arange(n)] = 1.0 - w.sum(axis=1)
-    return Network.from_weights(w)
+    return Network(w)
 
 
 @st.composite
@@ -760,3 +831,98 @@ def test_cli_rejects_invalid_config_file(tmp_path, capsys):
     path.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 0}))
     assert main(["validate", "--config", str(path)]) == 1
     assert "error" in capsys.readouterr().err.lower()
+
+
+ASSUMPTION_FAILURES = [
+    pytest.param(
+        reference_config(
+            agents=4, states=5, topology_kind="edges",
+            topology_edges=((0, 1), (2, 3)), replicas=1, rounds=10,
+        ),
+        "A3 connected network: FAIL (unreachable agents: [2, 3])",
+        id="disconnected-edges",
+    ),
+    pytest.param(
+        settling_config(
+            tables=(bernoulli((0.20, 0.0, 0.70, 0.35)),)
+            + settling_config().tables[1:],
+            replicas=1, rounds=10,
+        ),
+        "A1 bounded likelihoods: FAIL (log bound inf)",
+        id="zero-table-entry",
+    ),
+    pytest.param(
+        reference_config(agents=3, states=4, p_eq=0.3, p_diff=0.3, replicas=1),
+        "A2 global identifiability: FAIL (states not identified: [1, 2, 3])",
+        id="equal-bernoulli-parameters",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, fail_line", ASSUMPTION_FAILURES)
+def test_cli_reports_each_assumption_failure(tmp_path, capsys, config, fail_line):
+    path = write_config(tmp_path, config)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert fail_line in capsys.readouterr().out.splitlines()
+    for command in (["run", "--out", str(tmp_path / "out")], ["compare"]):
+        assert main(command + ["--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("assumption violation:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_analyze_accepts_zero_table_entries(tmp_path, capsys):
+    # state 1 gives no mass to a symbol the realized state emits
+    path = write_config(tmp_path, ASSUMPTION_FAILURES[1].values[0])
+    assert main(["analyze", "--config", str(path)]) == 0
+    assert "  'state_1': -inf" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"state_labels": 5}, "state_labels"),
+        ({"topology_kind": "edges", "topology_edges": 5}, "topology_edges"),
+        ({"topology_kind": "edges", "topology_edges": [1, 2]}, "topology_edges"),
+        ({"topology_kind": "edges", "topology_edges": [[0, 1, 2]]}, "topology_edges"),
+        ({"tables": 5}, "tables"),
+        ({"tables": [[0.5, 0.5]]}, "tables"),
+        ({"alphabets": 5}, "alphabets"),
+        ({"weight_rule": "explicit", "weight_matrix": [1.0]}, "weight_matrix"),
+        ({"prior_kind": "explicit", "prior_mass": "uniform"}, "prior_mass"),
+        ({"agents": "15"}, "agents"),
+        ({"tau": "x"}, "tau"),
+        ({"rounds": 10.5}, "rounds"),
+        ({"replicas": 1.5}, "replicas"),
+        ({"thin_every": 2.0}, "thin_every"),
+        ({"seed": True}, "seed"),
+    ],
+)
+def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, overrides, field):
+    data = json.loads((CONFIG_DIR / "complete5_tables.json").read_text())
+    data.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [([1, 2], "JSON object"), ({"agents": 3}, "missing config keys: states")],
+    ids=["not-an-object", "missing-key"],
+)
+def test_cli_rejects_malformed_config_document(tmp_path, capsys, data, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name
+)
+def test_bundled_configs_are_complete_templates(path):
+    # every field written out, in a form that round-trips unchanged
+    assert main(["validate", "--config", str(path)]) == 0
+    assert json.loads(path.read_text()) == ExperimentConfig.from_json(path).to_dict()

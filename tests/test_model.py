@@ -94,17 +94,24 @@ def test_likelihood_columns_must_normalize():
         LikelihoodModel.from_probabilities([bad])
 
 
-def test_likelihood_rejects_zero_entries_by_default():
+def test_likelihood_accepts_zero_entries():
     table = np.array([[1.0, 0.5], [0.0, 0.5]])
-    with pytest.raises(ValueError):
-        LikelihoodModel.from_probabilities([table])
-
-
-def test_likelihood_zero_entries_opt_in():
-    table = np.array([[1.0, 0.5], [0.0, 0.5]])
-    lik = LikelihoodModel.from_probabilities([table], allow_zero=True)
+    lik = LikelihoodModel.from_probabilities([table])
     assert not lik.bounded
     assert np.isneginf(lik.log_lik[0][1, 0])
+
+
+def test_zero_entries_fail_a1():
+    # the constructor takes the zero; validate_assumptions is where A1 fails
+    tables = [bernoulli_table([0.0, 0.5, 0.25]), bernoulli_table([0.5, 0.25, 0.5])]
+    lik = LikelihoodModel.from_probabilities(tables)
+    net = metropolis_weights([(0, 1)], 2)
+    space = StateSpace(states=("t", "u", "v"), true_state_index=0)
+    report = validate_assumptions(lik, net, space)
+    assert not report.a1_passed and report.log_bound == np.inf
+    assert report.a2_passed and report.a3_passed
+    assert not report.passed
+    assert "A1 bounded likelihoods: FAIL (log bound inf)" in report.summary()
 
 
 def test_log_bound_is_exact_max_entry():
@@ -172,9 +179,36 @@ def test_metropolis_ring_weights():
     assert w[0, 2] == 0.0
 
 
-def test_metropolis_rejects_disconnected():
-    with pytest.raises(ValueError):
-        metropolis_weights([(0, 1), (2, 3)], 4)
+def test_metropolis_disconnected_fails_a3():
+    net = metropolis_weights([(0, 1), (2, 3)], 4)
+    assert np.array_equal(net.weights, np.kron(np.eye(2), np.full((2, 2), 0.5)))
+    lik = reference_like_model(n=4, m=5)
+    space = StateSpace(states=tuple(range(5)), true_state_index=0)
+    report = validate_assumptions(lik, net, space)
+    assert not report.a3_passed and report.a3_unreachable == (2, 3)
+    assert "A3 connected network: FAIL (unreachable agents: [2, 3])" in report.summary()
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(2, 40))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+def test_metropolis_matches_the_per_edge_loop(case):
+    # the loop form of the construction is the bit-for-bit reference
+    n, edges = case
+    pairs = {(min(i, j), max(i, j)) for i, j in edges}
+    degree = [sum(k in pair for pair in pairs) for k in range(n)]
+    w = np.zeros((n, n))
+    for i, j in pairs:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
+    for i in range(n):
+        w[i, i] = 1.0 - np.sum(w[i])
+    assert np.array_equal(metropolis_weights(edges, n).weights, w)
 
 
 def test_metropolis_rejects_self_loop_input():
@@ -221,7 +255,7 @@ def symmetric_weights(draw):
 @settings(max_examples=150, deadline=None)
 @given(symmetric_weights())
 def test_network_structure_is_read_off_the_weights(w):
-    net = Network.from_weights(w, require_connected=False)
+    net = Network(w)
     n = w.shape[0]
     off = (w > 0.0) & ~np.eye(n, dtype=bool)
     assert net.n == n
@@ -233,19 +267,36 @@ def test_network_structure_is_read_off_the_weights(w):
 def test_network_from_weights_rejects_asymmetric():
     w = np.array([[0.5, 0.5], [0.2, 0.8]])
     with pytest.raises(ValueError):
-        Network.from_weights(w)
+        Network(w)
 
 
 def test_network_from_weights_rejects_zero_diagonal():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        Network.from_weights(w)
+        Network(w)
 
 
-def test_network_rejects_disconnected_weights():
-    w = np.eye(3)
-    with pytest.raises(ValueError):
-        Network.from_weights(w)
+def test_network_disconnected_weights_fail_a3():
+    net = Network(np.eye(3))
+    assert not net.adjacency.any()
+    lik = reference_like_model(n=3, m=4)
+    space = StateSpace(states=tuple(range(4)), true_state_index=0)
+    report = validate_assumptions(lik, net, space)
+    assert report.a1_passed and report.a2_passed
+    assert not report.a3_passed and report.a3_unreachable == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [[np.nan]],
+        [[0.5, np.nan, 0.25], [np.nan, 0.5, 0.25], [0.25, 0.25, 0.5]],
+    ],
+    ids=["1x1", "3x3-offdiagonal-pair"],
+)
+def test_network_rejects_nan(weights):
+    with pytest.raises(ValueError, match="NaN"):
+        Network(weights)
 
 
 def test_strong_connectivity_check():
@@ -327,7 +378,7 @@ def test_assumptions_flag_disconnected_network():
     w[0, 1] = w[1, 0] = 0.5
     w[2, 3] = w[3, 2] = 0.5
     np.fill_diagonal(w, 0.5)
-    net = Network.from_weights(w, require_connected=False)
+    net = Network(w)
     space = StateSpace(states=tuple(range(5)), true_state_index=0)
     report = validate_assumptions(lik, net, space)
     assert not report.a3_passed

@@ -107,6 +107,20 @@ def test_switching_matrix_validates_input():
         SwitchingMatrix(q=asym, round=1)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        [[np.nan]],
+        [[0.5, np.nan, 0.25], [np.nan, 0.5, 0.25], [0.25, 0.25, 0.5]],
+        [[np.nan, 0.5], [0.5, 0.5]],
+    ],
+    ids=["1x1", "offdiagonal-pair", "diagonal"],
+)
+def test_switching_matrix_rejects_nan(q):
+    with pytest.raises(ValueError, match="NaN"):
+        SwitchingMatrix(q=q, round=1)
+
+
 def test_out_of_range_agents_rejected(path3):
     with pytest.raises(ValueError):
         build_switching_matrix(path3, (3,), round=1)
