@@ -95,6 +95,15 @@ def _typed(value, depth: int, kind):
     return value
 
 
+def _check_rows(name: str, rows) -> None:
+    """Reject a matrix field with rows of unequal length, naming the first."""
+    for r, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"{name} row {r} has {len(row)} entries, row 0 has {len(rows[0])}"
+            )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment.
@@ -167,6 +176,10 @@ class ExperimentConfig:
                     f"{name} is required for {switch}={choice!r} "
                     "and meaningless otherwise"
                 )
+        if self.weight_matrix is not None:
+            _check_rows("weight_matrix", self.weight_matrix)
+        for i, table in enumerate(self.tables or ()):
+            _check_rows(f"tables[{i}]", table)
         edges = self.topology_edges
         if edges is not None and any(len(e) != 2 for e in edges):
             raise ValueError("topology_edges must be a list of [i, j] agent pairs")
@@ -372,8 +385,10 @@ def run_round(
     n, m = state.agent_count, state.state_count
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
-    fresh = lik.fresh_rows(signals_t)
-    tvs = _bayes_tv_rows(state.log_belief, fresh)
+    lik.fresh_rows(signals_t)  # rejects malformed and impossible signals
+    tvs = _bayes_tv_rows(
+        state.log_belief, *lik.value_class_rows(np.arange(n), signals_t)
+    )
     verdicts = tuple(
         InformativenessVerdict(
             agent=i,
@@ -565,13 +580,20 @@ def run_experiment(config: ExperimentConfig) -> list:
     for t in range(1, horizon + 1):
         if t % _SIGNAL_CHUNK == 0:
             signals = signal_chunk(t)
-        fresh = padded[agents, signals[t % _SIGNAL_CHUNK], :]
-        tv = _bayes_tv_rows(logb, fresh)
+        sig = signals[t % _SIGNAL_CHUNK]
+        fresh = padded[agents, sig, :]
+        tv = _bayes_tv_rows(logb, *lik.value_class_rows(agents, sig))
         uninf = tv < config.tau
         tv_hist[:, t - 1] = tv
         uninf_hist[:, t - 1] = uninf
 
-        phi = _mixing_matrices(net, uninf) @ phi + fresh
+        if uninf.any():
+            phi = _mixing_matrices(net, uninf) @ phi + fresh
+        else:
+            # every mixing matrix is the identity, and I @ phi + fresh
+            # equals phi + fresh bit for bit: phi is finite and the table
+            # logs hold no -0.0
+            phi = phi + fresh
         logb = anchor + phi
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t

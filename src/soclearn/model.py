@@ -134,7 +134,8 @@ class LikelihoodModel:
 
     def __post_init__(self):
         alphabets = tuple(tuple(a) for a in self.alphabets)
-        tables = tuple(_readonly(t) for t in self.log_lik)
+        # + 0.0 turns -0.0 into 0.0, so no fresh row carries a negative zero
+        tables = tuple(_readonly(np.asarray(t, dtype=float) + 0.0) for t in self.log_lik)
         if len(alphabets) != len(tables) or not tables:
             raise ValueError("need one likelihood table per agent")
         m = tables[0].shape[1] if tables[0].ndim == 2 else 0
@@ -220,6 +221,26 @@ class LikelihoodModel:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def value_classes(self) -> tuple:
+        """``_value_classes`` of every padded table row, built on first use.
+
+        States fall in one class exactly when their likelihoods
+        ``exp(log_lik)`` are equal. Returns ``(label, gaps)`` of shapes
+        ``(n, max_alphabet, m)`` and ``(n, max_alphabet, C + 1, C)``,
+        with C the largest class count in the model. Validation never
+        builds it.
+        """
+        label, gaps = _value_classes(np.exp(self.padded_log_lik))
+        label.setflags(write=False)
+        gaps.setflags(write=False)
+        return label, gaps
+
+    def value_class_rows(self, agents, rows) -> tuple:
+        """``value_classes`` at the given agents and table row indices."""
+        label, gaps = self.value_classes
+        return label[agents, rows], gaps[agents, rows]
+
     def fresh_rows(self, signals) -> np.ndarray:
         """Log-likelihood rows ``(n, m)`` of one round's signal row indices.
 
@@ -238,6 +259,32 @@ class LikelihoodModel:
                 "or padded table row"
             )
         return fresh
+
+
+def _value_classes(values: np.ndarray) -> tuple:
+    """Group the entries of each row of ``values`` by exact equality.
+
+    Returns ``(label, gaps)``. ``label[..., k]`` is the class of entry
+    ``k``, classes numbered in increasing value. With ``L_c`` the value
+    of class ``c``, ``gaps[..., c, b] = L_c - L_b`` and the last row
+    ``gaps[..., C, b] = L_b``, so one product with a vector of class
+    masses gives every class's skew and, last, the mass-weighted sum of
+    the values.
+    Rows with fewer than C classes are zero-padded. Values must be free
+    of NaN.
+    """
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    step = np.diff(ordered, axis=-1, prepend=ordered[..., :1]) > 0.0
+    rank = np.cumsum(step, axis=-1)
+    label = np.empty_like(order)
+    np.put_along_axis(label, order, rank, axis=-1)
+    levels = np.zeros(values.shape[:-1] + (int(rank.max(initial=0)) + 1,))
+    np.put_along_axis(levels, rank, ordered, axis=-1)
+    gaps = np.concatenate(
+        [levels[..., :, None] - levels[..., None, :], levels[..., None, :]], axis=-2
+    )
+    return label, gaps
 
 
 def _reachable(support: np.ndarray) -> np.ndarray:
@@ -266,21 +313,31 @@ def is_strongly_connected(weights: np.ndarray) -> bool:
     return bool(_reachable(np.asarray(weights) > 0.0).all())
 
 
-def _check_mixing(mat: np.ndarray, what: str) -> None:
-    """Reject a matrix that cannot mix: the one mixing-matrix invariant.
+def _check_square_finite(mat: np.ndarray, what: str) -> None:
+    """Reject a matrix that is not square or holds an inf or NaN.
 
-    ``mat`` must be square, symmetric, nonnegative (hence free of NaN),
-    have rows and columns summing to one and a positive diagonal, all
-    within ``PROB_SUM_TOL``. Network weights, per-round switching
-    matrices and the potential recursion all rely on exactly this.
+    Comes before any arithmetic on ``mat``, where ``inf - inf`` would
+    warn and NaN would slip through every comparison.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} must be finite, without inf or NaN")
+
+
+def _check_mixing(mat: np.ndarray, what: str) -> None:
+    """Reject a matrix that cannot mix: the one mixing-matrix invariant.
+
+    ``mat`` must be square, finite, symmetric, nonnegative, have rows
+    and columns summing to one and a positive diagonal, all within
+    ``PROB_SUM_TOL``. Network weights, per-round switching matrices and
+    the potential recursion all rely on exactly this.
+    """
+    _check_square_finite(mat, what)
     if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
         raise ValueError(f"{what} must be symmetric")
-    # false on NaN as well, which every other comparison here lets through
-    if not (mat >= 0.0).all():
-        raise ValueError(f"{what} must be nonnegative and free of NaN")
+    if np.any(mat < 0.0):
+        raise ValueError(f"{what} must be nonnegative")
     if (
         np.max(np.abs(np.sum(mat, axis=1) - 1.0)) > PROB_SUM_TOL
         or np.max(np.abs(np.sum(mat, axis=0) - 1.0)) > PROB_SUM_TOL
@@ -305,9 +362,9 @@ class Network:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        # ahead of the raw symmetry test, where a row would broadcast against a column
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix")
+        # ahead of the raw symmetry test, where a row would broadcast
+        # against a column and inf - inf would warn
+        _check_square_finite(w, "weights")
         if np.max(np.abs(w - w.T), initial=0.0) > PROB_SUM_TOL:
             raise ValueError("weights must be symmetric")
         w = (w + w.T) / 2.0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from soclearn.analysis import identifiability_report
@@ -31,6 +31,7 @@ from soclearn.harness import (
 from soclearn.learning import bayes_update, initial_belief
 from soclearn.model import AssumptionViolation, LikelihoodModel, Network, \
     metropolis_weights, ring_edges, validate_assumptions
+from soclearn.switching import _mixing_matrices
 
 
 def bernoulli(p1s):
@@ -424,6 +425,78 @@ def test_batched_engine_matches_reference_on_random_models(config):
     else:
         with pytest.raises(AssumptionViolation):
             run_experiment(config)
+
+
+def valid_model(config):
+    """``build_model`` of a config that passes A1-A3; rejects the example otherwise."""
+    space, prior, lik, net = build_model(config)
+    assume(validate_assumptions(lik, net, space).passed)
+    return space, prior, lik, net
+
+
+def reference_rounds(config):
+    """``(state, signals, new_state, verdicts)`` of each ``run_round`` step, replica 0."""
+    space, prior, lik, net = valid_model(config)
+    sig = generate_signals(lik, space, config.seed, config.rounds + 1)
+    state = initial_state(prior, lik, space, sig[0])
+    for t in range(1, config.rounds + 1):
+        new, _, verdicts = run_round(state, net, lik, space, config.tau, sig[t])
+        yield state, sig[t], new, verdicts
+        state = new
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_configs(), st.lists(st.floats(1e-300, 1.0), min_size=2, max_size=2))
+def test_flagged_sets_grow_with_the_threshold(config, drawn):
+    # same state, same signal: raising tau can only add uninformative agents;
+    # the round's own tvs as thresholds put every verdict on a boundary
+    space, _, lik, net = valid_model(config)
+    for state, sig, _, verdicts in reference_rounds(config):
+        tvs = {v.tv for v in verdicts if 0.0 < v.tv <= 1.0}
+        flagged = [
+            {v.agent for v in run_round(state, net, lik, space, tau, sig)[2]
+             if not v.informative}
+            for tau in sorted(tvs | set(drawn) | {config.tau})
+        ]
+        assert all(lo <= hi for lo, hi in zip(flagged, flagged[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_configs())
+def test_potential_average_moves_by_the_mean_fresh_row(config):
+    # a doubly stochastic mix keeps the agent-average, so each round moves
+    # it by exactly the mean fresh row; rounding stays within 4n ulps of
+    # the largest magnitude in the column (about 0.85n seen at most)
+    _, _, lik, net = valid_model(config)
+    eps = np.finfo(float).eps
+    for state, sig, new, _ in reference_rounds(config):
+        fresh = lik.fresh_rows(sig)
+        drift = new.potentials.mean(axis=0) - state.potentials.mean(axis=0) \
+            - fresh.mean(axis=0)
+        scale = np.max(np.abs([state.potentials, new.potentials, fresh]), axis=(0, 1))
+        assert np.all(np.abs(drift) <= 4 * net.n * eps * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_configs(), st.integers(1, 2), st.data())
+def test_identity_round_shortcut_is_bit_exact(config, reps, data):
+    # when nobody is flagged the engine adds fresh rows to the potentials
+    # and skips the identity matmul: same bits, signed zeros included,
+    # for finite potentials of any magnitude
+    space, _, lik, net = build_model(config)
+    assume(lik.bounded)
+    n, m = net.n, lik.state_count
+    sig = np.stack([generate_signals(lik, space, config.seed, 1, replica=r)[0]
+                    for r in range(reps)])
+    fresh = lik.padded_log_lik[np.arange(n), sig, :]
+    value = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    phi = np.array(data.draw(st.lists(value, min_size=reps * n * m,
+                                      max_size=reps * n * m))).reshape(reps, n, m)
+    shortcut = phi + fresh
+    full = _mixing_matrices(net, np.zeros((reps, n), dtype=bool)) @ phi + fresh
+    assert np.array_equal(shortcut, full)
+    assert np.array_equal(np.signbit(shortcut), np.signbit(full))
 
 
 def test_switching_and_baseline_share_round_zero():
@@ -905,6 +978,29 @@ def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, overrides, field):
     assert main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"weight_rule": "explicit", "weight_matrix": [[1.0], [0.5, 0.5]]},
+            "weight_matrix row 1 has 2 entries, row 0 has 1",
+        ),
+        (
+            {"tables": [[[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]] * 5},
+            "tables[0] row 1 has 3 entries, row 0 has 4",
+        ),
+    ],
+    ids=["weight-matrix", "table"],
+)
+def test_cli_names_the_ragged_row(tmp_path, capsys, overrides, message):
+    data = json.loads((CONFIG_DIR / "complete5_tables.json").read_text())
+    data.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
 """Belief updates, informativeness, and the potential recursion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soclearn.harness import build_likelihoods, reference_config
 from soclearn.learning import (
+    _bayes_tv_rows,
     bayes_update,
     belief_from_potentials,
     binary_informative,
@@ -15,7 +20,7 @@ from soclearn.learning import (
     potential_update,
     tv_distance,
 )
-from soclearn.model import LikelihoodModel, Prior, metropolis_weights
+from soclearn.model import LikelihoodModel, Prior, _value_classes, metropolis_weights
 from soclearn.switching import build_switching_matrix
 
 
@@ -171,9 +176,123 @@ def test_tiny_threshold_tracks_tiny_moves():
     row = log_rows([1.0 - eps, eps])[0]
     verdict = is_informative(row, lik, 0, 1, tau=1e-17)
     expect = binary_tv(eps, 2.0)
-    assert verdict.tv == pytest.approx(expect, rel=1e-9)
+    assert verdict.tv == pytest.approx(expect, rel=1e-9, abs=0.0)
     assert verdict.informative  # ~6.7e-13 still above 1e-17
     assert not is_informative(row, lik, 0, 1, tau=1e-3).informative
+
+
+# ----------------------------------------------------- informativeness kernel
+
+
+def dense_bayes_tv(log_mu, log_l):
+    """The state-wise O(m^2) form of ``_bayes_tv_rows``, kept as its oracle.
+
+    tv = 0.5 * sum_k mu_k |sum_j mu_j (l_k - l_j)| / sum_j mu_j l_j over
+    the full (..., m, m) tensor of likelihood differences.
+    """
+    mu, lvec = np.exp(log_mu), np.exp(log_l)
+    diff = lvec[..., :, None] - lvec[..., None, :]
+    skew = np.einsum("...kj,...j->...k", diff, mu)
+    return 0.5 * np.sum(mu * np.abs(skew), axis=-1) / np.sum(mu * lvec, axis=-1)
+
+
+def grouped_bayes_tv(log_mu, log_l):
+    return _bayes_tv_rows(log_mu, *_value_classes(np.exp(log_l)))
+
+
+@st.composite
+def kernel_rows(draw):
+    """Belief rows over 2-8 states and one likelihood row for each.
+
+    Likelihoods are built from 1-3 base values: each entry is an exact
+    copy of one, a copy 1e-15 apart, or zero, and sometimes every
+    supported state gets the same value. Belief masses range down to
+    1e-300, and some states are unsupported.
+    """
+    rows, m = draw(st.integers(1, 3)), draw(st.integers(2, 8))
+    base = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3))
+    entry = st.tuples(st.sampled_from(base), st.sampled_from([1.0, 1.0 + 1e-15, 0.0]))
+    mass = st.one_of(
+        st.just(0.0),
+        st.builds(lambda f, d: f * 10.0**d, st.floats(1.0, 9.0), st.integers(-300, 0)),
+    )
+    lik = np.empty((rows, m))
+    mu = np.empty((rows, m))
+    for r in range(rows):
+        lik[r] = [v * f for v, f in draw(st.lists(entry, min_size=m, max_size=m))]
+        mu[r] = draw(st.lists(mass, min_size=m, max_size=m))
+        mu[r, draw(st.integers(0, m - 1))] = 1.0
+        if draw(st.booleans()):
+            lik[r, mu[r] > 0.0] = lik[r, np.argmax(mu[r])]
+    with np.errstate(divide="ignore"):
+        return np.log(mu / mu.sum(axis=1, keepdims=True)), np.log(lik)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_rows())
+def test_grouped_kernel_matches_the_dense_oracle(case):
+    log_mu, log_l = case
+    mu, lvec = np.exp(log_mu), np.exp(log_l)
+    total = np.sum(mu * lvec, axis=-1)
+    if np.any(total == 0.0):
+        with pytest.raises(ValueError, match="zero probability"):
+            grouped_bayes_tv(log_mu, log_l)
+        return
+    tv = grouped_bayes_tv(log_mu, log_l)
+    oracle = dense_bayes_tv(log_mu, log_l)
+    # within 1e-15 relative, above an underflow floor: each of the
+    # oracle's m^2 products may round to a subnormal (error <= half the
+    # smallest one), and the result divides by the row's total
+    m = log_mu.shape[-1]
+    floor = m * m * np.finfo(float).smallest_subnormal / total
+    assert np.all(np.abs(tv - oracle) <= 1e-15 * oracle + floor)
+    # every supported state shares the observed value: exactly no move
+    for row in range(log_mu.shape[0]):
+        support = mu[row] > 0.0
+        if np.all(lvec[row, support] == lvec[row, support][0]):
+            assert tv[row] == 0.0
+
+
+def test_grouped_kernel_keeps_relative_accuracy_far_below_epsilon():
+    # two classes, the second holding about 1e-200 of the mass: the binary
+    # closed form on the class masses, with nothing lost to the normalizer
+    log_l = np.log([[0.5, 0.5, 0.5, 0.25]])
+    log_mu = np.log([[0.25, 0.5, 0.25, 1e-200]])
+    tv = grouped_bayes_tv(log_mu, log_l)
+    expect = binary_tv(float(np.exp(log_mu[0, 3])), 2.0)
+    assert tv[0] == pytest.approx(expect, rel=1e-15, abs=0.0)
+    assert tv[0] == pytest.approx(dense_bayes_tv(log_mu, log_l)[0], rel=1e-15, abs=0.0)
+
+
+def test_value_classes_group_exactly_equal_likelihoods():
+    values = np.array([[0.5, 0.25, 0.5, 0.5 * (1 + 1e-15)], [0.0, 1.0, 0.0, 0.0]])
+    label, gaps = _value_classes(values)
+    assert label.tolist() == [[1, 0, 1, 2], [0, 1, 0, 0]]
+    levels = gaps[:, -1, :]
+    assert levels.tolist() == [[0.25, 0.5, 0.5 * (1 + 1e-15)], [0.0, 1.0, 0.0]]
+    assert np.array_equal(gaps[:, :-1, :], levels[:, :, None] - levels[:, None, :])
+    lik = build_likelihoods(reference_config(agents=4, states=6))
+    label, gaps = lik.value_classes
+    assert label.shape == (4, 2, 6) and gaps.shape == (4, 2, 3, 2)
+    assert np.array_equal(np.take_along_axis(gaps[:, :, -1, :], label, axis=-1),
+                          np.exp(lik.padded_log_lik))
+
+
+def test_grouped_kernel_allocates_far_less_than_the_dense_tensor():
+    # one call at (reps, n, m) = (2, 63, 64): the dense form built a
+    # 2 * 63 * 64 * 64 * 8 byte (3.94 MiB) difference tensor
+    lik = build_likelihoods(reference_config(agents=63, states=64))
+    rng = np.random.default_rng(5)
+    log_mu = np.log(rng.dirichlet(np.ones(64), size=(2, 63)))
+    label, gaps = lik.value_class_rows(np.arange(63), rng.integers(0, 2, (2, 63)))
+    dense_bytes = 2 * 63 * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        _bayes_tv_rows(log_mu, label, gaps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 10
 
 
 # ------------------------------------------------------------- binary closed form

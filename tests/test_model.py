@@ -152,6 +152,14 @@ def test_padded_log_lik_pads_with_neginf():
     assert np.allclose(padded[1], np.log(0.25))
 
 
+def test_likelihood_stores_no_negative_zero():
+    # the engine adds fresh rows straight onto the potentials in rounds
+    # whose mixing matrix is the identity, which is exact only without -0.0
+    lik = LikelihoodModel(((0, 1),), (np.array([[-0.0, -np.inf], [-np.inf, -0.0]]),))
+    table = lik.log_lik[0]
+    assert table[0, 0] == 0.0 and not np.signbit(table[table == 0.0]).any()
+
+
 # ------------------------------------------------------------------- Network
 
 
@@ -296,6 +304,22 @@ def test_network_disconnected_weights_fail_a3():
 )
 def test_network_rejects_nan(weights):
     with pytest.raises(ValueError, match="NaN"):
+        Network(weights)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [[np.inf]],
+        [[0.5, np.inf], [np.inf, 0.5]],
+        [[0.5, np.inf], [-np.inf, 0.5]],
+    ],
+    ids=["1x1", "mirrored-inf-pair", "mirrored-plus-minus-inf-pair"],
+)
+def test_network_rejects_inf_without_a_warning(weights):
+    # the suite turns warnings into errors, so an inf - inf on the way to
+    # the rejection would surface as a RuntimeWarning, not a ValueError
+    with pytest.raises(ValueError, match="finite"):
         Network(weights)
 
 

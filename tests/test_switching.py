@@ -121,6 +121,16 @@ def test_switching_matrix_rejects_nan(q):
         SwitchingMatrix(q=q, round=1)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [[[np.inf]], [[0.5, np.inf], [np.inf, 0.5]], [[0.5, np.inf], [-np.inf, 0.5]]],
+    ids=["1x1", "mirrored-inf-pair", "mirrored-plus-minus-inf-pair"],
+)
+def test_switching_matrix_rejects_inf_without_a_warning(q):
+    with pytest.raises(ValueError, match="finite"):
+        SwitchingMatrix(q=q, round=1)
+
+
 def test_out_of_range_agents_rejected(path3):
     with pytest.raises(ValueError):
         build_switching_matrix(path3, (3,), round=1)
