@@ -385,10 +385,8 @@ def run_round(
     n, m = state.agent_count, state.state_count
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
-    lik.fresh_rows(signals_t)  # rejects malformed and impossible signals
-    tvs = _bayes_tv_rows(
-        state.log_belief, *lik.value_class_rows(np.arange(n), signals_t)
-    )
+    sig = lik.checked_signals(signals_t)
+    tvs = _bayes_tv_rows(state.log_belief, *lik.value_class_rows(np.arange(n), sig))
     verdicts = tuple(
         InformativenessVerdict(
             agent=i,
@@ -400,7 +398,7 @@ def run_round(
     )
     uninformative = [i for i in range(n) if tvs[i] < tau]
     q = build_switching_matrix(net, uninformative, round=state.round + 1)
-    phi = potential_update(state.potentials, q, lik, signals_t)
+    phi = potential_update(state.potentials, q, lik, sig)
     logb = belief_from_potentials(state.log_belief_initial, phi)
     new_state = BeliefState(
         log_belief=logb,
@@ -587,13 +585,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         tv_hist[:, t - 1] = tv
         uninf_hist[:, t - 1] = uninf
 
-        if uninf.any():
-            phi = _mixing_matrices(net, uninf) @ phi + fresh
-        else:
-            # every mixing matrix is the identity, and I @ phi + fresh
-            # equals phi + fresh bit for bit: phi is finite and the table
-            # logs hold no -0.0
-            phi = phi + fresh
+        phi = _mixing_matrices(net, uninf) @ phi + fresh
         logb = anchor + phi
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t

@@ -75,7 +75,7 @@ def _tv_rows(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * np.sum(terms, axis=1), 0.0, 1.0)
 
 
-def _bayes_tv_rows(log_mu: np.ndarray, label: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+def _bayes_tv_rows(log_mu: np.ndarray, label: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Total variation from each belief row to its one-step posterior.
 
     The posterior never materializes: normalizing it would bury a tiny
@@ -83,9 +83,8 @@ def _bayes_tv_rows(log_mu: np.ndarray, label: np.ndarray, gaps: np.ndarray) -> n
     sit far below that (1e-17 by default). Instead the observed
     signal's likelihood column comes grouped into classes of exactly
     equal value, as ``LikelihoodModel.value_classes`` gives them:
-    ``label`` holds each state's class and ``gaps`` the differences
-    L_c - L_b between class likelihoods, plus a last row of the L_b.
-    With M_c the belief mass of class c,
+    ``label`` holds each state's class and ``levels`` the likelihood
+    L_c of each class. With M_c the belief mass of class c,
 
         tv = 0.5 * sum_c M_c |sum_b M_b (L_c - L_b)| / sum_b M_b L_b,
 
@@ -98,21 +97,22 @@ def _bayes_tv_rows(log_mu: np.ndarray, label: np.ndarray, gaps: np.ndarray) -> n
     (the signal is impossible under every supported state) are rejected.
     """
     mu = np.exp(log_mu)
-    rows, width = math.prod(label.shape[:-1]), gaps.shape[-1]
+    rows, width = math.prod(label.shape[:-1]), levels.shape[-1]
     # one bincount bin per (row, class); each bin sums its states in order
     bins = label + np.arange(0, rows * width, width).reshape(label.shape[:-1] + (1,))
     mass = np.bincount(
         bins.ravel(), weights=mu.ravel(), minlength=rows * width
     ).reshape(label.shape[:-1] + (width,))
-    skew = np.einsum("...cb,...b->...c", gaps, mass)
-    total = skew[..., -1]
+    total = (mass * levels).sum(axis=-1)
     if not total.all():
         raise ValueError(
             "signal has zero probability under every state its agent's "
             "belief supports"
         )
+    gaps = levels[..., :, None] - levels[..., None, :]
+    skew = np.einsum("...cb,...b->...c", gaps, mass)
     # each term is >= 0, so only rounding can push tv past 1
-    tv = (mass * np.abs(skew[..., :-1])).sum(axis=-1) / (2.0 * total)
+    tv = (mass * np.abs(skew)).sum(axis=-1) / (2.0 * total)
     return np.minimum(tv, 1.0)
 
 

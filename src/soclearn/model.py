@@ -134,8 +134,7 @@ class LikelihoodModel:
 
     def __post_init__(self):
         alphabets = tuple(tuple(a) for a in self.alphabets)
-        # + 0.0 turns -0.0 into 0.0, so no fresh row carries a negative zero
-        tables = tuple(_readonly(np.asarray(t, dtype=float) + 0.0) for t in self.log_lik)
+        tables = tuple(_readonly(t) for t in self.log_lik)
         if len(alphabets) != len(tables) or not tables:
             raise ValueError("need one likelihood table per agent")
         m = tables[0].shape[1] if tables[0].ndim == 2 else 0
@@ -226,23 +225,32 @@ class LikelihoodModel:
         """``_value_classes`` of every padded table row, built on first use.
 
         States fall in one class exactly when their likelihoods
-        ``exp(log_lik)`` are equal. Returns ``(label, gaps)`` of shapes
-        ``(n, max_alphabet, m)`` and ``(n, max_alphabet, C + 1, C)``,
-        with C the largest class count in the model. Validation never
-        builds it.
+        ``exp(log_lik)`` are equal. Returns ``(label, levels)`` of shapes
+        ``(n, max_alphabet, m)`` and ``(n, max_alphabet, C)``, with C the
+        largest class count in the model. Validation never builds it.
         """
-        label, gaps = _value_classes(np.exp(self.padded_log_lik))
+        label, levels = _value_classes(np.exp(self.padded_log_lik))
         label.setflags(write=False)
-        gaps.setflags(write=False)
-        return label, gaps
+        levels.setflags(write=False)
+        return label, levels
 
     def value_class_rows(self, agents, rows) -> tuple:
-        """``value_classes`` at the given agents and table row indices."""
-        label, gaps = self.value_classes
-        return label[agents, rows], gaps[agents, rows]
+        """``value_classes`` at the given agents and table row indices.
 
-    def fresh_rows(self, signals) -> np.ndarray:
-        """Log-likelihood rows ``(n, m)`` of one round's signal row indices.
+        The indices are not checked; ``checked_signals`` does that.
+        """
+        label, levels = self.value_classes
+        return label[agents, rows], levels[agents, rows]
+
+    @cached_property
+    def _usable_rows(self) -> np.ndarray:
+        """``(n, max_alphabet)``, true where a padded row is finite, so a signal may pick it."""
+        out = np.isfinite(self.padded_log_lik).all(axis=-1)
+        out.setflags(write=False)
+        return out
+
+    def checked_signals(self, signals) -> np.ndarray:
+        """One round's signal row indices as an array, checked.
 
         Rejects anything but one index per agent, and any index that
         hits a zero-probability or padded table row.
@@ -251,27 +259,31 @@ class LikelihoodModel:
         sig = np.asarray(signals)
         if sig.shape != (n,):
             raise ValueError(f"need one signal index per agent, got shape {sig.shape}")
-        fresh = self.padded_log_lik[np.arange(n), sig, :]
-        if not np.all(np.isfinite(fresh)):
-            bad = int(np.nonzero(~np.all(np.isfinite(fresh), axis=1))[0][0])
+        usable = self._usable_rows[np.arange(n), sig]
+        if not usable.all():
+            bad = int(np.argmin(usable))
             raise ValueError(
                 f"agent {bad}: signal index {int(sig[bad])} hits a zero-probability "
                 "or padded table row"
             )
-        return fresh
+        return sig
+
+    def fresh_rows(self, signals) -> np.ndarray:
+        """Log-likelihood rows ``(n, m)`` of one round's signal row indices.
+
+        The indices go through ``checked_signals`` first.
+        """
+        sig = self.checked_signals(signals)
+        return self.padded_log_lik[np.arange(self.agent_count), sig, :]
 
 
 def _value_classes(values: np.ndarray) -> tuple:
     """Group the entries of each row of ``values`` by exact equality.
 
-    Returns ``(label, gaps)``. ``label[..., k]`` is the class of entry
-    ``k``, classes numbered in increasing value. With ``L_c`` the value
-    of class ``c``, ``gaps[..., c, b] = L_c - L_b`` and the last row
-    ``gaps[..., C, b] = L_b``, so one product with a vector of class
-    masses gives every class's skew and, last, the mass-weighted sum of
-    the values.
-    Rows with fewer than C classes are zero-padded. Values must be free
-    of NaN.
+    Returns ``(label, levels)``. ``label[..., k]`` is the class of entry
+    ``k``, classes numbered in increasing value, and ``levels[..., c]``
+    is the value of class ``c``. Rows with fewer than C classes are
+    zero-padded. Values must be free of NaN.
     """
     order = np.argsort(values, axis=-1, kind="stable")
     ordered = np.take_along_axis(values, order, axis=-1)
@@ -281,10 +293,7 @@ def _value_classes(values: np.ndarray) -> tuple:
     np.put_along_axis(label, order, rank, axis=-1)
     levels = np.zeros(values.shape[:-1] + (int(rank.max(initial=0)) + 1,))
     np.put_along_axis(levels, rank, ordered, axis=-1)
-    gaps = np.concatenate(
-        [levels[..., :, None] - levels[..., None, :], levels[..., None, :]], axis=-2
-    )
-    return label, gaps
+    return label, levels
 
 
 def _reachable(support: np.ndarray) -> np.ndarray:
@@ -313,18 +322,6 @@ def is_strongly_connected(weights: np.ndarray) -> bool:
     return bool(_reachable(np.asarray(weights) > 0.0).all())
 
 
-def _check_square_finite(mat: np.ndarray, what: str) -> None:
-    """Reject a matrix that is not square or holds an inf or NaN.
-
-    Comes before any arithmetic on ``mat``, where ``inf - inf`` would
-    warn and NaN would slip through every comparison.
-    """
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{what} must be finite, without inf or NaN")
-
-
 def _check_mixing(mat: np.ndarray, what: str) -> None:
     """Reject a matrix that cannot mix: the one mixing-matrix invariant.
 
@@ -333,7 +330,12 @@ def _check_mixing(mat: np.ndarray, what: str) -> None:
     ``PROB_SUM_TOL``. Network weights, per-round switching matrices and
     the potential recursion all rely on exactly this.
     """
-    _check_square_finite(mat, what)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{what} must be a square matrix")
+    # ahead of any arithmetic, where inf - inf would warn and NaN would
+    # slip through every comparison
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} must be finite, without inf or NaN")
     if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
         raise ValueError(f"{what} must be symmetric")
     if np.any(mat < 0.0):
@@ -354,21 +356,18 @@ class Network:
     The weights are the one record of the graph: agents ``i != j`` are
     neighbours exactly when entry ``(i, j)`` is positive, and ``n``,
     ``adjacency`` and ``neighbors`` are all read off the matrix. Input
-    within ``PROB_SUM_TOL`` of symmetric is symmetrised before the
-    mixing-matrix checks, so the stored weights are exactly symmetric.
+    that passes the mixing-matrix checks, so is within ``PROB_SUM_TOL``
+    of symmetric, is then symmetrised: the stored weights are exactly
+    symmetric.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        # ahead of the raw symmetry test, where a row would broadcast
-        # against a column and inf - inf would warn
-        _check_square_finite(w, "weights")
-        if np.max(np.abs(w - w.T), initial=0.0) > PROB_SUM_TOL:
-            raise ValueError("weights must be symmetric")
-        w = (w + w.T) / 2.0
         _check_mixing(w, "weights")
+        # averaging with the transpose keeps every checked property
+        w = (w + w.T) / 2.0
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -266,15 +266,13 @@ def test_grouped_kernel_keeps_relative_accuracy_far_below_epsilon():
 
 def test_value_classes_group_exactly_equal_likelihoods():
     values = np.array([[0.5, 0.25, 0.5, 0.5 * (1 + 1e-15)], [0.0, 1.0, 0.0, 0.0]])
-    label, gaps = _value_classes(values)
+    label, levels = _value_classes(values)
     assert label.tolist() == [[1, 0, 1, 2], [0, 1, 0, 0]]
-    levels = gaps[:, -1, :]
     assert levels.tolist() == [[0.25, 0.5, 0.5 * (1 + 1e-15)], [0.0, 1.0, 0.0]]
-    assert np.array_equal(gaps[:, :-1, :], levels[:, :, None] - levels[:, None, :])
     lik = build_likelihoods(reference_config(agents=4, states=6))
-    label, gaps = lik.value_classes
-    assert label.shape == (4, 2, 6) and gaps.shape == (4, 2, 3, 2)
-    assert np.array_equal(np.take_along_axis(gaps[:, :, -1, :], label, axis=-1),
+    label, levels = lik.value_classes
+    assert label.shape == (4, 2, 6) and levels.shape == (4, 2, 2)
+    assert np.array_equal(np.take_along_axis(levels, label, axis=-1),
                           np.exp(lik.padded_log_lik))
 
 
@@ -284,11 +282,11 @@ def test_grouped_kernel_allocates_far_less_than_the_dense_tensor():
     lik = build_likelihoods(reference_config(agents=63, states=64))
     rng = np.random.default_rng(5)
     log_mu = np.log(rng.dirichlet(np.ones(64), size=(2, 63)))
-    label, gaps = lik.value_class_rows(np.arange(63), rng.integers(0, 2, (2, 63)))
+    label, levels = lik.value_class_rows(np.arange(63), rng.integers(0, 2, (2, 63)))
     dense_bytes = 2 * 63 * 64 * 64 * 8
     tracemalloc.start()
     try:
-        _bayes_tv_rows(log_mu, label, gaps)
+        _bayes_tv_rows(log_mu, label, levels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

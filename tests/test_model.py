@@ -152,14 +152,6 @@ def test_padded_log_lik_pads_with_neginf():
     assert np.allclose(padded[1], np.log(0.25))
 
 
-def test_likelihood_stores_no_negative_zero():
-    # the engine adds fresh rows straight onto the potentials in rounds
-    # whose mixing matrix is the identity, which is exact only without -0.0
-    lik = LikelihoodModel(((0, 1),), (np.array([[-0.0, -np.inf], [-np.inf, -0.0]]),))
-    table = lik.log_lik[0]
-    assert table[0, 0] == 0.0 and not np.signbit(table[table == 0.0]).any()
-
-
 # ------------------------------------------------------------------- Network
 
 
