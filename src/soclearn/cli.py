@@ -27,7 +27,7 @@ from .model import AssumptionViolation, validate_assumptions
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
     overrides = {}
-    for name in ("seed", "replicas"):
+    for name in ("seed", "replicas", "comparison_agent"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
-    comparison = compare_baseline(config, agent=args.agent)
+    comparison = compare_baseline(config)
     print(comparison.summary())
     if args.out:
         comparison.write(args.out)
@@ -95,7 +95,10 @@ def main(argv=None) -> int:
         "compare", help="run against the always-communicate baseline"
     )
     cmp_p.add_argument("--config", required=True, help="path to a JSON config")
-    cmp_p.add_argument("--agent", type=int, default=None, help="designated agent")
+    cmp_p.add_argument(
+        "--agent", dest="comparison_agent", type=int,
+        help="override the config's designated agent (comparison_agent)",
+    )
     cmp_p.add_argument("--out", default=None, help="output directory (optional)")
     cmp_p.set_defaults(func=_cmd_compare)
 

@@ -61,9 +61,6 @@ GENERATOR_NAME = "philox4x64"
 _SIGNAL_CHUNK = 1024
 
 _TOPOLOGIES = ("ring", "complete", "edges")
-_WEIGHT_RULES = ("metropolis", "explicit")
-_LIKELIHOOD_KINDS = ("one_distinguishing_state", "tables")
-_PRIOR_KINDS = ("uniform", "explicit")
 
 
 # Expected JSON type of each config field that is not a string: lists
@@ -113,6 +110,11 @@ class ExperimentConfig:
     tells state ``i + 1`` apart from everything else and no agent can
     identify the realized state alone, uniform prior, threshold 1e-17,
     1000 rounds.
+
+    Each data field replaces a default when given: ``weight_matrix``
+    the Metropolis weights of the topology, ``tables`` (with optional
+    ``alphabets``) the built-in binary family of ``p_eq`` and
+    ``p_diff``, and ``prior_mass`` the uniform prior.
     """
 
     agents: int
@@ -121,14 +123,11 @@ class ExperimentConfig:
     state_labels: Optional[tuple] = None
     topology_kind: str = "ring"
     topology_edges: Optional[tuple] = None
-    weight_rule: str = "metropolis"
     weight_matrix: Optional[tuple] = None
-    likelihood_kind: str = "one_distinguishing_state"
     p_eq: float = 0.5
     p_diff: float = 0.25
     alphabets: Optional[tuple] = None
     tables: Optional[tuple] = None
-    prior_kind: str = "uniform"
     prior_mass: Optional[tuple] = None
     tau: float = 1e-17
     rounds: int = 1000
@@ -160,22 +159,11 @@ class ExperimentConfig:
             raise ValueError("prior_mass must be a vector whose length equals states")
         if self.topology_kind not in _TOPOLOGIES:
             raise ValueError(f"topology_kind must be one of {_TOPOLOGIES}")
-        if self.weight_rule not in _WEIGHT_RULES:
-            raise ValueError(f"weight_rule must be one of {_WEIGHT_RULES}")
-        if self.likelihood_kind not in _LIKELIHOOD_KINDS:
-            raise ValueError(f"likelihood_kind must be one of {_LIKELIHOOD_KINDS}")
-        if self.prior_kind not in _PRIOR_KINDS:
-            raise ValueError(f"prior_kind must be one of {_PRIOR_KINDS}")
-        for name, switch, choice in (
-            ("topology_edges", "topology_kind", "edges"),
-            ("weight_matrix", "weight_rule", "explicit"),
-            ("prior_mass", "prior_kind", "explicit"),
-        ):
-            if (getattr(self, switch) == choice) != (getattr(self, name) is not None):
-                raise ValueError(
-                    f"{name} is required for {switch}={choice!r} "
-                    "and meaningless otherwise"
-                )
+        if (self.topology_kind == "edges") != (self.topology_edges is not None):
+            raise ValueError(
+                "topology_edges is required for topology_kind='edges' "
+                "and meaningless otherwise"
+            )
         if self.weight_matrix is not None:
             _check_rows("weight_matrix", self.weight_matrix)
         for i, table in enumerate(self.tables or ()):
@@ -183,14 +171,9 @@ class ExperimentConfig:
         edges = self.topology_edges
         if edges is not None and any(len(e) != 2 for e in edges):
             raise ValueError("topology_edges must be a list of [i, j] agent pairs")
-        if self.likelihood_kind == "tables":
-            if self.tables is None:
-                raise ValueError("tables are required for likelihood_kind='tables'")
-        else:
-            if self.tables is not None or self.alphabets is not None:
-                raise ValueError(
-                    "tables/alphabets only apply to likelihood_kind='tables'"
-                )
+        if self.tables is None:
+            if self.alphabets is not None:
+                raise ValueError("alphabets only apply together with tables")
             if not 0.0 < self.p_eq < 1.0 or not 0.0 < self.p_diff < 1.0:
                 raise ValueError("p_eq and p_diff must lie strictly inside (0, 1)")
         _check_threshold(self.tau, "tau")
@@ -257,13 +240,13 @@ def build_state_space(config: ExperimentConfig) -> StateSpace:
 
 
 def build_prior(config: ExperimentConfig) -> Prior:
-    if config.prior_kind == "uniform":
+    if config.prior_mass is None:
         return Prior.uniform(config.states)
     return Prior.from_probabilities(config.prior_mass)
 
 
 def build_likelihoods(config: ExperimentConfig) -> LikelihoodModel:
-    if config.likelihood_kind == "tables":
+    if config.tables is not None:
         return LikelihoodModel.from_probabilities(
             config.tables, alphabets=config.alphabets
         )
@@ -281,7 +264,7 @@ def build_likelihoods(config: ExperimentConfig) -> LikelihoodModel:
 
 
 def build_network(config: ExperimentConfig) -> Network:
-    if config.weight_rule == "explicit":
+    if config.weight_matrix is not None:
         return Network(config.weight_matrix)
     if config.topology_kind == "ring":
         edges = ring_edges(config.agents)
@@ -417,7 +400,7 @@ class TrajectoryRecord:
     and the final round; intermediate rounds may be thinned). The test
     outcomes ``tv_series`` and ``uninformative`` cover rounds
     ``1..rounds`` densely. ``last_below[i]`` is the last round at which
-    agent ``i``'s belief on the realized state was below
+    agent ``i``'s belief on the realized state was below the run's
     ``1 - consensus_delta``, or -1 if it never was.
 
     The arrays are read-only. Records from ``run_experiment`` hold views
@@ -427,12 +410,9 @@ class TrajectoryRecord:
     """
 
     replica: int
-    seed: int
-    tau: float
     rounds: int
     true_state_index: int
     state_labels: tuple
-    consensus_delta: float
     stored_rounds: np.ndarray
     log_beliefs: np.ndarray
     tv_series: np.ndarray
@@ -596,12 +576,9 @@ def run_experiment(config: ExperimentConfig) -> list:
     return [
         TrajectoryRecord(
             replica=r,
-            seed=config.seed,
-            tau=config.tau,
             rounds=horizon,
             true_state_index=space.true_state_index,
             state_labels=tuple(space.states),
-            consensus_delta=config.consensus_delta,
             stored_rounds=stored_arr,
             log_beliefs=store[r],
             tv_series=tv_hist[r],
@@ -624,9 +601,13 @@ class BaselineComparison:
     """
 
     config: ExperimentConfig
-    agent: int
     switching: tuple
     baseline: tuple
+
+    @property
+    def agent(self) -> int:
+        """The designated agent, ``config.comparison_agent``."""
+        return self.config.comparison_agent
 
     def switching_event_counts(self) -> np.ndarray:
         return np.array([len(rec.ledger) for rec in self.switching])
@@ -667,28 +648,24 @@ class BaselineComparison:
         out.mkdir(parents=True, exist_ok=True)
         (out / "comparison.txt").write_text(self.summary() + "\n")
         export(self.switching, out / "switching", self.config)
-        export(
-            self.baseline,
-            out / "baseline",
-            dataclasses.replace(self.config, tau=1.0),
-        )
+        export(self.baseline, out / "baseline", _baseline_config(self.config))
 
 
-def compare_baseline(
-    config: ExperimentConfig, agent: Optional[int] = None
-) -> BaselineComparison:
-    """Run a configuration against its always-communicate counterpart."""
-    if agent is None:
-        agent = config.comparison_agent
-    if not 0 <= agent < config.agents:
-        raise ValueError("designated agent out of range")
-    switching = run_experiment(config)
-    baseline = run_experiment(dataclasses.replace(config, tau=1.0))
+def _baseline_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The always-communicate arm of ``config``: threshold 1.0."""
+    return dataclasses.replace(config, tau=1.0)
+
+
+def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
+    """Run a configuration against its always-communicate counterpart.
+
+    The designated agent of the summary and of both arms' exported
+    rates is ``config.comparison_agent``.
+    """
     return BaselineComparison(
         config=config,
-        agent=agent,
-        switching=tuple(switching),
-        baseline=tuple(baseline),
+        switching=tuple(run_experiment(config)),
+        baseline=tuple(run_experiment(_baseline_config(config))),
     )
 
 

@@ -130,7 +130,6 @@ def test_criterion_03_asymptotic_rate_matches_divergence():
         states=3,
         true_state=0,
         topology_kind="complete",
-        likelihood_kind="tables",
         tables=(
             bernoulli((0.50, 0.25, 0.70)),
             bernoulli((0.40, 0.60, 0.30)),

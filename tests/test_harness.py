@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from soclearn.analysis import identifiability_report
+from soclearn.analysis import estimate_rate, identifiability_report
 from soclearn import harness
 from soclearn.cli import main
 from soclearn.harness import (
@@ -58,7 +58,6 @@ def settling_config(**overrides):
         states=4,
         true_state=0,
         topology_kind="complete",
-        likelihood_kind="tables",
         tables=(
             bernoulli((0.20, 0.50, 0.70, 0.35)),
             bernoulli((0.60, 0.30, 0.45, 0.80)),
@@ -103,7 +102,7 @@ def test_config_rejects_threshold_outside_unit_interval():
 
 def test_config_rejects_prior_mass_of_wrong_length():
     with pytest.raises(ValueError, match="prior_mass.*states"):
-        reference_config(prior_kind="explicit", prior_mass=(0.2, 0.3, 0.5))
+        reference_config(prior_mass=(0.2, 0.3, 0.5))
 
 
 def test_config_rejects_bad_consensus_delta():
@@ -125,16 +124,28 @@ def test_equal_bernoulli_parameters_fail_a2():
         run_experiment(config)
 
 
-def test_config_rejects_unknown_keys():
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"agents": 3, "states": 4, "bogus": 1})
+    # the weight, likelihood and prior kinds follow from the data fields
+    # and are not config keys
+    path = tmp_path / "config.json"
+    for key, value in (
+        ("weight_rule", "metropolis"),
+        ("likelihood_kind", "tables"),
+        ("prior_kind", "uniform"),
+    ):
+        data = json.loads((CONFIG_DIR / "complete5_tables.json").read_text())
+        path.write_text(json.dumps({**data, key: value}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
 
 
-def test_config_requires_tables_only_with_table_kind():
-    with pytest.raises(ValueError):
-        reference_config(tables=(bernoulli((0.5, 0.25)),))
-    with pytest.raises(ValueError):
-        reference_config(likelihood_kind="tables")
+def test_config_rejects_alphabets_without_tables():
+    # without tables the built-in binary family applies, whose alphabet
+    # is fixed
+    with pytest.raises(ValueError, match="alphabets"):
+        reference_config(alphabets=((0, 1),) * 15)
 
 
 def test_config_dict_round_trip():
@@ -337,7 +348,7 @@ def test_unidentifiable_config_is_refused():
         ),
         pytest.param(
             ExperimentConfig(
-                agents=4, states=5, weight_rule="explicit",
+                agents=4, states=5,
                 weight_matrix=EXPLICIT_WEIGHTS, tau=1.0, rounds=60, replicas=2,
             ),
             id="explicit4-tau1",
@@ -408,7 +419,7 @@ def engine_configs(draw):
         for i, j in sorted(edges):
             w[i, j] = w[j, i] = draw(st.integers(1, 4)) / (4.0 * (1 + degree))
         w[np.arange(n), np.arange(n)] = 1.0 - w.sum(axis=1)
-        net = {"weight_rule": "explicit", "weight_matrix": w.tolist()}
+        net = {"weight_matrix": w.tolist()}
     weight = st.integers(0 if draw(st.integers(0, 4)) == 0 else 1, 9)
     tables = []
     for _ in range(n):
@@ -421,10 +432,10 @@ def engine_configs(draw):
     if draw(st.booleans()):
         decades = draw(st.lists(st.integers(-8, 0), min_size=m, max_size=m))
         mass = 10.0 ** np.array(decades)
-        prior = {"prior_kind": "explicit", "prior_mass": (mass / mass.sum()).tolist()}
+        prior = {"prior_mass": (mass / mass.sum()).tolist()}
     return ExperimentConfig(
         agents=n, states=m, true_state=draw(st.integers(0, m - 1)),
-        likelihood_kind="tables", tables=tables,
+        tables=tables,
         tau=draw(st.sampled_from([1e-17, 0.05, 1.0])),
         rounds=draw(st.integers(1, 40)), replicas=draw(st.integers(1, 2)),
         seed=draw(st.integers(0, 2**32)), **net, **prior,
@@ -579,12 +590,9 @@ def test_record_leaves_the_callers_arrays_writable():
     )
     rec = harness.TrajectoryRecord(
         replica=0,
-        seed=1,
-        tau=0.5,
         rounds=2,
         true_state_index=0,
         state_labels=("a", "b"),
-        consensus_delta=1e-6,
         network=net,
         **arrays,
     )
@@ -668,12 +676,9 @@ def test_ledger_replay_matches_vectorised_events(case):
     n = net.n
     rec = harness.TrajectoryRecord(
         replica=0,
-        seed=0,
-        tau=0.5,
         rounds=len(u),
         true_state_index=0,
         state_labels=("a",),
-        consensus_delta=1e-6,
         stored_rounds=np.array([0]),
         log_beliefs=np.zeros((1, n, 1)),
         tv_series=np.zeros(u.shape),
@@ -735,10 +740,12 @@ def test_comparison_reports_savings():
 
 
 def test_comparison_designated_agent_override():
-    comparison = compare_baseline(settling_config(replicas=1, rounds=30), agent=3)
+    config = settling_config(replicas=1, rounds=30)
+    comparison = compare_baseline(dataclasses.replace(config, comparison_agent=3))
     assert comparison.agent == 3
-    with pytest.raises(ValueError):
-        compare_baseline(settling_config(replicas=1, rounds=30), agent=9)
+    assert "designated agent: 3" in comparison.summary()
+    with pytest.raises(ValueError, match="comparison_agent"):
+        dataclasses.replace(config, comparison_agent=9)
 
 
 def test_comparison_write(tmp_path):
@@ -893,6 +900,29 @@ def test_cli_compare_writes_comparison(tmp_path):
     assert (out / "comparison.txt").exists()
 
 
+def test_cli_compare_agent_sets_the_exported_rate_agent(tmp_path, capsys):
+    # --agent overrides comparison_agent, so the exported rate follows it
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+        replicas=1, rounds=60,
+    )
+    path = write_config(tmp_path, config)
+    out = tmp_path / "cmp"
+    argv = ["compare", "--config", str(path), "--agent", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert "designated agent: 3" in capsys.readouterr().out
+    space, _, lik, _ = build_model(config)
+    divergence = identifiability_report(lik, space).network_divergence
+    binding = min((k for k in range(config.states) if k != config.true_state),
+                  key=lambda k: -divergence[k])
+    window = (30, 60)
+    (rec,) = run_experiment(config)
+    rate = estimate_rate(rec, 3, binding, window)
+    summary = (out / "switching" / "summary.txt").read_text()
+    assert f"estimated rate {rate:.6g} nats/round over rounds 30..60" in summary
+    assert rate != estimate_rate(rec, 0, binding, window)
+
+
 def test_cli_rejects_invalid_config_file(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 0}))
@@ -954,8 +984,8 @@ def test_cli_analyze_accepts_zero_table_entries(tmp_path, capsys):
         ({"tables": 5}, "tables"),
         ({"tables": [[0.5, 0.5]]}, "tables"),
         ({"alphabets": 5}, "alphabets"),
-        ({"weight_rule": "explicit", "weight_matrix": [1.0]}, "weight_matrix"),
-        ({"prior_kind": "explicit", "prior_mass": "uniform"}, "prior_mass"),
+        ({"weight_matrix": [1.0]}, "weight_matrix"),
+        ({"prior_mass": "uniform"}, "prior_mass"),
         ({"agents": "15"}, "agents"),
         ({"tau": "x"}, "tau"),
         ({"rounds": 10.5}, "rounds"),
@@ -978,7 +1008,7 @@ def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, overrides, field):
     "overrides, message",
     [
         (
-            {"weight_rule": "explicit", "weight_matrix": [[1.0], [0.5, 0.5]]},
+            {"weight_matrix": [[1.0], [0.5, 0.5]]},
             "weight_matrix row 1 has 2 entries, row 0 has 1",
         ),
         (
@@ -1013,6 +1043,12 @@ def test_cli_rejects_malformed_config_document(tmp_path, capsys, data, message):
     "path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name
 )
 def test_bundled_configs_are_complete_templates(path):
-    # every field written out, in a form that round-trips unchanged
+    # every field written out, in a form that round-trips unchanged, and
+    # the README's fields table names exactly the fields, in order
     assert main(["validate", "--config", str(path)]) == 0
-    assert json.loads(path.read_text()) == ExperimentConfig.from_json(path).to_dict()
+    data = json.loads(path.read_text())
+    assert data == ExperimentConfig.from_dict(data).to_dict()
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    table = readme.split("Fields and defaults:", 1)[1].split("\n\n")[1]
+    documented = [line.split("`")[1] for line in table.splitlines()[2:]]
+    assert documented == [f.name for f in dataclasses.fields(ExperimentConfig)]
