@@ -84,17 +84,22 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment and export CSVs")
-    run_p.add_argument("--config", required=True, help="path to a JSON config")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--replicas", type=int, help="override the replica count")
+    # --config and the config overrides of the commands that simulate
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--config", required=True, help="path to a JSON config")
+    sim.add_argument("--seed", type=int, help="override the config seed")
+    sim.add_argument("--replicas", type=int, help="override the replica count")
+
+    run_p = sub.add_parser(
+        "run", parents=[sim], help="run an experiment and export CSVs"
+    )
     run_p.add_argument("--out", default="out", help="output directory")
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser(
-        "compare", help="run against the always-communicate baseline"
+        "compare", parents=[sim],
+        help="run against the always-communicate baseline",
     )
-    cmp_p.add_argument("--config", required=True, help="path to a JSON config")
     cmp_p.add_argument(
         "--agent", dest="comparison_agent", type=int,
         help="override the config's designated agent (comparison_agent)",

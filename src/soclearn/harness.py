@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -59,6 +60,9 @@ GENERATOR_NAME = "philox4x64"
 # Rounds of signals the batched engine draws at a time, so the signal
 # buffer stays the same size however long the horizon.
 _SIGNAL_CHUNK = 1024
+
+# Rounds of verdict masks counted at a time by the record's summaries.
+_MASK_CHUNK = 256
 
 _TOPOLOGIES = ("ring", "complete", "edges")
 
@@ -159,13 +163,18 @@ class ExperimentConfig:
             raise ValueError("prior_mass must be a vector whose length equals states")
         if self.topology_kind not in _TOPOLOGIES:
             raise ValueError(f"topology_kind must be one of {_TOPOLOGIES}")
+        if self.weight_matrix is not None:
+            _check_rows("weight_matrix", self.weight_matrix)
+            if self.topology_kind != "ring" or self.topology_edges is not None:
+                raise ValueError(
+                    "weight_matrix replaces the topology: give it with the "
+                    "default topology_kind 'ring' and no topology_edges"
+                )
         if (self.topology_kind == "edges") != (self.topology_edges is not None):
             raise ValueError(
                 "topology_edges is required for topology_kind='edges' "
                 "and meaningless otherwise"
             )
-        if self.weight_matrix is not None:
-            _check_rows("weight_matrix", self.weight_matrix)
         for i, table in enumerate(self.tables or ()):
             _check_rows(f"tables[{i}]", table)
         edges = self.topology_edges
@@ -489,14 +498,17 @@ class TrajectoryRecord:
     def communication_fractions(self) -> np.ndarray:
         """Per-agent fraction of rounds with at least one exchange.
 
-        Vectorized equivalent of ``self.ledger.communication_fraction()``.
+        Vectorized equivalent of ``self.ledger.communication_fraction()``,
+        counted over blocks of rounds so no temporary grows with the horizon.
         """
         u = self.uninformative
         adj = self.network.adjacency
         has_neighbor = adj.any(axis=1)
-        partner_fired = u @ adj
-        touched = (u & has_neighbor[None, :]) | partner_fired
-        return touched.mean(axis=0)
+        touched = np.zeros(self.network.n, dtype=np.int64)
+        for start in range(0, len(u), _MASK_CHUNK):
+            block = u[start:start + _MASK_CHUNK]
+            touched += ((block & has_neighbor) | (block @ adj)).sum(axis=0)
+        return touched / len(u)
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -669,12 +681,21 @@ def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
     )
 
 
+def _csv_cell(value) -> str:
+    """``value`` as ``csv.writer`` writes it inside a row, quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]  # drop the empty last field's ',\r\n'
+
+
 def export(records, out_dir, config: ExperimentConfig) -> None:
     """Write beliefs.csv, comm.csv, and summary.txt for a set of replicas.
 
     Beliefs are written in the linear domain with 17 significant digits
     (round-trip exact for doubles). The header comments pin the signal
     generator and seed so an export is traceable to its streams.
+    beliefs.csv is written one stored round at a time, so export holds
+    one round of linear beliefs however long the horizon.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -683,17 +704,20 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
     with open(out / "beliefs.csv", "w", newline="") as fh:
         fh.write(f"# generator: {GENERATOR_NAME}\n")
         fh.write(f"# seed: {config.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "t", "agent", "state_label", "belief"])
+        csv.writer(fh).writerow(["replica", "t", "agent", "state_label", "belief"])
         for rec in records:
-            belief = np.exp(rec.log_beliefs)
-            n_agents = belief.shape[1]
-            for s, t in enumerate(rec.stored_rounds):
-                for i in range(n_agents):
-                    for label, value in zip(rec.state_labels, belief[s, i]):
-                        writer.writerow(
-                            [rec.replica, int(t), i, label, format(value, ".17g")]
-                        )
+            labels = [_csv_cell(label) for label in rec.state_labels]
+            cells = [
+                f",{i},{label},"
+                for i in range(rec.log_beliefs.shape[1])
+                for label in labels
+            ]
+            # one stored round at a time: exp of its (n, m) slice, one write
+            for t, log_round in zip(rec.stored_rounds.tolist(), rec.log_beliefs):
+                head = f"{rec.replica},{t}"
+                values = np.exp(log_round).ravel().tolist()
+                rows = [f"{head}{cell}{v:.17g}\r\n" for cell, v in zip(cells, values)]
+                fh.write("".join(rows))
 
     with open(out / "comm.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,6 +1,8 @@
 """Experiment orchestration: config, signals, round loop, export, CLI."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
@@ -791,6 +793,81 @@ def test_export_is_byte_deterministic(tmp_path):
         ).read_bytes()
 
 
+def oracle_beliefs_csv(records, config) -> bytes:
+    """beliefs.csv as one ``csv.writer`` row per belief writes it."""
+    buf = io.StringIO(newline="")
+    buf.write(f"# generator: {GENERATOR_NAME}\n")
+    buf.write(f"# seed: {config.seed}\n")
+    writer = csv.writer(buf)
+    writer.writerow(["replica", "t", "agent", "state_label", "belief"])
+    for rec in records:
+        belief = np.exp(rec.log_beliefs)
+        n_agents = belief.shape[1]
+        for s, t in enumerate(rec.stored_rounds):
+            for i in range(n_agents):
+                for label, value in zip(rec.state_labels, belief[s, i]):
+                    writer.writerow(
+                        [rec.replica, int(t), i, label, format(value, ".17g")]
+                    )
+    return buf.getvalue().encode()
+
+
+# labels the csv module must quote, an empty one, and numbers
+AWKWARD_LABELS = ("a,b", 'say "hi"', "line\nbreak", "", 0.1, 3)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        settling_config(replicas=2, rounds=25),
+        settling_config(replicas=1, rounds=10, thin_every=3),
+        reference_config(
+            agents=5, states=6, state_labels=AWKWARD_LABELS, replicas=2, rounds=20
+        ),
+    ],
+    ids=["two-replicas", "thinned", "awkward-labels"],
+)
+def test_export_matches_the_per_row_csv_writer(tmp_path, config):
+    records = run_experiment(config)
+    export(records, tmp_path, config)
+    assert (tmp_path / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
+        records, config
+    )
+    _, rows = read_beliefs_csv(tmp_path / "beliefs.csv")
+    labels = [str(label) for label in records[0].state_labels]
+    assert [row["state_label"] for row in rows[: len(labels)]] == labels
+
+
+def _export_peak_bytes(records, out_dir, config):
+    """Traced peak of ``export``, with the ledgers replayed beforehand."""
+    for rec in records:
+        rec.ledger
+    tracemalloc.start()
+    try:
+        export(records, out_dir, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_export_memory_does_not_grow_with_the_horizon(tmp_path):
+    # Export converts and writes one stored round at a time, so its
+    # working set is one round's rows, the model behind summary.txt and
+    # the rate fit. Exponentiating a replica's whole history would add
+    # ~1.9 MiB per 500 rounds here.
+    config = reference_config(replicas=2, rounds=20)
+    _export_peak_bytes(run_experiment(config), tmp_path / "warm", config)
+    peak = {}
+    for rounds in (500, 1000):
+        config = reference_config(replicas=2, rounds=rounds)
+        peak[rounds] = _export_peak_bytes(
+            run_experiment(config), tmp_path / str(rounds), config
+        )
+    assert max(peak.values()) <= 512 * 1024
+    assert peak[1000] <= peak[500] + 16 * 1024
+
+
 def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
     config = settling_config(replicas=1, rounds=40)
     records = run_experiment(config)
@@ -852,8 +929,8 @@ def test_cli_run_writes_outputs(tmp_path):
 
 
 def test_export_line_endings_are_pinned(tmp_path):
-    # csv.writer ends rows with \r\n; the two '#' lines of beliefs.csv are
-    # written by hand with \n. Pinned output digests depend on this mix.
+    # every CSV row ends with \r\n; the two '#' lines of beliefs.csv end
+    # with \n. Pinned output digests depend on this mix.
     config = settling_config(replicas=1, rounds=15, tau=1.0)
     export(run_experiment(config), tmp_path, config)
     beliefs = (tmp_path / "beliefs.csv").read_bytes()
@@ -921,6 +998,17 @@ def test_cli_compare_agent_sets_the_exported_rate_agent(tmp_path, capsys):
     summary = (out / "switching" / "summary.txt").read_text()
     assert f"estimated rate {rate:.6g} nats/round over rounds 30..60" in summary
     assert rate != estimate_rate(rec, 0, binding, window)
+
+
+def test_cli_compare_overrides_seed_and_replicas(tmp_path, capsys):
+    config = settling_config(replicas=2, rounds=30)
+    path = write_config(tmp_path, config)
+    argv = ["compare", "--config", str(path), "--agent", "3"]
+    assert main(argv + ["--replicas", "1"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("replica ") for line in out.splitlines()) == 1
+    assert main(argv + ["--replicas", "1", "--seed", "99"]) == 0
+    assert capsys.readouterr().out != out
 
 
 def test_cli_rejects_invalid_config_file(tmp_path, capsys):
@@ -1002,6 +1090,28 @@ def test_cli_rejects_mistyped_config_fields(tmp_path, capsys, overrides, field):
     assert main(["validate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({}, "topology_kind"),
+        ({"topology_kind": "edges", "topology_edges": [[0, 1]]}, "topology_kind"),
+        ({"topology_kind": "ring", "topology_edges": [[0, 1]]}, "topology_edges"),
+    ],
+    ids=["complete", "edges", "ring-with-edges"],
+)
+def test_cli_rejects_a_topology_next_to_weight_matrix(
+    tmp_path, capsys, overrides, field
+):
+    # complete5_tables.json sets topology_kind 'complete'
+    data = json.loads((CONFIG_DIR / "complete5_tables.json").read_text())
+    data.update(weight_matrix=[[0.2] * 5] * 5, **overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight_matrix ") and field in err
 
 
 @pytest.mark.parametrize(
