@@ -20,7 +20,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -294,12 +294,83 @@ def build_model(config: ExperimentConfig):
     )
 
 
+_WORD = 2**64 - 1
+_HALF = np.uint64(2**32 - 1)
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple:
+    """High and low 64-bit words of ``a * b``, multiplied in 32-bit halves."""
+    a_lo, a_hi = a & 0xFFFFFFFF, a >> 32
+    low, high = b & _HALF, b >> 32
+    # Hacker's Delight mulhu, in place: every partial sum stays below 2**64
+    mid = low * a_hi
+    low *= a_lo
+    low >>= 32
+    mid += low
+    cross = high * a_lo
+    cross += mid & _HALF
+    high *= a_hi
+    high += mid >> 32
+    high += cross >> 32
+    return high, np.multiply(b, a, out=low)
+
+
+def _philox_blocks(seed: int, replicas: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of counters ``(c, 0, 0, 0)`` under keys ``(seed, replica)``.
+
+    ``replicas`` holds uint64 keys of shape ``(reps, 1)``; the result is
+    ``(reps, len(counters), 4)`` words. Round keys are Python ints masked
+    to 64 bits, so no numpy scalar ever overflows.
+    """
+    shape = (len(replicas), len(counters))
+    x0 = np.broadcast_to(counters, shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = (seed + r * _PHILOX_W[0]) & _WORD
+        k1 = replicas + np.uint64((r * _PHILOX_W[1]) & _WORD)
+        # the next word 2 waits in x0, so the spent word 0 is freed early
+        hi, lo = _mulhilo(_PHILOX_M[0], x0)
+        hi ^= x3
+        hi ^= k1
+        x0, x3 = hi, lo
+        hi, lo = _mulhilo(_PHILOX_M[1], x2)
+        hi ^= x1
+        hi ^= k0
+        x0, x1, x2 = hi, lo, x0
+    return np.stack((x0, x1, x2, x3), axis=-1)
+
+
+def _philox_doubles(seed: int, replicas: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Doubles ``first .. first + count - 1`` of the streams keyed ``(seed, replica)``.
+
+    The result has shape ``(reps, count)``. Double ``g`` is word
+    ``g % 4`` of the block at counter ``(g // 4 + 1, 0, 0, 0)``, shifted
+    right by 11 and scaled by 2**-53: what numpy's
+    ``Generator(Philox(key=[seed, replica])).random()`` draws. The
+    caller keeps the last counter below 2**64, since no carry reaches
+    word 1.
+    """
+    block, last = first // 4, (first + count - 1) // 4
+    counters = np.arange(last - block + 1, dtype=np.uint64) + (block + 1)
+    words = _philox_blocks(seed, replicas, counters)
+    words >>= 11
+    skip = first - 4 * block
+    # cast, then scale in place: a mixed-type multiply would add a cast buffer
+    doubles = words.reshape(len(replicas), -1)[:, skip:skip + count].astype(np.float64)
+    doubles *= 2.0**-53
+    return doubles
+
+
 def generate_signals(
     lik: LikelihoodModel,
     space: StateSpace,
     seed: int,
     rounds: int,
-    replica: int = 0,
+    replica: Union[int, Sequence[int]] = 0,
     start: int = 0,
 ) -> np.ndarray:
     """Draw every agent's signal stream under the realized state.
@@ -309,30 +380,40 @@ def generate_signals(
     function of ``(seed, replica)``: each replica gets an independent
     counter-based key, so adding replicas or reordering calls never
     perturbs existing streams, and consecutive slices concatenate to
-    exactly one longer draw.
+    exactly one longer draw. A sequence of replicas draws them all at
+    once, with shape ``(rounds, len(replica), agents)``.
+
+    The package computes Philox4x64-10 itself: round ``t`` of agent
+    ``i`` reads double ``t * agents + i`` of the stream, bit-identical
+    to numpy's ``Philox(key=[seed, replica])`` with ``Generator.random``
+    doubles, and picks the symbol whose cumulative law first exceeds it.
     """
+    single = isinstance(replica, numbers.Integral)
+    keys = [int(replica)] if single else [int(r) for r in replica]
+    n = lik.agent_count
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    if not 0 <= replica < 2**64:
+    if not keys:
+        raise ValueError("replica must name at least one replica")
+    if not all(0 <= r < 2**64 for r in keys):
         raise ValueError("replica must fit in 64 bits")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if start < 0:
         raise ValueError("start must be >= 0")
-    bitgen = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
-    # one Philox block yields four doubles; skip whole blocks by counter,
-    # then draw and drop the leftover doubles of a partly used block
-    blocks, leftover = divmod(start * lik.agent_count, 4)
-    bitgen.advance(blocks)
-    gen = np.random.Generator(bitgen)
-    gen.random(leftover)
-    uniforms = gen.random((rounds, lik.agent_count))
-    out = np.empty((rounds, lik.agent_count), dtype=np.intp)
-    for i in range(lik.agent_count):
-        cdf = np.cumsum(lik.signal_distribution(i, space.true_state_index))
-        cdf[-1] = 1.0
-        out[:, i] = np.searchsorted(cdf, uniforms[:, i], side="right")
-    return out
+    if ((start + rounds) * n + 3) // 4 > _WORD:
+        raise ValueError(
+            f"rounds {start} .. {start + rounds - 1} need a Philox block "
+            "counter past 2**64 - 1"
+        )
+    replicas = np.array(keys, dtype=np.uint64)[:, None]
+    draws = _philox_doubles(seed, replicas, start * n, rounds * n)
+    draws = draws.reshape(len(keys), rounds, n)
+    cdf = lik.signal_cdf(space.true_state_index)
+    out = np.empty((rounds, len(keys), n), dtype=np.intp)
+    for i in range(n):
+        out[:, :, i] = np.searchsorted(cdf[i], draws[:, :, i].T, side="right")
+    return out[:, 0] if single else out
 
 
 def _round0_beliefs(prior: Prior, fresh: np.ndarray) -> np.ndarray:
@@ -534,14 +615,8 @@ def run_experiment(config: ExperimentConfig) -> list:
     def signal_chunk(start):
         # (rounds, reps, n) signal indices for rounds start .. start + CHUNK - 1
         rounds = min(_SIGNAL_CHUNK, horizon + 1 - start)
-        return np.stack(
-            [
-                generate_signals(
-                    lik, space, config.seed, rounds, replica=r, start=start
-                )
-                for r in range(reps)
-            ],
-            axis=1,
+        return generate_signals(
+            lik, space, config.seed, rounds, replica=range(reps), start=start
         )
 
     if config.thin_every is not None:
@@ -569,6 +644,7 @@ def run_experiment(config: ExperimentConfig) -> list:
 
     for t in range(1, horizon + 1):
         if t % _SIGNAL_CHUNK == 0:
+            del signals, sig  # the spent chunk goes before the next is drawn
             signals = signal_chunk(t)
         sig = signals[t % _SIGNAL_CHUNK]
         fresh = padded[agents, sig, :]

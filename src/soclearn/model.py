@@ -205,6 +205,29 @@ class LikelihoodModel:
         return np.exp(self.log_lik[agent][:, state_index])
 
     @cached_property
+    def _signal_cdfs(self) -> dict:
+        return {}
+
+    def signal_cdf(self, state_index: int) -> np.ndarray:
+        """``(n, max_alphabet)`` cumulative symbol laws under one state, built once.
+
+        Row ``i`` is the running sum of ``signal_distribution(i, state_index)``
+        with its last entry set to exactly 1.0, then ``+inf`` padding. The
+        number of entries at or below a uniform draw in ``[0, 1)`` is
+        therefore a valid row index of agent ``i``'s table.
+        """
+        cdf = self._signal_cdfs.get(state_index)
+        if cdf is None:
+            width = max(len(a) for a in self.alphabets)
+            cdf = np.full((self.agent_count, width), np.inf)
+            for i, alpha in enumerate(self.alphabets):
+                cdf[i, : len(alpha)] = np.cumsum(self.signal_distribution(i, state_index))
+                cdf[i, len(alpha) - 1] = 1.0
+            cdf.setflags(write=False)
+            self._signal_cdfs[state_index] = cdf
+        return cdf
+
+    @cached_property
     def padded_log_lik(self) -> np.ndarray:
         """Tables stacked into ``(n, max_alphabet, m)``, -inf padded.
 

@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -203,8 +206,10 @@ def test_signal_frequencies_match_the_conditional_law():
 
 @pytest.mark.parametrize("agents", [15, 4])
 def test_signal_slices_concatenate_to_one_draw(agents):
-    # with 15 agents, starts 7 and 22 leave 1 and 2 doubles of a
-    # partly used Philox block; with 4 agents every start is block-aligned
+    # round t of agent i reads double g = t * agents + i, which is word
+    # g % 4 of the Philox block at counter g // 4 + 1. With 15 agents,
+    # starts 7 and 22 begin at doubles 105 and 330, one and two words into
+    # a block; with 4 agents every start is block-aligned
     config = reference_config(agents=agents, states=5)
     space, _, lik, _ = build_model(config)
     rounds, a, b = 40, 7, 22
@@ -214,6 +219,85 @@ def test_signal_slices_concatenate_to_one_draw(agents):
         for lo, hi in ((0, a), (a, b), (b, rounds))
     ]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _numpy_philox_doubles(seed, replica, first, count):
+    """Doubles ``first .. first + count - 1`` as numpy's own Philox draws them."""
+    bitgen = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
+    blocks, leftover = divmod(first, 4)
+    bitgen.advance(blocks)
+    gen = np.random.Generator(bitgen)
+    gen.random(leftover)
+    return gen.random(count)
+
+
+_WORD_VALUES = st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_WORD_VALUES,
+    replicas=st.lists(_WORD_VALUES, min_size=1, max_size=4),
+    # 4 * 2**64 - 20 keeps the last counter of 16 doubles below 2**64
+    first=st.integers(0, 10**6) | st.integers(0, 4 * 2**64 - 20),
+    count=st.integers(1, 16),
+)
+def test_philox_doubles_match_numpy(seed, replicas, first, count):
+    keys = np.array(replicas, dtype=np.uint64)[:, None]
+    got = harness._philox_doubles(seed, keys, first, count)
+    assert got.shape == (len(replicas), count)
+    for r, replica in enumerate(replicas):
+        want = _numpy_philox_doubles(seed, replica, first, count)
+        assert np.array_equal(got[r].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("start", [0, 7])
+def test_replica_sequence_draws_each_replica_stream(start):
+    config = reference_config(agents=15, states=5)
+    space, _, lik, _ = build_model(config)
+    many = generate_signals(lik, space, seed=5, rounds=30, replica=range(3), start=start)
+    assert many.shape == (30, 3, 15)
+    for r in range(3):
+        one = generate_signals(lik, space, seed=5, rounds=30, replica=r, start=start)
+        assert np.array_equal(many[:, r], one)
+    with pytest.raises(ValueError, match="at least one"):
+        generate_signals(lik, space, seed=5, rounds=1, replica=[])
+    with pytest.raises(ValueError, match="64 bits"):
+        generate_signals(lik, space, seed=5, rounds=1, replica=[0, 2**64])
+
+
+def test_signal_counter_must_not_wrap():
+    # the largest start whose last block counter still fits in 64 bits
+    # draws; one round further the low counter word would wrap, and numpy
+    # would carry into the next word where this generator does not
+    config = reference_config()
+    space, _, lik, _ = build_model(config)
+    n = lik.agent_count
+    last = 4 * (2**64 - 1) // n - 1
+    assert generate_signals(lik, space, seed=5, rounds=1, start=last).shape == (1, n)
+    for start in (last + 1, 2**70):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            generate_signals(lik, space, seed=5, rounds=1, start=start)
+
+
+def test_run_and_compare_leave_numpy_random_unloaded(tmp_path):
+    # the package draws Philox itself; importing numpy.random costs every
+    # process several MB of memory
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5, "replicas": 2}))
+    script = (
+        "import sys\n"
+        "from soclearn.cli import main\n"
+        f"assert main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"assert main(['compare', '--config', {str(config)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_signal_start_must_be_nonnegative():
