@@ -46,7 +46,6 @@ from .learning import (
     initial_belief,
     is_informative,
     potential_update,
-    tv_distance,
 )
 from .model import (
     AssumptionViolation,

@@ -19,7 +19,6 @@ from .model import LikelihoodModel, _check_mixing
 __all__ = [
     "initial_belief",
     "bayes_update",
-    "tv_distance",
     "InformativenessVerdict",
     "is_informative",
     "binary_tv",
@@ -53,26 +52,6 @@ def _lse_last(arr: np.ndarray) -> np.ndarray:
 def _log_normalize(rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(rows)
     return rows - _lse_last(rows)
-
-
-def _tv_rows(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """Row-wise total variation between log-domain distributions.
-
-    Written as 0.5 * sum q * |expm1(log p - log q)|. Where q has a
-    zero, the term falls back to p, which is exact there. Accuracy is
-    absolute (floored near machine epsilon by the log values' own
-    rounding); belief-vs-own-posterior distances, which must keep
-    relative accuracy far below that floor, go through
-    ``_bayes_tv_rows`` instead.
-    """
-    log_p = np.atleast_2d(log_p)
-    log_q = np.atleast_2d(log_q)
-    with np.errstate(invalid="ignore"):
-        terms = np.exp(log_q) * np.abs(np.expm1(log_p - log_q))
-    dead = np.isneginf(log_q)
-    if np.any(dead):
-        terms = np.where(dead, np.exp(log_p), terms)
-    return np.clip(0.5 * np.sum(terms, axis=1), 0.0, 1.0)
 
 
 def _bayes_tv_rows(log_mu: np.ndarray, label: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -136,11 +115,6 @@ def bayes_update(
             "every state the belief supports"
         )
     return _log_normalize(row)[0]
-
-
-def tv_distance(log_p: np.ndarray, log_q: np.ndarray) -> float:
-    """Total variation between two log-domain distributions."""
-    return float(_tv_rows(np.asarray(log_p, float), np.asarray(log_q, float))[0])
 
 
 @dataclass(frozen=True)

@@ -377,11 +377,10 @@ class Network:
     """Symmetric stochastic communication weights over ``n`` agents.
 
     The weights are the one record of the graph: agents ``i != j`` are
-    neighbours exactly when entry ``(i, j)`` is positive, and ``n``,
-    ``adjacency`` and ``neighbors`` are all read off the matrix. Input
-    that passes the mixing-matrix checks, so is within ``PROB_SUM_TOL``
-    of symmetric, is then symmetrised: the stored weights are exactly
-    symmetric.
+    neighbours exactly when entry ``(i, j)`` is positive, and ``n`` and
+    ``adjacency`` are both read off the matrix. Input that passes the
+    mixing-matrix checks, so is within ``PROB_SUM_TOL`` of symmetric, is
+    then symmetrised: the stored weights are exactly symmetric.
     """
 
     weights: np.ndarray
@@ -397,9 +396,6 @@ class Network:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-    def neighbors(self, agent: int) -> tuple:
-        return tuple(int(j) for j in np.nonzero(self.adjacency[agent])[0])
 
     @cached_property
     def adjacency(self) -> np.ndarray:

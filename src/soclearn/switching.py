@@ -9,7 +9,6 @@ fired so a run's communication cost can be audited afterwards.
 
 from __future__ import annotations
 
-import csv
 from array import array
 from dataclasses import dataclass
 
@@ -59,11 +58,6 @@ class SwitchingMatrix:
         upper = rows < cols
         return rows[upper], cols[upper]
 
-    def offdiagonal_support(self) -> frozenset:
-        """Unordered pairs that exchanged potentials this round."""
-        rows, cols = self.fired_pairs()
-        return frozenset(zip(rows.tolist(), cols.tolist()))
-
 
 def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
     """Mixing matrices ``(..., n, n)`` for uninformative masks ``(..., n)``.
@@ -109,8 +103,8 @@ class CommLedger:
     row-major within a round). Iterating the ledger yields the
     ``(round, i, j)`` tuples one at a time; ``events`` builds a fresh
     list of them on each access, and ``len(ledger)`` is the cheap count.
-    ``per_agent_rounds`` counts, per agent, the rounds in which the
-    agent touched at least one exchange.
+    Per-agent communication fractions are read off the verdicts, by
+    ``TrajectoryRecord.communication_fractions``.
     """
 
     def __init__(self, n: int):
@@ -118,7 +112,6 @@ class CommLedger:
             raise ValueError("need at least one agent")
         self.n = n
         self._packed = array("q")
-        self.per_agent_rounds = np.zeros(n, dtype=int)
         self.rounds_recorded = 0
 
     def __len__(self) -> int:
@@ -140,23 +133,7 @@ class CommLedger:
         triples[:, 1] = rows
         triples[:, 2] = cols
         self._packed.frombytes(triples.tobytes())
-        touched = np.zeros(self.n, dtype=bool)
-        touched[rows] = True
-        touched[cols] = True
-        self.per_agent_rounds += touched
         self.rounds_recorded += 1
-
-    def communication_fraction(self) -> np.ndarray:
-        """Per-agent fraction of recorded rounds with any exchange."""
-        if self.rounds_recorded == 0:
-            raise ValueError("no rounds recorded")
-        return self.per_agent_rounds / self.rounds_recorded
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "agent_i", "agent_j"])
-            writer.writerows(self)
 
 
 def record_round(ledger: CommLedger, q: SwitchingMatrix) -> CommLedger:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soclearn.analysis import estimate_rate, identifiability_report
@@ -22,6 +22,7 @@ from soclearn.cli import main
 from soclearn.harness import (
     GENERATOR_NAME,
     ExperimentConfig,
+    build_likelihoods,
     build_model,
     compare_baseline,
     distinguished_state,
@@ -171,6 +172,30 @@ def test_distinguished_state_cycles_over_false_states():
     assert distinguished_state(15, 16) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(2, 9), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+@example(12, 4, 0.5, 0.25)
+def test_reference_likelihoods_match_the_per_state_loop(agents, states, p_eq, p_diff):
+    # the loop form of the reference family is the bit-for-bit reference;
+    # with agents > states - 1 the distinguished states wrap around
+    tables = []
+    for i in range(agents):
+        special = distinguished_state(i, states)
+        table = np.empty((2, states))
+        for k in range(states):
+            p_one = p_diff if k == special else p_eq
+            table[0, k] = 1.0 - p_one
+            table[1, k] = p_one
+        tables.append(table)
+    expect = LikelihoodModel.from_probabilities(tables, alphabets=[(0, 1)] * agents)
+    lik = build_likelihoods(
+        reference_config(agents=agents, states=states, p_eq=p_eq, p_diff=p_diff)
+    )
+    assert lik.alphabets == expect.alphabets
+    for got, want in zip(lik.log_lik, expect.log_lik, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------- signals
 
 
@@ -280,6 +305,12 @@ def test_signal_counter_must_not_wrap():
             generate_signals(lik, space, seed=5, rounds=1, start=start)
 
 
+def package_env() -> dict:
+    """The environment, with this checkout's package first on the path."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_run_and_compare_leave_numpy_random_unloaded(tmp_path):
     # the package draws Philox itself; importing numpy.random costs every
     # process several MB of memory
@@ -292,10 +323,9 @@ def test_run_and_compare_leave_numpy_random_unloaded(tmp_path):
         f"assert main(['compare', '--config', {str(config)!r}]) == 0\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True,
+        check=True,
     )
     assert done.stdout.splitlines()[-1] == "False"
 
@@ -712,15 +742,21 @@ def test_communication_stays_sparse_under_switching():
     assert fractions.mean() < 0.2
 
 
+def ledger_fractions(rec):
+    """Per agent, the share of rounds with a ledger event that includes it."""
+    rounds = [set() for _ in range(rec.network.n)]
+    for t, i, j in rec.ledger:
+        rounds[i].add(t)
+        rounds[j].add(t)
+    return np.array([len(r) for r in rounds]) / rec.rounds
+
+
 def test_fraction_definitions_agree():
     # the trajectory's fraction (uninformative or uninformative
     # neighbor) must equal the ledger replay
     records = run_experiment(reference_config(replicas=2))
     for rec in records:
-        assert np.array_equal(
-            rec.communication_fractions(),
-            rec.ledger.communication_fraction(),
-        )
+        assert np.array_equal(rec.communication_fractions(), ledger_fractions(rec))
 
 
 @st.composite
@@ -778,10 +814,7 @@ def test_ledger_replay_matches_vectorised_events(case):
     assert ledger.events == expect
     assert len(ledger) == len(ledger.events)
     assert ledger.rounds_recorded == len(u)
-    assert np.array_equal(
-        ledger.per_agent_rounds / ledger.rounds_recorded,
-        rec.communication_fractions(),
-    )
+    assert np.array_equal(ledger_fractions(rec), rec.communication_fractions())
 
 
 def test_ledger_keeps_at_most_32_bytes_per_exchange():
@@ -819,7 +852,8 @@ def test_comparison_with_threshold_one_is_self_identical():
 
 def test_comparison_reports_savings():
     comparison = compare_baseline(reference_config(replicas=2))
-    assert np.all(comparison.switching_event_counts() < comparison.baseline_event_counts())
+    for s, b in zip(comparison.switching, comparison.baseline):
+        assert len(s.ledger) < len(b.ledger)
     text = comparison.summary()
     assert "designated agent: 0" in text
     assert "baseline" in text
@@ -840,6 +874,13 @@ def test_comparison_write(tmp_path):
     assert (tmp_path / "comparison.txt").exists()
     assert (tmp_path / "switching" / "beliefs.csv").exists()
     assert (tmp_path / "baseline" / "beliefs.csv").exists()
+
+
+def test_comparison_without_edges_has_none_to_avoid():
+    # a lone agent has no neighbour, so neither arm ever exchanges
+    config = ExperimentConfig.from_dict({"agents": 1, "states": 2, "rounds": 20})
+    lines = compare_baseline(config).summary().splitlines()
+    assert lines[-1] == "total exchanges: 0 vs 0 baseline (none to avoid)"
 
 
 # -------------------------------------------------------------------- export
@@ -1093,6 +1134,33 @@ def test_cli_compare_overrides_seed_and_replicas(tmp_path, capsys):
     assert sum(line.startswith("replica ") for line in out.splitlines()) == 1
     assert main(argv + ["--replicas", "1", "--seed", "99"]) == 0
     assert capsys.readouterr().out != out
+
+
+def test_cli_exits_quietly_when_stdout_is_closed(tmp_path):
+    # the reader of the pipe is gone before the first write, as after `| head -0`
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5, "replicas": 2}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "soclearn.cli", "compare", "--config", str(config)],
+            env=package_env(), stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_cli_runs_with_no_stdout_at_all(tmp_path):
+    # started as `soclearn validate ... >&-`, Python sets sys.stdout to None
+    path = write_config(tmp_path, settling_config(replicas=1, rounds=10))
+    done = subprocess.run(
+        [sys.executable, "-m", "soclearn.cli", "validate", "--config", str(path)],
+        env=package_env(), stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_cli_rejects_invalid_config_file(tmp_path, capsys):

@@ -18,7 +18,6 @@ from soclearn.learning import (
     initial_belief,
     is_informative,
     potential_update,
-    tv_distance,
 )
 from soclearn.model import LikelihoodModel, Prior, _value_classes, metropolis_weights
 from soclearn.switching import build_switching_matrix
@@ -99,36 +98,6 @@ def test_bayes_rejects_unknown_symbol():
     lik = two_state_model(0.4, 0.6)
     with pytest.raises(ValueError):
         bayes_update(log_rows([0.5, 0.5])[0], lik, 0, "bogus")
-
-
-# ----------------------------------------------------------------- tv_distance
-
-
-def test_tv_identical_is_zero():
-    p = log_rows([0.25, 0.25, 0.5])[0]
-    assert tv_distance(p, p) == 0.0
-
-
-def test_tv_disjoint_support_is_one():
-    p = np.array([0.0, -np.inf])
-    q = np.array([-np.inf, 0.0])
-    assert tv_distance(p, q) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_tv_half_l1():
-    p = log_rows([0.6, 0.4])[0]
-    q = log_rows([0.5, 0.5])[0]
-    assert tv_distance(p, q) == pytest.approx(0.1, abs=1e-15)
-
-
-def test_tv_symmetry_and_triangle():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        raw = rng.random((3, 4)) + 0.05
-        p, q, r = np.log(raw / raw.sum(axis=1, keepdims=True))
-        assert tv_distance(p, q) == pytest.approx(tv_distance(q, p), abs=1e-14)
-        assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-14
-        assert 0.0 <= tv_distance(p, q) <= 1.0
 
 
 # -------------------------------------------------------------- is_informative

@@ -1,10 +1,9 @@
 """Mixing-matrix construction from the uninformative set, plus the ledger."""
 
-import csv
-
 import numpy as np
 import pytest
 
+from soclearn.harness import TrajectoryRecord
 from soclearn.model import complete_edges, metropolis_weights, ring_edges
 from soclearn.switching import (
     CommLedger,
@@ -18,6 +17,28 @@ from soclearn.switching import (
 def path3():
     # path 0-1-2; degrees 1, 2, 1 give weights 1/3 on both edges
     return metropolis_weights([(0, 1), (1, 2)], 3)
+
+
+def pairs(q):
+    return set(zip(*(idx.tolist() for idx in q.fired_pairs())))
+
+
+def record_of(net, uninformative):
+    """A trajectory holding only the given ``(rounds, n)`` verdicts."""
+    u = np.array(uninformative, dtype=bool)
+    n = net.n
+    return TrajectoryRecord(
+        replica=0,
+        rounds=len(u),
+        true_state_index=0,
+        state_labels=("a",),
+        stored_rounds=np.array([0]),
+        log_beliefs=np.zeros((1, n, 1)),
+        tv_series=np.zeros(u.shape),
+        uninformative=u,
+        last_below=np.full(n, -1),
+        network=net,
+    )
 
 
 def test_path_weights_are_the_expected_matrix(path3):
@@ -34,7 +55,7 @@ def test_path_weights_are_the_expected_matrix(path3):
 def test_empty_set_gives_exact_identity(path3):
     q = build_switching_matrix(path3, (), round=1)
     assert np.array_equal(q.q, np.eye(3))
-    assert q.offdiagonal_support() == frozenset()
+    assert pairs(q) == set()
 
 
 def test_full_set_gives_exact_network_weights(path3):
@@ -46,7 +67,7 @@ def test_middle_agent_activates_both_edges(path3):
     # both edges touch agent 1, so the result is the full weight matrix
     q = build_switching_matrix(path3, (1,), round=1)
     assert np.array_equal(q.q, path3.weights)
-    assert q.offdiagonal_support() == frozenset({(0, 1), (1, 2)})
+    assert pairs(q) == {(0, 1), (1, 2)}
 
 
 def test_end_agent_activates_one_edge(path3):
@@ -59,7 +80,7 @@ def test_end_agent_activates_one_edge(path3):
         ]
     )
     assert np.allclose(q.q, expect, atol=1e-15)
-    assert q.offdiagonal_support() == frozenset({(0, 1)})
+    assert pairs(q) == {(0, 1)}
 
 
 def test_constructed_matrices_satisfy_invariants():
@@ -81,9 +102,9 @@ def test_exchanges_stay_on_network_edges():
     # its neighborhood, so no exchange can appear off the edge set
     net = metropolis_weights(ring_edges(6), 6)
     q = build_switching_matrix(net, (0, 3), round=1)
-    for i, j in q.offdiagonal_support():
+    for i, j in pairs(q):
         assert net.weights[i, j] > 0.0
-    assert q.offdiagonal_support() == frozenset({(0, 1), (0, 5), (2, 3), (3, 4)})
+    assert pairs(q) == {(0, 1), (0, 5), (2, 3), (3, 4)}
 
 
 def test_growing_the_set_only_adds_support():
@@ -95,7 +116,7 @@ def test_growing_the_set_only_adds_support():
         larger = smaller | extra
         q_small = build_switching_matrix(net, tuple(smaller), round=1)
         q_large = build_switching_matrix(net, tuple(larger), round=1)
-        assert q_small.offdiagonal_support() <= q_large.offdiagonal_support()
+        assert pairs(q_small) <= pairs(q_large)
 
 
 def test_switching_matrix_validates_input():
@@ -144,14 +165,16 @@ def test_identity_round_records_nothing(path3):
     record_round(ledger, build_switching_matrix(path3, (), round=1))
     assert ledger.events == []
     assert ledger.rounds_recorded == 1
-    assert np.array_equal(ledger.per_agent_rounds, np.zeros(3, dtype=int))
+    rec = record_of(path3, [[False, False, False]])
+    assert np.array_equal(rec.communication_fractions(), np.zeros(3))
 
 
 def test_full_round_records_every_edge(path3):
     ledger = CommLedger(3)
     record_round(ledger, build_switching_matrix(path3, (0, 1, 2), round=5))
     assert ledger.events == [(5, 0, 1), (5, 1, 2)]
-    assert np.array_equal(ledger.per_agent_rounds, np.array([1, 1, 1]))
+    rec = record_of(path3, [[True, True, True]])
+    assert np.array_equal(rec.communication_fractions(), np.ones(3))
 
 
 def test_agent_round_counts_are_per_round_not_per_edge():
@@ -161,17 +184,15 @@ def test_agent_round_counts_are_per_round_not_per_edge():
     ledger = CommLedger(3)
     for t in (1, 2, 3):
         record_round(ledger, build_switching_matrix(net, (1,), round=t))
-    assert np.array_equal(ledger.per_agent_rounds, np.array([3, 3, 3]))
     assert len(ledger.events) == 6
+    rec = record_of(net, [[False, True, False]] * 3)
+    assert np.array_equal(rec.communication_fractions(), np.array([3, 3, 3]) / 3)
 
 
 def test_fraction_is_rounds_touched_over_rounds_recorded(path3):
-    ledger = CommLedger(3)
-    record_round(ledger, build_switching_matrix(path3, (0,), round=1))
-    record_round(ledger, build_switching_matrix(path3, (), round=2))
-    record_round(ledger, build_switching_matrix(path3, (2,), round=3))
-    record_round(ledger, build_switching_matrix(path3, (), round=4))
-    assert np.allclose(ledger.communication_fraction(), [0.25, 0.5, 0.25])
+    masks = [[True, False, False], [False] * 3, [False, False, True], [False] * 3]
+    rec = record_of(path3, masks)
+    assert np.array_equal(rec.communication_fractions(), np.array([1, 2, 1]) / 4)
 
 
 def test_events_match_positive_offdiagonals(path3):
@@ -196,15 +217,3 @@ def test_ledger_rejects_size_mismatch(path3):
     ledger = CommLedger(4)
     with pytest.raises(ValueError):
         record_round(ledger, build_switching_matrix(path3, (0,), round=1))
-
-
-def test_ledger_csv_round_trip(tmp_path, path3):
-    ledger = CommLedger(3)
-    record_round(ledger, build_switching_matrix(path3, (1,), round=1))
-    record_round(ledger, build_switching_matrix(path3, (0,), round=2))
-    out = tmp_path / "comm.csv"
-    ledger.write_csv(out)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["round", "agent_i", "agent_j"]
-    assert rows[1:] == [["1", "0", "1"], ["1", "1", "2"], ["2", "0", "1"]]
