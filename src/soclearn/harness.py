@@ -564,7 +564,9 @@ class TrajectoryRecord:
 
         Rounds are rebuilt and recorded one at a time, so the replay
         never holds more than one mixing matrix. The ledger is cached
-        on the record and keeps its exchanges packed as integers.
+        on the record and keeps its exchanges as compressed rows: a
+        round and an end count per round with exchanges, and one pair
+        code of 2 bytes (up to 256 agents) per exchange.
         """
         ledger = CommLedger(self.network.n)
         for q in self.switching_matrices():

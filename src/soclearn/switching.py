@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -94,14 +95,23 @@ def build_switching_matrix(
     return SwitchingMatrix(q=_mixing_matrices(net, flagged), round=round)
 
 
+# events decoded per step of iterating a ledger; a round is never split
+_DECODE_EVENTS = 4096
+
+
 class CommLedger:
     """Mutable record of which edges fired in which rounds.
 
-    Exchanges live in packed integer storage: one growable int64 buffer
-    of consecutive ``round, i, j`` triples with ``i < j``, one triple per
-    undirected exchange, in recorded order (rounds ascending, pairs
-    row-major within a round). Iterating the ledger yields the
-    ``(round, i, j)`` tuples one at a time; ``events`` builds a fresh
+    Exchanges live in compressed rows (CSR): ``_rounds`` holds the round
+    of each recorded round that had at least one exchange, ``_ends`` the
+    running exchange count after it, and ``_pairs`` each undirected
+    exchange ``i < j`` as the code ``i * n + j`` in the narrowest
+    unsigned typecode that holds ``n² - 1`` (two bytes up to 256
+    agents). A round without exchanges stores nothing. On a dense ledger
+    that is about 4 bytes per exchange. Events keep their recorded
+    order (rounds as recorded, pairs row-major within a round).
+    Iterating the ledger yields the ``(round, i, j)`` tuples one at a
+    time, decoding a few thousand at once; ``events`` builds a fresh
     list of them on each access, and ``len(ledger)`` is the cheap count.
     Per-agent communication fractions are read off the verdicts, by
     ``TrajectoryRecord.communication_fractions``.
@@ -111,15 +121,44 @@ class CommLedger:
         if n < 1:
             raise ValueError("need at least one agent")
         self.n = n
-        self._packed = array("q")
+        self._rounds = array("q")
+        self._ends = array("q")
+        self._pairs = array(next(c for c in "HIq" if n * n - 1 <= np.iinfo(c).max))
         self.rounds_recorded = 0
 
     def __len__(self) -> int:
-        return len(self._packed) // 3
+        return len(self._pairs)
 
     def __iter__(self):
-        flat = iter(self._packed)
-        return zip(flat, flat, flat)
+        return chain.from_iterable(self._blocks())
+
+    def _blocks(self):
+        lo = 0
+        while lo < len(self._rounds):
+            lo, block = self._decode(lo)
+            yield block
+
+    def _decode(self, lo: int):
+        """Events of whole rounds from row ``lo`` on, about ``_DECODE_EVENTS``.
+
+        Returns the next row and an iterator of ``(round, i, j)`` tuples.
+        The numpy views of the storage end with this call, so the ledger
+        can still grow while an iteration is paused.
+        """
+        ends = np.frombuffer(self._ends, np.int64)
+        first = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, first + _DECODE_EVENTS, side="right")))
+        codes = np.frombuffer(self._pairs, self._pairs.typecode)[first:ends[hi - 1]]
+        triples = np.empty((codes.size, 3), dtype=np.int64)
+        triples[:, 0] = np.repeat(
+            np.frombuffer(self._rounds, np.int64)[lo:hi], np.diff(ends[lo:hi], prepend=first)
+        )
+        # cheaper than np.divmod, which skips numpy's fast division by a scalar
+        rows = codes // self.n
+        triples[:, 1] = rows
+        triples[:, 2] = codes - rows * self.n
+        flat = iter(array("q", triples.tobytes()))
+        return hi, zip(flat, flat, flat)
 
     @property
     def events(self) -> list:
@@ -127,18 +166,18 @@ class CommLedger:
         return list(self)
 
     def record(self, q: SwitchingMatrix) -> None:
+        if q.n != self.n:
+            raise ValueError(f"ledger covers {self.n} agents, matrix {q.n}")
         rows, cols = q.fired_pairs()
-        triples = np.empty((rows.size, 3), dtype=np.int64)
-        triples[:, 0] = q.round
-        triples[:, 1] = rows
-        triples[:, 2] = cols
-        self._packed.frombytes(triples.tobytes())
+        if rows.size:
+            codes = rows * self.n + cols
+            self._pairs.frombytes(codes.astype(self._pairs.typecode).tobytes())
+            self._rounds.append(q.round)
+            self._ends.append(len(self._pairs))
         self.rounds_recorded += 1
 
 
 def record_round(ledger: CommLedger, q: SwitchingMatrix) -> CommLedger:
     """Record one round's exchanges; returns the same ledger for chaining."""
-    if q.n != ledger.n:
-        raise ValueError(f"ledger covers {ledger.n} agents, matrix {q.n}")
     ledger.record(q)
     return ledger

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -817,10 +818,12 @@ def test_ledger_replay_matches_vectorised_events(case):
     assert np.array_equal(ledger_fractions(rec), rec.communication_fractions())
 
 
-def test_ledger_keeps_at_most_32_bytes_per_exchange():
+def test_ledger_keeps_at_most_6_bytes_per_exchange():
     # tau = 1 on a complete graph fires every edge in every round, so the
     # ledger dominates what the replay retains; one Python tuple per
-    # exchange kept ~75 bytes each, packed int64 triples keep ~26
+    # exchange kept ~75 bytes each, packed int64 triples ~26, and the
+    # compressed rows (a 2-byte pair code per exchange, 16 bytes per
+    # round with exchanges) keep ~3.9
     config = dataclasses.replace(
         ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
         tau=1.0,
@@ -836,7 +839,7 @@ def test_ledger_keeps_at_most_32_bytes_per_exchange():
         tracemalloc.stop()
     events = sum(len(ledger) for ledger in ledgers)
     assert events == 2 * config.rounds * 10
-    assert retained <= 32 * events
+    assert retained <= 6 * events
 
 
 # ---------------------------------------------------------- compare_baseline
@@ -1134,6 +1137,37 @@ def test_cli_compare_overrides_seed_and_replicas(tmp_path, capsys):
     assert sum(line.startswith("replica ") for line in out.splitlines()) == 1
     assert main(argv + ["--replicas", "1", "--seed", "99"]) == 0
     assert capsys.readouterr().out != out
+
+
+# Golden digests of the outputs the ledger feeds, on runs small enough
+# for every test session. A change that means to alter these bytes
+# re-pins them: run the test, copy the digest it reports, and say in
+# CHANGES.md which output changed and why.
+COMM_CSV_SHA256 = "919f86e792e80817e474bfe4bde0bff93a2fa6dda24c0305e1e913fe2d0dfa43"
+COMPARE_STDOUT_SHA256 = "6e1ec610848e51dba4336d8750832c72779f5e735cf12d4cb3e10b50511fcda0"
+
+
+def test_run_comm_csv_digest_is_pinned(tmp_path):
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "ring15.json"), replicas=2, rounds=200
+    )
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    comm = (tmp_path / "out" / "comm.csv").read_bytes()
+    assert comm.count(b"\n") > 1
+    assert hashlib.sha256(comm).hexdigest() == COMM_CSV_SHA256
+
+
+def test_compare_stdout_digest_is_pinned(tmp_path, capsys):
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+        replicas=2, rounds=100,
+    )
+    path = write_config(tmp_path, config)
+    assert main(["compare", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "vs 2000 baseline" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPARE_STDOUT_SHA256
 
 
 def test_cli_exits_quietly_when_stdout_is_closed(tmp_path):

@@ -217,3 +217,62 @@ def test_ledger_rejects_size_mismatch(path3):
     ledger = CommLedger(4)
     with pytest.raises(ValueError):
         record_round(ledger, build_switching_matrix(path3, (0,), round=1))
+
+
+def test_ledger_record_rejects_size_mismatch(path3):
+    # a pair code depends on n, so recording directly must check it too
+    ledger = CommLedger(4)
+    with pytest.raises(ValueError, match="ledger covers 4 agents, matrix 3"):
+        ledger.record(build_switching_matrix(path3, (0,), round=1))
+    assert len(ledger) == 0
+    assert ledger.rounds_recorded == 0
+
+
+def ring(n):
+    return metropolis_weights(ring_edges(n), n)
+
+
+def complete(n):
+    return metropolis_weights(complete_edges(n), n)
+
+
+# per case: the network, the recorded (flagged agents, round) sequence,
+# and one event the case must produce
+LEDGER_CASES = {
+    # n = 256 is the largest n with two-byte codes; (254, 255) its largest pair
+    "n256-largest-2-byte-pair": (ring(256), [((254,), 1)], (1, 254, 255)),
+    # 255 * 257 + 256 needs a wider code
+    "n257-ring-wider-code": (ring(257), [((256,), 1)], (1, 255, 256)),
+    "round-2**40": (ring(5), [((0,), 2**40)], (2**40, 0, 4)),
+    "rounds-out-of-order": (
+        ring(5), [((1,), 7), ((0,), 3), ((3,), 3)], (3, 0, 4)
+    ),
+    "empty-rounds-between": (
+        ring(5),
+        [((), 1), ((2,), 2), ((), 3), ((), 4), ((0, 3), 5), ((), 6)],
+        (5, 3, 4),
+    ),
+    # 150 rounds of 28 exchanges span more than one decode block
+    "several-decode-blocks": (
+        complete(8), [(range(8), t) for t in range(1, 151)], (150, 6, 7)
+    ),
+    # one round of 4,950 exchanges is larger than a decode block
+    "round-larger-than-a-block": (
+        complete(100), [((0,), 1), (range(100), 2), ((5,), 3)], (2, 98, 99)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LEDGER_CASES.values(), ids=LEDGER_CASES.keys())
+def test_ledger_round_trips_the_per_round_pairs(case):
+    net, rounds, witness = case
+    ledger = CommLedger(net.n)
+    expect = []
+    for members, t in rounds:
+        q = build_switching_matrix(net, members, round=t)
+        expect += [(q.round, i, j) for i, j in zip(*(a.tolist() for a in q.fired_pairs()))]
+        record_round(ledger, q)
+    assert witness in expect
+    assert ledger.events == expect
+    assert len(ledger) == len(expect)
+    assert ledger.rounds_recorded == len(rounds)
