@@ -202,8 +202,10 @@ def estimate_rate(trajectory, agent: int, false_state: int, window) -> float:
 
     Fits a least-squares line to the agent's log belief on the state
     over the stored rounds inside ``window`` (inclusive) and returns
-    the negated slope in nats per round. The trajectory only needs
-    ``stored_rounds``, ``log_beliefs``, and ``true_state_index``.
+    the negated slope in nats per round. The slope is the closed form
+    ``sum(x * y) / sum(x * x)`` with the rounds centred on their mean
+    as ``x``. The trajectory only needs ``stored_rounds``,
+    ``log_beliefs``, and ``true_state_index``.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
@@ -221,7 +223,8 @@ def estimate_rate(trajectory, agent: int, false_state: int, window) -> float:
     if rounds.size < 2:
         raise ValueError("window covers fewer than two stored rounds")
     values = np.asarray(trajectory.log_beliefs)[keep, agent, false_state]
-    slope = np.polyfit(rounds.astype(float), values, 1)[0]
+    x = rounds - rounds.mean()
+    slope = np.dot(x, values) / np.dot(x, x)
     return float(-slope)
 
 

@@ -50,6 +50,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
+    if not args.out:
+        # the summary reads only the final stored round; the ledger, the
+        # fractions and the consensus rounds are recorded every round
+        config = dataclasses.replace(config, thin_every=config.rounds)
     comparison = compare_baseline(config)
     print(comparison.summary())
     if args.out:

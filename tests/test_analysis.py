@@ -317,6 +317,32 @@ def test_rate_window_validation():
         estimate_rate(record, 0, 0, (0, 2))
 
 
+@pytest.mark.parametrize("thin_every", [None, 7])
+def test_rate_matches_polyfit_on_random_windows(thin_every):
+    # np.polyfit is the oracle. A slope fit's rounding error scales with
+    # the size of the values, not of the slope, and the switching
+    # protocol freezes some beliefs for long stretches; so the error is
+    # measured against the larger of |slope| and max|y| over the window
+    from soclearn.analysis import estimate_rate
+
+    config = ExperimentConfig(
+        agents=5, states=4, rounds=600, replicas=2, seed=4, thin_every=thin_every
+    )
+    rng = np.random.default_rng(17)
+    for record in run_experiment(config):
+        stored = record.stored_rounds
+        for _ in range(100):
+            a, b = np.sort(rng.choice(stored.size, 2, replace=False))
+            lo, hi = int(stored[a]), int(stored[b])
+            agent, false_state = int(rng.integers(5)), int(rng.integers(1, 4))
+            keep = (stored >= lo) & (stored <= hi)
+            values = record.log_beliefs[keep, agent, false_state]
+            want = -np.polyfit(stored[keep].astype(float), values, 1)[0]
+            got = estimate_rate(record, agent, false_state, (lo, hi))
+            scale = max(abs(want), np.max(np.abs(values)) / (hi - lo))
+            assert abs(got - want) <= 1e-12 * scale
+
+
 # --------------------------------------------------- product_convergence_gap
 
 

@@ -1139,12 +1139,53 @@ def test_cli_compare_overrides_seed_and_replicas(tmp_path, capsys):
     assert capsys.readouterr().out != out
 
 
+def test_cli_compare_without_out_stores_only_the_ends(tmp_path, monkeypatch, capsys):
+    # the summary reads only the final stored round, so without --out the
+    # engines keep rounds 0 and `rounds`; with --out the config's thinning
+    # decides what both arms export
+    import soclearn.cli
+
+    seen = []
+
+    def spy(config):
+        seen.append(compare_baseline(config))
+        return seen[-1]
+
+    monkeypatch.setattr(soclearn.cli, "compare_baseline", spy)
+    config = settling_config(replicas=2, rounds=30, thin_every=7)
+    path = write_config(tmp_path, config)
+    assert main(["compare", "--config", str(path)]) == 0
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
+    bare, exported = seen
+    for rec in bare.switching + bare.baseline:
+        assert rec.stored_rounds.tolist() == [0, 30]
+    for rec in exported.switching + exported.baseline:
+        assert rec.stored_rounds.tolist() == [0, 7, 14, 21, 28, 30]
+    assert exported.config == config
+
+
+@pytest.mark.parametrize("name", ["ring15.json", "complete5_tables.json"])
+def test_cli_compare_prints_the_same_with_or_without_out(tmp_path, capsys, name):
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / name), replicas=2, rounds=120
+    )
+    path = write_config(tmp_path, config)
+    assert main(["compare", "--config", str(path)]) == 0
+    bare = capsys.readouterr().out
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    exported = capsys.readouterr().out
+    assert exported == bare + f"wrote comparison to {out}\n"
+    assert (out / "comparison.txt").read_text() == bare
+
+
 # Golden digests of the outputs the ledger feeds, on runs small enough
 # for every test session. A change that means to alter these bytes
 # re-pins them: run the test, copy the digest it reports, and say in
 # CHANGES.md which output changed and why.
 COMM_CSV_SHA256 = "919f86e792e80817e474bfe4bde0bff93a2fa6dda24c0305e1e913fe2d0dfa43"
 COMPARE_STDOUT_SHA256 = "6e1ec610848e51dba4336d8750832c72779f5e735cf12d4cb3e10b50511fcda0"
+COMPARE_TREE_SHA256 = "4f2d69c9e91b3e68e4fe6c46dd865bfb8362b30348af26a09d9595442a1fda3d"
 
 
 def test_run_comm_csv_digest_is_pinned(tmp_path):
@@ -1168,6 +1209,26 @@ def test_compare_stdout_digest_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "vs 2000 baseline" in out
     assert hashlib.sha256(out.encode()).hexdigest() == COMPARE_STDOUT_SHA256
+
+
+def test_compare_out_tree_digest_is_pinned(tmp_path, capsys):
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+        replicas=2, rounds=100,
+    )
+    path = write_config(tmp_path, config)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    # comparison.txt and both arms' beliefs.csv, comm.csv and summary.txt
+    tree = ["comparison.txt"] + [
+        f"{arm}/{name}"
+        for arm in ("switching", "baseline")
+        for name in ("beliefs.csv", "comm.csv", "summary.txt")
+    ]
+    digest = hashlib.sha256()
+    for rel in tree:
+        digest.update(rel.encode() + b"\0" + hashlib.sha256((out / rel).read_bytes()).digest())
+    assert digest.hexdigest() == COMPARE_TREE_SHA256
 
 
 def test_cli_exits_quietly_when_stdout_is_closed(tmp_path):

@@ -1,0 +1,114 @@
+"""Paired end-to-end benchmark of two checkouts on one workload.
+
+    python3 tools/paired_bench.py BASE CHANGE --workload W --seed N --pairs 10
+
+Runs ``perfbench/run.py --workload W --seed N --trace 0`` once in each
+checkout per pair, alternating which side goes first, so slow drifts of
+the host fall on both sides alike. For every end-to-end metric that
+``BENCHMARK.json`` (read from CHANGE) declares, it prints each side's
+median and quartiles and the number of pairs the change wins. A gain
+may be claimed when the change wins at least 9 pairs in 10 and its
+median beats the base median by more than the base's interquartile
+range. It also says whether the change's median is within the bound by
+which the benchmark lets the metric worsen. A pair in which either side
+fails makes the script exit 1.
+Place the two checkouts at paths of equal length: the benchmark's peak
+RSS moves with the checkout's directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result object (last stdout line) of one benchmark run."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: exit {done.returncode}\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if result["failed"]:
+        raise RuntimeError(f"{checkout}: {result['failed']} failed execution(s)")
+    return result["metrics"]
+
+
+def quartiles(values: list) -> tuple:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def verdict(base: list, change: list, better: str, bound: float) -> dict:
+    """Medians, quartiles, wins, the claim rule and the bound for one metric."""
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    bq, cq = quartiles(base), quartiles(change)
+    gain = sign * (cq[1] - bq[1])
+    return {
+        "base": bq,
+        "change": cq,
+        "wins": wins,
+        "gain": gain,
+        "claim_holds": wins >= math.ceil(0.9 * len(base)) and gain > bq[2] - bq[0],
+        "within_bound": -gain <= bound * abs(bq[1]),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    values = {"base": {name: [] for name in better}, "change": {name: [] for name in better}}
+    for k in range(args.pairs):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for side in order:
+            try:
+                metrics = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            except RuntimeError as exc:
+                print(f"pair {k + 1}, {side}: {exc}", file=sys.stderr)
+                return 1
+            for name in better:
+                values[side][name].append(metrics[name]["value"])
+        print(f"pair {k + 1}/{args.pairs} ({order[0]} first): "
+              + ", ".join(f"{name} {values['base'][name][-1]:.4g} -> "
+                          f"{values['change'][name][-1]:.4g}" for name in better),
+              flush=True)
+
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
+    report = {}
+    for name, direction in better.items():
+        v = verdict(values["base"][name], values["change"][name], direction, bounds[name])
+        report[name] = {**v, "values": {side: values[side][name] for side in values}}
+        (b1, bm, b3), (c1, cm, c3) = v["base"], v["change"]
+        print(f"  {name} ({direction} is better): base {bm:.4g} [{b1:.4g}, {b3:.4g}], "
+              f"change {cm:.4g} [{c1:.4g}, {c3:.4g}], change wins {v['wins']}/{args.pairs}, "
+              f"gain {v['gain']:.4g} vs base IQR {b3 - b1:.4g}: "
+              f"claim {'holds' if v['claim_holds'] else 'does not hold'}, "
+              f"{'within' if v['within_bound'] else 'OUTSIDE'} the "
+              f"{bounds[name]:.0%} bound")
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
