@@ -9,13 +9,10 @@ being enough.
 
 from .analysis import (
     IdentifiabilityReport,
-    check_interval_connectivity,
     equivalence_classes,
     estimate_rate,
     identifiability_report,
-    kl_divergence,
     mixing_gap,
-    network_divergence,
     product_convergence_gap,
 )
 from .harness import (
@@ -32,19 +29,14 @@ from .harness import (
     export,
     generate_signals,
     initial_state,
-    read_beliefs_csv,
     reference_config,
     run_experiment,
     run_round,
 )
 from .learning import (
-    InformativenessVerdict,
-    bayes_update,
     belief_from_potentials,
     binary_informative,
     binary_tv,
-    initial_belief,
-    is_informative,
     potential_update,
 )
 from .model import (

@@ -11,46 +11,25 @@ state sets the asymptotic learning rate.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import StateSpace, LikelihoodModel, is_strongly_connected
+from .model import StateSpace, LikelihoodModel
 
 __all__ = [
-    "kl_divergence",
     "equivalence_classes",
-    "network_divergence",
     "IdentifiabilityReport",
     "identifiability_report",
     "estimate_rate",
     "mixing_gap",
     "product_convergence_gap",
-    "check_interval_connectivity",
 ]
 
 # Two states are observationally equivalent for an agent when their
 # log-likelihood columns agree to within this.
 CLASS_TOL = 1e-12
-
-
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence D(p || q) in nats.
-
-    Zero-probability entries of ``p`` contribute nothing; a zero in
-    ``q`` where ``p`` has mass makes the divergence undefined and is
-    rejected.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("p and q must be 1-d distributions of equal length")
-    support = p > 0.0
-    if np.any(q[support] == 0.0):
-        raise ValueError("q must dominate p (no q=0 where p>0)")
-    return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
 def equivalence_classes(lik: LikelihoodModel, agent: int) -> tuple:
@@ -101,16 +80,6 @@ def _kl_matrix(lik: LikelihoodModel, t: int, classes: tuple) -> np.ndarray:
 def _not_excluded(div: np.ndarray, t: int) -> tuple:
     """False states whose network divergence is not strictly negative."""
     return tuple(k for k in range(div.size) if k != t and not div[k] < 0.0)
-
-
-def network_divergence(lik: LikelihoodModel, space: StateSpace) -> np.ndarray:
-    """Agent-averaged negated divergence of each state, length m.
-
-    The realized state's entry is exactly 0.0. A strictly negative
-    entry means the network as a whole accumulates evidence against
-    that state.
-    """
-    return identifiability_report(lik, space).network_divergence.copy()
 
 
 @dataclass(frozen=True)
@@ -181,6 +150,15 @@ class IdentifiabilityReport:
 def identifiability_report(
     lik: LikelihoodModel, space: StateSpace
 ) -> IdentifiabilityReport:
+    """Classes, divergences and asymptotic rate of ``lik`` over ``space``.
+
+    Raises ``ValueError`` when the tables and the space disagree on the
+    number of states.
+    """
+    if lik.state_count != space.size:
+        raise ValueError(
+            f"likelihood tables cover {lik.state_count} states, space has {space.size}"
+        )
     t = space.true_state_index
     classes = tuple(equivalence_classes(lik, i) for i in range(lik.agent_count))
     kl = _kl_matrix(lik, t, classes)
@@ -256,25 +234,3 @@ def product_convergence_gap(q_sequence) -> float:
     if prod is None:
         raise ValueError("need at least one matrix")
     return mixing_gap(prod)
-
-
-def check_interval_connectivity(q_sequence, interval) -> bool:
-    """Whether a round interval's unioned exchanges connect the agents.
-
-    ``interval`` is an inclusive positional pair into ``q_sequence``.
-    The union of off-diagonal supports over the interval is treated as
-    an undirected graph; returns True iff it is connected. The union is
-    taken while iterating, and nothing past position ``hi`` is read.
-    """
-    lo, hi = int(interval[0]), int(interval[1])
-    if lo > hi or lo < 0:
-        raise ValueError(f"interval {interval} is invalid")
-    seen, support = 0, False
-    for seen, q in enumerate(itertools.islice(q_sequence, hi + 1), 1):
-        if seen > lo:
-            support = support | (np.asarray(getattr(q, "q", q), dtype=float) > 0.0)
-    if seen <= hi:
-        raise ValueError(
-            f"interval {interval} invalid for a sequence of {seen} matrices"
-        )
-    return is_strongly_connected(support)

@@ -25,8 +25,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analysis import estimate_rate, identifiability_report
-from .learning import InformativenessVerdict, _bayes_tv_rows, _check_threshold, \
-    _lse_last, belief_from_potentials, potential_update
+from .learning import _bayes_tv_rows, _check_threshold, _lse_last, \
+    belief_from_potentials, potential_update
 from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, \
     Prior, StateSpace, complete_edges, metropolis_weights, ring_edges, \
     validate_assumptions
@@ -51,7 +51,6 @@ __all__ = [
     "BaselineComparison",
     "compare_baseline",
     "export",
-    "read_beliefs_csv",
 ]
 
 # Recorded in export headers; the only generator the package uses.
@@ -77,7 +76,6 @@ _FIELD_TYPES = {
     "state_labels": (1, (str, numbers.Real), "a list of labels"),
     "topology_edges": (2, numbers.Integral, "a list of [i, j] agent pairs"),
     "weight_matrix": (2, numbers.Real, "a list of rows of numbers"),
-    "alphabets": (2, (str, numbers.Real), "one list of symbols per agent"),
     "tables": (3, numbers.Real, "one list of rows of numbers per agent"),
     "prior_mass": (1, numbers.Real, "a list of numbers"),
 }
@@ -116,9 +114,9 @@ class ExperimentConfig:
     1000 rounds.
 
     Each data field replaces a default when given: ``weight_matrix``
-    the Metropolis weights of the topology, ``tables`` (with optional
-    ``alphabets``) the built-in binary family of ``p_eq`` and
-    ``p_diff``, and ``prior_mass`` the uniform prior.
+    the Metropolis weights of the topology, ``tables`` the built-in
+    binary family of ``p_eq`` and ``p_diff``, and ``prior_mass`` the
+    uniform prior.
     """
 
     agents: int
@@ -130,7 +128,6 @@ class ExperimentConfig:
     weight_matrix: Optional[tuple] = None
     p_eq: float = 0.5
     p_diff: float = 0.25
-    alphabets: Optional[tuple] = None
     tables: Optional[tuple] = None
     prior_mass: Optional[tuple] = None
     tau: float = 1e-17
@@ -165,6 +162,11 @@ class ExperimentConfig:
             raise ValueError(f"topology_kind must be one of {_TOPOLOGIES}")
         if self.weight_matrix is not None:
             _check_rows("weight_matrix", self.weight_matrix)
+            if np.shape(self.weight_matrix) != (self.agents, self.agents):
+                raise ValueError(
+                    f"weight_matrix must be {self.agents} x {self.agents}, "
+                    "one row and column per agent"
+                )
             if self.topology_kind != "ring" or self.topology_edges is not None:
                 raise ValueError(
                     "weight_matrix replaces the topology: give it with the "
@@ -177,14 +179,17 @@ class ExperimentConfig:
             )
         for i, table in enumerate(self.tables or ()):
             _check_rows(f"tables[{i}]", table)
+            if np.shape(table)[1:] != (self.states,):
+                raise ValueError(
+                    f"tables[{i}] rows must have {self.states} entries, one per state"
+                )
+        if self.tables is not None and len(self.tables) != self.agents:
+            raise ValueError(f"tables must hold {self.agents} tables, one per agent")
         edges = self.topology_edges
         if edges is not None and any(len(e) != 2 for e in edges):
             raise ValueError("topology_edges must be a list of [i, j] agent pairs")
-        if self.tables is None:
-            if self.alphabets is not None:
-                raise ValueError("alphabets only apply together with tables")
-            if not 0.0 < self.p_eq < 1.0 or not 0.0 < self.p_diff < 1.0:
-                raise ValueError("p_eq and p_diff must lie strictly inside (0, 1)")
+        if self.tables is None and not (0.0 < self.p_eq < 1.0 and 0.0 < self.p_diff < 1.0):
+            raise ValueError("p_eq and p_diff must lie strictly inside (0, 1)")
         _check_threshold(self.tau, "tau")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -256,15 +261,13 @@ def build_prior(config: ExperimentConfig) -> Prior:
 
 def build_likelihoods(config: ExperimentConfig) -> LikelihoodModel:
     if config.tables is not None:
-        return LikelihoodModel.from_probabilities(
-            config.tables, alphabets=config.alphabets
-        )
+        return LikelihoodModel.from_probabilities(config.tables)
     n, m = config.agents, config.states
     agents = np.arange(n)
     p_one = np.full((n, m), config.p_eq)
     p_one[agents, distinguished_state(agents, m)] = config.p_diff
     tables = np.stack([1.0 - p_one, p_one], axis=1)
-    return LikelihoodModel.from_probabilities(tables, alphabets=[(0, 1)] * n)
+    return LikelihoodModel.from_probabilities(tables)
 
 
 def build_network(config: ExperimentConfig) -> Network:
@@ -370,7 +373,7 @@ def generate_signals(
 ) -> np.ndarray:
     """Draw every agent's signal stream under the realized state.
 
-    Returns a ``(rounds, agents)`` array of alphabet row indices for
+    Returns a ``(rounds, agents)`` array of table row indices for
     rounds ``start .. start + rounds - 1``. The stream is a pure
     function of ``(seed, replica)``: each replica gets an independent
     counter-based key, so adding replicas or reordering calls never
@@ -417,9 +420,7 @@ def _round0_beliefs(prior: Prior, fresh: np.ndarray) -> np.ndarray:
     return anchor - _lse_last(anchor)
 
 
-def initial_state(
-    prior: Prior, lik: LikelihoodModel, space: StateSpace, signals_0
-) -> BeliefState:
+def initial_state(prior: Prior, lik: LikelihoodModel, signals_0) -> BeliefState:
     """Round-0 state: each agent conditions the shared prior on its first signal."""
     logb = _round0_beliefs(prior, lik.fresh_rows(signals_0))
     return BeliefState(
@@ -434,7 +435,6 @@ def run_round(
     state: BeliefState,
     net: Network,
     lik: LikelihoodModel,
-    space: StateSpace,
     tau: float,
     signals_t,
 ):
@@ -444,7 +444,10 @@ def run_round(
     current belief; the round's mixing matrix couples exactly the edges
     with an uninformative endpoint; potentials mix and absorb the fresh
     log likelihoods; beliefs follow from the round-0 anchor and the new
-    potentials. Returns ``(new_state, mixing_matrix, verdicts)``.
+    potentials. Returns ``(new_state, mixing_matrix, tv)``, with ``tv``
+    the read-only ``(n,)`` total variation of each agent's one-step
+    Bayes move. Agent ``i``'s signal is informative iff
+    ``tv[i] >= tau``; the others are flagged uninformative and mix.
 
     This is the reference implementation; ``run_experiment`` reproduces
     it in batched form.
@@ -454,18 +457,9 @@ def run_round(
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
     sig = lik.checked_signals(signals_t)
-    tvs = _bayes_tv_rows(state.log_belief, *lik.value_class_rows(np.arange(n), sig))
-    verdicts = tuple(
-        InformativenessVerdict(
-            agent=i,
-            tv=float(tvs[i]),
-            informative=bool(tvs[i] >= tau),
-            threshold=tau,
-        )
-        for i in range(n)
-    )
-    uninformative = [i for i in range(n) if tvs[i] < tau]
-    q = build_switching_matrix(net, uninformative, round=state.round + 1)
+    tv = _bayes_tv_rows(state.log_belief, *lik.value_class_rows(np.arange(n), sig))
+    tv.setflags(write=False)
+    q = build_switching_matrix(net, np.flatnonzero(tv < tau), round=state.round + 1)
     phi = potential_update(state.potentials, q, lik, sig)
     logb = belief_from_potentials(state.log_belief_initial, phi)
     new_state = BeliefState(
@@ -474,7 +468,7 @@ def run_round(
         log_belief_initial=state.log_belief_initial,
         round=state.round + 1,
     )
-    return new_state, q, verdicts
+    return new_state, q, tv
 
 
 @dataclass(frozen=True, eq=False)
@@ -817,36 +811,3 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
             f"mean comm fraction {frac:.4f}, estimated rate {rate_text}"
         )
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-def read_beliefs_csv(path):
-    """Parse a beliefs.csv written by ``export``.
-
-    Returns ``(meta, rows)`` where ``meta`` maps header-comment keys to
-    string values and ``rows`` is a list of typed dicts.
-    """
-    meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if row and row[0].startswith("#"):
-                key, _, value = row[0][1:].partition(":")
-                meta[key.strip()] = value.strip()
-                continue
-            header = row
-            break
-        if header != ["replica", "t", "agent", "state_label", "belief"]:
-            raise ValueError(f"unexpected beliefs.csv header: {header}")
-        for row in reader:
-            rows.append(
-                {
-                    "replica": int(row[0]),
-                    "t": int(row[1]),
-                    "agent": int(row[2]),
-                    "state_label": row[3],
-                    "belief": float(row[4]),
-                }
-            )
-    return meta, rows

@@ -10,17 +10,12 @@ the signal informative when the distance reaches the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import LikelihoodModel, _check_mixing
 
 __all__ = [
-    "initial_belief",
-    "bayes_update",
-    "InformativenessVerdict",
-    "is_informative",
     "binary_tv",
     "binary_informative",
     "potential_update",
@@ -47,11 +42,6 @@ def _lse_last(arr: np.ndarray) -> np.ndarray:
     peak = np.max(arr, axis=-1, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
     return peak + np.log(np.sum(np.exp(arr - peak), axis=-1, keepdims=True))
-
-
-def _log_normalize(rows: np.ndarray) -> np.ndarray:
-    rows = np.atleast_2d(rows)
-    return rows - _lse_last(rows)
 
 
 def _bayes_tv_rows(log_mu: np.ndarray, label: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -93,66 +83,6 @@ def _bayes_tv_rows(log_mu: np.ndarray, label: np.ndarray, levels: np.ndarray) ->
     # each term is >= 0, so only rounding can push tv past 1
     tv = (mass * np.abs(skew)).sum(axis=-1) / (2.0 * total)
     return np.minimum(tv, 1.0)
-
-
-def initial_belief(prior, lik: LikelihoodModel, agent: int, signal) -> np.ndarray:
-    """Round-0 log belief: the prior conditioned on the first signal."""
-    return bayes_update(prior.log_mass, lik, agent, signal)
-
-
-def bayes_update(
-    log_belief_row: np.ndarray, lik: LikelihoodModel, agent: int, signal
-) -> np.ndarray:
-    """One-step Bayesian posterior of a single agent's belief row.
-
-    ``signal`` is an alphabet symbol, not a table row index.
-    """
-    s = lik.symbol_index(agent, signal)
-    row = np.asarray(log_belief_row, dtype=float) + lik.log_lik[agent][s]
-    if np.all(np.isneginf(row)):
-        raise ValueError(
-            f"agent {agent}: signal {signal!r} has zero probability under "
-            "every state the belief supports"
-        )
-    return _log_normalize(row)[0]
-
-
-@dataclass(frozen=True)
-class InformativenessVerdict:
-    """Outcome of one agent's informativeness test in one round."""
-
-    agent: int
-    tv: float
-    informative: bool
-    threshold: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.tv <= 1.0:
-            raise ValueError(f"tv {self.tv!r} outside [0, 1]")
-        _check_threshold(self.threshold)
-        if self.informative != (self.tv >= self.threshold):
-            raise ValueError("verdict disagrees with its own tv and threshold")
-
-
-def is_informative(
-    belief_prev: np.ndarray,
-    lik: LikelihoodModel,
-    agent: int,
-    signal,
-    tau: float,
-) -> InformativenessVerdict:
-    """Test whether a fresh signal moves one agent's belief enough to matter.
-
-    The move is measured as total variation from the current belief row
-    to its one-step Bayesian posterior; ties count as informative.
-    """
-    _check_threshold(tau)
-    prev = np.asarray(belief_prev, dtype=float)
-    s = lik.symbol_index(agent, signal)
-    tv = float(_bayes_tv_rows(prev[None, :], *lik.value_class_rows([agent], [s]))[0])
-    return InformativenessVerdict(
-        agent=agent, tv=tv, informative=tv >= tau, threshold=tau
-    )
 
 
 def binary_tv(epsilon_prev: float, r: float) -> float:
@@ -214,4 +144,5 @@ def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.nd
     phi = np.asarray(potentials, dtype=float)
     if log_mu0.shape != phi.shape:
         raise ValueError("anchor beliefs and potentials must share a shape")
-    return _log_normalize(log_mu0 + phi)
+    logb = log_mu0 + phi
+    return logb - _lse_last(logb)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "metropolis_weights",
     "ring_edges",
     "complete_edges",
-    "is_strongly_connected",
 ]
 
 
@@ -122,54 +121,49 @@ class Prior:
 class LikelihoodModel:
     """Per-agent signal likelihoods over a common state space.
 
-    ``log_lik[i]`` has shape ``(len(alphabets[i]), m)``; entry ``[s, k]``
-    is the log probability that agent ``i`` observes its ``s``-th symbol
-    when state ``k`` is realized. Columns therefore exponentiate to one.
-    ``log_bound`` is the largest log-magnitude in any table; it is finite
-    exactly when no symbol has zero probability under some state.
+    ``log_lik[i]`` has shape ``(symbols_i, m)``; entry ``[s, k]`` is the
+    log probability that agent ``i`` observes its ``s``-th symbol when
+    state ``k`` is realized. Columns therefore exponentiate to one.
+    Signals are table row indices; a table's row count is its agent's
+    alphabet size. ``log_bound`` is the largest log-magnitude in any
+    table; it is finite exactly when no symbol has zero probability
+    under some state.
     """
 
-    alphabets: tuple
     log_lik: tuple
 
     def __post_init__(self):
-        alphabets = tuple(tuple(a) for a in self.alphabets)
         tables = tuple(_readonly(t) for t in self.log_lik)
-        if len(alphabets) != len(tables) or not tables:
+        if not tables:
             raise ValueError("need one likelihood table per agent")
         m = tables[0].shape[1] if tables[0].ndim == 2 else 0
-        for i, (alpha, table) in enumerate(zip(alphabets, tables)):
-            if len(set(alpha)) != len(alpha):
-                raise ValueError(f"agent {i}: alphabet symbols must be distinct")
-            if table.ndim != 2 or table.shape != (len(alpha), m):
+        for i, table in enumerate(tables):
+            if table.ndim != 2 or table.shape[1] != m:
                 raise ValueError(
                     f"agent {i}: table shape {table.shape} does not match "
-                    f"alphabet size {len(alpha)} and state count {m}"
+                    f"state count {m}"
                 )
             if np.any(np.isnan(table)) or np.any(table == np.inf):
                 raise ValueError(f"agent {i}: log likelihoods must be < inf")
             sums = np.sum(np.exp(table), axis=0)
             if np.max(np.abs(sums - 1.0)) > PROB_SUM_TOL:
                 raise ValueError(f"agent {i}: likelihood columns must sum to 1")
-        object.__setattr__(self, "alphabets", alphabets)
         object.__setattr__(self, "log_lik", tables)
 
     @classmethod
-    def from_probabilities(cls, tables, alphabets=None):
+    def from_probabilities(cls, tables):
         """Build from linear-domain tables, one ``(symbols, states)`` per agent.
 
         Zero entries are accepted as ``-inf`` log likelihoods; such a
         model is unbounded and fails A1 in ``validate_assumptions``.
         """
         arrs = [np.asarray(t, dtype=float) for t in tables]
-        if alphabets is None:
-            alphabets = [tuple(range(a.shape[0])) for a in arrs]
         for i, a in enumerate(arrs):
             if np.any(a < 0.0):
                 raise ValueError(f"agent {i}: negative probabilities")
         with np.errstate(divide="ignore"):
             logs = tuple(np.log(a) for a in arrs)
-        return cls(tuple(alphabets), logs)
+        return cls(logs)
 
     @property
     def agent_count(self) -> int:
@@ -189,17 +183,6 @@ class LikelihoodModel:
         """A1: every log likelihood is finite."""
         return bool(np.isfinite(self.log_bound))
 
-    @cached_property
-    def _symbol_maps(self) -> tuple:
-        return tuple({sym: k for k, sym in enumerate(alpha)} for alpha in self.alphabets)
-
-    def symbol_index(self, agent: int, symbol) -> int:
-        """Map an alphabet symbol of ``agent`` to its table row."""
-        try:
-            return self._symbol_maps[agent][symbol]
-        except KeyError:
-            raise ValueError(f"symbol {symbol!r} not in agent {agent}'s alphabet") from None
-
     def signal_distribution(self, agent: int, state_index: int) -> np.ndarray:
         """Linear-domain symbol distribution for one agent and state."""
         return np.exp(self.log_lik[agent][:, state_index])
@@ -209,7 +192,7 @@ class LikelihoodModel:
         return {}
 
     def signal_cdf(self, state_index: int) -> np.ndarray:
-        """``(n, max_alphabet)`` cumulative symbol laws under one state, built once.
+        """``(n, max_symbols)`` cumulative symbol laws under one state, built once.
 
         Row ``i`` is the running sum of ``signal_distribution(i, state_index)``
         with its last entry set to exactly 1.0, then ``+inf`` padding. The
@@ -218,26 +201,25 @@ class LikelihoodModel:
         """
         cdf = self._signal_cdfs.get(state_index)
         if cdf is None:
-            width = max(len(a) for a in self.alphabets)
+            width = max(len(t) for t in self.log_lik)
             cdf = np.full((self.agent_count, width), np.inf)
-            for i, alpha in enumerate(self.alphabets):
-                cdf[i, : len(alpha)] = np.cumsum(self.signal_distribution(i, state_index))
-                cdf[i, len(alpha) - 1] = 1.0
+            for i, table in enumerate(self.log_lik):
+                cdf[i, : len(table)] = np.cumsum(self.signal_distribution(i, state_index))
+                cdf[i, len(table) - 1] = 1.0
             cdf.setflags(write=False)
             self._signal_cdfs[state_index] = cdf
         return cdf
 
     @cached_property
     def padded_log_lik(self) -> np.ndarray:
-        """Tables stacked into ``(n, max_alphabet, m)``, -inf padded.
+        """Tables stacked into ``(n, max_symbols, m)``, -inf padded.
 
         The padding rows are never addressed by valid signal indices;
         if a bug selects one, the resulting non-finite beliefs surface
         immediately.
         """
         n, m = self.agent_count, self.state_count
-        width = max(len(a) for a in self.alphabets)
-        out = np.full((n, width, m), -np.inf)
+        out = np.full((n, max(len(t) for t in self.log_lik), m), -np.inf)
         for i, table in enumerate(self.log_lik):
             out[i, : table.shape[0], :] = table
         out.setflags(write=False)
@@ -249,7 +231,7 @@ class LikelihoodModel:
 
         States fall in one class exactly when their likelihoods
         ``exp(log_lik)`` are equal. Returns ``(label, levels)`` of shapes
-        ``(n, max_alphabet, m)`` and ``(n, max_alphabet, C)``, with C the
+        ``(n, max_symbols, m)`` and ``(n, max_symbols, C)``, with C the
         largest class count in the model. Validation never builds it.
         """
         label, levels = _value_classes(np.exp(self.padded_log_lik))
@@ -267,7 +249,7 @@ class LikelihoodModel:
 
     @cached_property
     def _usable_rows(self) -> np.ndarray:
-        """``(n, max_alphabet)``, true where a padded row is finite, so a signal may pick it."""
+        """``(n, max_symbols)``, true where a padded row is finite, so a signal may pick it."""
         out = np.isfinite(self.padded_log_lik).all(axis=-1)
         out.setflags(write=False)
         return out
@@ -276,18 +258,22 @@ class LikelihoodModel:
         """One round's signal row indices as an array, checked.
 
         Rejects anything but one index per agent, and any index that
-        hits a zero-probability or padded table row.
+        hits a zero-probability or padded table row or lies outside the
+        padded tables, negative ones included.
         """
         n = self.agent_count
         sig = np.asarray(signals)
-        if sig.shape != (n,):
-            raise ValueError(f"need one signal index per agent, got shape {sig.shape}")
-        usable = self._usable_rows[np.arange(n), sig]
+        if sig.shape != (n,) or not np.issubdtype(sig.dtype, np.integer):
+            raise ValueError(
+                f"need one integer signal index per agent, got {sig.dtype} of shape {sig.shape}"
+            )
+        inside = (sig >= 0) & (sig < self._usable_rows.shape[1])
+        usable = inside & self._usable_rows[np.arange(n), np.where(inside, sig, 0)]
         if not usable.all():
             bad = int(np.argmin(usable))
             raise ValueError(
-                f"agent {bad}: signal index {int(sig[bad])} hits a zero-probability "
-                "or padded table row"
+                f"agent {bad}: signal index {int(sig[bad])} hits a zero-probability, "
+                "padded or missing table row"
             )
         return sig
 
@@ -334,15 +320,6 @@ def _reachable(support: np.ndarray) -> np.ndarray:
                     nxt.append(int(j))
         frontier = nxt
     return seen
-
-
-def is_strongly_connected(weights: np.ndarray) -> bool:
-    """Reachability check on the positive off-diagonal support.
-
-    The weight matrices used here are symmetric, so a single breadth
-    first search from node 0 settles connectivity.
-    """
-    return bool(_reachable(np.asarray(weights) > 0.0).all())
 
 
 def _check_mixing(mat: np.ndarray, what: str) -> None:
@@ -543,10 +520,6 @@ def validate_assumptions(
     if lik.agent_count != net.n:
         raise ValueError(
             f"likelihoods cover {lik.agent_count} agents, network has {net.n}"
-        )
-    if lik.state_count != space.size:
-        raise ValueError(
-            f"likelihood tables cover {lik.state_count} states, space has {space.size}"
         )
 
     from .analysis import identifiability_report  # local import, avoids a cycle

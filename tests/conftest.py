@@ -1,6 +1,20 @@
-"""Shared pytest plumbing for the acceptance suite's criterion report."""
+"""Shared pytest plumbing: the acceptance suite's criterion report and
+the closed-form Bayes oracle."""
+
+import numpy as np
 
 CRITERION_RESULTS = {}
+
+
+def log_normalized(rows):
+    """Log rows ``(..., m)`` shifted so each exponentiates to one.
+
+    Applied to the prior plus the running sum of an agent's fresh
+    log-likelihood rows, this is that agent's pure Bayes posterior.
+    """
+    rows = np.asarray(rows, dtype=float)
+    peak = rows.max(axis=-1, keepdims=True)
+    return rows - peak - np.log(np.sum(np.exp(rows - peak), axis=-1, keepdims=True))
 
 
 def record_criterion(number: int, title: str, passed: bool, detail: str) -> bool:

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
-from soclearn.analysis import network_divergence, product_convergence_gap
+from conftest import log_normalized, record_criterion
+from soclearn.analysis import identifiability_report, product_convergence_gap
 from soclearn.harness import (
     ExperimentConfig,
     build_model,
@@ -24,12 +24,7 @@ from soclearn.harness import (
     run_experiment,
     run_round,
 )
-from soclearn.learning import (
-    bayes_update,
-    binary_informative,
-    initial_belief,
-    is_informative,
-)
+from soclearn.learning import _bayes_tv_rows, binary_informative
 from soclearn.model import (
     LikelihoodModel,
     Network,
@@ -141,7 +136,7 @@ def test_criterion_03_asymptotic_rate_matches_divergence():
         replicas=20,
     )
     space, _, lik, _ = build_model(config)
-    divergence = network_divergence(lik, space)
+    divergence = identifiability_report(lik, space).network_divergence
 
     start = time.perf_counter()
     records = run_experiment(config)
@@ -207,7 +202,6 @@ def test_criterion_04_recursion_equals_expanded_form():
             raw = rng.uniform(0.05, 1.0, size=(size, m))
             tables.append(raw / raw.sum(axis=0, keepdims=True))
         lik = LikelihoodModel.from_probabilities(tables)
-        space = StateSpace(states=tuple(range(m)), true_state_index=0)
         prior = Prior.uniform(m)
 
         # mixed regimes: always-identity, always-full, and in between
@@ -220,11 +214,11 @@ def test_criterion_04_recursion_equals_expanded_form():
             ],
             axis=1,
         )
-        state = initial_state(prior, lik, space, signals[0])
+        state = initial_state(prior, lik, signals[0])
         qs = []
         fresh_rows = []
         for t in range(1, rounds + 1):
-            state, q, _ = run_round(state, net, lik, space, tau, signals[t])
+            state, q, _ = run_round(state, net, lik, tau, signals[t])
             qs.append(q.q)
             fresh_rows.append(
                 np.stack([lik.log_lik[i][signals[t, i]] for i in range(n)])
@@ -259,19 +253,14 @@ def test_criterion_05_vanishing_threshold_is_pure_bayes():
     never_mixed = int(record.uninformative.sum()) == 0
 
     signals = generate_signals(lik, space, config.seed, config.rounds + 1, replica=0)
-    n = config.agents
-    chain = np.stack(
-        [initial_belief(prior, lik, i, int(signals[0, i])) for i in range(n)]
-    )
+    # each agent's Bayes chain: the prior plus the running sum of its fresh rows
+    evidence = np.cumsum([lik.fresh_rows(sig) for sig in signals], axis=0)
+    chain = log_normalized(prior.log_mass + evidence)
     position = {int(t): k for k, t in enumerate(record.stored_rounds)}
-    worst = float(np.abs(record.log_beliefs[position[0]] - chain).max())
-    for t in range(1, config.rounds + 1):
-        chain = np.stack(
-            [bayes_update(chain[i], lik, i, int(signals[t, i])) for i in range(n)]
-        )
-        worst = max(
-            worst, float(np.abs(record.log_beliefs[position[t]] - chain).max())
-        )
+    worst = max(
+        float(np.abs(record.log_beliefs[position[t]] - chain[t]).max())
+        for t in range(config.rounds + 1)
+    )
 
     ok = worst <= 1e-10 and never_mixed
     record_criterion(
@@ -308,11 +297,11 @@ def test_criterion_06_equivalent_states_keep_their_ratio():
         ("uniform", Prior.uniform(4)),
         ("skewed", Prior.from_probabilities([0.4, 0.1, 0.3, 0.2])),
     ):
-        state = initial_state(prior, lik, space, signals[0])
+        state = initial_state(prior, lik, signals[0])
         start_ratio = state.log_belief[0, 2] - state.log_belief[0, 0]
         drift = 0.0
         for t in range(1, rounds + 1):
-            state, _, _ = run_round(state, net, lik, space, 0.5, signals[t])
+            state, _, _ = run_round(state, net, lik, 0.5, signals[t])
             ratio = state.log_belief[0, 2] - state.log_belief[0, 0]
             drift = max(drift, abs(ratio - start_ratio))
         drifts[name] = drift
@@ -409,20 +398,22 @@ def test_criterion_08_binary_closed_form_agrees_with_tv_test():
 
     disagreements = 0
     near_ties = 0
+    prev = np.log([[1.0 - eps, eps] for eps in epsilons])
+    first = np.zeros(len(epsilons), dtype=int)
     for r in ratios:
-        # two symbols with likelihood ratio exactly r on the first
+        # two symbols with likelihood ratio exactly r on the first; the
+        # kernel takes every belief of the grid against symbol 0 at once
         lik = LikelihoodModel.from_probabilities(
             [np.array([[r / (1.0 + r), 1.0 / (1.0 + r)],
                        [1.0 / (1.0 + r), r / (1.0 + r)]])]
         )
-        for eps in epsilons:
-            prev = np.log(np.array([1.0 - eps, eps]))
+        tvs = _bayes_tv_rows(prev, *lik.value_class_rows(first, first))
+        for eps, tv in zip(epsilons, tvs):
             for tau in taus:
-                verdict = is_informative(prev, lik, 0, 0, tau)
                 closed = binary_informative(eps, float(r), tau)
-                if abs(verdict.tv - tau) <= 1e-12:
+                if abs(tv - tau) <= 1e-12:
                     near_ties += 1
-                elif closed != verdict.informative:
+                elif closed != (tv >= tau):
                     disagreements += 1
 
     ok = disagreements == 0

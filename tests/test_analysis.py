@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 
 from soclearn.analysis import (
     CLASS_TOL,
-    check_interval_connectivity,
     equivalence_classes,
     identifiability_report,
-    kl_divergence,
     mixing_gap,
-    network_divergence,
     product_convergence_gap,
 )
-from soclearn.harness import ExperimentConfig, build_model, run_experiment
+from soclearn.harness import ExperimentConfig, run_experiment
 from soclearn.model import (
     LikelihoodModel,
     StateSpace,
@@ -44,37 +41,42 @@ def reference_like_model(n, m, p_eq=0.5, p_diff=0.25):
         tables.append(
             bernoulli_table([p_diff if k == special else p_eq for k in range(m)])
         )
-    return LikelihoodModel.from_probabilities(tables, alphabets=[(0, 1)] * n)
+    return LikelihoodModel.from_probabilities(tables)
 
 
-# ------------------------------------------------------------- kl_divergence
+def kl(p, q):
+    """``report.kl`` of one agent with signal law ``p`` under the realized
+    state and ``q`` under the other."""
+    lik = LikelihoodModel.from_probabilities([np.column_stack([p, q])])
+    return identifiability_report(lik, StateSpace(("p", "q"), 0)).kl[0, 1]
+
+
+# ------------------------------------------------------------------ report.kl
 
 
 def test_kl_identical_is_zero():
-    assert kl_divergence([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]) == 0.0
+    assert kl([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]) == 0.0
 
 
 def test_kl_fair_coin_vs_quarter_coin():
-    got = kl_divergence([0.5, 0.5], [0.75, 0.25])
+    got = kl([0.5, 0.5], [0.75, 0.25])
     assert got == pytest.approx(D_HALF_QUARTER, abs=1e-15)
     assert got == pytest.approx(0.1438410362, abs=1e-9)
 
 
 def test_kl_is_asymmetric():
-    forward = kl_divergence([0.5, 0.5], [0.75, 0.25])
-    backward = kl_divergence([0.75, 0.25], [0.5, 0.5])
+    forward = kl([0.5, 0.5], [0.75, 0.25])
+    backward = kl([0.75, 0.25], [0.5, 0.5])
     assert forward != pytest.approx(backward, abs=1e-6)
 
 
 def test_kl_zero_mass_terms_drop_out():
-    assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
-        math.log(2.0), abs=1e-15
-    )
+    assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
-def test_kl_rejects_unmatched_zero():
-    with pytest.raises(ValueError):
-        kl_divergence([0.5, 0.5], [1.0, 0.0])
+def test_kl_unmatched_zero_is_infinite():
+    # the other state gives no mass to a symbol the realized state emits
+    assert kl([0.5, 0.5], [1.0, 0.0]) == np.inf
 
 
 # ------------------------------------------------------- equivalence_classes
@@ -175,7 +177,6 @@ def test_report_matches_oracles_on_random_tables(model):
             elif np.any((p > 0.0) & (q == 0.0)):
                 assert report.kl[i, k] == np.inf
             else:
-                assert abs(report.kl[i, k] - kl_divergence(p, q)) <= 1e-12
                 # bit for bit the 1-d sum over the support, in its order
                 lp, lq = lik.log_lik[i][p > 0.0][:, [t, k]].T
                 assert report.kl[i, k] == np.sum(p[p > 0.0] * (lp - lq))
@@ -187,13 +188,13 @@ def test_report_matches_oracles_on_random_tables(model):
     assert report.globally_identifiable == (not report.not_excluded)
 
 
-# ------------------------------------------------------- network_divergence
+# --------------------------------------------------- report.network_divergence
 
 
 def test_divergence_is_zero_at_the_realized_state():
     lik = reference_like_model(n=3, m=4)
     space = StateSpace(states=tuple(range(4)), true_state_index=0)
-    div = network_divergence(lik, space)
+    div = identifiability_report(lik, space).network_divergence
     assert div[0] == 0.0
 
 
@@ -203,7 +204,7 @@ def test_divergence_single_discriminating_agent():
     n, m = 15, 16
     lik = reference_like_model(n=n, m=m)
     space = StateSpace(states=tuple(range(m)), true_state_index=0)
-    div = network_divergence(lik, space)
+    div = identifiability_report(lik, space).network_divergence
     for false_state in range(1, m):
         assert div[false_state] == pytest.approx(-D_HALF_QUARTER / n, abs=1e-15)
     assert div[1] == pytest.approx(-0.009589402417, abs=1e-10)
@@ -212,7 +213,7 @@ def test_divergence_single_discriminating_agent():
 def test_divergence_signs_cross_check_class_structure():
     lik = reference_like_model(n=4, m=5)
     space = StateSpace(states=tuple(range(5)), true_state_index=0)
-    div = network_divergence(lik, space)
+    div = identifiability_report(lik, space).network_divergence
     for false_state in range(1, 5):
         separated = any(
             all(false_state not in cls or 0 not in cls for cls in
@@ -243,6 +244,12 @@ def test_report_fields_and_rate():
                 assert report.kl[agent, state] == 0.0
             else:
                 assert report.kl[agent, state] > 0.0
+
+
+def test_report_rejects_a_state_count_mismatch():
+    lik = LikelihoodModel.from_probabilities([bernoulli_table([0.4, 0.5])])
+    with pytest.raises(ValueError, match="tables cover 2 states, space has 3"):
+        identifiability_report(lik, StateSpace(states=("t", "u", "v"), true_state_index=0))
 
 
 def test_report_flags_unidentifiable_model():
@@ -406,78 +413,3 @@ def test_gap_streams_a_generator():
 def test_gap_requires_matrices():
     with pytest.raises(ValueError):
         product_convergence_gap([])
-
-
-# ------------------------------------------------- check_interval_connectivity
-
-
-def test_identity_rounds_do_not_connect():
-    seq = [np.eye(3)] * 5
-    assert not check_interval_connectivity(seq, (0, 4))
-
-
-def test_one_full_round_connects():
-    net = metropolis_weights(ring_edges(5), 5)
-    seq = [np.eye(5), net.weights, np.eye(5)]
-    assert check_interval_connectivity(seq, (0, 2))
-    assert not check_interval_connectivity(seq, (2, 2))
-
-
-def test_single_agent_is_trivially_connected():
-    assert check_interval_connectivity([np.eye(1)], (0, 0))
-
-
-def test_connectivity_interval_validation():
-    seq = [np.eye(2)] * 3
-    with pytest.raises(ValueError):
-        check_interval_connectivity(seq, (2, 1))
-    with pytest.raises(ValueError):
-        check_interval_connectivity(seq, (0, 3))
-    with pytest.raises(ValueError):
-        check_interval_connectivity([], (0, 0))
-
-
-def test_union_of_partial_rounds_can_connect():
-    # no single round connects the path, but the union across rounds does
-    from soclearn.switching import build_switching_matrix
-
-    net = metropolis_weights([(0, 1), (1, 2), (2, 3)], 4)
-    seq = [
-        build_switching_matrix(net, (0,), round=1),
-        build_switching_matrix(net, (2,), round=2),
-        build_switching_matrix(net, (3,), round=3),
-    ]
-    assert not check_interval_connectivity(seq, (0, 0))
-    assert check_interval_connectivity(seq, (0, 2))
-
-
-def test_connectivity_streams_a_generator():
-    # 500 matrices of 32 KiB each: a list of them would peak near 16 MiB,
-    # a running union of supports near a few matrices
-    size = 64
-    matrix = np.eye(size).nbytes
-
-    def rounds():
-        for _ in range(500):
-            yield np.full((size, size), 1.0 / size)
-
-    tracemalloc.start()
-    try:
-        connected = check_interval_connectivity(rounds(), (0, 499))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert connected
-    assert peak < 6 * matrix
-
-
-def test_connectivity_reads_nothing_past_the_interval():
-    net = metropolis_weights(ring_edges(4), 4)
-
-    def rounds():
-        yield np.eye(4)
-        yield net.weights
-        raise AssertionError("read past the interval")
-
-    assert check_interval_connectivity(rounds(), (0, 1))
-    assert not check_interval_connectivity(rounds(), (0, 0))

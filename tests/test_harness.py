@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import log_normalized
 from soclearn.analysis import estimate_rate, identifiability_report
 from soclearn import harness
 from soclearn.cli import main
@@ -30,14 +31,12 @@ from soclearn.harness import (
     export,
     generate_signals,
     initial_state,
-    read_beliefs_csv,
     reference_config,
     run_experiment,
     run_round,
 )
-from soclearn.learning import bayes_update, initial_belief
 from soclearn.model import AssumptionViolation, LikelihoodModel, Network, Prior, \
-    StateSpace, metropolis_weights, ring_edges, validate_assumptions
+    metropolis_weights, ring_edges, validate_assumptions
 
 
 def bernoulli(p1s):
@@ -149,10 +148,12 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_config_rejects_alphabets_without_tables():
-    # without tables the built-in binary family applies, whose alphabet
-    # is fixed
-    with pytest.raises(ValueError, match="alphabets"):
-        reference_config(alphabets=((0, 1),) * 15)
+    # signals are table row indices, so no config field names symbols; a
+    # config that still carries alphabets fails, with tables or without
+    for config in (reference_config(), settling_config()):
+        data = {**config.to_dict(), "alphabets": [[0, 1]] * config.agents}
+        with pytest.raises(ValueError, match="unknown config keys: alphabets"):
+            ExperimentConfig.from_dict(data)
 
 
 def test_config_dict_round_trip():
@@ -188,13 +189,12 @@ def test_reference_likelihoods_match_the_per_state_loop(agents, states, p_eq, p_
             table[0, k] = 1.0 - p_one
             table[1, k] = p_one
         tables.append(table)
-    expect = LikelihoodModel.from_probabilities(tables, alphabets=[(0, 1)] * agents)
+    expect = LikelihoodModel.from_probabilities(tables)
     lik = build_likelihoods(
         reference_config(agents=agents, states=states, p_eq=p_eq, p_diff=p_diff)
     )
-    assert lik.alphabets == expect.alphabets
     for got, want in zip(lik.log_lik, expect.log_lik, strict=True):
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------- signals
@@ -354,18 +354,13 @@ def test_round_with_informative_agents_is_pure_bayes():
     config = settling_config(replicas=1)
     space, prior, lik, net = build_model(config)
     sig = generate_signals(lik, space, config.seed, rounds=4)
-    state = initial_state(prior, lik, space, sig[0])
-    expected = state.log_belief.copy()
+    state = initial_state(prior, lik, sig[0])
+    evidence = np.cumsum([lik.fresh_rows(s) for s in sig], axis=0)
     for t in (1, 2, 3):
-        state, q, verdicts = run_round(state, net, lik, space, 1e-300, sig[t])
+        state, q, tv = run_round(state, net, lik, 1e-300, sig[t])
         assert np.array_equal(q.q, np.eye(config.agents))
-        assert all(v.informative for v in verdicts)
-        expected = np.stack(
-            [
-                bayes_update(expected[i], lik, i, int(sig[t, i]))
-                for i in range(config.agents)
-            ]
-        )
+        assert np.all(tv >= 1e-300)
+        expected = log_normalized(prior.log_mass + evidence[t])
         assert np.allclose(state.log_belief, expected, atol=1e-12)
 
 
@@ -373,11 +368,11 @@ def test_round_with_threshold_one_always_mixes():
     config = settling_config(replicas=1)
     space, prior, lik, net = build_model(config)
     sig = generate_signals(lik, space, config.seed, rounds=4)
-    state = initial_state(prior, lik, space, sig[0])
+    state = initial_state(prior, lik, sig[0])
     for t in (1, 2, 3):
-        state, q, verdicts = run_round(state, net, lik, space, 1.0, sig[t])
+        state, q, tv = run_round(state, net, lik, 1.0, sig[t])
         assert np.array_equal(q.q, net.weights)
-        assert not any(v.informative for v in verdicts)
+        assert np.all(tv < 1.0)
 
 
 def test_single_agent_ignores_the_threshold():
@@ -385,25 +380,27 @@ def test_single_agent_ignores_the_threshold():
     config = ExperimentConfig(agents=1, states=2, rounds=5, seed=1, replicas=1)
     space, prior, lik, net = build_model(config)
     sig = generate_signals(lik, space, config.seed, rounds=6)
+    solo = log_normalized(prior.log_mass + np.cumsum(lik.log_lik[0][sig[:, 0]], axis=0))
     for tau in (1e-300, 0.5, 1.0):
-        state = initial_state(prior, lik, space, sig[0])
-        solo = initial_belief(prior, lik, 0, int(sig[0, 0]))
+        state = initial_state(prior, lik, sig[0])
         for t in range(1, 6):
-            state, q, _ = run_round(state, net, lik, space, tau, sig[t])
-            solo = bayes_update(solo, lik, 0, int(sig[t, 0]))
+            state, q, _ = run_round(state, net, lik, tau, sig[t])
             assert np.array_equal(q.q, np.array([[1.0]]))
-            assert np.allclose(state.log_belief[0], solo, atol=1e-12)
+            assert np.allclose(state.log_belief[0], solo[t], atol=1e-12)
 
 
 def test_round_validates_threshold_and_shapes():
     config = settling_config(replicas=1)
     space, prior, lik, net = build_model(config)
     sig = generate_signals(lik, space, config.seed, rounds=2)
-    state = initial_state(prior, lik, space, sig[0])
+    state = initial_state(prior, lik, sig[0])
     with pytest.raises(ValueError):
-        run_round(state, net, lik, space, 0.0, sig[1])
+        run_round(state, net, lik, 0.0, sig[1])
     with pytest.raises(ValueError):
-        run_round(state, net, lik, space, 0.5, sig[1][:3])
+        run_round(state, net, lik, 0.5, sig[1][:3])
+    for cast in (float, bool):
+        with pytest.raises(ValueError, match="integer signal index"):
+            run_round(state, net, lik, 0.5, sig[1].astype(cast))
 
 
 @pytest.mark.parametrize("bad", [[2, 0], [0, 2]])
@@ -415,12 +412,11 @@ def test_round_names_a_padded_or_impossible_signal_row(bad):
     lik = LikelihoodModel.from_probabilities(
         [[[0.5, 0.6], [0.3, 0.4], [0.2, 0.0]], [[0.5, 0.25], [0.5, 0.75]]]
     )
-    space = StateSpace(("a", "b"), 0)
     net = metropolis_weights([(0, 1)], 2)
-    state = initial_state(Prior.uniform(2), lik, space, [0, 0])
+    state = initial_state(Prior.uniform(2), lik, [0, 0])
     agent = bad.index(2)
     with pytest.raises(ValueError, match=f"agent {agent}: signal index 2 hits"):
-        run_round(state, net, lik, space, 0.5, bad)
+        run_round(state, net, lik, 0.5, bad)
 
 
 # ------------------------------------------------------------ run_experiment
@@ -495,22 +491,20 @@ def test_batched_engine_matches_reference_rounds(config):
 
 def assert_engine_matches_reference(config):
     # the vectorized replica engine must be bit-identical to the
-    # one-round reference implementation: beliefs, tvs and masks
+    # one-round reference implementation: beliefs, tvs and masks. Each
+    # tv lies in [0, 1], and the mask flags exactly the tvs below tau
     space, prior, lik, net = build_model(config)
     records = run_experiment(config)
     for r, rec in enumerate(records):
         sig = generate_signals(lik, space, config.seed, config.rounds + 1, replica=r)
-        state = initial_state(prior, lik, space, sig[0])
+        state = initial_state(prior, lik, sig[0])
         assert np.array_equal(rec.log_beliefs[0], state.log_belief)
         for t in range(1, config.rounds + 1):
-            state, q, verdicts = run_round(
-                state, net, lik, space, config.tau, sig[t]
-            )
+            state, q, tv = run_round(state, net, lik, config.tau, sig[t])
             assert np.array_equal(rec.log_beliefs[t], state.log_belief)
-            assert np.array_equal(rec.tv_series[t - 1], [v.tv for v in verdicts])
-            assert np.array_equal(
-                rec.uninformative[t - 1], [not v.informative for v in verdicts]
-            )
+            assert np.array_equal(rec.tv_series[t - 1], tv)
+            assert np.all((tv >= 0.0) & (tv <= 1.0))
+            assert np.array_equal(rec.uninformative[t - 1], tv < config.tau)
 
 
 @st.composite
@@ -579,13 +573,13 @@ def valid_model(config):
 
 
 def reference_rounds(config):
-    """``(state, signals, new_state, verdicts)`` of each ``run_round`` step, replica 0."""
+    """``(state, signals, new_state, tv)`` of each ``run_round`` step, replica 0."""
     space, prior, lik, net = valid_model(config)
     sig = generate_signals(lik, space, config.seed, config.rounds + 1)
-    state = initial_state(prior, lik, space, sig[0])
+    state = initial_state(prior, lik, sig[0])
     for t in range(1, config.rounds + 1):
-        new, _, verdicts = run_round(state, net, lik, space, config.tau, sig[t])
-        yield state, sig[t], new, verdicts
+        new, _, tv = run_round(state, net, lik, config.tau, sig[t])
+        yield state, sig[t], new, tv
         state = new
 
 
@@ -594,12 +588,11 @@ def reference_rounds(config):
 def test_flagged_sets_grow_with_the_threshold(config, drawn):
     # same state, same signal: raising tau can only add uninformative agents;
     # the round's own tvs as thresholds put every verdict on a boundary
-    space, _, lik, net = valid_model(config)
-    for state, sig, _, verdicts in reference_rounds(config):
-        tvs = {v.tv for v in verdicts if 0.0 < v.tv <= 1.0}
+    _, _, lik, net = valid_model(config)
+    for state, sig, _, tv in reference_rounds(config):
+        tvs = {float(v) for v in tv if 0.0 < v <= 1.0}
         flagged = [
-            {v.agent for v in run_round(state, net, lik, space, tau, sig)[2]
-             if not v.informative}
+            set(np.flatnonzero(run_round(state, net, lik, tau, sig)[2] < tau))
             for tau in sorted(tvs | set(drawn) | {config.tau})
         ]
         assert all(lo <= hi for lo, hi in zip(flagged, flagged[1:]))
@@ -889,19 +882,26 @@ def test_comparison_without_edges_has_none_to_avoid():
 # -------------------------------------------------------------------- export
 
 
+def beliefs_csv_rows(path):
+    """The two comment lines and the data rows of a beliefs.csv, as ``csv`` reads them."""
+    with open(path, newline="") as fh:
+        comments = [next(fh), next(fh)]
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["replica", "t", "agent", "state_label", "belief"]
+    return comments, rows[1:]
+
+
 def test_export_round_trip(tmp_path):
     config = settling_config(replicas=2, rounds=12)
     records = run_experiment(config)
     export(records, tmp_path, config)
-    meta, rows = read_beliefs_csv(tmp_path / "beliefs.csv")
-    assert meta["generator"] == GENERATOR_NAME
-    assert meta["seed"] == str(config.seed)
+    comments, rows = beliefs_csv_rows(tmp_path / "beliefs.csv")
+    assert comments == [f"# generator: {GENERATOR_NAME}\n", f"# seed: {config.seed}\n"]
 
     # every stored belief survives the 17-digit round trip
     by_key = {}
-    for row in rows:
-        key = (row["replica"], row["t"], row["agent"])
-        by_key.setdefault(key, []).append(row["belief"])
+    for replica, t, agent, _, belief in rows:
+        by_key.setdefault((int(replica), int(t), int(agent)), []).append(float(belief))
     for rec in records:
         belief = np.exp(rec.log_beliefs)
         for s, t in enumerate(rec.stored_rounds):
@@ -961,9 +961,9 @@ def test_export_matches_the_per_row_csv_writer(tmp_path, config):
     assert (tmp_path / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
         records, config
     )
-    _, rows = read_beliefs_csv(tmp_path / "beliefs.csv")
+    _, rows = beliefs_csv_rows(tmp_path / "beliefs.csv")
     labels = [str(label) for label in records[0].state_labels]
-    assert [row["state_label"] for row in rows[: len(labels)]] == labels
+    assert [row[3] for row in rows[: len(labels)]] == labels
 
 
 def _export_peak_bytes(records, out_dir, config):
@@ -1083,12 +1083,12 @@ def test_cli_run_overrides_seed_and_replicas(tmp_path):
         ["run", "--config", str(path), "--seed", "99", "--replicas", "2",
          "--out", str(out_b)]
     )
-    meta_a, rows_a = read_beliefs_csv(out_a / "beliefs.csv")
-    meta_b, rows_b = read_beliefs_csv(out_b / "beliefs.csv")
-    assert meta_a["seed"] == "21"
-    assert meta_b["seed"] == "99"
-    assert {row["replica"] for row in rows_a} == {0}
-    assert {row["replica"] for row in rows_b} == {0, 1}
+    comments_a, rows_a = beliefs_csv_rows(out_a / "beliefs.csv")
+    comments_b, rows_b = beliefs_csv_rows(out_b / "beliefs.csv")
+    assert comments_a[1] == "# seed: 21\n"
+    assert comments_b[1] == "# seed: 99\n"
+    assert {row[0] for row in rows_a} == {"0"}
+    assert {row[0] for row in rows_b} == {"0", "1"}
 
 
 def test_cli_analyze_prints_report(tmp_path, capsys):
@@ -1300,6 +1300,26 @@ def test_cli_reports_each_assumption_failure(tmp_path, capsys, config, fail_line
         assert main(command + ["--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("assumption violation:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"agents": 2, "states": 3, "tables": [[[0.4, 0.5], [0.6, 0.5]]] * 2}, "tables[0]"),
+        ({"agents": 3, "states": 2, "tables": [[[0.4, 0.5], [0.6, 0.5]]] * 2}, "tables"),
+        ({"agents": 3, "states": 2, "weight_matrix": [[0.5, 0.5], [0.5, 0.5]]},
+         "weight_matrix"),
+    ],
+    ids=["table-rows-vs-states", "tables-vs-agents", "weight-matrix-vs-agents"],
+)
+def test_cli_analyze_rejects_a_config_run_rejects(tmp_path, capsys, data, field):
+    # analyze reads the same config as run, so it fails as early and as clearly
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} ")
 
 
 def test_cli_analyze_accepts_zero_table_entries(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Belief updates, informativeness, and the potential recursion."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -8,47 +7,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclearn.harness import build_likelihoods, reference_config
+from conftest import log_normalized
+from soclearn.harness import build_likelihoods, initial_state, reference_config, run_round
 from soclearn.learning import (
     _bayes_tv_rows,
-    bayes_update,
     belief_from_potentials,
     binary_informative,
     binary_tv,
-    initial_belief,
-    is_informative,
     potential_update,
 )
-from soclearn.model import LikelihoodModel, Prior, _value_classes, metropolis_weights
+from soclearn.model import BeliefState, LikelihoodModel, Prior, _value_classes, \
+    metropolis_weights
 from soclearn.switching import build_switching_matrix
+
+LONE = metropolis_weights([], 1)
 
 
 def two_state_model(p1, p2):
-    # binary alphabet; P(symbol 1 | state k) given per state
+    # binary signals; P(symbol 1 | state k) given per state
     table = np.array([[1.0 - p1, 1.0 - p2], [p1, p2]])
-    return LikelihoodModel.from_probabilities([table], alphabets=[(0, 1)])
+    return LikelihoodModel.from_probabilities([table])
 
 
 def log_rows(*rows):
     return np.log(np.array(rows, dtype=float))
 
 
-# -------------------------------------------------------------- initial_belief
+def lone_round(log_row, lik, signal, tau=0.5):
+    """``run_round`` of one agent holding ``log_row``: its new log belief and its tv.
+
+    The agent has no neighbour, so the round is its Bayes step on
+    ``signal`` whatever the verdict.
+    """
+    row = np.asarray(log_row, dtype=float)[None, :]
+    state = BeliefState(
+        log_belief=row, potentials=np.zeros(row.shape), log_belief_initial=row, round=0
+    )
+    new, _, tv = run_round(state, LONE, lik, tau, [signal])
+    return new.log_belief[0], float(tv[0])
+
+
+# ------------------------------------------------------------- round 0
 
 
 def test_initial_belief_uniform_when_likelihood_flat():
     lik = two_state_model(0.3, 0.3)
-    prior = Prior.uniform(2)
-    row = initial_belief(prior, lik, 0, 1)
+    row = initial_state(Prior.uniform(2), lik, [1]).log_belief[0]
     assert np.allclose(np.exp(row), [0.5, 0.5], atol=1e-12)
 
 
 def test_initial_belief_direct_evaluation():
     # mass 0.5/0.5 against likelihoods 0.8/0.2 concentrates to 0.8/0.2
     table = np.array([[0.8, 0.2], [0.2, 0.8]])
-    lik = LikelihoodModel.from_probabilities([table], alphabets=[("s", "other")])
-    prior = Prior.uniform(2)
-    row = initial_belief(prior, lik, 0, "s")
+    lik = LikelihoodModel.from_probabilities([table])
+    row = initial_state(Prior.uniform(2), lik, [0]).log_belief[0]
     assert np.allclose(np.exp(row), [0.8, 0.2], atol=1e-12)
 
 
@@ -57,20 +69,20 @@ def test_degenerate_prior_rejected_upstream():
         Prior.from_probabilities([1.0, 0.0])
 
 
-# ---------------------------------------------------------------- bayes_update
+# ------------------------------------------------------------- one Bayes step
 
 
 def test_bayes_flat_likelihood_is_identity():
     lik = two_state_model(0.4, 0.4)
     before = log_rows([0.7, 0.3])[0]
-    after = bayes_update(before, lik, 0, 1)
+    after, _ = lone_round(before, lik, 1)
     assert np.allclose(after, before, atol=1e-12)
 
 
 def test_bayes_direct_evaluation():
     table = np.array([[0.8, 0.2], [0.2, 0.8]])
-    lik = LikelihoodModel.from_probabilities([table], alphabets=[("s", "other")])
-    after = bayes_update(log_rows([0.5, 0.5])[0], lik, 0, "s")
+    lik = LikelihoodModel.from_probabilities([table])
+    after, _ = lone_round(log_rows([0.5, 0.5])[0], lik, 0)
     assert np.allclose(np.exp(after), [0.8, 0.2], atol=1e-12)
 
 
@@ -83,31 +95,33 @@ def test_bayes_preserves_ratio_on_equivalent_states():
     ratio0 = start[0] - start[2]
     row = start
     for signal in rng.integers(0, 2, size=100):
-        row = bayes_update(row, lik, 0, int(signal))
+        row, _ = lone_round(row, lik, int(signal))
         assert abs((row[0] - row[2]) - ratio0) <= 1e-12
 
     # equal mass on the pair stays equal bit for bit: both entries see
     # identical additions and the same normalizer
     row = log_rows([0.25, 0.5, 0.25])[0]
     for signal in rng.integers(0, 2, size=100):
-        row = bayes_update(row, lik, 0, int(signal))
+        row, _ = lone_round(row, lik, int(signal))
         assert row[0] == row[2]
 
 
 def test_bayes_rejects_unknown_symbol():
+    # a signal is a row index of the agent's table; -1 must not wrap around
     lik = two_state_model(0.4, 0.6)
-    with pytest.raises(ValueError):
-        bayes_update(log_rows([0.5, 0.5])[0], lik, 0, "bogus")
+    for signal in (2, -1):
+        with pytest.raises(ValueError, match=f"signal index {signal} hits"):
+            lone_round(log_rows([0.5, 0.5])[0], lik, signal)
 
 
-# -------------------------------------------------------------- is_informative
+# ----------------------------------------------------------- informativeness
 
 
 def test_flat_signal_never_informative():
     lik = two_state_model(0.4, 0.4)
-    verdict = is_informative(log_rows([0.5, 0.5])[0], lik, 0, 1, tau=1e-300)
-    assert verdict.tv == 0.0
-    assert not verdict.informative
+    _, tv = lone_round(log_rows([0.5, 0.5])[0], lik, 1)
+    assert tv == 0.0
+    assert not tv >= 1e-300
 
 
 def test_threshold_one_never_informative():
@@ -115,26 +129,34 @@ def test_threshold_one_never_informative():
     lik = two_state_model(0.5, 0.25)
     for signal in (0, 1):
         for belief in ([0.5, 0.5], [0.999, 0.001], [0.01, 0.99]):
-            verdict = is_informative(log_rows(belief)[0], lik, 0, signal, tau=1.0)
-            assert not verdict.informative
+            _, tv = lone_round(log_rows(belief)[0], lik, signal)
+            assert tv < 1.0
 
 
 def test_informative_worked_example():
     # belief (1/2, 1/2), likelihood ratio 2: the posterior is (2/3, 1/3)
     # and the move is 1/6, which clears tau = 0.1
     lik = two_state_model(0.5, 0.25)
-    verdict = is_informative(log_rows([0.5, 0.5])[0], lik, 0, 1, tau=0.1)
-    assert verdict.tv == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert verdict.informative
+    _, tv = lone_round(log_rows([0.5, 0.5])[0], lik, 1)
+    assert tv == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert tv >= 0.1
 
 
 def test_verdict_consistency_enforced():
-    from soclearn.learning import InformativenessVerdict
-
-    with pytest.raises(ValueError):
-        InformativenessVerdict(agent=0, tv=0.5, informative=False, threshold=0.1)
-    with pytest.raises(ValueError):
-        InformativenessVerdict(agent=0, tv=1.5, informative=True, threshold=0.1)
+    # run_round flags exactly the agents with tv < tau, and its tvs lie in
+    # [0, 1] and cannot be edited afterwards
+    lik = LikelihoodModel.from_probabilities([
+        [[0.5, 0.75], [0.5, 0.25]], [[0.5, 0.5], [0.5, 0.5]], [[0.2, 0.9], [0.8, 0.1]],
+    ])
+    net = metropolis_weights([(0, 1), (1, 2), (0, 2)], 3)
+    state = initial_state(Prior.uniform(2), lik, [0, 0, 0])
+    _, _, tv = run_round(state, net, lik, 1.0, [1, 1, 1])
+    assert tv.shape == (3,) and np.all((tv >= 0.0) & (tv <= 1.0))
+    assert not tv.flags.writeable
+    for tau in sorted({*tv[tv > 0.0], 1e-300, 1.0}):
+        _, q, _ = run_round(state, net, lik, tau, [1, 1, 1])
+        flagged = tv < tau
+        assert np.array_equal(q.q, build_switching_matrix(net, np.flatnonzero(flagged), 1).q)
 
 
 def test_tiny_threshold_tracks_tiny_moves():
@@ -143,11 +165,11 @@ def test_tiny_threshold_tracks_tiny_moves():
     lik = two_state_model(0.5, 0.25)
     eps = 1e-12
     row = log_rows([1.0 - eps, eps])[0]
-    verdict = is_informative(row, lik, 0, 1, tau=1e-17)
+    _, tv = lone_round(row, lik, 1)
     expect = binary_tv(eps, 2.0)
-    assert verdict.tv == pytest.approx(expect, rel=1e-9, abs=0.0)
-    assert verdict.informative  # ~6.7e-13 still above 1e-17
-    assert not is_informative(row, lik, 0, 1, tau=1e-3).informative
+    assert tv == pytest.approx(expect, rel=1e-9, abs=0.0)
+    assert tv >= 1e-17  # ~6.7e-13 still above 1e-17
+    assert not tv >= 1e-3
 
 
 # ----------------------------------------------------- informativeness kernel
@@ -304,10 +326,10 @@ def test_binary_matches_general_test_on_a_grid():
         for r in ratios:
             lik = two_state_model(r / (1.0 + r), 1.0 / (1.0 + r))
             for tau in taus:
-                verdict = is_informative(prev, lik, 0, 1, tau)
+                _, tv = lone_round(prev, lik, 1, tau)
                 closed = binary_informative(eps, float(r), tau)
-                if abs(verdict.tv - tau) > 1e-12:
-                    assert closed == verdict.informative
+                if abs(tv - tau) > 1e-12:
+                    assert closed == (tv >= tau)
 
 
 def test_binary_rejects_bad_epsilon():
@@ -326,7 +348,7 @@ def three_agent_model():
         np.array([[0.5, 0.5, 0.75], [0.5, 0.5, 0.25]]),
         np.array([[0.4, 0.6, 0.5], [0.6, 0.4, 0.5]]),
     ]
-    return LikelihoodModel.from_probabilities(tables, alphabets=[(0, 1)] * 3)
+    return LikelihoodModel.from_probabilities(tables)
 
 
 def test_identity_mixing_adds_fresh_evidence_exactly():
@@ -432,11 +454,11 @@ def test_per_agent_constant_shift_is_invisible():
 def test_one_identity_round_reproduces_bayes():
     lik = three_agent_model()
     prior = Prior.uniform(3)
-    mu0 = np.stack([initial_belief(prior, lik, i, 0) for i in range(3)])
+    mu0 = initial_state(prior, lik, [0, 0, 0]).log_belief
     sig = np.array([1, 0, 1])
     phi = potential_update(np.zeros((3, 3)), np.eye(3), lik, sig)
     composed = belief_from_potentials(mu0, phi)
-    direct = np.stack([bayes_update(mu0[i], lik, i, int(sig[i])) for i in range(3)])
+    direct = log_normalized(prior.log_mass + lik.fresh_rows([0, 0, 0]) + lik.fresh_rows(sig))
     assert np.allclose(composed, direct, atol=1e-12)
 
 
@@ -449,16 +471,16 @@ def test_agent_behind_identity_row_stays_bayesian():
     prior = Prior.uniform(3)
     signals = rng.integers(0, 2, size=(40, 3))
 
-    mu0 = np.stack([initial_belief(prior, lik, i, int(signals[0, i])) for i in range(3)])
+    mu0 = initial_state(prior, lik, signals[0]).log_belief
     phi = np.zeros((3, 3))
-    solo = mu0[0].copy()
+    # agent 0's pure Bayes chain: the prior plus the running sum of its rows
+    solo = prior.log_mass + np.cumsum(lik.log_lik[0][signals[:, 0]], axis=0)
     for t in range(1, 40):
         q = build_switching_matrix(net, (2,), round=t)
         assert np.array_equal(q.q[0], np.array([1.0, 0.0, 0.0]))
         phi = potential_update(phi, q, lik, signals[t])
-        solo = bayes_update(solo, lik, 0, int(signals[t, 0]))
         mixed = belief_from_potentials(mu0, phi)
-        assert np.allclose(mixed[0], solo, atol=1e-10)
+        assert np.allclose(mixed[0], log_normalized(solo[t]), atol=1e-10)
 
 
 def test_outputs_normalize():

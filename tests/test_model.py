@@ -14,7 +14,6 @@ from soclearn.model import (
     Prior,
     StateSpace,
     complete_edges,
-    is_strongly_connected,
     metropolis_weights,
     ring_edges,
     validate_assumptions,
@@ -34,7 +33,7 @@ def reference_like_model(n=4, m=5, p_eq=0.5, p_diff=0.25):
         tables.append(
             bernoulli_table([p_diff if k == special else p_eq for k in range(m)])
         )
-    return LikelihoodModel.from_probabilities(tables, alphabets=[(0, 1)] * n)
+    return LikelihoodModel.from_probabilities(tables)
 
 
 # ---------------------------------------------------------------- StateSpace
@@ -115,9 +114,7 @@ def test_zero_entries_fail_a1():
 
 
 def test_log_bound_is_exact_max_entry():
-    lik = LikelihoodModel.from_probabilities(
-        [bernoulli_table([0.5, 0.25])], alphabets=[(0, 1)]
-    )
+    lik = LikelihoodModel.from_probabilities([bernoulli_table([0.5, 0.25])])
     entries = np.abs(lik.log_lik[0])
     assert lik.log_bound == entries.max()
     assert lik.log_bound == abs(math.log(0.25))
@@ -125,12 +122,13 @@ def test_log_bound_is_exact_max_entry():
 
 
 def test_likelihood_symbol_lookup():
-    lik = LikelihoodModel.from_probabilities(
-        [bernoulli_table([0.5, 0.25])], alphabets=[("lo", "hi")]
-    )
-    assert lik.symbol_index(0, "hi") == 1
-    with pytest.raises(ValueError):
-        lik.symbol_index(0, "nope")
+    # a symbol is its table row index: fresh_rows reads that row, and
+    # rejects an index outside the table
+    lik = LikelihoodModel.from_probabilities([bernoulli_table([0.5, 0.25])])
+    assert np.array_equal(lik.fresh_rows([1]), [np.log([0.5, 0.25])])
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=f"signal index {bad} hits"):
+            lik.fresh_rows([bad])
 
 
 def test_signal_distribution_matches_table():
@@ -316,8 +314,12 @@ def test_network_rejects_inf_without_a_warning(weights):
 
 
 def test_strong_connectivity_check():
-    assert is_strongly_connected(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert not is_strongly_connected(np.eye(2))
+    # A3 is the one connectivity check: a search over the positive weights
+    lik = reference_like_model(n=2, m=3)
+    space = StateSpace(states=(0, 1, 2), true_state_index=0)
+    assert validate_assumptions(lik, Network([[0.5, 0.5], [0.5, 0.5]]), space).a3_passed
+    report = validate_assumptions(lik, Network(np.eye(2)), space)
+    assert not report.a3_passed and report.a3_unreachable == (1,)
 
 
 # --------------------------------------------------------------- BeliefState
