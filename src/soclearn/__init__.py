@@ -21,9 +21,6 @@ from .harness import (
     TrajectoryRecord,
     build_likelihoods,
     build_model,
-    build_network,
-    build_prior,
-    build_state_space,
     compare_baseline,
     distinguished_state,
     export,

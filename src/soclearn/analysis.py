@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import StateSpace, LikelihoodModel
+from .model import LikelihoodModel, StateSpace, _is_index
 
 __all__ = [
     "equivalence_classes",
@@ -77,26 +77,18 @@ def _kl_matrix(lik: LikelihoodModel, t: int, classes: tuple) -> np.ndarray:
     return out
 
 
-def _not_excluded(div: np.ndarray, t: int) -> tuple:
-    """False states whose network divergence is not strictly negative."""
-    return tuple(k for k in range(div.size) if k != t and not div[k] < 0.0)
-
-
 @dataclass(frozen=True)
 class IdentifiabilityReport:
     """Identifiability structure of a model triple.
 
     ``kl`` is the (agents, states) divergence matrix from the realized
-    signal laws; ``network_divergence`` its column means, negated;
-    ``asymptotic_rate`` the slowest false state's exclusion rate in
-    nats per round (positive iff globally identifiable).
+    signal laws and ``network_divergence`` its column means, negated.
+    The verdict, the slowest false state and the asymptotic rate are
+    all read off ``network_divergence``.
     """
 
     kl: np.ndarray
     network_divergence: np.ndarray
-    equivalence_classes: tuple
-    globally_identifiable: bool
-    asymptotic_rate: float
     true_state_index: int
     state_labels: tuple
 
@@ -110,8 +102,25 @@ class IdentifiabilityReport:
 
     @property
     def not_excluded(self) -> tuple:
-        """False states the network does not rule out asymptotically."""
-        return _not_excluded(self.network_divergence, self.true_state_index)
+        """False states whose network divergence is not strictly negative."""
+        div, t = self.network_divergence, self.true_state_index
+        return tuple(k for k in range(div.size) if k != t and not div[k] < 0.0)
+
+    @property
+    def globally_identifiable(self) -> bool:
+        """Every false state is ruled out asymptotically."""
+        return not self.not_excluded
+
+    @property
+    def slowest_state(self) -> int:
+        """The first false state of largest network divergence."""
+        div, t = self.network_divergence, self.true_state_index
+        return max((k for k in range(div.size) if k != t), key=lambda k: div[k])
+
+    @property
+    def asymptotic_rate(self) -> float:
+        """Exclusion rate of ``slowest_state`` in nats per round; > 0 iff identifiable."""
+        return float(-self.network_divergence[self.slowest_state])
 
     def summary(self) -> str:
         lines = [
@@ -150,7 +159,7 @@ class IdentifiabilityReport:
 def identifiability_report(
     lik: LikelihoodModel, space: StateSpace
 ) -> IdentifiabilityReport:
-    """Classes, divergences and asymptotic rate of ``lik`` over ``space``.
+    """Divergences of ``lik`` over ``space`` from the realized state.
 
     Raises ``ValueError`` when the tables and the space disagree on the
     number of states.
@@ -167,9 +176,6 @@ def identifiability_report(
     return IdentifiabilityReport(
         kl=kl,
         network_divergence=div,
-        equivalence_classes=classes,
-        globally_identifiable=not _not_excluded(div, t),
-        asymptotic_rate=float(min(-div[k] for k in range(space.size) if k != t)),
         true_state_index=t,
         state_labels=tuple(space.states),
     )
@@ -183,8 +189,15 @@ def estimate_rate(trajectory, agent: int, false_state: int, window) -> float:
     the negated slope in nats per round. The slope is the closed form
     ``sum(x * y) / sum(x * x)`` with the rounds centred on their mean
     as ``x``. The trajectory only needs ``stored_rounds``,
-    ``log_beliefs``, and ``true_state_index``.
+    ``log_beliefs``, and ``true_state_index``. Raises ``ValueError``
+    when ``agent`` or ``false_state`` is not an index into
+    ``log_beliefs``; negative ones are refused, not wrapped.
     """
+    for name, value, size in zip(
+        ("agent", "false_state"), (agent, false_state), np.shape(trajectory.log_beliefs)[1:]
+    ):
+        if not (_is_index(value) and 0 <= value < size):
+            raise ValueError(f"{name} must be an integer in [0, {size}), got {value!r}")
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"window {window} is empty")

@@ -38,10 +38,7 @@ __all__ = [
     "ExperimentConfig",
     "reference_config",
     "distinguished_state",
-    "build_state_space",
-    "build_prior",
     "build_likelihoods",
-    "build_network",
     "build_model",
     "generate_signals",
     "initial_state",
@@ -246,19 +243,6 @@ def distinguished_state(agent: int, states: int) -> int:
     return 1 + (agent % (states - 1))
 
 
-def build_state_space(config: ExperimentConfig) -> StateSpace:
-    labels = config.state_labels
-    if labels is None:
-        labels = tuple(f"state_{k}" for k in range(config.states))
-    return StateSpace(states=tuple(labels), true_state_index=config.true_state)
-
-
-def build_prior(config: ExperimentConfig) -> Prior:
-    if config.prior_mass is None:
-        return Prior.uniform(config.states)
-    return Prior.from_probabilities(config.prior_mass)
-
-
 def build_likelihoods(config: ExperimentConfig) -> LikelihoodModel:
     if config.tables is not None:
         return LikelihoodModel.from_probabilities(config.tables)
@@ -270,26 +254,26 @@ def build_likelihoods(config: ExperimentConfig) -> LikelihoodModel:
     return LikelihoodModel.from_probabilities(tables)
 
 
-def build_network(config: ExperimentConfig) -> Network:
-    if config.weight_matrix is not None:
-        return Network(config.weight_matrix)
-    if config.topology_kind == "ring":
-        edges = ring_edges(config.agents)
-    elif config.topology_kind == "complete":
-        edges = complete_edges(config.agents)
+def build_model(config: ExperimentConfig) -> tuple:
+    """``(space, prior, likelihoods, network)`` for a configuration."""
+    labels = config.state_labels
+    if labels is None:
+        labels = tuple(f"state_{k}" for k in range(config.states))
+    space = StateSpace(states=tuple(labels), true_state_index=config.true_state)
+    if config.prior_mass is None:
+        prior = Prior.uniform(config.states)
     else:
-        edges = config.topology_edges
-    return metropolis_weights(edges, config.agents)
-
-
-def build_model(config: ExperimentConfig):
-    """All four model pieces for a configuration, in one call."""
-    return (
-        build_state_space(config),
-        build_prior(config),
-        build_likelihoods(config),
-        build_network(config),
-    )
+        prior = Prior.from_probabilities(config.prior_mass)
+    n = config.agents
+    if config.weight_matrix is not None:
+        net = Network(config.weight_matrix)
+    elif config.topology_kind == "ring":
+        net = metropolis_weights(ring_edges(n), n)
+    elif config.topology_kind == "complete":
+        net = metropolis_weights(complete_edges(n), n)
+    else:
+        net = metropolis_weights(config.topology_edges, n)
+    return space, prior, build_likelihoods(config), net
 
 
 _WORD = 2**64 - 1
@@ -794,15 +778,11 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
         f"generator: {GENERATOR_NAME}",
         f"theoretical asymptotic rate: {report.asymptotic_rate:.12g} nats/round",
     ]
-    false_states = [
-        k for k in range(config.states) if k != config.true_state
-    ]
-    binding = min(false_states, key=lambda k: -report.network_divergence[k])
     window = (math.ceil(config.rounds / 2), config.rounds)
     for rec in records:
         frac = float(np.mean(rec.communication_fractions()))
         try:
-            rate = estimate_rate(rec, config.comparison_agent, binding, window)
+            rate = estimate_rate(rec, config.comparison_agent, report.slowest_state, window)
             rate_text = f"{rate:.6g} nats/round over rounds {window[0]}..{window[1]}"
         except ValueError as exc:
             rate_text = f"not estimated ({exc})"

@@ -10,6 +10,7 @@ one place only, ``validate_assumptions``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -40,6 +41,11 @@ __all__ = [
 
 class AssumptionViolation(RuntimeError):
     """A run was requested on a model that fails a standing assumption."""
+
+
+def _is_index(value) -> bool:
+    """An integer, numpy integers included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -178,36 +184,22 @@ class LikelihoodModel:
         """Largest log-likelihood magnitude across all tables."""
         return float(max(np.max(np.abs(t)) for t in self.log_lik))
 
-    @property
-    def bounded(self) -> bool:
-        """A1: every log likelihood is finite."""
-        return bool(np.isfinite(self.log_bound))
-
     def signal_distribution(self, agent: int, state_index: int) -> np.ndarray:
         """Linear-domain symbol distribution for one agent and state."""
         return np.exp(self.log_lik[agent][:, state_index])
 
-    @cached_property
-    def _signal_cdfs(self) -> dict:
-        return {}
-
     def signal_cdf(self, state_index: int) -> np.ndarray:
-        """``(n, max_symbols)`` cumulative symbol laws under one state, built once.
+        """``(n, max_symbols)`` cumulative symbol laws under one state.
 
         Row ``i`` is the running sum of ``signal_distribution(i, state_index)``
         with its last entry set to exactly 1.0, then ``+inf`` padding. The
         number of entries at or below a uniform draw in ``[0, 1)`` is
         therefore a valid row index of agent ``i``'s table.
         """
-        cdf = self._signal_cdfs.get(state_index)
-        if cdf is None:
-            width = max(len(t) for t in self.log_lik)
-            cdf = np.full((self.agent_count, width), np.inf)
-            for i, table in enumerate(self.log_lik):
-                cdf[i, : len(table)] = np.cumsum(self.signal_distribution(i, state_index))
-                cdf[i, len(table) - 1] = 1.0
-            cdf.setflags(write=False)
-            self._signal_cdfs[state_index] = cdf
+        cdf = np.full((self.agent_count, max(len(t) for t in self.log_lik)), np.inf)
+        for i, table in enumerate(self.log_lik):
+            cdf[i, : len(table)] = np.cumsum(self.signal_distribution(i, state_index))
+            cdf[i, len(table) - 1] = 1.0
         return cdf
 
     @cached_property
@@ -407,13 +399,15 @@ def metropolis_weights(adjacency: Iterable, n: int) -> Network:
     where ``d`` are node degrees, and the diagonal absorbs the remainder.
     The result is symmetric and doubly stochastic with positive diagonal.
 
-    Raises ``ValueError`` on self-loops or out-of-range nodes. A
-    disconnected adjacency gives a valid network that fails A3 in
-    ``validate_assumptions``.
+    Raises ``ValueError`` on non-integer or bool node ids, self-loops
+    or out-of-range nodes. A disconnected adjacency gives a valid
+    network that fails A3 in ``validate_assumptions``.
     """
     adj = np.zeros((n, n), dtype=bool)
     for e in adjacency:
-        i, j = int(e[0]), int(e[1])
+        i, j = e[0], e[1]
+        if not (_is_index(i) and _is_index(j)):
+            raise ValueError(f"edge ({i!r}, {j!r}): node ids must be integers")
         if i == j:
             raise ValueError("self-loops are implicit; adjacency must not list them")
         if not (0 <= i < n and 0 <= j < n):
@@ -479,12 +473,21 @@ class ValidationReport:
     A3: the communication graph is connected.
     """
 
-    a1_passed: bool
     log_bound: float
-    a2_passed: bool
     a2_violations: tuple
-    a3_passed: bool
     a3_unreachable: tuple
+
+    @property
+    def a1_passed(self) -> bool:
+        return bool(np.isfinite(self.log_bound))
+
+    @property
+    def a2_passed(self) -> bool:
+        return not self.a2_violations
+
+    @property
+    def a3_passed(self) -> bool:
+        return not self.a3_unreachable
 
     @property
     def passed(self) -> bool:
@@ -524,15 +527,8 @@ def validate_assumptions(
 
     from .analysis import identifiability_report  # local import, avoids a cycle
 
-    violations = identifiability_report(lik, space).not_excluded
-
-    unreachable = tuple(int(i) for i in np.flatnonzero(~_reachable(net.weights > 0.0)))
-
     return ValidationReport(
-        a1_passed=lik.bounded,
         log_bound=lik.log_bound,
-        a2_passed=not violations,
-        a2_violations=violations,
-        a3_passed=not unreachable,
-        a3_unreachable=unreachable,
+        a2_violations=identifiability_report(lik, space).not_excluded,
+        a3_unreachable=tuple(int(i) for i in np.flatnonzero(~_reachable(net.weights > 0.0))),
     )

@@ -167,8 +167,7 @@ def test_report_matches_oracles_on_random_tables(model):
     report = identifiability_report(lik, space)
     for i in range(lik.agent_count):
         assert equivalence_classes(lik, i) == greedy_classes(lik.log_lik[i])
-        assert report.equivalence_classes[i] == equivalence_classes(lik, i)
-        same = next(cls for cls in report.equivalence_classes[i] if t in cls)
+        same = next(cls for cls in equivalence_classes(lik, i) if t in cls)
         p = lik.signal_distribution(i, t)
         for k in range(space.size):
             q = lik.signal_distribution(i, k)
@@ -186,6 +185,12 @@ def test_report_matches_oracles_on_random_tables(model):
     # symbol the truth emits has divergence -inf and is excluded
     assert validate_assumptions(lik, net, space).a2_violations == report.not_excluded
     assert report.globally_identifiable == (not report.not_excluded)
+    # the slowest state is the first false state of maximal divergence
+    div = report.network_divergence
+    false_states = [k for k in range(space.size) if k != t]
+    top = max(div[k] for k in false_states)
+    assert report.slowest_state == next(k for k in false_states if div[k] == top)
+    assert report.asymptotic_rate == -div[report.slowest_state]
 
 
 # --------------------------------------------------- report.network_divergence
@@ -322,6 +327,33 @@ def test_rate_window_validation():
         estimate_rate(record, 0, 1, (0, 9))
     with pytest.raises(ValueError):
         estimate_rate(record, 0, 0, (0, 2))
+
+
+@pytest.mark.parametrize(
+    "agent, false_state, name",
+    [
+        (-1, 1, "agent"),
+        (2, 1, "agent"),
+        (1.0, 1, "agent"),
+        (True, 1, "agent"),
+        (0, -1, "false_state"),
+        (0, 3, "false_state"),
+        (0, "1", "false_state"),
+        (0, np.float64(1), "false_state"),
+    ],
+)
+def test_rate_rejects_an_agent_or_state_that_is_not_an_index(agent, false_state, name):
+    # a negative index used to wrap to the last agent or state
+    from soclearn.analysis import estimate_rate
+
+    record = SimpleNamespace(
+        stored_rounds=(0, 1, 2),
+        log_beliefs=np.log(np.full((3, 2, 3), 1 / 3)),
+        true_state_index=0,
+    )
+    with pytest.raises(ValueError, match=f"^{name} must be an integer in"):
+        estimate_rate(record, agent, false_state, (0, 2))
+    assert estimate_rate(record, np.int64(1), np.int32(2), (0, 2)) == 0.0
 
 
 @pytest.mark.parametrize("thin_every", [None, 7])

@@ -1117,9 +1117,7 @@ def test_cli_compare_agent_sets_the_exported_rate_agent(tmp_path, capsys):
     assert main(argv) == 0
     assert "designated agent: 3" in capsys.readouterr().out
     space, _, lik, _ = build_model(config)
-    divergence = identifiability_report(lik, space).network_divergence
-    binding = min((k for k in range(config.states) if k != config.true_state),
-                  key=lambda k: -divergence[k])
+    binding = identifiability_report(lik, space).slowest_state
     window = (30, 60)
     (rec,) = run_experiment(config)
     rate = estimate_rate(rec, 3, binding, window)
@@ -1229,6 +1227,38 @@ def test_compare_out_tree_digest_is_pinned(tmp_path, capsys):
     for rel in tree:
         digest.update(rel.encode() + b"\0" + hashlib.sha256((out / rel).read_bytes()).digest())
     assert digest.hexdigest() == COMPARE_TREE_SHA256
+
+
+# analyze and validate on the bundled configs as shipped: their stdout,
+# and the two CSVs of `analyze --out`
+REPORT_SHA256 = {
+    "ring15.json": {
+        "analyze": "a17268cb55ab0b3edbc5cd6106d718a5b1154bdfefd006f2c10bf11273ffab18",
+        "validate": "ce4b8b18bb993d925b5d92c37a4c9f5854b5f20494c9f0c58824629113af29f3",
+        "kl.csv": "9b5c91b649424c0823b54eff2cee5a9f216925e3dfff82c5746b4546fb730f6e",
+        "divergence.csv": "ece86d90c2f583845a629299aca33ef371063d643ced0dd72bff8497a8ce697d",
+    },
+    "complete5_tables.json": {
+        "analyze": "b01987945a1b40bb2c847a183a0e5a64b0523b62d4d24bad8e18ff2a59c3ef25",
+        "validate": "bd789096678e06e6b558752f2133fbb2aa6b93a90ddf3647915cb5afb253e1be",
+        "kl.csv": "cb11993ae108426ced57607312ac0202fbadbe6bdfc717fcf8ac444fdc11f13b",
+        "divergence.csv": "b61d25d70847c6a43eff96ae12f5cca4cf02ec78a39b17c32db850ddca107c70",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_output_digests_are_pinned(tmp_path, capsys, name):
+    path = str(CONFIG_DIR / name)
+    got = {}
+    for command in ("analyze", "validate"):
+        assert main([command, "--config", path]) == 0
+        got[command] = capsys.readouterr().out.encode()
+    assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 0
+    for csv_name in ("kl.csv", "divergence.csv"):
+        got[csv_name] = (tmp_path / csv_name).read_bytes()
+    digests = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
+    assert digests == REPORT_SHA256[name]
 
 
 def test_cli_exits_quietly_when_stdout_is_closed(tmp_path):

@@ -18,6 +18,13 @@ def exported_names() -> set:
     }
 
 
+def module_nodes():
+    """Every AST node of the package's modules other than ``__init__``."""
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            yield from ast.walk(ast.parse(path.read_text()))
+
+
 def referenced_names() -> set:
     """Names the modules other than ``__init__`` load or read as attributes.
 
@@ -25,14 +32,11 @@ def referenced_names() -> set:
     a node, and ``__all__`` lists hold strings, so neither counts.
     """
     names = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+    for node in module_nodes():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
 
 
@@ -60,3 +64,43 @@ def test_every_export_has_a_package_caller_or_a_stated_reason():
     uncalled = {name for name in exported if name not in used}
     assert uncalled - kept == set(), "exported for tests only; delete or state a reason in README"
     assert kept - uncalled == set(), "the package calls these now; drop them from README's list"
+
+
+# Dataclass fields that no module of the package reads, each with its reason.
+UNREAD_FIELDS = {
+    "TrajectoryRecord.tv_series": "the benchmark's history_bytes reads it; "
+    "ROADMAP item 12 deletes it once item 1 lands",
+}
+
+
+def dataclass_fields() -> set:
+    """``Class.field`` for every annotated field of every ``@dataclass`` in the package."""
+    fields = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                fields.update(
+                    f"{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+    return fields
+
+
+def read_attributes() -> set:
+    """Attribute names the modules other than ``__init__`` read (load context)."""
+    return {
+        node.attr
+        for node in module_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read_or_has_a_stated_reason():
+    fields, read = dataclass_fields(), read_attributes()
+    assert set(UNREAD_FIELDS) <= fields, "UNREAD_FIELDS names a field that is gone"
+    unread = {f for f in fields if f.split(".")[1] not in read}
+    assert unread - set(UNREAD_FIELDS) == set(), "stored but never read; delete it or state a reason"
+    assert set(UNREAD_FIELDS) - unread == set(), "the package reads these now; drop them from the list"

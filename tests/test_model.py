@@ -96,7 +96,7 @@ def test_likelihood_columns_must_normalize():
 def test_likelihood_accepts_zero_entries():
     table = np.array([[1.0, 0.5], [0.0, 0.5]])
     lik = LikelihoodModel.from_probabilities([table])
-    assert not lik.bounded
+    assert lik.log_bound == np.inf
     assert np.isneginf(lik.log_lik[0][1, 0])
 
 
@@ -118,7 +118,7 @@ def test_log_bound_is_exact_max_entry():
     entries = np.abs(lik.log_lik[0])
     assert lik.log_bound == entries.max()
     assert lik.log_bound == abs(math.log(0.25))
-    assert lik.bounded
+    assert np.isfinite(lik.log_bound)
 
 
 def test_likelihood_symbol_lookup():
@@ -212,6 +212,19 @@ def test_metropolis_matches_the_per_edge_loop(case):
 def test_metropolis_rejects_self_loop_input():
     with pytest.raises(ValueError):
         metropolis_weights([(0, 0), (0, 1)], 2)
+
+
+@pytest.mark.parametrize("edge", [(0, 1.7), (0, True), ("1", 2), (np.float64(0), 1), (None, 1)])
+def test_metropolis_rejects_node_ids_that_are_not_integers(edge):
+    # int() used to truncate (0, 1.7) to the edge (0, 1) without a word
+    with pytest.raises(ValueError, match=r"^edge \(.*\): node ids must be integers$"):
+        metropolis_weights([edge, (1, 2)], 3)
+
+
+def test_metropolis_accepts_numpy_integer_node_ids():
+    edges = [(np.int64(0), np.int32(1)), (np.intp(1), 2)]
+    assert np.array_equal(metropolis_weights(edges, 3).weights,
+                          metropolis_weights([(0, 1), (1, 2)], 3).weights)
 
 
 def test_network_invariants_hold_for_constructions():
