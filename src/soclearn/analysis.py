@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LikelihoodModel, StateSpace, _is_index
+from .model import LikelihoodModel, StateSpace, _check_index, _is_index
 
 __all__ = [
     "equivalence_classes",
@@ -191,13 +191,14 @@ def estimate_rate(trajectory, agent: int, false_state: int, window) -> float:
     as ``x``. The trajectory only needs ``stored_rounds``,
     ``log_beliefs``, and ``true_state_index``. Raises ``ValueError``
     when ``agent`` or ``false_state`` is not an index into
-    ``log_beliefs``; negative ones are refused, not wrapped.
+    ``log_beliefs`` (negative ones are refused, not wrapped), or when a
+    ``window`` bound is not an integer.
     """
-    for name, value, size in zip(
-        ("agent", "false_state"), (agent, false_state), np.shape(trajectory.log_beliefs)[1:]
-    ):
-        if not (_is_index(value) and 0 <= value < size):
-            raise ValueError(f"{name} must be an integer in [0, {size}), got {value!r}")
+    agents, states = np.shape(trajectory.log_beliefs)[1:]
+    _check_index("agent", agent, agents)
+    _check_index("false_state", false_state, states)
+    if not all(_is_index(bound) for bound in window):
+        raise ValueError(f"window bounds must be integers, got {window!r}")
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError(f"window {window} is empty")

@@ -443,7 +443,7 @@ def run_round(
     sig = lik.checked_signals(signals_t)
     tv = _bayes_tv_rows(state.log_belief, *lik.value_class_rows(np.arange(n), sig))
     tv.setflags(write=False)
-    q = build_switching_matrix(net, np.flatnonzero(tv < tau), round=state.round + 1)
+    q = build_switching_matrix(net, tv < tau, round=state.round + 1)
     phi = potential_update(state.potentials, q, lik, sig)
     logb = belief_from_potentials(state.log_belief_initial, phi)
     new_state = BeliefState(
@@ -523,25 +523,21 @@ class TrajectoryRecord:
         return max(per_agent)
 
     def switching_matrices(self):
-        """Yield each round's mixing matrix, rebuilt from the recorded verdicts.
+        """Yield each round's ``SwitchingMatrix`` on its recorded verdict mask.
 
-        Matrices are built one at a time as the caller iterates, so
-        consumers such as ``product_convergence_gap`` never hold the
-        whole sequence.
+        Each holds only a view of its round's mask and builds its matrix
+        when ``q`` is read, so consumers such as ``product_convergence_gap``
+        never hold the whole sequence.
         """
         for t in range(self.rounds):
-            yield build_switching_matrix(
-                self.network,
-                np.nonzero(self.uninformative[t])[0],
-                round=t + 1,
-            )
+            yield build_switching_matrix(self.network, self.uninformative[t], round=t + 1)
 
     @cached_property
     def ledger(self) -> CommLedger:
         """Communication ledger replayed from the recorded verdicts.
 
-        Rounds are rebuilt and recorded one at a time, so the replay
-        never holds more than one mixing matrix. The ledger is cached
+        Rounds are recorded one at a time from their masks' fired
+        edges, so the replay builds no mixing matrix. The ledger is cached
         on the record and keeps its exchanges as compressed rows: a
         round and an end count per round with exchanges, and one pair
         code of 2 bytes (up to 256 agents) per exchange.
@@ -601,8 +597,9 @@ def run_experiment(config: ExperimentConfig) -> list:
         stride = 1
     else:
         stride = math.ceil(horizon / 10_000)
-    stored = sorted(set(range(0, horizon + 1, stride)) | {0, horizon})
-    store_at = {t: s for s, t in enumerate(stored)}
+    # stride multiples and the horizon; round t is stored in slot ceil(t / stride)
+    stored = np.arange(0, horizon + stride, stride, dtype=np.int64)
+    stored[-1] = horizon
 
     # replica-major, so each record is a view of its own contiguous block
     store = np.empty((reps, len(stored), n, m))
@@ -633,17 +630,16 @@ def run_experiment(config: ExperimentConfig) -> list:
         logb = anchor + phi
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t
-        if t in store_at:
-            store[:, store_at[t]] = logb
+        if t % stride == 0 or t == horizon:
+            store[:, -(-t // stride)] = logb
 
-    stored_arr = np.array(stored, dtype=np.int64)
     return [
         TrajectoryRecord(
             replica=r,
             rounds=horizon,
             true_state_index=space.true_state_index,
             state_labels=tuple(space.states),
-            stored_rounds=stored_arr,
+            stored_rounds=stored,
             log_beliefs=store[r],
             tv_series=tv_hist[r],
             uninformative=uninf_hist[r],

@@ -48,6 +48,12 @@ def _is_index(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_index(name: str, value, size: int) -> None:
+    """Refuse ``value`` unless it indexes ``size`` items; negatives do not wrap."""
+    if not (_is_index(value) and 0 <= value < size):
+        raise ValueError(f"{name} must be an integer in [0, {size}), got {value!r}")
+
+
 def _readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -186,6 +192,8 @@ class LikelihoodModel:
 
     def signal_distribution(self, agent: int, state_index: int) -> np.ndarray:
         """Linear-domain symbol distribution for one agent and state."""
+        _check_index("agent", agent, self.agent_count)
+        _check_index("state_index", state_index, self.state_count)
         return np.exp(self.log_lik[agent][:, state_index])
 
     def signal_cdf(self, state_index: int) -> np.ndarray:

@@ -25,29 +25,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchingMatrix:
-    """Mixing matrix used in one specific round.
+    """One round's switching rule: the read-only ``(n,)`` mask of agents
+    that found their signal uninformative, on its network.
 
-    Always symmetric and doubly stochastic with positive diagonal, like
-    the underlying network weights; off-diagonal support is the subset
-    of edges that fired this round.
+    ``q`` is the mixing matrix that follows, built and checked on each
+    read; ``fired_pairs()`` needs no matrix.
     """
 
-    q: np.ndarray
+    network: Network
+    flagged: np.ndarray
     round: int
 
     def __post_init__(self):
-        mat = np.array(self.q, dtype=float)
-        _check_mixing(mat, "mixing matrix")
+        mask = np.asarray(self.flagged).view()  # the caller's mask stays writable
+        if mask.dtype != bool or mask.shape != (self.network.n,):
+            raise ValueError(f"flagged must be {self.network.n} booleans, got "
+                             f"{mask.dtype} of shape {mask.shape}")
         if self.round < 0:
             raise ValueError("round must be nonnegative")
-        mat.setflags(write=False)
-        object.__setattr__(self, "q", mat)
+        mask.setflags(write=False)
+        object.__setattr__(self, "flagged", mask)
 
     @property
-    def n(self) -> int:
-        return self.q.shape[0]
+    def q(self) -> np.ndarray:
+        mat = _mixing_matrices(self.network, self.flagged)
+        _check_mixing(mat, "mixing matrix")
+        mat.setflags(write=False)
+        return mat
 
     def fired_pairs(self) -> tuple:
         """Index arrays ``(i, j)`` of the pairs that exchanged this round.
@@ -55,9 +61,15 @@ class SwitchingMatrix:
         Each unordered pair appears once, with ``i < j``, in row-major
         order.
         """
-        rows, cols = np.nonzero(self.q > 0.0)
+        rows, cols = np.nonzero(_fired(self.network, self.flagged))
         upper = rows < cols
         return rows[upper], cols[upper]
+
+
+def _fired(net: Network, flagged: np.ndarray) -> np.ndarray:
+    """The one fired-edge rule: an edge of ``net`` fires iff either
+    endpoint is flagged. Masks ``(..., n)`` give ``(..., n, n)``."""
+    return (flagged[..., :, None] | flagged[..., None, :]) & net.adjacency
 
 
 def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
@@ -66,33 +78,24 @@ def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
     The one implementation of the mixing rule, shared by the reference
     round and the batched engine. Where every agent is flagged the
     network weights are copied verbatim, since the diagonal fill only
-    matches them to ~1 ulp.
+    matches them to ~1 ulp; their positive entries are the fired edges.
     """
-    flagged = np.asarray(flagged, dtype=bool)
-    pair = (flagged[..., :, None] | flagged[..., None, :]) & net.adjacency
-    q = np.where(pair, net.weights, 0.0)
+    q = np.where(_fired(net, flagged), net.weights, 0.0)
     agents = np.arange(net.n)
     q[..., agents, agents] = 1.0 - np.sum(q, axis=-1)
     q[np.all(flagged, axis=-1)] = net.weights
     return q
 
 
-def build_switching_matrix(
-    net: Network, uninformative, round: int
-) -> SwitchingMatrix:
-    """Mixing matrix for one round given who found their signal weak.
+def build_switching_matrix(net: Network, flagged, round: int) -> SwitchingMatrix:
+    """One round's switching rule from the ``(n,)`` boolean mask ``flagged``.
 
-    An edge carries its network weight iff either endpoint is in the
-    uninformative set; the diagonal absorbs whatever each row sheds.
-    An empty set yields the exact identity, the full set the network
-    weights themselves.
+    An edge carries its network weight iff either endpoint is flagged;
+    the diagonal absorbs whatever each row sheds. No agent flagged
+    yields the exact identity, every agent the network weights
+    themselves. An index list is refused, like any other non-mask.
     """
-    members = [int(i) for i in uninformative]
-    if members and (min(members) < 0 or max(members) >= net.n):
-        raise ValueError("uninformative set contains out-of-range agents")
-    flagged = np.zeros(net.n, dtype=bool)
-    flagged[members] = True
-    return SwitchingMatrix(q=_mixing_matrices(net, flagged), round=round)
+    return SwitchingMatrix(network=net, flagged=flagged, round=round)
 
 
 # events decoded per step of iterating a ledger; a round is never split
@@ -166,8 +169,8 @@ class CommLedger:
         return list(self)
 
     def record(self, q: SwitchingMatrix) -> None:
-        if q.n != self.n:
-            raise ValueError(f"ledger covers {self.n} agents, matrix {q.n}")
+        if q.network.n != self.n:
+            raise ValueError(f"ledger covers {self.n} agents, matrix {q.network.n}")
         rows, cols = q.fired_pairs()
         if rows.size:
             codes = rows * self.n + cols

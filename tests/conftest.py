@@ -1,5 +1,5 @@
-"""Shared pytest plumbing: the acceptance suite's criterion report and
-the closed-form Bayes oracle."""
+"""Shared pytest plumbing: the acceptance suite's criterion report, the
+closed-form Bayes oracle and the flagged-mask helper."""
 
 import numpy as np
 
@@ -15,6 +15,13 @@ def log_normalized(rows):
     rows = np.asarray(rows, dtype=float)
     peak = rows.max(axis=-1, keepdims=True)
     return rows - peak - np.log(np.sum(np.exp(rows - peak), axis=-1, keepdims=True))
+
+
+def flagged_mask(n: int, members) -> np.ndarray:
+    """The ``(n,)`` boolean mask with the agents in ``members`` flagged."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
 
 
 def record_criterion(number: int, title: str, passed: bool, detail: str) -> bool:

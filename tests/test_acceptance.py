@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import log_normalized, record_criterion
+from conftest import flagged_mask, log_normalized, record_criterion
 from soclearn.analysis import identifiability_report, product_convergence_gap
 from soclearn.harness import (
     ExperimentConfig,
@@ -327,7 +327,7 @@ def test_criterion_07_mixing_matrix_invariants():
     checked = 0
 
     def assert_invariants(net, members, round_no):
-        q = build_switching_matrix(net, members, round=round_no)
+        q = build_switching_matrix(net, flagged_mask(net.n, members), round=round_no)
         mat = q.q
         assert np.array_equal(mat, mat.T)
         assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12

@@ -356,6 +356,26 @@ def test_rate_rejects_an_agent_or_state_that_is_not_an_index(agent, false_state,
     assert estimate_rate(record, np.int64(1), np.int32(2), (0, 2)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(2.9, 9.5), (2.0, 9), (2, 9.0), (np.float64(2), 9), ("2", 9), (True, 9)],
+    ids=["floats", "float-lo", "float-hi", "numpy-float", "str", "bool"],
+)
+def test_rate_rejects_a_window_bound_that_is_not_an_integer(window):
+    # (2.9, 9.5) used to be truncated to rounds 2..9 without a word
+    from soclearn.analysis import estimate_rate
+
+    record = SimpleNamespace(
+        stored_rounds=tuple(range(11)),
+        log_beliefs=np.log(np.full((11, 1, 2), 0.5)),
+        true_state_index=0,
+    )
+    with pytest.raises(ValueError, match="^window bounds must be integers"):
+        estimate_rate(record, 0, 1, window)
+    assert estimate_rate(record, 0, 1, (np.int64(2), np.int32(9))) == \
+        estimate_rate(record, 0, 1, (2, 9))
+
+
 @pytest.mark.parametrize("thin_every", [None, 7])
 def test_rate_matches_polyfit_on_random_windows(thin_every):
     # np.polyfit is the oracle. A slope fit's rounding error scales with
@@ -409,13 +429,14 @@ def test_prefix_gaps_never_increase():
     # gap of the running product cannot grow
     rng = np.random.default_rng(9)
     net = metropolis_weights(ring_edges(7), 7)
+    from conftest import flagged_mask
     from soclearn.switching import build_switching_matrix
 
     prod = np.eye(7)
     prev_gap = mixing_gap(prod)
     for t in range(60):
         members = tuple(rng.choice(7, size=int(rng.integers(0, 4)), replace=False))
-        q = build_switching_matrix(net, members, round=t + 1)
+        q = build_switching_matrix(net, flagged_mask(7, members), round=t + 1)
         prod = q.q @ prod
         gap = mixing_gap(prod)
         assert gap <= prev_gap + 1e-14

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import log_normalized
 from soclearn.analysis import estimate_rate, identifiability_report
-from soclearn import harness
+from soclearn import harness, switching
 from soclearn.cli import main
 from soclearn.harness import (
     GENERATOR_NAME,
@@ -573,13 +573,14 @@ def valid_model(config):
 
 
 def reference_rounds(config):
-    """``(state, signals, new_state, tv)`` of each ``run_round`` step, replica 0."""
+    """``(state, signals, new_state, switching, tv)`` of each ``run_round``
+    step, replica 0."""
     space, prior, lik, net = valid_model(config)
     sig = generate_signals(lik, space, config.seed, config.rounds + 1)
     state = initial_state(prior, lik, sig[0])
     for t in range(1, config.rounds + 1):
-        new, _, tv = run_round(state, net, lik, config.tau, sig[t])
-        yield state, sig[t], new, tv
+        new, q, tv = run_round(state, net, lik, config.tau, sig[t])
+        yield state, sig[t], new, q, tv
         state = new
 
 
@@ -589,7 +590,7 @@ def test_flagged_sets_grow_with_the_threshold(config, drawn):
     # same state, same signal: raising tau can only add uninformative agents;
     # the round's own tvs as thresholds put every verdict on a boundary
     _, _, lik, net = valid_model(config)
-    for state, sig, _, tv in reference_rounds(config):
+    for state, sig, _, _, tv in reference_rounds(config):
         tvs = {float(v) for v in tv if 0.0 < v <= 1.0}
         flagged = [
             set(np.flatnonzero(run_round(state, net, lik, tau, sig)[2] < tau))
@@ -606,12 +607,24 @@ def test_potential_average_moves_by_the_mean_fresh_row(config):
     # the largest magnitude in the column (about 0.85n seen at most)
     _, _, lik, net = valid_model(config)
     eps = np.finfo(float).eps
-    for state, sig, new, _ in reference_rounds(config):
+    for state, sig, new, _, _ in reference_rounds(config):
         fresh = lik.fresh_rows(sig)
         drift = new.potentials.mean(axis=0) - state.potentials.mean(axis=0) \
             - fresh.mean(axis=0)
         scale = np.max(np.abs([state.potentials, new.potentials, fresh]), axis=(0, 1))
         assert np.all(np.abs(drift) <= 4 * net.n * eps * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_configs())
+def test_fired_pairs_are_the_positive_offdiagonals(config):
+    # the matrix's support is the oracle of the fired-edge rule, also when
+    # every agent is flagged and the network weights are copied verbatim
+    for _, _, _, q, _ in reference_rounds(config):
+        rows, cols = np.nonzero(q.q > 0.0)
+        upper = rows < cols
+        i, j = q.fired_pairs()
+        assert np.array_equal(i, rows[upper]) and np.array_equal(j, cols[upper])
 
 
 def test_switching_and_baseline_share_round_zero():
@@ -635,9 +648,13 @@ def test_thinning_keeps_stride_multiples_and_endpoints():
 
 
 def test_explicit_thinning_stride():
-    config = settling_config(rounds=100, replicas=1, thin_every=30)
-    rec = run_experiment(config)[0]
-    assert tuple(rec.stored_rounds) == (0, 30, 60, 90, 100)
+    config = settling_config(rounds=100, replicas=1)
+    full = run_experiment(config)[0]
+    for stride, stored in ((30, (0, 30, 60, 90, 100)), (150, (0, 100))):
+        rec = run_experiment(dataclasses.replace(config, thin_every=stride))[0]
+        assert tuple(rec.stored_rounds) == stored
+        # each row is its own round's, the final one included
+        assert np.array_equal(rec.log_beliefs, full.log_beliefs[list(stored)])
 
 
 def _engine_overhead_bytes(config):
@@ -809,6 +826,21 @@ def test_ledger_replay_matches_vectorised_events(case):
     assert len(ledger) == len(ledger.events)
     assert ledger.rounds_recorded == len(u)
     assert np.array_equal(ledger_fractions(rec), rec.communication_fractions())
+
+
+def test_ledger_replay_builds_no_mixing_matrix(monkeypatch):
+    # the replay reads only each round's fired edges; tau = 1 fires every
+    # edge, so a matrix built for any round would show up here
+    recs = run_experiment(settling_config(replicas=1, rounds=20, tau=1.0))
+
+    def no_matrix(net, flagged):
+        raise AssertionError("the ledger replay built a mixing matrix")
+
+    monkeypatch.setattr(switching, "_mixing_matrices", no_matrix)
+    ledger = recs[0].ledger
+    net = recs[0].network
+    assert len(ledger) == 20 * int(np.triu(net.adjacency).sum()) > 0
+    assert ledger.rounds_recorded == 20
 
 
 def test_ledger_keeps_at_most_6_bytes_per_exchange():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import log_normalized
+from conftest import flagged_mask, log_normalized
 from soclearn.harness import build_likelihoods, initial_state, reference_config, run_round
 from soclearn.learning import (
     _bayes_tv_rows,
@@ -156,7 +156,7 @@ def test_verdict_consistency_enforced():
     for tau in sorted({*tv[tv > 0.0], 1e-300, 1.0}):
         _, q, _ = run_round(state, net, lik, tau, [1, 1, 1])
         flagged = tv < tau
-        assert np.array_equal(q.q, build_switching_matrix(net, np.flatnonzero(flagged), 1).q)
+        assert np.array_equal(q.q, build_switching_matrix(net, flagged, 1).q)
 
 
 def test_tiny_threshold_tracks_tiny_moves():
@@ -371,7 +371,7 @@ def test_round_zero_convention_is_all_zero_potentials():
 def test_potential_update_accepts_switching_matrix_object():
     lik = three_agent_model()
     net = metropolis_weights([(0, 1), (1, 2)], 3)
-    q = build_switching_matrix(net, [0, 1, 2], round=1)
+    q = build_switching_matrix(net, flagged_mask(3, (0, 1, 2)), round=1)
     phi = np.ones((3, 3))
     via_object = potential_update(phi, q, lik, np.array([1, 1, 0]))
     via_array = potential_update(phi, q.q, lik, np.array([1, 1, 0]))
@@ -416,7 +416,7 @@ def test_recursion_matches_expanded_product_form():
     qs = []
     fresh_list = []
     for t in range(1, rounds + 1):
-        q = build_switching_matrix(net, sets[t - 1], round=t)
+        q = build_switching_matrix(net, flagged_mask(3, sets[t - 1]), round=t)
         qs.append(q)
         fresh_list.append(
             np.stack([lik.log_lik[i][signals[t, i]] for i in range(3)])
@@ -476,7 +476,7 @@ def test_agent_behind_identity_row_stays_bayesian():
     # agent 0's pure Bayes chain: the prior plus the running sum of its rows
     solo = prior.log_mass + np.cumsum(lik.log_lik[0][signals[:, 0]], axis=0)
     for t in range(1, 40):
-        q = build_switching_matrix(net, (2,), round=t)
+        q = build_switching_matrix(net, flagged_mask(3, (2,)), round=t)
         assert np.array_equal(q.q[0], np.array([1.0, 0.0, 0.0]))
         phi = potential_update(phi, q, lik, signals[t])
         mixed = belief_from_potentials(mu0, phi)

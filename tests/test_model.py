@@ -138,6 +138,20 @@ def test_signal_distribution_matches_table():
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "agent, state, name",
+    [(-1, 0, "agent"), (4, 0, "agent"), (1.0, 0, "agent"), (True, 0, "agent"),
+     (0, -1, "state_index"), (0, 5, "state_index"), (0, np.float64(1), "state_index")],
+)
+def test_signal_distribution_rejects_an_index_out_of_range(agent, state, name):
+    # a negative index used to wrap to the last agent or state
+    lik = reference_like_model()
+    with pytest.raises(ValueError, match=f"^{name} must be an integer in"):
+        lik.signal_distribution(agent, state)
+    assert np.array_equal(lik.signal_distribution(np.int64(1), np.int32(2)),
+                          lik.signal_distribution(1, 2))
+
+
 def test_padded_log_lik_pads_with_neginf():
     tables = [
         bernoulli_table([0.5, 0.25]),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import flagged_mask
 from soclearn.harness import TrajectoryRecord
 from soclearn.model import complete_edges, metropolis_weights, ring_edges
 from soclearn.switching import (
@@ -53,25 +54,25 @@ def test_path_weights_are_the_expected_matrix(path3):
 
 
 def test_empty_set_gives_exact_identity(path3):
-    q = build_switching_matrix(path3, (), round=1)
+    q = build_switching_matrix(path3, flagged_mask(path3.n, ()), round=1)
     assert np.array_equal(q.q, np.eye(3))
     assert pairs(q) == set()
 
 
 def test_full_set_gives_exact_network_weights(path3):
-    q = build_switching_matrix(path3, (0, 1, 2), round=1)
+    q = build_switching_matrix(path3, flagged_mask(path3.n, (0, 1, 2)), round=1)
     assert np.array_equal(q.q, path3.weights)
 
 
 def test_middle_agent_activates_both_edges(path3):
     # both edges touch agent 1, so the result is the full weight matrix
-    q = build_switching_matrix(path3, (1,), round=1)
+    q = build_switching_matrix(path3, flagged_mask(path3.n, (1,)), round=1)
     assert np.array_equal(q.q, path3.weights)
     assert pairs(q) == {(0, 1), (1, 2)}
 
 
 def test_end_agent_activates_one_edge(path3):
-    q = build_switching_matrix(path3, (0,), round=1)
+    q = build_switching_matrix(path3, flagged_mask(path3.n, (0,)), round=1)
     expect = np.array(
         [
             [2 / 3, 1 / 3, 0.0],
@@ -89,7 +90,7 @@ def test_constructed_matrices_satisfy_invariants():
     for trial in range(200):
         size = int(rng.integers(0, 8))
         uninformative = tuple(rng.choice(7, size=size, replace=False))
-        q = build_switching_matrix(net, uninformative, round=trial).q
+        q = build_switching_matrix(net, flagged_mask(net.n, uninformative), round=trial).q
         assert np.array_equal(q, q.T)
         assert np.max(np.abs(q.sum(axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(q.sum(axis=0) - 1.0)) <= 1e-12
@@ -101,7 +102,7 @@ def test_exchanges_stay_on_network_edges():
     # an uninformative agent pulls in its weight row, which is zero off
     # its neighborhood, so no exchange can appear off the edge set
     net = metropolis_weights(ring_edges(6), 6)
-    q = build_switching_matrix(net, (0, 3), round=1)
+    q = build_switching_matrix(net, flagged_mask(net.n, (0, 3)), round=1)
     for i, j in pairs(q):
         assert net.weights[i, j] > 0.0
     assert pairs(q) == {(0, 1), (0, 5), (2, 3), (3, 4)}
@@ -114,47 +115,32 @@ def test_growing_the_set_only_adds_support():
         smaller = set(rng.choice(6, size=int(rng.integers(0, 4)), replace=False))
         extra = set(rng.choice(6, size=int(rng.integers(0, 3)), replace=False))
         larger = smaller | extra
-        q_small = build_switching_matrix(net, tuple(smaller), round=1)
-        q_large = build_switching_matrix(net, tuple(larger), round=1)
+        q_small = build_switching_matrix(net, flagged_mask(net.n, smaller), round=1)
+        q_large = build_switching_matrix(net, flagged_mask(net.n, larger), round=1)
         assert pairs(q_small) <= pairs(q_large)
 
 
-def test_switching_matrix_validates_input():
-    bad = np.array([[0.9, 0.2], [0.2, 0.8]])  # rows exceed one
-    with pytest.raises(ValueError):
-        SwitchingMatrix(q=bad, round=1)
-    asym = np.array([[0.5, 0.5], [0.4, 0.6]])
-    with pytest.raises(ValueError):
-        SwitchingMatrix(q=asym, round=1)
-
-
-@pytest.mark.parametrize(
-    "q",
-    [
-        [[np.nan]],
-        [[0.5, np.nan, 0.25], [np.nan, 0.5, 0.25], [0.25, 0.25, 0.5]],
-        [[np.nan, 0.5], [0.5, 0.5]],
-    ],
-    ids=["1x1", "offdiagonal-pair", "diagonal"],
-)
-def test_switching_matrix_rejects_nan(q):
-    with pytest.raises(ValueError, match="NaN"):
-        SwitchingMatrix(q=q, round=1)
-
-
-@pytest.mark.parametrize(
-    "q",
-    [[[np.inf]], [[0.5, np.inf], [np.inf, 0.5]], [[0.5, np.inf], [-np.inf, 0.5]]],
-    ids=["1x1", "mirrored-inf-pair", "mirrored-plus-minus-inf-pair"],
-)
-def test_switching_matrix_rejects_inf_without_a_warning(q):
-    with pytest.raises(ValueError, match="finite"):
-        SwitchingMatrix(q=q, round=1)
+def test_switching_matrix_validates_input(path3):
+    for flagged in (np.zeros(3, dtype=int), np.zeros((3, 1), dtype=bool), [0, 2]):
+        with pytest.raises(ValueError, match="flagged must be 3 booleans"):
+            SwitchingMatrix(network=path3, flagged=flagged, round=1)
+    with pytest.raises(ValueError, match="round"):
+        SwitchingMatrix(network=path3, flagged=np.zeros(3, dtype=bool), round=-1)
 
 
 def test_out_of_range_agents_rejected(path3):
-    with pytest.raises(ValueError):
-        build_switching_matrix(path3, (3,), round=1)
+    # only an (n,) boolean mask names the flagged agents: an index list,
+    # even one of n in-range indices, is refused, and so is a longer mask
+    for flagged in ((3,), (0, 1, 2), (), [True, False, False, True]):
+        with pytest.raises(ValueError, match="flagged must be 3 booleans"):
+            build_switching_matrix(path3, flagged, round=1)
+
+
+def test_mask_stays_the_callers_and_is_read_only(path3):
+    mask = np.array([True, False, False])
+    q = build_switching_matrix(path3, mask, round=1)
+    assert not q.flagged.flags.writeable and mask.flags.writeable
+    assert not q.q.flags.writeable
 
 
 # -------------------------------------------------------------------- ledger
@@ -162,7 +148,7 @@ def test_out_of_range_agents_rejected(path3):
 
 def test_identity_round_records_nothing(path3):
     ledger = CommLedger(3)
-    record_round(ledger, build_switching_matrix(path3, (), round=1))
+    record_round(ledger, build_switching_matrix(path3, flagged_mask(path3.n, ()), round=1))
     assert ledger.events == []
     assert ledger.rounds_recorded == 1
     rec = record_of(path3, [[False, False, False]])
@@ -171,7 +157,7 @@ def test_identity_round_records_nothing(path3):
 
 def test_full_round_records_every_edge(path3):
     ledger = CommLedger(3)
-    record_round(ledger, build_switching_matrix(path3, (0, 1, 2), round=5))
+    record_round(ledger, build_switching_matrix(path3, flagged_mask(path3.n, (0, 1, 2)), round=5))
     assert ledger.events == [(5, 0, 1), (5, 1, 2)]
     rec = record_of(path3, [[True, True, True]])
     assert np.array_equal(rec.communication_fractions(), np.ones(3))
@@ -183,7 +169,7 @@ def test_agent_round_counts_are_per_round_not_per_edge():
     net = metropolis_weights([(0, 1), (1, 2)], 3)
     ledger = CommLedger(3)
     for t in (1, 2, 3):
-        record_round(ledger, build_switching_matrix(net, (1,), round=t))
+        record_round(ledger, build_switching_matrix(net, flagged_mask(net.n, (1,)), round=t))
     assert len(ledger.events) == 6
     rec = record_of(net, [[False, True, False]] * 3)
     assert np.array_equal(rec.communication_fractions(), np.array([3, 3, 3]) / 3)
@@ -201,7 +187,7 @@ def test_events_match_positive_offdiagonals(path3):
     per_round = {}
     for t in range(1, 30):
         members = tuple(rng.choice(3, size=int(rng.integers(0, 4)), replace=False))
-        q = build_switching_matrix(path3, members, round=t)
+        q = build_switching_matrix(path3, flagged_mask(path3.n, members), round=t)
         per_round[t] = {(i, j) for i in range(3) for j in range(i + 1, 3) if q.q[i, j] > 0}
         record_round(ledger, q)
     for t, i, j in ledger.events:
@@ -216,14 +202,14 @@ def test_events_match_positive_offdiagonals(path3):
 def test_ledger_rejects_size_mismatch(path3):
     ledger = CommLedger(4)
     with pytest.raises(ValueError):
-        record_round(ledger, build_switching_matrix(path3, (0,), round=1))
+        record_round(ledger, build_switching_matrix(path3, flagged_mask(path3.n, (0,)), round=1))
 
 
 def test_ledger_record_rejects_size_mismatch(path3):
     # a pair code depends on n, so recording directly must check it too
     ledger = CommLedger(4)
     with pytest.raises(ValueError, match="ledger covers 4 agents, matrix 3"):
-        ledger.record(build_switching_matrix(path3, (0,), round=1))
+        ledger.record(build_switching_matrix(path3, flagged_mask(path3.n, (0,)), round=1))
     assert len(ledger) == 0
     assert ledger.rounds_recorded == 0
 
@@ -269,7 +255,7 @@ def test_ledger_round_trips_the_per_round_pairs(case):
     ledger = CommLedger(net.n)
     expect = []
     for members, t in rounds:
-        q = build_switching_matrix(net, members, round=t)
+        q = build_switching_matrix(net, flagged_mask(net.n, members), round=t)
         expect += [(q.round, i, j) for i, j in zip(*(a.tolist() for a in q.fired_pairs()))]
         record_round(ledger, q)
     assert witness in expect

@@ -12,8 +12,9 @@ median beats the base median by more than the base's interquartile
 range. It also says whether the change's median is within the bound by
 which the benchmark lets the metric worsen. A pair in which either side
 fails makes the script exit 1.
-Place the two checkouts at paths of equal length: the benchmark's peak
-RSS moves with the checkout's directory.
+The two checkouts must sit at resolved paths of equal length, since
+the benchmark's peak RSS moves with the checkout's directory; the
+script exits 2 before any run when they do not.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    base, change = (len(str(path.resolve())) for path in (args.base, args.change))
+    if base != change:
+        parser.error(f"checkout paths must be of equal length, got {base} and {change} "
+                     "characters: peak RSS moves with the checkout's directory")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
