@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,23 +83,26 @@ class IdentifiabilityReport:
     """Identifiability structure of a model triple.
 
     ``kl`` is the (agents, states) divergence matrix from the realized
-    signal laws and ``network_divergence`` its column means, negated.
-    The verdict, the slowest false state and the asymptotic rate are
-    all read off ``network_divergence``.
+    signal laws. The verdict, the slowest false state and the
+    asymptotic rate are all read off ``network_divergence``.
     """
 
     kl: np.ndarray
-    network_divergence: np.ndarray
     true_state_index: int
     state_labels: tuple
 
     def __post_init__(self):
         kl = np.array(self.kl, dtype=float)
-        div = np.array(self.network_divergence, dtype=float)
         kl.setflags(write=False)
-        div.setflags(write=False)
         object.__setattr__(self, "kl", kl)
-        object.__setattr__(self, "network_divergence", div)
+
+    @cached_property
+    def network_divergence(self) -> np.ndarray:
+        """Column means of ``kl``, negated; exactly 0.0 at the realized state."""
+        div = -np.mean(self.kl, axis=0)
+        div[self.true_state_index] = 0.0
+        div.setflags(write=False)
+        return div
 
     @property
     def not_excluded(self) -> tuple:
@@ -170,12 +174,8 @@ def identifiability_report(
         )
     t = space.true_state_index
     classes = tuple(equivalence_classes(lik, i) for i in range(lik.agent_count))
-    kl = _kl_matrix(lik, t, classes)
-    div = -np.mean(kl, axis=0)
-    div[t] = 0.0
     return IdentifiabilityReport(
-        kl=kl,
-        network_divergence=div,
+        kl=_kl_matrix(lik, t, classes),
         true_state_index=t,
         state_labels=tuple(space.states),
     )
@@ -191,15 +191,15 @@ def estimate_rate(trajectory, agent: int, false_state: int, window) -> float:
     as ``x``. The trajectory only needs ``stored_rounds``,
     ``log_beliefs``, and ``true_state_index``. Raises ``ValueError``
     when ``agent`` or ``false_state`` is not an index into
-    ``log_beliefs`` (negative ones are refused, not wrapped), or when a
-    ``window`` bound is not an integer.
+    ``log_beliefs`` (negative ones are refused, not wrapped), or when
+    ``window`` is not exactly two integer bounds.
     """
     agents, states = np.shape(trajectory.log_beliefs)[1:]
     _check_index("agent", agent, agents)
     _check_index("false_state", false_state, states)
-    if not all(_is_index(bound) for bound in window):
-        raise ValueError(f"window bounds must be integers, got {window!r}")
-    lo, hi = int(window[0]), int(window[1])
+    if len(window) != 2 or not all(_is_index(bound) for bound in window):
+        raise ValueError(f"window bounds must be integers, exactly two, got {window!r}")
+    lo, hi = map(int, window)
     if lo > hi:
         raise ValueError(f"window {window} is empty")
     if false_state == trajectory.true_state_index:
@@ -243,7 +243,7 @@ def product_convergence_gap(q_sequence) -> float:
     """
     prod = None
     for q in q_sequence:
-        mat = np.asarray(getattr(q, "q", q), dtype=float)
+        mat = np.asarray(q, dtype=float)
         prod = mat if prod is None else mat @ prod
     if prod is None:
         raise ValueError("need at least one matrix")

@@ -441,10 +441,10 @@ def run_round(
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
     sig = lik.checked_signals(signals_t)
-    tv = _bayes_tv_rows(state.log_belief, *lik.value_class_rows(np.arange(n), sig))
+    tv = _bayes_tv_rows(state.log_belief, *lik.value_class_rows(sig))
     tv.setflags(write=False)
     q = build_switching_matrix(net, tv < tau, round=state.round + 1)
-    phi = potential_update(state.potentials, q, lik, sig)
+    phi = potential_update(state.potentials, q.q, lik, sig)
     logb = belief_from_potentials(state.log_belief_initial, phi)
     new_state = BeliefState(
         log_belief=logb,
@@ -462,9 +462,10 @@ class TrajectoryRecord:
     Beliefs are stored at ``stored_rounds`` (always including round 0
     and the final round; intermediate rounds may be thinned). The test
     outcomes ``tv_series`` and ``uninformative`` cover rounds
-    ``1..rounds`` densely. ``last_below[i]`` is the last round at which
-    agent ``i``'s belief on the realized state was below the run's
-    ``1 - consensus_delta``, or -1 if it never was.
+    ``1..rounds`` densely, so ``rounds`` is the number of verdict rows.
+    ``last_below[i]`` is the last round at which agent ``i``'s belief on
+    the realized state was below the run's ``1 - consensus_delta``, or
+    -1 if it never was.
 
     The arrays are read-only. Records from ``run_experiment`` hold views
     into one buffer per run, shared by all its replicas, so keeping any
@@ -473,7 +474,6 @@ class TrajectoryRecord:
     """
 
     replica: int
-    rounds: int
     true_state_index: int
     state_labels: tuple
     stored_rounds: np.ndarray
@@ -495,6 +495,10 @@ class TrajectoryRecord:
             arr = np.asarray(getattr(self, name)).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def rounds(self) -> int:
+        return len(self.uninformative)
 
     @property
     def final_log_belief(self) -> np.ndarray:
@@ -522,16 +526,6 @@ class TrajectoryRecord:
             return None
         return max(per_agent)
 
-    def switching_matrices(self):
-        """Yield each round's ``SwitchingMatrix`` on its recorded verdict mask.
-
-        Each holds only a view of its round's mask and builds its matrix
-        when ``q`` is read, so consumers such as ``product_convergence_gap``
-        never hold the whole sequence.
-        """
-        for t in range(self.rounds):
-            yield build_switching_matrix(self.network, self.uninformative[t], round=t + 1)
-
     @cached_property
     def ledger(self) -> CommLedger:
         """Communication ledger replayed from the recorded verdicts.
@@ -543,8 +537,8 @@ class TrajectoryRecord:
         code of 2 bytes (up to 256 agents) per exchange.
         """
         ledger = CommLedger(self.network.n)
-        for q in self.switching_matrices():
-            record_round(ledger, q)
+        for t, mask in enumerate(self.uninformative, start=1):
+            record_round(ledger, build_switching_matrix(self.network, mask, t))
         return ledger
 
     def communication_fractions(self) -> np.ndarray:
@@ -621,7 +615,7 @@ def run_experiment(config: ExperimentConfig) -> list:
             signals = signal_chunk(t)
         sig = signals[t % _SIGNAL_CHUNK]
         fresh = padded[agents, sig, :]
-        tv = _bayes_tv_rows(logb, *lik.value_class_rows(agents, sig))
+        tv = _bayes_tv_rows(logb, *lik.value_class_rows(sig))
         uninf = tv < config.tau
         tv_hist[:, t - 1] = tv
         uninf_hist[:, t - 1] = uninf
@@ -636,7 +630,6 @@ def run_experiment(config: ExperimentConfig) -> list:
     return [
         TrajectoryRecord(
             replica=r,
-            rounds=horizon,
             true_state_index=space.true_state_index,
             state_labels=tuple(space.states),
             stored_rounds=stored,

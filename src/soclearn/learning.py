@@ -33,7 +33,7 @@ def _check_binary(epsilon_prev: float, r: float) -> None:
     """Reject arguments outside the binary closed form's domain."""
     if not 0.0 < epsilon_prev < 1.0:
         raise ValueError("epsilon_prev must lie strictly inside (0, 1)")
-    if r < 0.0:
+    if not r >= 0.0:  # NaN fails every comparison
         raise ValueError("likelihood ratio must be nonnegative")
 
 
@@ -117,20 +117,19 @@ def binary_informative(epsilon_prev: float, r: float, tau: float) -> bool:
 
 def potential_update(
     potentials_prev: np.ndarray,
-    q,
+    q: np.ndarray,
     lik: LikelihoodModel,
     signals: np.ndarray,
 ) -> np.ndarray:
     """One round of the potential recursion for all agents.
 
     New potentials are the network-mixed previous potentials plus each
-    agent's fresh log-likelihood row. ``q`` is a mixing matrix or any
-    object exposing one as ``.q``, and must be symmetric and doubly
-    stochastic with a positive diagonal; ``signals`` are alphabet row
-    indices, one per agent.
+    agent's fresh log-likelihood row. The mixing matrix ``q`` must be
+    symmetric and doubly stochastic with a positive diagonal;
+    ``signals`` are alphabet row indices, one per agent.
     """
     phi = np.asarray(potentials_prev, dtype=float)
-    mix = np.asarray(getattr(q, "q", q), dtype=float)
+    mix = np.asarray(q, dtype=float)
     n, m = phi.shape
     if mix.shape != (n, n):
         raise ValueError(f"mixing matrix must be {n}x{n}, got {mix.shape}")

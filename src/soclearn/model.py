@@ -239,13 +239,14 @@ class LikelihoodModel:
         levels.setflags(write=False)
         return label, levels
 
-    def value_class_rows(self, agents, rows) -> tuple:
-        """``value_classes`` at the given agents and table row indices.
+    def value_class_rows(self, signals) -> tuple:
+        """``value_classes`` at each agent's signal, for signals ``(..., n)``.
 
         The indices are not checked; ``checked_signals`` does that.
         """
         label, levels = self.value_classes
-        return label[agents, rows], levels[agents, rows]
+        agents = np.arange(self.agent_count)
+        return label[agents, signals], levels[agents, signals]
 
     @cached_property
     def _usable_rows(self) -> np.ndarray:
@@ -407,13 +408,17 @@ def metropolis_weights(adjacency: Iterable, n: int) -> Network:
     where ``d`` are node degrees, and the diagonal absorbs the remainder.
     The result is symmetric and doubly stochastic with positive diagonal.
 
-    Raises ``ValueError`` on non-integer or bool node ids, self-loops
-    or out-of-range nodes. A disconnected adjacency gives a valid
-    network that fails A3 in ``validate_assumptions``.
+    Raises ``ValueError`` on an edge that is not a pair, non-integer or
+    bool node ids, self-loops or out-of-range nodes. A disconnected
+    adjacency gives a valid network that fails A3 in
+    ``validate_assumptions``.
     """
     adj = np.zeros((n, n), dtype=bool)
     for e in adjacency:
-        i, j = e[0], e[1]
+        try:
+            i, j = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} must be a pair of node ids") from None
         if not (_is_index(i) and _is_index(j)):
             raise ValueError(f"edge ({i!r}, {j!r}): node ids must be integers")
         if i == j:

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import Network, _check_mixing
+from .model import Network, _check_mixing, _is_index
 
 __all__ = [
     "SwitchingMatrix",
@@ -43,8 +43,8 @@ class SwitchingMatrix:
         if mask.dtype != bool or mask.shape != (self.network.n,):
             raise ValueError(f"flagged must be {self.network.n} booleans, got "
                              f"{mask.dtype} of shape {mask.shape}")
-        if self.round < 0:
-            raise ValueError("round must be nonnegative")
+        if not (_is_index(self.round) and self.round >= 0):
+            raise ValueError(f"round must be a nonnegative integer, got {self.round!r}")
         mask.setflags(write=False)
         object.__setattr__(self, "flagged", mask)
 
@@ -121,8 +121,8 @@ class CommLedger:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one agent")
+        if not (_is_index(n) and n >= 1):
+            raise ValueError(f"need a positive integer count of agents, got {n!r}")
         self.n = n
         self._rounds = array("q")
         self._ends = array("q")

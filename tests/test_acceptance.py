@@ -32,7 +32,7 @@ from soclearn.model import (
     StateSpace,
     metropolis_weights,
 )
-from soclearn.switching import build_switching_matrix
+from soclearn.switching import _mixing_matrices, build_switching_matrix
 
 
 def bernoulli(p1s):
@@ -407,7 +407,7 @@ def test_criterion_08_binary_closed_form_agrees_with_tv_test():
             [np.array([[r / (1.0 + r), 1.0 / (1.0 + r)],
                        [1.0 / (1.0 + r), r / (1.0 + r)]])]
         )
-        tvs = _bayes_tv_rows(prev, *lik.value_class_rows(first, first))
+        tvs = _bayes_tv_rows(prev, *lik.value_class_rows(first))
         for eps, tv in zip(epsilons, tvs):
             for tau in taus:
                 closed = binary_informative(eps, float(r), tau)
@@ -429,6 +429,26 @@ def test_criterion_08_binary_closed_form_agrees_with_tv_test():
     assert ok
 
 
+def round_matrices(rec, block=256):
+    """Each round's mixing matrix, oldest first, built unchecked from the
+    record's verdict masks a block of rounds at a time."""
+    for start in range(0, rec.rounds, block):
+        yield from _mixing_matrices(rec.network, rec.uninformative[start:start + block])
+
+
+def test_block_built_matrices_give_the_per_round_product_gap():
+    # the validated per-round matrices are the reference for criterion 9's
+    # block-built ones: the same products, bit for bit
+    (rec,) = run_experiment(reference_config(replicas=1, rounds=150, tau=1e-4))
+    assert 0 < rec.uninformative.sum() < rec.uninformative.size
+    reference = product_convergence_gap(
+        build_switching_matrix(rec.network, mask, t).q
+        for t, mask in enumerate(rec.uninformative, start=1)
+    )
+    for block in (7, 256):
+        assert product_convergence_gap(round_matrices(rec, block)) == reference
+
+
 def test_criterion_09_mixing_product_converges(default_scenario):
     """The left product of the run's mixing matrices should flatten to
     the averaging matrix within 1e-6 by round 1000.
@@ -442,7 +462,7 @@ def test_criterion_09_mixing_product_converges(default_scenario):
     and the product gap stays near 0.86.
     """
     config, records, _ = default_scenario
-    gap = product_convergence_gap(records[0].switching_matrices())
+    gap = product_convergence_gap(round_matrices(records[0]))
     ok = gap < 1e-6
     record_criterion(
         9,

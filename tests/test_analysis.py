@@ -358,11 +358,14 @@ def test_rate_rejects_an_agent_or_state_that_is_not_an_index(agent, false_state,
 
 @pytest.mark.parametrize(
     "window",
-    [(2.9, 9.5), (2.0, 9), (2, 9.0), (np.float64(2), 9), ("2", 9), (True, 9)],
-    ids=["floats", "float-lo", "float-hi", "numpy-float", "str", "bool"],
+    [(2.9, 9.5), (2.0, 9), (2, 9.0), (np.float64(2), 9), ("2", 9), (True, 9),
+     (2, 9, 11), (2,)],
+    ids=["floats", "float-lo", "float-hi", "numpy-float", "str", "bool",
+         "three-bounds", "one-bound"],
 )
 def test_rate_rejects_a_window_bound_that_is_not_an_integer(window):
-    # (2.9, 9.5) used to be truncated to rounds 2..9 without a word
+    # (2.9, 9.5) used to be truncated to rounds 2..9 without a word, and
+    # so was (2, 9, 11); (2,) failed with a raw IndexError
     from soclearn.analysis import estimate_rate
 
     record = SimpleNamespace(

@@ -717,7 +717,6 @@ def test_record_leaves_the_callers_arrays_writable():
     )
     rec = harness.TrajectoryRecord(
         replica=0,
-        rounds=2,
         true_state_index=0,
         state_labels=("a", "b"),
         network=net,
@@ -809,7 +808,6 @@ def test_ledger_replay_matches_vectorised_events(case):
     n = net.n
     rec = harness.TrajectoryRecord(
         replica=0,
-        rounds=len(u),
         true_state_index=0,
         state_labels=("a",),
         stored_rounds=np.array([0]),

@@ -104,3 +104,34 @@ def test_every_dataclass_field_is_read_or_has_a_stated_reason():
     unread = {f for f in fields if f.split(".")[1] not in read}
     assert unread - set(UNREAD_FIELDS) == set(), "stored but never read; delete it or state a reason"
     assert set(UNREAD_FIELDS) - unread == set(), "the package reads these now; drop them from the list"
+
+
+# Public methods and properties that no module of the package reads, each
+# with its reason.
+UNREAD_MEMBERS = {
+    "ExperimentConfig.to_dict": "perfbench writes workload configs with it",
+    "TrajectoryRecord.final_log_belief": "perfbench digests the final beliefs with it",
+    "CommLedger.events": "perfbench counts ledger events with it",
+}
+
+
+def public_members() -> set:
+    """``Class.name`` for every public method or property of every package class."""
+    members = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                members.update(
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return members
+
+
+def test_every_public_method_is_read_or_has_a_stated_reason():
+    members, read = public_members(), read_attributes()
+    assert set(UNREAD_MEMBERS) <= members, "UNREAD_MEMBERS names a member that is gone"
+    unread = {m for m in members if m.split(".")[1] not in read}
+    assert unread - set(UNREAD_MEMBERS) == set(), "nothing in the package reads these; delete or state a reason"
+    assert set(UNREAD_MEMBERS) - unread == set(), "the package reads these now; drop them from the list"

@@ -235,6 +235,13 @@ def test_metropolis_rejects_node_ids_that_are_not_integers(edge):
         metropolis_weights([edge, (1, 2)], 3)
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 1])
+def test_metropolis_rejects_an_edge_that_is_not_a_pair(edge):
+    # (0, 1, 2) used to build the edge (0, 1) without a word
+    with pytest.raises(ValueError, match=r"must be a pair of node ids$"):
+        metropolis_weights([edge, (1, 2)], 3)
+
+
 def test_metropolis_accepts_numpy_integer_node_ids():
     edges = [(np.int64(0), np.int32(1)), (np.intp(1), 2)]
     assert np.array_equal(metropolis_weights(edges, 3).weights,

@@ -30,7 +30,6 @@ def record_of(net, uninformative):
     n = net.n
     return TrajectoryRecord(
         replica=0,
-        rounds=len(u),
         true_state_index=0,
         state_labels=("a",),
         stored_rounds=np.array([0]),
@@ -126,6 +125,21 @@ def test_switching_matrix_validates_input(path3):
             SwitchingMatrix(network=path3, flagged=flagged, round=1)
     with pytest.raises(ValueError, match="round"):
         SwitchingMatrix(network=path3, flagged=np.zeros(3, dtype=bool), round=-1)
+
+
+@pytest.mark.parametrize("round_", [1.5, 2.0, "3", True, np.float64(1)])
+def test_switching_matrix_rejects_a_round_that_is_not_an_integer(path3, round_):
+    # round 1.5 used to pass here and fail later, inside the ledger's array
+    with pytest.raises(ValueError, match="^round must be a nonnegative integer"):
+        build_switching_matrix(path3, flagged_mask(path3.n, (0,)), round_)
+    assert build_switching_matrix(path3, flagged_mask(path3.n, (0,)), np.int64(2)).round == 2
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, 0, -1])
+def test_ledger_rejects_an_agent_count_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="^need a positive integer count of agents"):
+        CommLedger(n)
+    assert CommLedger(np.int64(3)).n == 3
 
 
 def test_out_of_range_agents_rejected(path3):
