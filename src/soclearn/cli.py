@@ -39,10 +39,19 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    records = run_experiment(config)
-    export(records, args.out, config)
-    settled = [rec.consensus_round for rec in records]
-    print(f"ran {len(records)} replica(s) of {config.rounds} rounds")
+    one = dataclasses.replace(config, replicas=1)
+    settled = []
+
+    def replicas():
+        # one engine call per replica, so memory holds one replica's history
+        for r in range(config.replicas):
+            (rec,) = run_experiment(one, r)
+            settled.append(rec.consensus_round)
+            yield rec
+            del rec  # released before the next replica is built
+
+    export(replicas(), args.out, config)
+    print(f"ran {len(settled)} replica(s) of {config.rounds} rounds")
     print(f"consensus rounds: {settled}")
     print(f"wrote beliefs.csv, comm.csv, summary.txt to {args.out}")
     return 0

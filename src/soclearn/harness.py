@@ -28,7 +28,7 @@ from .analysis import estimate_rate, identifiability_report
 from .learning import _bayes_tv_rows, _check_threshold, _lse_last, \
     belief_from_potentials, potential_update
 from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, \
-    Prior, StateSpace, complete_edges, metropolis_weights, ring_edges, \
+    Prior, StateSpace, _is_index, complete_edges, metropolis_weights, ring_edges, \
     validate_assumptions
 from .switching import CommLedger, _mixing_matrices, build_switching_matrix, \
     record_round
@@ -379,10 +379,10 @@ def generate_signals(
         raise ValueError("replica must name at least one replica")
     if not all(0 <= r < 2**64 for r in keys):
         raise ValueError("replica must fit in 64 bits")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if start < 0:
-        raise ValueError("start must be >= 0")
+    if not (_is_index(rounds) and rounds >= 1):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    if not (_is_index(start) and start >= 0):
+        raise ValueError(f"start must be an integer >= 0, got {start!r}")
     if ((start + rounds) * n + 3) // 4 > _WORD:
         raise ValueError(
             f"rounds {start} .. {start + rounds - 1} need a Philox block "
@@ -468,9 +468,11 @@ class TrajectoryRecord:
     -1 if it never was.
 
     The arrays are read-only. Records from ``run_experiment`` hold views
-    into one buffer per run, shared by all its replicas, so keeping any
-    one record alive keeps the whole run's history in memory; copy the
-    arrays you need to release it.
+    into one history buffer per call, shared by all the replicas of that
+    call, so keeping any one record alive keeps the whole call's history
+    in memory; copy the arrays you need to release it. ``soclearn run``
+    calls the engine once per replica, so there each buffer is one
+    replica's.
     """
 
     replica: int
@@ -558,14 +560,25 @@ class TrajectoryRecord:
         return touched / len(u)
 
 
-def run_experiment(config: ExperimentConfig) -> list:
-    """Run the switching protocol for every replica of a configuration.
+def run_experiment(config: ExperimentConfig, first_replica: int = 0) -> list:
+    """Run the switching protocol for ``config.replicas`` replicas.
 
-    Validates the standing assumptions up front, then advances all
-    replicas in lockstep with batched array arithmetic. The dynamics
-    are those of ``run_round``; the batched path exists because long
-    multi-replica sweeps dominate this package's runtime.
+    The replicas are ``first_replica .. first_replica + config.replicas
+    - 1``: each record carries its global index and draws that
+    replica's signal stream, so a run split into replica ranges gives
+    the same records, bit for bit, as one run over all of them.
+    Validates the standing assumptions up front, then advances the
+    call's replicas in lockstep with batched array arithmetic. The
+    dynamics are those of ``run_round``; the batched path exists
+    because long multi-replica sweeps dominate this package's runtime.
+    The records share one history buffer per call, so a caller that
+    wants one replica's history in memory at a time makes one call per
+    replica.
     """
+    if not (_is_index(first_replica) and first_replica >= 0):
+        raise ValueError(
+            f"first_replica must be a nonnegative integer, got {first_replica!r}"
+        )
     space, prior, lik, net = build_model(config)
     report = validate_assumptions(lik, net, space)
     if not report.passed:
@@ -574,6 +587,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         )
 
     reps, horizon = config.replicas, config.rounds
+    replicas = range(first_replica, first_replica + reps)
     n, m = net.n, lik.state_count
     padded = lik.padded_log_lik
     agents = np.arange(n)
@@ -582,7 +596,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         # (rounds, reps, n) signal indices for rounds start .. start + CHUNK - 1
         rounds = min(_SIGNAL_CHUNK, horizon + 1 - start)
         return generate_signals(
-            lik, space, config.seed, rounds, replica=range(reps), start=start
+            lik, space, config.seed, rounds, replica=replicas, start=start
         )
 
     if config.thin_every is not None:
@@ -629,7 +643,7 @@ def run_experiment(config: ExperimentConfig) -> list:
 
     return [
         TrajectoryRecord(
-            replica=r,
+            replica=replica,
             true_state_index=space.true_state_index,
             state_labels=tuple(space.states),
             stored_rounds=stored,
@@ -639,7 +653,7 @@ def run_experiment(config: ExperimentConfig) -> list:
             last_below=last_below[r],
             network=net,
         )
-        for r in range(reps)
+        for r, replica in enumerate(replicas)
     ]
 
 
@@ -721,62 +735,80 @@ def _csv_cell(value) -> str:
     return buf.getvalue()[:-3]  # drop the empty last field's ',\r\n'
 
 
+def _write_belief_rows(fh, rec: TrajectoryRecord) -> None:
+    """Write a record's beliefs.csv rows, one stored round at a time.
+
+    Each round is the exp of its ``(n, m)`` slice, formatted and written
+    at once. Every view of the record's history is local here, so none
+    outlives the call.
+    """
+    labels = [_csv_cell(label) for label in rec.state_labels]
+    cells = [
+        f",{i},{label},"
+        for i in range(rec.log_beliefs.shape[1])
+        for label in labels
+    ]
+    for s in range(len(rec.stored_rounds)):
+        head = f"{rec.replica},{rec.stored_rounds[s]}"
+        values = np.exp(rec.log_beliefs[s]).ravel().tolist()
+        rows = [f"{head}{cell}{v:.17g}\r\n" for cell, v in zip(cells, values)]
+        fh.write("".join(rows))
+
+
 def export(records, out_dir, config: ExperimentConfig) -> None:
     """Write beliefs.csv, comm.csv, and summary.txt for a set of replicas.
 
     Beliefs are written in the linear domain with 17 significant digits
     (round-trip exact for doubles). The header comments pin the signal
     generator and seed so an export is traceable to its streams.
-    beliefs.csv is written one stored round at a time, so export holds
-    one round of linear beliefs however long the horizon.
+
+    ``records`` may be any iterable, read once. Each record's belief
+    rows, exchanges and summary line are written as it arrives, and the
+    record is released before the next is drawn, so an iterable that
+    builds one replica at a time keeps one history in memory, however
+    many replicas. The first record is drawn before any file is made,
+    so a run that fails there writes nothing. beliefs.csv is written
+    one stored round at a time, so export holds one round of linear
+    beliefs however long the horizon.
     """
+    records = iter(records)
+    rec = next(records, None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = list(records)
-
-    with open(out / "beliefs.csv", "w", newline="") as fh:
-        fh.write(f"# generator: {GENERATOR_NAME}\n")
-        fh.write(f"# seed: {config.seed}\n")
-        csv.writer(fh).writerow(["replica", "t", "agent", "state_label", "belief"])
-        for rec in records:
-            labels = [_csv_cell(label) for label in rec.state_labels]
-            cells = [
-                f",{i},{label},"
-                for i in range(rec.log_beliefs.shape[1])
-                for label in labels
-            ]
-            # one stored round at a time: exp of its (n, m) slice, one write
-            for t, log_round in zip(rec.stored_rounds.tolist(), rec.log_beliefs):
-                head = f"{rec.replica},{t}"
-                values = np.exp(log_round).ravel().tolist()
-                rows = [f"{head}{cell}{v:.17g}\r\n" for cell, v in zip(cells, values)]
-                fh.write("".join(rows))
-
-    with open(out / "comm.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "t", "agent_i", "agent_j"])
-        for rec in records:
-            writer.writerows((rec.replica, t, i, j) for t, i, j in rec.ledger)
-
     space, _, lik, _ = build_model(config)
     report = identifiability_report(lik, space)
-    lines = [
+    window = (math.ceil(config.rounds / 2), config.rounds)
+    lines = []
+
+    with open(out / "beliefs.csv", "w", newline="") as beliefs, \
+            open(out / "comm.csv", "w", newline="") as comm:
+        beliefs.write(f"# generator: {GENERATOR_NAME}\n")
+        beliefs.write(f"# seed: {config.seed}\n")
+        csv.writer(beliefs).writerow(["replica", "t", "agent", "state_label", "belief"])
+        comm.write("replica,t,agent_i,agent_j\r\n")
+        while rec is not None:
+            _write_belief_rows(beliefs, rec)
+            # integers need no quoting, and a csv.writer would keep a
+            # 128 KiB row buffer for as long as it lives
+            comm.writelines(f"{rec.replica},{t},{i},{j}\r\n" for t, i, j in rec.ledger)
+            frac = float(np.mean(rec.communication_fractions()))
+            try:
+                rate = estimate_rate(rec, config.comparison_agent, report.slowest_state, window)
+                rate_text = f"{rate:.6g} nats/round over rounds {window[0]}..{window[1]}"
+            except ValueError as exc:
+                rate_text = f"not estimated ({exc})"
+            lines.append(
+                f"replica {rec.replica}: consensus round {rec.consensus_round}, "
+                f"mean comm fraction {frac:.4f}, estimated rate {rate_text}"
+            )
+            del rec  # released before the next replica is built
+            rec = next(records, None)
+
+    head = [
         f"agents: {config.agents}, states: {config.states}, "
-        f"rounds: {config.rounds}, replicas: {len(records)}",
+        f"rounds: {config.rounds}, replicas: {len(lines)}",
         f"threshold: {config.tau:g}, seed: {config.seed}, "
         f"generator: {GENERATOR_NAME}",
         f"theoretical asymptotic rate: {report.asymptotic_rate:.12g} nats/round",
     ]
-    window = (math.ceil(config.rounds / 2), config.rounds)
-    for rec in records:
-        frac = float(np.mean(rec.communication_fractions()))
-        try:
-            rate = estimate_rate(rec, config.comparison_agent, report.slowest_state, window)
-            rate_text = f"{rate:.6g} nats/round over rounds {window[0]}..{window[1]}"
-        except ValueError as exc:
-            rate_text = f"not estimated ({exc})"
-        lines.append(
-            f"replica {rec.replica}: consensus round {rec.consensus_round}, "
-            f"mean comm fraction {frac:.4f}, estimated rate {rate_text}"
-        )
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    (out / "summary.txt").write_text("\n".join(head + lines) + "\n")

@@ -81,11 +81,7 @@ class StateSpace:
             raise ValueError("state space needs at least two states")
         if len(set(self.states)) != len(self.states):
             raise ValueError("state labels must be distinct")
-        if not 0 <= self.true_state_index < len(self.states):
-            raise ValueError(
-                f"true_state_index {self.true_state_index} out of range "
-                f"for {len(self.states)} states"
-            )
+        _check_index("true_state_index", self.true_state_index, len(self.states))
 
     @property
     def size(self) -> int:
@@ -455,8 +451,8 @@ class BeliefState:
             raise ValueError("log_belief must be (agents, states)")
         if phi.shape != logb.shape or logb0.shape != logb.shape:
             raise ValueError("belief, potential, and anchor shapes must agree")
-        if self.round < 0:
-            raise ValueError("round must be nonnegative")
+        if not (_is_index(self.round) and self.round >= 0):
+            raise ValueError(f"round must be a nonnegative integer, got {self.round!r}")
         for name, rows in (("log_belief", logb), ("log_belief_initial", logb0)):
             sums = np.sum(np.exp(rows), axis=1)
             if np.max(np.abs(sums - 1.0)) > BELIEF_SUM_TOL:

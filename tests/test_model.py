@@ -60,6 +60,14 @@ def test_state_space_rejects_bad_true_index():
         StateSpace(states=("a", "b"), true_state_index=2)
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, "1", True, -1, None])
+def test_state_space_rejects_a_true_index_that_is_not_an_integer_index(index):
+    # 0.5 used to construct, and true_state then raised a raw TypeError
+    with pytest.raises(ValueError, match="^true_state_index must be an integer in"):
+        StateSpace(states=("a", "b"), true_state_index=index)
+    assert StateSpace(states=("a", "b"), true_state_index=np.int64(1)).true_state == "b"
+
+
 # --------------------------------------------------------------------- Prior
 
 
@@ -379,6 +387,18 @@ def test_belief_state_round_zero_needs_zero_potentials():
             log_belief_initial=logb,
             round=0,
         )
+
+
+@pytest.mark.parametrize("round_", [0.5, 2.0, "1", True, -1, None])
+def test_belief_state_rejects_a_round_that_is_not_a_nonnegative_integer(round_):
+    # round 0.5 used to construct, and run_round failed on it only later
+    logb = np.log(np.full((1, 2), 0.5))
+    with pytest.raises(ValueError, match="^round must be a nonnegative integer"):
+        BeliefState(log_belief=logb, potentials=np.zeros((1, 2)),
+                    log_belief_initial=logb, round=round_)
+    state = BeliefState(log_belief=logb, potentials=np.zeros((1, 2)),
+                        log_belief_initial=logb, round=np.int64(3))
+    assert state.round == 3
 
 
 def test_belief_state_arrays_are_readonly():

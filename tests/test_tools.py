@@ -1,6 +1,8 @@
 """The repository's tools, run without launching a benchmark."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,41 @@ def test_paired_bench_refuses_checkout_paths_of_unequal_length(tmp_path, monkeyp
                     "--workload", "ring15-run", "--seed", "12"])
     assert exit_info.value.code == 2
     assert "checkout paths must be of equal length" in capsys.readouterr().err
+
+
+def test_paired_bench_reads_wall_time_from_the_detail_line(monkeypatch):
+    bench = load_paired_bench()
+    detail = {"report_only": {"wall_s": 1.25, "cpu_s": 1.5}}
+    result = {"failed": 0, "metrics": {"peak_rss_mb": {"value": 33.8, "unit": "MB"}}}
+    stdout = "  peak_rss_mb 33.8 MB\n" + json.dumps(detail) + "\n" + json.dumps(result) + "\n"
+
+    def run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    metrics, wall_s = bench.run_once(ROOT, "ring15-run", 12, 1.0)
+    assert metrics == result["metrics"]
+    assert wall_s == 1.25
+
+
+def test_paired_bench_prints_wall_time_as_not_gated(tmp_path, monkeypatch, capsys):
+    bench = load_paired_bench()
+    runs = {"base": iter([30.0, 31.0, 32.0]), "chng": iter([20.0, 21.0, 22.0])}
+
+    def run_once(checkout, workload, seed, seconds):
+        value = next(runs[checkout.name])
+        metrics = {"peak_rss_mb": {"value": value}, "setup_s": {"value": 0.3}}
+        return metrics, value / 10
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side in ("base", "chng"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"),
+                       "--workload", "ring15-run", "--seed", "12", "--pairs", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  wall_s (not gated): base 3.1 [3, 3.2], change 2.1 [2, 2.2]" in lines
+    report = json.loads(lines[-1])
+    assert report["wall_s"] == {"not_gated": True,
+                                "values": {"base": [3.0, 3.1, 3.2], "change": [2.0, 2.1, 2.2]}}
+    assert report["peak_rss_mb"]["wins"] == 3

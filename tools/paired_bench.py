@@ -10,8 +10,11 @@ median and quartiles and the number of pairs the change wins. A gain
 may be claimed when the change wins at least 9 pairs in 10 and its
 median beats the base median by more than the base's interquartile
 range. It also says whether the change's median is within the bound by
-which the benchmark lets the metric worsen. A pair in which either side
-fails makes the script exit 1.
+which the benchmark lets the metric worsen. It also prints each side's
+median and quartiles of the ungated ``wall_s``, read from each run's
+detail line and labelled "not gated": the benchmark does not bound it,
+so no claim or bound is judged on it. A pair in which either side fails
+makes the script exit 1.
 The two checkouts must sit at resolved paths of equal length, since
 the benchmark's peak RSS moves with the checkout's directory; the
 script exits 2 before any run when they do not.
@@ -28,8 +31,12 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object (last stdout line) of one benchmark run."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
+    """The gated metrics and the ungated ``wall_s`` of one benchmark run.
+
+    The metrics come from the result object (the last stdout line), the
+    wall time from the detail line before it.
+    """
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -37,10 +44,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: exit {done.returncode}\n{done.stderr}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    detail, result = map(json.loads, done.stdout.strip().splitlines()[-2:])
     if result["failed"]:
         raise RuntimeError(f"{checkout}: {result['failed']} failed execution(s)")
-    return result["metrics"]
+    return result["metrics"], detail["report_only"]["wall_s"]
 
 
 def quartiles(values: list) -> tuple:
@@ -84,16 +91,19 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values = {"base": {name: [] for name in better}, "change": {name: [] for name in better}}
+    wall = {"base": [], "change": []}
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
             try:
-                metrics = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+                metrics, wall_s = run_once(getattr(args, side), args.workload, args.seed,
+                                           args.seconds)
             except RuntimeError as exc:
                 print(f"pair {k + 1}, {side}: {exc}", file=sys.stderr)
                 return 1
             for name in better:
                 values[side][name].append(metrics[name]["value"])
+            wall[side].append(wall_s)
         print(f"pair {k + 1}/{args.pairs} ({order[0]} first): "
               + ", ".join(f"{name} {values['base'][name][-1]:.4g} -> "
                           f"{values['change'][name][-1]:.4g}" for name in better),
@@ -111,6 +121,10 @@ def main(argv=None) -> int:
               f"claim {'holds' if v['claim_holds'] else 'does not hold'}, "
               f"{'within' if v['within_bound'] else 'OUTSIDE'} the "
               f"{bounds[name]:.0%} bound")
+    (b1, bm, b3), (c1, cm, c3) = quartiles(wall["base"]), quartiles(wall["change"])
+    print(f"  wall_s (not gated): base {bm:.4g} [{b1:.4g}, {b3:.4g}], "
+          f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]")
+    report["wall_s"] = {"not_gated": True, "values": wall}
     print(json.dumps(report))
     return 0
 
