@@ -42,15 +42,16 @@ def _cmd_run(args) -> int:
     one = dataclasses.replace(config, replicas=1)
     settled = []
 
-    def replicas():
-        # one engine call per replica, so memory holds one replica's history
+    def replicas(rows):
+        # one engine call per replica, each writing its belief rows as it
+        # makes them, so memory holds one replica's verdicts and no beliefs
         for r in range(config.replicas):
-            (rec,) = run_experiment(one, r)
+            (rec,) = run_experiment(one, r, rows=rows)
             settled.append(rec.consensus_round)
             yield rec
             del rec  # released before the next replica is built
 
-    export(replicas(), args.out, config)
+    export(replicas, args.out, config)
     print(f"ran {len(settled)} replica(s) of {config.rounds} rounds")
     print(f"consensus rounds: {settled}")
     print(f"wrote beliefs.csv, comm.csv, summary.txt to {args.out}")

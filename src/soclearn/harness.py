@@ -11,15 +11,15 @@ and replica by replica.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -470,9 +470,11 @@ class TrajectoryRecord:
     The arrays are read-only. Records from ``run_experiment`` hold views
     into one history buffer per call, shared by all the replicas of that
     call, so keeping any one record alive keeps the whole call's history
-    in memory; copy the arrays you need to release it. ``soclearn run``
-    calls the engine once per replica, so there each buffer is one
-    replica's.
+    in memory; copy the arrays you need to release it. A record of a
+    call that streamed its rows (``run_experiment(..., rows=...)``, as
+    ``soclearn run`` makes one per replica) stores beliefs at rounds 0
+    and ``rounds`` only, so what it holds that grows with the horizon is
+    its verdicts: 9 bytes per agent-round.
     """
 
     replica: int
@@ -560,7 +562,20 @@ class TrajectoryRecord:
         return touched / len(u)
 
 
-def run_experiment(config: ExperimentConfig, first_replica: int = 0) -> list:
+def _checked_model(config: ExperimentConfig) -> tuple:
+    """``build_model(config)``, refused unless it passes the standing assumptions."""
+    space, prior, lik, net = build_model(config)
+    report = validate_assumptions(lik, net, space)
+    if not report.passed:
+        raise AssumptionViolation(
+            "model fails standing assumptions\n" + report.summary()
+        )
+    return space, prior, lik, net
+
+
+def run_experiment(
+    config: ExperimentConfig, first_replica: int = 0, *, rows=None
+) -> list:
     """Run the switching protocol for ``config.replicas`` replicas.
 
     The replicas are ``first_replica .. first_replica + config.replicas
@@ -574,17 +589,18 @@ def run_experiment(config: ExperimentConfig, first_replica: int = 0) -> list:
     The records share one history buffer per call, so a caller that
     wants one replica's history in memory at a time makes one call per
     replica.
+
+    With ``rows``, the engine stores no belief history. At each round
+    it would store, it calls ``rows(replica, t, log_belief)`` once per
+    replica, in replica order, with that replica's read-only ``(n, m)``
+    log beliefs, and the records keep only rounds 0 and
+    ``config.rounds``, as ``thin_every = rounds`` would store them.
     """
     if not (_is_index(first_replica) and first_replica >= 0):
         raise ValueError(
             f"first_replica must be a nonnegative integer, got {first_replica!r}"
         )
-    space, prior, lik, net = build_model(config)
-    report = validate_assumptions(lik, net, space)
-    if not report.passed:
-        raise AssumptionViolation(
-            "model fails standing assumptions\n" + report.summary()
-        )
+    space, prior, lik, net = _checked_model(config)
 
     reps, horizon = config.replicas, config.rounds
     replicas = range(first_replica, first_replica + reps)
@@ -605,12 +621,25 @@ def run_experiment(config: ExperimentConfig, first_replica: int = 0) -> list:
         stride = 1
     else:
         stride = math.ceil(horizon / 10_000)
-    # stride multiples and the horizon; round t is stored in slot ceil(t / stride)
-    stored = np.arange(0, horizon + stride, stride, dtype=np.int64)
-    stored[-1] = horizon
 
-    # replica-major, so each record is a view of its own contiguous block
-    store = np.empty((reps, len(stored), n, m))
+    if rows is None:
+        # stride multiples and the horizon; round t is stored in slot ceil(t / stride)
+        stored = np.arange(0, horizon + stride, stride, dtype=np.int64)
+        stored[-1] = horizon
+        # replica-major, so each record is a view of its own contiguous block
+        store = np.empty((reps, len(stored), n, m))
+
+        def keep(t, logb):
+            store[:, -(-t // stride)] = logb
+    else:
+        stored = np.array([0, horizon], dtype=np.int64)
+
+        def keep(t, logb):
+            logb = logb.view()
+            logb.setflags(write=False)
+            for r, replica in enumerate(replicas):
+                rows(replica, t, logb[r])
+
     tv_hist = np.empty((reps, horizon, n))
     uninf_hist = np.empty((reps, horizon, n), dtype=bool)
     last_below = np.full((reps, n), -1, dtype=np.int64)
@@ -621,7 +650,7 @@ def run_experiment(config: ExperimentConfig, first_replica: int = 0) -> list:
     logb = anchor.copy()
     phi = np.zeros((reps, n, m))
     last_below[logb[:, :, space.true_state_index] < log_settled] = 0
-    store[:, 0] = logb
+    keep(0, logb)
 
     for t in range(1, horizon + 1):
         if t % _SIGNAL_CHUNK == 0:
@@ -639,8 +668,10 @@ def run_experiment(config: ExperimentConfig, first_replica: int = 0) -> list:
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t
         if t % stride == 0 or t == horizon:
-            store[:, -(-t // stride)] = logb
+            keep(t, logb)
 
+    if rows is not None:
+        store = np.stack((anchor, logb), axis=1)
     return [
         TrajectoryRecord(
             replica=replica,
@@ -729,30 +760,31 @@ def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
 
 
 def _csv_cell(value) -> str:
-    """``value`` as ``csv.writer`` writes it inside a row, quoted where needed."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[:-3]  # drop the empty last field's ',\r\n'
+    """``value`` as a ``csv.writer`` of the "excel" dialect writes it inside a row.
 
-
-def _write_belief_rows(fh, rec: TrajectoryRecord) -> None:
-    """Write a record's beliefs.csv rows, one stored round at a time.
-
-    Each round is the exp of its ``(n, m)`` slice, formatted and written
-    at once. Every view of the record's history is local here, so none
-    outlives the call.
+    That dialect quotes a field only when it holds a comma, a quote or a
+    line break, and doubles the quotes inside; it writes floats by
+    ``repr`` and everything else by ``str``.
     """
-    labels = [_csv_cell(label) for label in rec.state_labels]
-    cells = [
-        f",{i},{label},"
-        for i in range(rec.log_beliefs.shape[1])
-        for label in labels
-    ]
-    for s in range(len(rec.stored_rounds)):
-        head = f"{rec.replica},{rec.stored_rounds[s]}"
-        values = np.exp(rec.log_beliefs[s]).ravel().tolist()
-        rows = [f"{head}{cell}{v:.17g}\r\n" for cell, v in zip(cells, values)]
-        fh.write("".join(rows))
+    text = repr(value) if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _fit_input(rec: TrajectoryRecord, rounds: array, values: array) -> SimpleNamespace:
+    """What ``estimate_rate`` reads of a streamed record, from its kept column.
+
+    ``log_beliefs`` broadcasts the column over every agent and state, so
+    the fit checks its indices against the record's shape; it reads only
+    the designated agent and state, whose values these are.
+    """
+    column = np.frombuffer(values)[:, None, None]
+    return SimpleNamespace(
+        stored_rounds=np.frombuffer(rounds, np.int64),
+        log_beliefs=np.broadcast_to(column, (len(column),) + rec.log_beliefs.shape[1:]),
+        true_state_index=rec.true_state_index,
+    )
 
 
 def export(records, out_dir, config: ExperimentConfig) -> None:
@@ -762,38 +794,65 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
     (round-trip exact for doubles). The header comments pin the signal
     generator and seed so an export is traceable to its streams.
 
-    ``records`` may be any iterable, read once. Each record's belief
-    rows, exchanges and summary line are written as it arrives, and the
-    record is released before the next is drawn, so an iterable that
-    builds one replica at a time keeps one history in memory, however
-    many replicas. The first record is drawn before any file is made,
-    so a run that fails there writes nothing. beliefs.csv is written
-    one stored round at a time, so export holds one round of linear
-    beliefs however long the horizon.
+    ``records`` is an iterable of records, read once, or a function
+    ``records(rows)`` returning one whose records have already sent
+    their stored rounds to ``rows``, as ``run_experiment(..., rows=rows)``
+    does while it runs. One writer makes every belief row: a given
+    record's stored rounds are replayed into it, one ``(n, m)`` round at
+    a time. A streamed record keeps only rounds 0 and ``rounds``, so
+    ``rows`` also keeps what the rate fit reads: the designated agent's
+    log belief on the slowest state at round 0 and inside the window.
+
+    Each record's rows, exchanges and summary line are written as it
+    arrives, and the record is released before the next is drawn, so a
+    source that builds one replica at a time keeps one replica's record
+    in memory, however many replicas; a streamed one holds no belief
+    history at all. The model is checked against the standing
+    assumptions before any file is made, so a run that fails there
+    writes nothing.
     """
-    records = iter(records)
-    rec = next(records, None)
+    space, _, lik, _ = _checked_model(config)
+    report = identifiability_report(lik, space)
+    agent, state = config.comparison_agent, report.slowest_state
+    window = (math.ceil(config.rounds / 2), config.rounds)
+    labels = [_csv_cell(label) for label in space.states]
+    cells = [f",{i},{label}," for i in range(config.agents) for label in labels]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    space, _, lik, _ = build_model(config)
-    report = identifiability_report(lik, space)
-    window = (math.ceil(config.rounds / 2), config.rounds)
     lines = []
 
     with open(out / "beliefs.csv", "w", newline="") as beliefs, \
-            open(out / "comm.csv", "w", newline="") as comm:
+            open(out / "comm.csv", "wb") as comm:
+
+        def write(replica, t, log_belief):
+            head = f"{replica},{t}"
+            values = np.exp(log_belief).ravel().tolist()
+            beliefs.write("".join([f"{head}{cell}{v:.17g}\r\n"
+                                   for cell, v in zip(cells, values)]))
+
+        def rows(replica, t, log_belief):
+            write(replica, t, log_belief)
+            if t == 0 or t >= window[0]:
+                fit_rounds.append(t)
+                fit_values.append(log_belief[agent, state])
+
         beliefs.write(f"# generator: {GENERATOR_NAME}\n")
         beliefs.write(f"# seed: {config.seed}\n")
-        csv.writer(beliefs).writerow(["replica", "t", "agent", "state_label", "belief"])
-        comm.write("replica,t,agent_i,agent_j\r\n")
-        while rec is not None:
-            _write_belief_rows(beliefs, rec)
-            # integers need no quoting, and a csv.writer would keep a
-            # 128 KiB row buffer for as long as it lives
-            comm.writelines(f"{rec.replica},{t},{i},{j}\r\n" for t, i, j in rec.ledger)
+        beliefs.write("replica,t,agent,state_label,belief\r\n")
+        comm.write(b"replica,t,agent_i,agent_j\r\n")
+        streamed = callable(records)
+        fit_rounds, fit_values = array("q"), array("d")
+        for rec in records(rows) if streamed else records:
+            if not streamed:
+                for t, log_belief in zip(rec.stored_rounds, rec.log_beliefs):
+                    write(rec.replica, t, log_belief)
+            fit = _fit_input(rec, fit_rounds, fit_values) if streamed else rec
+            # bytes go straight to the file buffer, where a text file would
+            # hold up to 8 KiB of pending rows as separate str objects
+            comm.writelines(f"{rec.replica},{t},{i},{j}\r\n".encode() for t, i, j in rec.ledger)
             frac = float(np.mean(rec.communication_fractions()))
             try:
-                rate = estimate_rate(rec, config.comparison_agent, report.slowest_state, window)
+                rate = estimate_rate(fit, agent, state, window)
                 rate_text = f"{rate:.6g} nats/round over rounds {window[0]}..{window[1]}"
             except ValueError as exc:
                 rate_text = f"not estimated ({exc})"
@@ -801,8 +860,8 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
                 f"replica {rec.replica}: consensus round {rec.consensus_round}, "
                 f"mean comm fraction {frac:.4f}, estimated rate {rate_text}"
             )
-            del rec  # released before the next replica is built
-            rec = next(records, None)
+            del rec, fit  # released before the next replica is built
+            fit_rounds, fit_values = array("q"), array("d")
 
     head = [
         f"agents: {config.agents}, states: {config.states}, "

@@ -98,8 +98,9 @@ def build_switching_matrix(net: Network, flagged, round: int) -> SwitchingMatrix
     return SwitchingMatrix(network=net, flagged=flagged, round=round)
 
 
-# events decoded per step of iterating a ledger; a round is never split
-_DECODE_EVENTS = 4096
+# events decoded per step of iterating a ledger, about 48 bytes each while
+# decoded; a round is never split
+_DECODE_EVENTS = 1024
 
 
 class CommLedger:
@@ -114,7 +115,7 @@ class CommLedger:
     that is about 4 bytes per exchange. Events keep their recorded
     order (rounds as recorded, pairs row-major within a round).
     Iterating the ledger yields the ``(round, i, j)`` tuples one at a
-    time, decoding a few thousand at once; ``events`` builds a fresh
+    time, decoding about a thousand at once; ``events`` builds a fresh
     list of them on each access, and ``len(ledger)`` is the cheap count.
     Per-agent communication fractions are read off the verdicts, by
     ``TrajectoryRecord.communication_fractions``.
@@ -160,7 +161,9 @@ class CommLedger:
         rows = codes // self.n
         triples[:, 1] = rows
         triples[:, 2] = codes - rows * self.n
-        flat = iter(array("q", triples.tobytes()))
+        flat = array("q")
+        flat.frombytes(triples.data.cast("B"))  # one copy, where tobytes() makes two
+        flat = iter(flat)
         return hi, zip(flat, flat, flat)
 
     @property

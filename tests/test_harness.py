@@ -1008,21 +1008,32 @@ def oracle_beliefs_csv(records, config) -> bytes:
     return buf.getvalue().encode()
 
 
-# labels the csv module must quote, an empty one, and numbers
-AWKWARD_LABELS = ("a,b", 'say "hi"', "line\nbreak", "", 0.1, 3)
+# labels the csv module must quote, an empty one, one it leaves
+# unquoted despite its space, and numbers
+AWKWARD_LABELS = ("a,b", 'say "hi"', "line\nbreak", "", " lead", "cr\r", '"', 0.1, 3)
 
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        settling_config(replicas=2, rounds=25),
-        settling_config(replicas=1, rounds=10, thin_every=3),
+EXPORT_CASES = [
+    pytest.param(settling_config(replicas=2, rounds=25), id="two-replicas"),
+    pytest.param(settling_config(replicas=1, rounds=10, thin_every=3), id="thinned"),
+    pytest.param(
         reference_config(
-            agents=5, states=6, state_labels=AWKWARD_LABELS, replicas=2, rounds=20
+            agents=len(AWKWARD_LABELS) - 1, states=len(AWKWARD_LABELS),
+            state_labels=AWKWARD_LABELS,
+            replicas=2, rounds=20,
         ),
-    ],
-    ids=["two-replicas", "thinned", "awkward-labels"],
-)
+        id="awkward-labels",
+    ),
+]
+
+
+@given(st.one_of(st.sampled_from(AWKWARD_LABELS), st.text(), st.floats(), st.integers()))
+def test_csv_cell_quotes_as_the_csv_module_does(label):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow([label, ""])
+    assert harness._csv_cell(label) + ",\r\n" == buf.getvalue()
+
+
+@pytest.mark.parametrize("config", EXPORT_CASES)
 def test_export_matches_the_per_row_csv_writer(tmp_path, config):
     records = run_experiment(config)
     export(records, tmp_path, config)
@@ -1080,15 +1091,14 @@ def _cli_run_peak_bytes(out, config):
 def test_cli_run_memory_does_not_grow_with_the_replica_count(tmp_path, capsys):
     """``run`` builds, exports and releases one replica at a time.
 
-    One replica's history here is about 167 KiB (601 stored rounds of
-    5 x 6 beliefs, the verdicts and the TV values), so a run that kept
-    its records until export ended would peak about 1 MiB higher at six
-    replicas than at one. The 64 KiB slack covers what differs between
-    the two runs without being history: the open output files and the
-    summary lines while later replicas run, numpy's and Python's
-    free-list caches and tracemalloc's own bookkeeping, seen at up to
-    about 25 KiB. It is less than half a replica, so even one record
-    kept past its export fails the test.
+    One replica's record here is about 27 KB (the verdicts and TV
+    values of 600 rounds of 5 agents) plus its ledger, so a run that
+    kept its records until export ended would peak about 140 KB higher
+    at six replicas than at one. The 64 KiB slack covers what
+    differs between the two runs without being history: the open output
+    files and the summary lines while later replicas run, numpy's and
+    Python's free-list caches and tracemalloc's own bookkeeping, seen at
+    up to about 25 KiB.
     """
     config = reference_config(agents=5, states=6, rounds=600)
     _cli_run_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2, replicas=1))
@@ -1097,6 +1107,64 @@ def test_cli_run_memory_does_not_grow_with_the_replica_count(tmp_path, capsys):
         for k in (1, 6)
     )
     assert six <= one + 64 * 1024
+
+
+def _ledger_bytes(config):
+    """Traced bytes the replayed ledger of ``config``'s one replica retains."""
+    (rec,) = run_experiment(config)
+    tracemalloc.start()
+    try:
+        rec.ledger
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_run_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    """``run`` writes belief rows as the engine makes them.
+
+    What a replica keeps that grows with the horizon is its verdicts
+    (TV value and flag, 9 bytes per agent-round) and its ledger. A run
+    that stored the replica's beliefs would add 1,800 rounds of 5 x 6
+    doubles, about 432 KB, between the two horizons. The 64 KiB slack
+    covers the rate fit's column (16 bytes per round of the window's
+    900 extra rounds, about 14 KiB), the fit's copies of it and the
+    free-list and bookkeeping noise of the replica-count test.
+    """
+    config = reference_config(agents=5, states=6, replicas=1)
+    _cli_run_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2))
+    peak, ledger = {}, {}
+    for rounds in (600, 2400):
+        sized = dataclasses.replace(config, rounds=rounds)
+        peak[rounds] = _cli_run_peak_bytes(tmp_path / str(rounds), sized)
+        ledger[rounds] = _ledger_bytes(sized)
+    verdicts = 9 * config.agents * (2400 - 600)
+    assert peak[2400] <= peak[600] + verdicts + ledger[2400] - ledger[600] + 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "config",
+    EXPORT_CASES + [
+        pytest.param(
+            settling_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
+            id="past-a-signal-chunk",
+        ),
+        pytest.param(settling_config(replicas=2, rounds=1), id="one-round"),
+        pytest.param(settling_config(replicas=2, rounds=40, comparison_agent=3),
+                     id="designated-agent-3"),
+    ],
+)
+def test_cli_run_writes_what_export_writes_from_stored_records(tmp_path, capsys, config):
+    # run streams each replica's rows and keeps only the rate fit's
+    # column; export of stored records replays them, and fits the record
+    export(run_experiment(config), tmp_path / "stored", config)
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "streamed")]) == 0
+    for name in ("beliefs.csv", "comm.csv", "summary.txt"):
+        streamed = (tmp_path / "streamed" / name).read_bytes()
+        assert streamed == (tmp_path / "stored" / name).read_bytes(), name
+    estimated = "not estimated (" not in (tmp_path / "stored" / "summary.txt").read_text()
+    assert estimated == (config.rounds > 1)
 
 
 def test_summary_rate_matches_analysis_to_the_digit(tmp_path):

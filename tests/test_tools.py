@@ -69,3 +69,53 @@ def test_paired_bench_prints_wall_time_as_not_gated(tmp_path, monkeypatch, capsy
     assert report["wall_s"] == {"not_gated": True,
                                 "values": {"base": [3.0, 3.1, 3.2], "change": [2.0, 2.1, 2.2]}}
     assert report["peak_rss_mb"]["wins"] == 3
+
+
+def test_paired_bench_prints_one_verdict_block_per_workload(tmp_path, monkeypatch, capsys):
+    bench = load_paired_bench()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((workload, checkout.name))
+        # the change halves the first workload's RSS and leaves the second's alone
+        value = 20.0 if (workload, checkout.name) == ("ring15-run", "chng") else 40.0
+        metrics = {"peak_rss_mb": {"value": value}, "setup_s": {"value": 0.3}}
+        return metrics, 1.0
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side in ("base", "chng"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"),
+                       "--workload", "ring15-run", "--workload", "complete5-compare",
+                       "--seed", "12", "--pairs", "2"]) == 0
+    # every pair of one workload runs before the next workload starts
+    assert [w for w, _ in calls] == ["ring15-run"] * 4 + ["complete5-compare"] * 4
+    lines = capsys.readouterr().out.splitlines()
+    heads = [line for line in lines if " seed 12, 2 pairs" in line]
+    assert heads == ["ring15-run seed 12, 2 pairs", "complete5-compare seed 12, 2 pairs"]
+    reports = [json.loads(line) for line in lines if line.startswith("{")]
+    assert [r["workload"] for r in reports] == ["ring15-run", "complete5-compare"]
+    assert reports[0]["peak_rss_mb"]["values"] == {"base": [40.0, 40.0],
+                                                   "change": [20.0, 20.0]}
+    assert reports[0]["peak_rss_mb"]["wins"] == 2
+    assert reports[1]["peak_rss_mb"]["wins"] == 0
+
+
+def test_paired_bench_stops_at_the_first_failing_workload(tmp_path, monkeypatch, capsys):
+    bench = load_paired_bench()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(workload)
+        raise RuntimeError(f"{checkout}: exit 1")
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side in ("base", "chng"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"),
+                       "--workload", "ring15-run", "--workload", "complete5-compare",
+                       "--seed", "12", "--pairs", "2"]) == 1
+    assert calls == ["ring15-run"]
+    assert "ring15-run pair 1, base: " in capsys.readouterr().err

@@ -1,20 +1,21 @@
-"""Paired end-to-end benchmark of two checkouts on one workload.
+"""Paired end-to-end benchmark of two checkouts, one workload after another.
 
-    python3 tools/paired_bench.py BASE CHANGE --workload W --seed N --pairs 10
+    python3 tools/paired_bench.py BASE CHANGE --workload W [--workload W2 ...] --seed N --pairs 10
 
-Runs ``perfbench/run.py --workload W --seed N --trace 0`` once in each
-checkout per pair, alternating which side goes first, so slow drifts of
-the host fall on both sides alike. For every end-to-end metric that
-``BENCHMARK.json`` (read from CHANGE) declares, it prints each side's
-median and quartiles and the number of pairs the change wins. A gain
-may be claimed when the change wins at least 9 pairs in 10 and its
-median beats the base median by more than the base's interquartile
-range. It also says whether the change's median is within the bound by
-which the benchmark lets the metric worsen. It also prints each side's
-median and quartiles of the ungated ``wall_s``, read from each run's
-detail line and labelled "not gated": the benchmark does not bound it,
-so no claim or bound is judged on it. A pair in which either side fails
-makes the script exit 1.
+For each workload in turn, runs ``perfbench/run.py --workload W --seed N
+--trace 0`` once in each checkout per pair, alternating which side goes
+first, so slow drifts of the host fall on both sides alike. Then it
+prints that workload's verdict block and a JSON report line. For every
+end-to-end metric that ``BENCHMARK.json`` (read from CHANGE) declares,
+the block gives each side's median and quartiles and the number of
+pairs the change wins. A gain may be claimed when the change wins at
+least 9 pairs in 10 and its median beats the base median by more than
+the base's interquartile range. It also says whether the change's
+median is within the bound by which the benchmark lets the metric
+worsen. It also prints each side's median and quartiles of the ungated
+``wall_s``, read from each run's detail line and labelled "not gated":
+the benchmark does not bound it, so no claim or bound is judged on it.
+A pair in which either side fails makes the script exit 1.
 The two checkouts must sit at resolved paths of equal length, since
 the benchmark's peak RSS moves with the checkout's directory; the
 script exits 2 before any run when they do not.
@@ -71,36 +72,21 @@ def verdict(base: list, change: list, better: str, bound: float) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    base, change = (len(str(path.resolve())) for path in (args.base, args.change))
-    if base != change:
-        parser.error(f"checkout paths must be of equal length, got {base} and {change} "
-                     "characters: peak RSS moves with the checkout's directory")
+def bench(args, workload: str, better: dict, bounds: dict) -> dict:
+    """Run ``args.pairs`` pairs of one workload, print its verdict block, return its report.
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    Raises ``RuntimeError`` when a run fails.
+    """
     values = {"base": {name: [] for name in better}, "change": {name: [] for name in better}}
     wall = {"base": [], "change": []}
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
             try:
-                metrics, wall_s = run_once(getattr(args, side), args.workload, args.seed,
+                metrics, wall_s = run_once(getattr(args, side), workload, args.seed,
                                            args.seconds)
             except RuntimeError as exc:
-                print(f"pair {k + 1}, {side}: {exc}", file=sys.stderr)
-                return 1
+                raise RuntimeError(f"{workload} pair {k + 1}, {side}: {exc}") from None
             for name in better:
                 values[side][name].append(metrics[name]["value"])
             wall[side].append(wall_s)
@@ -109,8 +95,8 @@ def main(argv=None) -> int:
                           f"{values['change'][name][-1]:.4g}" for name in better),
               flush=True)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
-    report = {}
+    print(f"{workload} seed {args.seed}, {args.pairs} pairs")
+    report = {"workload": workload}
     for name, direction in better.items():
         v = verdict(values["base"][name], values["change"][name], direction, bounds[name])
         report[name] = {**v, "values": {side: values[side][name] for side in values}}
@@ -125,7 +111,36 @@ def main(argv=None) -> int:
     print(f"  wall_s (not gated): base {bm:.4g} [{b1:.4g}, {b3:.4g}], "
           f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]")
     report["wall_s"] = {"not_gated": True, "values": wall}
-    print(json.dumps(report))
+    print(json.dumps(report), flush=True)
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload to run; give it once per workload")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    base, change = (len(str(path.resolve())) for path in (args.base, args.change))
+    if base != change:
+        parser.error(f"checkout paths must be of equal length, got {base} and {change} "
+                     "characters: peak RSS moves with the checkout's directory")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    for workload in args.workload:
+        try:
+            bench(args, workload, better, bounds)
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
     return 0
 
 
