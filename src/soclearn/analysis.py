@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LikelihoodModel, StateSpace, _check_index, _is_index
+from .model import LikelihoodModel, StateSpace, _is_index
 
 __all__ = [
     "equivalence_classes",
@@ -181,30 +181,24 @@ def identifiability_report(
     )
 
 
-def estimate_rate(trajectory, agent: int, false_state: int, window) -> float:
-    """Empirical exclusion rate of one false state for one agent.
+def estimate_rate(stored_rounds, values, window) -> float:
+    """Empirical exclusion rate from one column of log beliefs.
 
-    Fits a least-squares line to the agent's log belief on the state
-    over the stored rounds inside ``window`` (inclusive) and returns
-    the negated slope in nats per round. The slope is the closed form
-    ``sum(x * y) / sum(x * x)`` with the rounds centred on their mean
-    as ``x``. The trajectory only needs ``stored_rounds``,
-    ``log_beliefs``, and ``true_state_index``. Raises ``ValueError``
-    when ``agent`` or ``false_state`` is not an index into
-    ``log_beliefs`` (negative ones are refused, not wrapped), or when
-    ``window`` is not exactly two integer bounds.
+    ``values[k]`` is an agent's log belief on a false state at round
+    ``stored_rounds[k]``. Fits a least-squares line to the values at the
+    stored rounds inside ``window`` (inclusive) and returns the negated
+    slope in nats per round. The slope is the closed form
+    ``sum(x * y) / sum(x * x)`` with the rounds centred on their mean as
+    ``x``. Raises ``ValueError`` when ``window`` is not exactly two
+    integer bounds, is empty, reaches outside the stored rounds or
+    covers fewer than two of them.
     """
-    agents, states = np.shape(trajectory.log_beliefs)[1:]
-    _check_index("agent", agent, agents)
-    _check_index("false_state", false_state, states)
     if len(window) != 2 or not all(_is_index(bound) for bound in window):
         raise ValueError(f"window bounds must be integers, exactly two, got {window!r}")
     lo, hi = map(int, window)
     if lo > hi:
         raise ValueError(f"window {window} is empty")
-    if false_state == trajectory.true_state_index:
-        raise ValueError("rate is defined for false states only")
-    stored = np.asarray(trajectory.stored_rounds)
+    stored = np.asarray(stored_rounds)
     keep = (stored >= lo) & (stored <= hi)
     if stored.size and (lo < stored[0] or hi > stored[-1]):
         raise ValueError(
@@ -214,9 +208,8 @@ def estimate_rate(trajectory, agent: int, false_state: int, window) -> float:
     rounds = stored[keep]
     if rounds.size < 2:
         raise ValueError("window covers fewer than two stored rounds")
-    values = np.asarray(trajectory.log_beliefs)[keep, agent, false_state]
     x = rounds - rounds.mean()
-    slope = np.dot(x, values) / np.dot(x, x)
+    slope = np.dot(x, np.asarray(values)[keep]) / np.dot(x, x)
     return float(-slope)
 
 

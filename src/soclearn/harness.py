@@ -19,7 +19,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -534,13 +533,13 @@ class TrajectoryRecord:
     def ledger(self) -> CommLedger:
         """Communication ledger replayed from the recorded verdicts.
 
-        Rounds are recorded one at a time from their masks' fired
-        edges, so the replay builds no mixing matrix. The ledger is cached
-        on the record and keeps its exchanges as compressed rows: a
-        round and an end count per round with exchanges, and one pair
-        code of 2 bytes (up to 256 agents) per exchange.
+        Rounds are recorded one at a time from their masks, so the
+        replay builds no mixing matrix. The ledger is cached on the
+        record and keeps, per round with exchanges, the round number and
+        the flagged mask packed 8 agents to a byte; its exchanges are
+        read off those masks by the fired-edge rule.
         """
-        ledger = CommLedger(self.network.n)
+        ledger = CommLedger(self.network)
         for t, mask in enumerate(self.uninformative, start=1):
             record_round(ledger, build_switching_matrix(self.network, mask, t))
         return ledger
@@ -772,21 +771,6 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _fit_input(rec: TrajectoryRecord, rounds: array, values: array) -> SimpleNamespace:
-    """What ``estimate_rate`` reads of a streamed record, from its kept column.
-
-    ``log_beliefs`` broadcasts the column over every agent and state, so
-    the fit checks its indices against the record's shape; it reads only
-    the designated agent and state, whose values these are.
-    """
-    column = np.frombuffer(values)[:, None, None]
-    return SimpleNamespace(
-        stored_rounds=np.frombuffer(rounds, np.int64),
-        log_beliefs=np.broadcast_to(column, (len(column),) + rec.log_beliefs.shape[1:]),
-        true_state_index=rec.true_state_index,
-    )
-
-
 def export(records, out_dir, config: ExperimentConfig) -> None:
     """Write beliefs.csv, comm.csv, and summary.txt for a set of replicas.
 
@@ -843,16 +827,18 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
         streamed = callable(records)
         fit_rounds, fit_values = array("q"), array("d")
         for rec in records(rows) if streamed else records:
-            if not streamed:
+            if streamed:
+                fit = fit_rounds, fit_values
+            else:
                 for t, log_belief in zip(rec.stored_rounds, rec.log_beliefs):
                     write(rec.replica, t, log_belief)
-            fit = _fit_input(rec, fit_rounds, fit_values) if streamed else rec
+                fit = rec.stored_rounds, rec.log_beliefs[:, agent, state]
             # bytes go straight to the file buffer, where a text file would
             # hold up to 8 KiB of pending rows as separate str objects
             comm.writelines(f"{rec.replica},{t},{i},{j}\r\n".encode() for t, i, j in rec.ledger)
             frac = float(np.mean(rec.communication_fractions()))
             try:
-                rate = estimate_rate(fit, agent, state, window)
+                rate = estimate_rate(*fit, window)
                 rate_text = f"{rate:.6g} nats/round over rounds {window[0]}..{window[1]}"
             except ValueError as exc:
                 rate_text = f"not estimated ({exc})"

@@ -3,15 +3,15 @@
 The protocol communicates selectively: a network edge carries weight in
 a given round only when at least one endpoint found its own signal
 uninformative. Everyone else leans on their own accumulated potential,
-which the diagonal absorbs. The ledger records which edges actually
-fired so a run's communication cost can be audited afterwards.
+which the diagonal absorbs. The ledger keeps each round's flagged mask
+and reads which edges fired off it, by the same rule as the mixing, so
+a run's communication cost can be audited afterwards.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class SwitchingMatrix:
     that found their signal uninformative, on its network.
 
     ``q`` is the mixing matrix that follows, built and checked on each
-    read; ``fired_pairs()`` needs no matrix.
+    read.
     """
 
     network: Network
@@ -54,16 +54,6 @@ class SwitchingMatrix:
         _check_mixing(mat, "mixing matrix")
         mat.setflags(write=False)
         return mat
-
-    def fired_pairs(self) -> tuple:
-        """Index arrays ``(i, j)`` of the pairs that exchanged this round.
-
-        Each unordered pair appears once, with ``i < j``, in row-major
-        order.
-        """
-        rows, cols = np.nonzero(_fired(self.network, self.flagged))
-        upper = rows < cols
-        return rows[upper], cols[upper]
 
 
 def _fired(net: Network, flagged: np.ndarray) -> np.ndarray:
@@ -98,73 +88,60 @@ def build_switching_matrix(net: Network, flagged, round: int) -> SwitchingMatrix
     return SwitchingMatrix(network=net, flagged=flagged, round=round)
 
 
-# events decoded per step of iterating a ledger, about 48 bytes each while
-# decoded; a round is never split
-_DECODE_EVENTS = 1024
+# fired-edge cells (rounds x n x n) decoded per step of iterating a
+# ledger; a round is never split
+_DECODE_CELLS = 4096
 
 
 class CommLedger:
-    """Mutable record of which edges fired in which rounds.
+    """Mutable record of which edges of ``network`` fired in which rounds.
 
-    Exchanges live in compressed rows (CSR): ``_rounds`` holds the round
-    of each recorded round that had at least one exchange, ``_ends`` the
-    running exchange count after it, and ``_pairs`` each undirected
-    exchange ``i < j`` as the code ``i * n + j`` in the narrowest
-    unsigned typecode that holds ``n² - 1`` (two bytes up to 256
-    agents). A round without exchanges stores nothing. On a dense ledger
-    that is about 4 bytes per exchange. Events keep their recorded
-    order (rounds as recorded, pairs row-major within a round).
-    Iterating the ledger yields the ``(round, i, j)`` tuples one at a
-    time, decoding about a thousand at once; ``events`` builds a fresh
-    list of them on each access, and ``len(ledger)`` is the cheap count.
+    For each recorded round that had at least one exchange, the ledger
+    keeps its round number (int64) and its flagged mask, packed 8 agents
+    to a byte; a round without exchanges stores nothing. The exchanges
+    are read off the masks by ``_fired``, the rule the mixing follows:
+    iterating the ledger unpacks blocks of masks and yields the
+    ``(round, i, j)`` tuples with ``i < j``, rounds in recorded order
+    and pairs row-major within a round. ``events`` builds a fresh list
+    of them on each access, and ``len(ledger)`` is a running count.
+    Only rounds on the ledger's own network object are recorded.
     Per-agent communication fractions are read off the verdicts, by
     ``TrajectoryRecord.communication_fractions``.
     """
 
-    def __init__(self, n: int):
-        if not (_is_index(n) and n >= 1):
-            raise ValueError(f"need a positive integer count of agents, got {n!r}")
-        self.n = n
+    def __init__(self, network: Network):
+        if not isinstance(network, Network):
+            raise ValueError(f"need a Network, got {network!r}")
+        self.network = network
         self._rounds = array("q")
-        self._ends = array("q")
-        self._pairs = array(next(c for c in "HIq" if n * n - 1 <= np.iinfo(c).max))
+        self._masks = bytearray()
+        self._count = 0
         self.rounds_recorded = 0
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._count
 
     def __iter__(self):
-        return chain.from_iterable(self._blocks())
-
-    def _blocks(self):
+        step = max(1, _DECODE_CELLS // self.network.n ** 2)
         lo = 0
         while lo < len(self._rounds):
-            lo, block = self._decode(lo)
-            yield block
+            hi = min(lo + step, len(self._rounds))
+            yield from self._decode(lo, hi)
+            lo = hi  # rows recorded during this block start the next
 
-    def _decode(self, lo: int):
-        """Events of whole rounds from row ``lo`` on, about ``_DECODE_EVENTS``.
+    def _decode(self, lo: int, hi: int):
+        """The ``(round, i, j)`` tuples of rows ``lo .. hi - 1``, as an iterator.
 
-        Returns the next row and an iterator of ``(round, i, j)`` tuples.
         The numpy views of the storage end with this call, so the ledger
         can still grow while an iteration is paused.
         """
-        ends = np.frombuffer(self._ends, np.int64)
-        first = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, first + _DECODE_EVENTS, side="right")))
-        codes = np.frombuffer(self._pairs, self._pairs.typecode)[first:ends[hi - 1]]
-        triples = np.empty((codes.size, 3), dtype=np.int64)
-        triples[:, 0] = np.repeat(
-            np.frombuffer(self._rounds, np.int64)[lo:hi], np.diff(ends[lo:hi], prepend=first)
-        )
-        # cheaper than np.divmod, which skips numpy's fast division by a scalar
-        rows = codes // self.n
-        triples[:, 1] = rows
-        triples[:, 2] = codes - rows * self.n
-        flat = array("q")
-        flat.frombytes(triples.data.cast("B"))  # one copy, where tobytes() makes two
-        flat = iter(flat)
-        return hi, zip(flat, flat, flat)
+        n = self.network.n
+        width = -(-n // 8)
+        packed = np.frombuffer(self._masks, np.uint8)[lo * width:hi * width]
+        masks = np.unpackbits(packed.reshape(-1, width), axis=1, count=n).view(bool)
+        t, i, j = np.nonzero(np.triu(_fired(self.network, masks), 1))
+        rounds = np.frombuffer(self._rounds, np.int64)[lo:hi][t]
+        return zip(rounds.tolist(), i.tolist(), j.tolist())
 
     @property
     def events(self) -> list:
@@ -172,14 +149,14 @@ class CommLedger:
         return list(self)
 
     def record(self, q: SwitchingMatrix) -> None:
-        if q.network.n != self.n:
-            raise ValueError(f"ledger covers {self.n} agents, matrix {q.network.n}")
-        rows, cols = q.fired_pairs()
-        if rows.size:
-            codes = rows * self.n + cols
-            self._pairs.frombytes(codes.astype(self._pairs.typecode).tobytes())
+        if q.network is not self.network:
+            raise ValueError("the round is on another network than the ledger's")
+        # fired edges are symmetric with a false diagonal: each pair twice
+        exchanges = np.count_nonzero(_fired(self.network, q.flagged)) // 2
+        if exchanges:
             self._rounds.append(q.round)
-            self._ends.append(len(self._pairs))
+            self._masks += np.packbits(q.flagged).tobytes()
+            self._count += exchanges
         self.rounds_recorded += 1
 
 

@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,14 +291,10 @@ def test_report_summary_and_csv(tmp_path):
 def test_rate_zero_for_an_indistinguishable_state():
     # flat likelihoods: the belief series is frozen, so the fitted
     # slope carries nothing but representation noise
-    lik = LikelihoodModel.from_probabilities([bernoulli_table([0.4, 0.4])])
-    logb = np.log(np.full((51, 1, 2), 0.5))
-    record = SimpleNamespace(
-        stored_rounds=tuple(range(51)), log_beliefs=logb, true_state_index=0
-    )
     from soclearn.analysis import estimate_rate
 
-    assert estimate_rate(record, 0, 1, (0, 50)) == pytest.approx(0.0, abs=1e-15)
+    values = np.log(np.full(51, 0.5))
+    assert estimate_rate(range(51), values, (0, 50)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rate_matches_divergence_for_a_lone_agent():
@@ -309,51 +304,20 @@ def test_rate_matches_divergence_for_a_lone_agent():
         agents=1, states=2, rounds=10000, seed=3, replicas=1, tau=0.5
     )
     record = run_experiment(config)[0]
-    rate = estimate_rate(record, 0, 1, (5000, 10000))
+    rate = estimate_rate(record.stored_rounds, record.log_beliefs[:, 0, 1], (5000, 10000))
     assert rate == pytest.approx(D_HALF_QUARTER, rel=0.15)
 
 
 def test_rate_window_validation():
     from soclearn.analysis import estimate_rate
 
-    record = SimpleNamespace(
-        stored_rounds=(0, 1, 2),
-        log_beliefs=np.log(np.full((3, 1, 2), 0.5)),
-        true_state_index=0,
-    )
-    with pytest.raises(ValueError):
-        estimate_rate(record, 0, 1, (2, 1))
-    with pytest.raises(ValueError):
-        estimate_rate(record, 0, 1, (0, 9))
-    with pytest.raises(ValueError):
-        estimate_rate(record, 0, 0, (0, 2))
-
-
-@pytest.mark.parametrize(
-    "agent, false_state, name",
-    [
-        (-1, 1, "agent"),
-        (2, 1, "agent"),
-        (1.0, 1, "agent"),
-        (True, 1, "agent"),
-        (0, -1, "false_state"),
-        (0, 3, "false_state"),
-        (0, "1", "false_state"),
-        (0, np.float64(1), "false_state"),
-    ],
-)
-def test_rate_rejects_an_agent_or_state_that_is_not_an_index(agent, false_state, name):
-    # a negative index used to wrap to the last agent or state
-    from soclearn.analysis import estimate_rate
-
-    record = SimpleNamespace(
-        stored_rounds=(0, 1, 2),
-        log_beliefs=np.log(np.full((3, 2, 3), 1 / 3)),
-        true_state_index=0,
-    )
-    with pytest.raises(ValueError, match=f"^{name} must be an integer in"):
-        estimate_rate(record, agent, false_state, (0, 2))
-    assert estimate_rate(record, np.int64(1), np.int32(2), (0, 2)) == 0.0
+    stored, values = (0, 1, 2), np.log(np.full(3, 0.5))
+    with pytest.raises(ValueError, match="is empty"):
+        estimate_rate(stored, values, (2, 1))
+    with pytest.raises(ValueError, match="reaches outside stored rounds"):
+        estimate_rate(stored, values, (0, 9))
+    with pytest.raises(ValueError, match="fewer than two stored rounds"):
+        estimate_rate(stored, values, (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -368,15 +332,11 @@ def test_rate_rejects_a_window_bound_that_is_not_an_integer(window):
     # so was (2, 9, 11); (2,) failed with a raw IndexError
     from soclearn.analysis import estimate_rate
 
-    record = SimpleNamespace(
-        stored_rounds=tuple(range(11)),
-        log_beliefs=np.log(np.full((11, 1, 2), 0.5)),
-        true_state_index=0,
-    )
+    stored, values = range(11), np.log(np.full(11, 0.5))
     with pytest.raises(ValueError, match="^window bounds must be integers"):
-        estimate_rate(record, 0, 1, window)
-    assert estimate_rate(record, 0, 1, (np.int64(2), np.int32(9))) == \
-        estimate_rate(record, 0, 1, (2, 9))
+        estimate_rate(stored, values, window)
+    assert estimate_rate(stored, values, (np.int64(2), np.int32(9))) == \
+        estimate_rate(stored, values, (2, 9))
 
 
 @pytest.mark.parametrize("thin_every", [None, 7])
@@ -400,7 +360,7 @@ def test_rate_matches_polyfit_on_random_windows(thin_every):
             keep = (stored >= lo) & (stored <= hi)
             values = record.log_beliefs[keep, agent, false_state]
             want = -np.polyfit(stored[keep].astype(float), values, 1)[0]
-            got = estimate_rate(record, agent, false_state, (lo, hi))
+            got = estimate_rate(stored, record.log_beliefs[:, agent, false_state], (lo, hi))
             scale = max(abs(want), np.max(np.abs(values)) / (hi - lo))
             assert abs(got - want) <= 1e-12 * scale
 

@@ -657,12 +657,14 @@ def test_potential_average_moves_by_the_mean_fresh_row(config):
 @given(engine_configs())
 def test_fired_pairs_are_the_positive_offdiagonals(config):
     # the matrix's support is the oracle of the fired-edge rule, also when
-    # every agent is flagged and the network weights are copied verbatim
+    # every agent is flagged and the network weights are copied verbatim;
+    # a one-round ledger decodes its round's pairs by that rule
     for _, _, _, q, _ in reference_rounds(config):
-        rows, cols = np.nonzero(q.q > 0.0)
-        upper = rows < cols
-        i, j = q.fired_pairs()
-        assert np.array_equal(i, rows[upper]) and np.array_equal(j, cols[upper])
+        rows, cols = np.nonzero(np.triu(q.q > 0.0, 1))
+        ledger = switching.CommLedger(q.network)
+        ledger.record(q)
+        assert ledger.events == [(q.round, i, j) for i, j in zip(rows.tolist(), cols.tolist())]
+        assert len(ledger) == rows.size
 
 
 def test_switching_and_baseline_share_round_zero():
@@ -882,9 +884,9 @@ def test_ledger_replay_builds_no_mixing_matrix(monkeypatch):
 def test_ledger_keeps_at_most_6_bytes_per_exchange():
     # tau = 1 on a complete graph fires every edge in every round, so the
     # ledger dominates what the replay retains; one Python tuple per
-    # exchange kept ~75 bytes each, packed int64 triples ~26, and the
-    # compressed rows (a 2-byte pair code per exchange, 16 bytes per
-    # round with exchanges) keep ~3.9
+    # exchange kept ~75 bytes each, packed int64 triples ~26, a 2-byte
+    # pair code per exchange ~3.9, and a round number and a one-byte
+    # mask per round with exchanges (10 of them here) keep ~1.0
     config = dataclasses.replace(
         ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
         tau=1.0,
@@ -1291,10 +1293,10 @@ def test_cli_compare_agent_sets_the_exported_rate_agent(tmp_path, capsys):
     binding = identifiability_report(lik, space).slowest_state
     window = (30, 60)
     (rec,) = run_experiment(config)
-    rate = estimate_rate(rec, 3, binding, window)
+    rate = estimate_rate(rec.stored_rounds, rec.log_beliefs[:, 3, binding], window)
     summary = (out / "switching" / "summary.txt").read_text()
     assert f"estimated rate {rate:.6g} nats/round over rounds 30..60" in summary
-    assert rate != estimate_rate(rec, 0, binding, window)
+    assert rate != estimate_rate(rec.stored_rounds, rec.log_beliefs[:, 0, binding], window)
 
 
 def test_cli_compare_overrides_seed_and_replicas(tmp_path, capsys):

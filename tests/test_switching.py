@@ -21,7 +21,10 @@ def path3():
 
 
 def pairs(q):
-    return set(zip(*(idx.tolist() for idx in q.fired_pairs())))
+    """Pairs ``i < j`` that exchange in round ``q``: its matrix's positive
+    upper off-diagonals, which the ledger does not read."""
+    i, j = np.nonzero(np.triu(q.q > 0.0, 1))
+    return set(zip(i.tolist(), j.tolist()))
 
 
 def record_of(net, uninformative):
@@ -137,9 +140,18 @@ def test_switching_matrix_rejects_a_round_that_is_not_an_integer(path3, round_):
 
 @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, 0, -1])
 def test_ledger_rejects_an_agent_count_that_is_not_a_positive_integer(n):
-    with pytest.raises(ValueError, match="^need a positive integer count of agents"):
+    # the ledger takes its network, which decoding needs, so no agent
+    # count is accepted; test_ledger_takes_its_network covers the integers
+    with pytest.raises(ValueError, match="^need a Network"):
         CommLedger(n)
-    assert CommLedger(np.int64(3)).n == 3
+
+
+@pytest.mark.parametrize("network", [3, np.int64(3), None, np.eye(3)],
+                         ids=["int", "numpy-int", "none", "matrix"])
+def test_ledger_takes_its_network(path3, network):
+    with pytest.raises(ValueError, match="^need a Network"):
+        CommLedger(network)
+    assert CommLedger(path3).network is path3
 
 
 def test_out_of_range_agents_rejected(path3):
@@ -161,7 +173,7 @@ def test_mask_stays_the_callers_and_is_read_only(path3):
 
 
 def test_identity_round_records_nothing(path3):
-    ledger = CommLedger(3)
+    ledger = CommLedger(path3)
     record_round(ledger, build_switching_matrix(path3, flagged_mask(path3.n, ()), round=1))
     assert ledger.events == []
     assert ledger.rounds_recorded == 1
@@ -170,7 +182,7 @@ def test_identity_round_records_nothing(path3):
 
 
 def test_full_round_records_every_edge(path3):
-    ledger = CommLedger(3)
+    ledger = CommLedger(path3)
     record_round(ledger, build_switching_matrix(path3, flagged_mask(path3.n, (0, 1, 2)), round=5))
     assert ledger.events == [(5, 0, 1), (5, 1, 2)]
     rec = record_of(path3, [[True, True, True]])
@@ -181,7 +193,7 @@ def test_agent_round_counts_are_per_round_not_per_edge():
     # the middle agent of a path touches two edges in one round but the
     # round counts once
     net = metropolis_weights([(0, 1), (1, 2)], 3)
-    ledger = CommLedger(3)
+    ledger = CommLedger(net)
     for t in (1, 2, 3):
         record_round(ledger, build_switching_matrix(net, flagged_mask(net.n, (1,)), round=t))
     assert len(ledger.events) == 6
@@ -197,7 +209,7 @@ def test_fraction_is_rounds_touched_over_rounds_recorded(path3):
 
 def test_events_match_positive_offdiagonals(path3):
     rng = np.random.default_rng(31)
-    ledger = CommLedger(3)
+    ledger = CommLedger(path3)
     per_round = {}
     for t in range(1, 30):
         members = tuple(rng.choice(3, size=int(rng.integers(0, 4)), replace=False))
@@ -213,19 +225,38 @@ def test_events_match_positive_offdiagonals(path3):
         assert recorded.get(t, set()) == support
 
 
+ANOTHER_NETWORK = "^the round is on another network than the ledger's"
+
+
 def test_ledger_rejects_size_mismatch(path3):
-    ledger = CommLedger(4)
-    with pytest.raises(ValueError):
+    ledger = CommLedger(ring(4))
+    with pytest.raises(ValueError, match=ANOTHER_NETWORK):
         record_round(ledger, build_switching_matrix(path3, flagged_mask(path3.n, (0,)), round=1))
+    assert len(ledger) == 0
+    assert ledger.rounds_recorded == 0
 
 
 def test_ledger_record_rejects_size_mismatch(path3):
-    # a pair code depends on n, so recording directly must check it too
-    ledger = CommLedger(4)
-    with pytest.raises(ValueError, match="ledger covers 4 agents, matrix 3"):
-        ledger.record(build_switching_matrix(path3, flagged_mask(path3.n, (0,)), round=1))
-    assert len(ledger) == 0
-    assert ledger.rounds_recorded == 0
+    # decoding reads the ledger's adjacency, so a round on any other
+    # network, of another size or the same, is refused before it is kept
+    for ledger in (CommLedger(ring(4)), CommLedger(complete(3))):
+        with pytest.raises(ValueError, match=ANOTHER_NETWORK):
+            ledger.record(build_switching_matrix(path3, flagged_mask(path3.n, (0,)), round=1))
+        assert len(ledger) == 0
+        assert ledger.rounds_recorded == 0
+
+
+def test_a_paused_iteration_also_yields_rounds_recorded_meanwhile(path3):
+    # decoding holds no view of the storage across a yield, so recording
+    # while an iteration is paused neither fails nor goes unseen
+    ledger = CommLedger(path3)
+    for t in (1, 2):
+        ledger.record(build_switching_matrix(path3, flagged_mask(3, (0,)), round=t))
+    events = iter(ledger)
+    assert next(events) == (1, 0, 1)
+    ledger.record(build_switching_matrix(path3, flagged_mask(3, (2,)), round=3))
+    assert list(events) == [(2, 0, 1), (3, 1, 2)]
+    assert ledger.events == [(1, 0, 1), (2, 0, 1), (3, 1, 2)]
 
 
 def ring(n):
@@ -237,11 +268,12 @@ def complete(n):
 
 
 # per case: the network, the recorded (flagged agents, round) sequence,
-# and one event the case must produce
+# and one event the case must produce. A decode block holds 4096 // n²
+# rounds, at least one.
 LEDGER_CASES = {
-    # n = 256 is the largest n with two-byte codes; (254, 255) its largest pair
+    # n = 256 fills a 32-byte mask; (254, 255) is its largest pair
     "n256-largest-2-byte-pair": (ring(256), [((254,), 1)], (1, 254, 255)),
-    # 255 * 257 + 256 needs a wider code
+    # n = 257 needs a 33rd byte, which holds agent 256 alone
     "n257-ring-wider-code": (ring(257), [((256,), 1)], (1, 255, 256)),
     "round-2**40": (ring(5), [((0,), 2**40)], (2**40, 0, 4)),
     "rounds-out-of-order": (
@@ -252,11 +284,15 @@ LEDGER_CASES = {
         [((), 1), ((2,), 2), ((), 3), ((), 4), ((0, 3), 5), ((), 6)],
         (5, 3, 4),
     ),
-    # 150 rounds of 28 exchanges span more than one decode block
+    # 150 rounds of 28 exchanges span three decode blocks of 64 rounds
     "several-decode-blocks": (
         complete(8), [(range(8), t) for t in range(1, 151)], (150, 6, 7)
     ),
-    # one round of 4,950 exchanges is larger than a decode block
+    # at n = 64 one round's 4,096 cells fill a decode block exactly
+    "n64-one-round-per-block": (
+        ring(64), [((0,), 1), ((), 2), ((63,), 3), (range(64), 4)], (3, 0, 63)
+    ),
+    # one round of 4,950 exchanges has 10,000 cells, more than a block
     "round-larger-than-a-block": (
         complete(100), [((0,), 1), (range(100), 2), ((5,), 3)], (2, 98, 99)
     ),
@@ -266,11 +302,11 @@ LEDGER_CASES = {
 @pytest.mark.parametrize("case", LEDGER_CASES.values(), ids=LEDGER_CASES.keys())
 def test_ledger_round_trips_the_per_round_pairs(case):
     net, rounds, witness = case
-    ledger = CommLedger(net.n)
+    ledger = CommLedger(net)
     expect = []
     for members, t in rounds:
         q = build_switching_matrix(net, flagged_mask(net.n, members), round=t)
-        expect += [(q.round, i, j) for i, j in zip(*(a.tolist() for a in q.fired_pairs()))]
+        expect += [(q.round, i, j) for i, j in sorted(pairs(q))]
         record_round(ledger, q)
     assert witness in expect
     assert ledger.events == expect

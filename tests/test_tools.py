@@ -119,3 +119,25 @@ def test_paired_bench_stops_at_the_first_failing_workload(tmp_path, monkeypatch,
                        "--seed", "12", "--pairs", "2"]) == 1
     assert calls == ["ring15-run"]
     assert "ring15-run pair 1, base: " in capsys.readouterr().err
+
+
+def test_paired_bench_reports_each_checkouts_src_line_count(tmp_path, monkeypatch, capsys):
+    bench = load_paired_bench()
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"peak_rss_mb": {"value": 30.0}, "setup_s": {"value": 0.3}}, 1.0
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side, modules in (("base", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
+                          ("chng", {"a.py": "x = 1\n"})):
+        package = tmp_path / side / "src" / "pkg"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not source\n" * 5)
+    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"),
+                       "--workload", "ring15-run", "--seed", "12", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "src/ lines: base 3, change 1"
+    assert json.loads(lines[-1])["src_lines"] == {"base": 3, "change": 1}

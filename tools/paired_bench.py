@@ -15,6 +15,8 @@ median is within the bound by which the benchmark lets the metric
 worsen. It also prints each side's median and quartiles of the ungated
 ``wall_s``, read from each run's detail line and labelled "not gated":
 the benchmark does not bound it, so no claim or bound is judged on it.
+Before the first workload it prints each checkout's line count of
+Python source under ``src/``, which every report also records.
 A pair in which either side fails makes the script exit 1.
 The two checkouts must sit at resolved paths of equal length, since
 the benchmark's peak RSS moves with the checkout's directory; the
@@ -51,6 +53,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     return result["metrics"], detail["report_only"]["wall_s"]
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under ``checkout/src``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def quartiles(values: list) -> tuple:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
@@ -72,7 +79,7 @@ def verdict(base: list, change: list, better: str, bound: float) -> dict:
     }
 
 
-def bench(args, workload: str, better: dict, bounds: dict) -> dict:
+def bench(args, workload: str, better: dict, bounds: dict, lines: dict) -> dict:
     """Run ``args.pairs`` pairs of one workload, print its verdict block, return its report.
 
     Raises ``RuntimeError`` when a run fails.
@@ -96,7 +103,7 @@ def bench(args, workload: str, better: dict, bounds: dict) -> dict:
               flush=True)
 
     print(f"{workload} seed {args.seed}, {args.pairs} pairs")
-    report = {"workload": workload}
+    report = {"workload": workload, "src_lines": lines}
     for name, direction in better.items():
         v = verdict(values["base"][name], values["change"][name], direction, bounds[name])
         report[name] = {**v, "values": {side: values[side][name] for side in values}}
@@ -135,9 +142,11 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    lines = {side: src_lines(getattr(args, side)) for side in ("base", "change")}
+    print(f"src/ lines: base {lines['base']}, change {lines['change']}", flush=True)
     for workload in args.workload:
         try:
-            bench(args, workload, better, bounds)
+            bench(args, workload, better, bounds, lines)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
