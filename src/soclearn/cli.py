@@ -27,14 +27,9 @@ from .model import AssumptionViolation, validate_assumptions
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
-    overrides = {}
-    for name in ("seed", "replicas", "comparison_agent"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    overrides = {name: getattr(args, name) for name in ("seed", "replicas", "comparison_agent")
+                 if getattr(args, name, None) is not None}
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -51,7 +46,8 @@ def _cmd_run(args) -> int:
             yield rec
             del rec  # released before the next replica is built
 
-    export(replicas, args.out, config)
+    # the engine's config, so export reads the one model the engine built
+    export(replicas, args.out, one)
     print(f"ran {len(settled)} replica(s) of {config.rounds} rounds")
     print(f"consensus rounds: {settled}")
     print(f"wrote beliefs.csv, comm.csv, summary.txt to {args.out}")

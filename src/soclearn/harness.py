@@ -87,7 +87,7 @@ def _typed(value, depth: int, kind):
         return tuple(_typed(v, depth - 1, kind) for v in value)
     if depth or not isinstance(value, kind) or isinstance(value, bool):
         raise TypeError
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _check_rows(name: str, rows) -> None:
@@ -113,6 +113,9 @@ class ExperimentConfig:
     the Metropolis weights of the topology, ``tables`` the built-in
     binary family of ``p_eq`` and ``p_diff``, and ``prior_mass`` the
     uniform prior.
+
+    ``model`` is the checked model, built on first read and kept, so
+    the engine calls and exports handed one config object share it.
     """
 
     agents: int
@@ -229,6 +232,22 @@ class ExperimentConfig:
             f.name: untuple(getattr(self, f.name))
             for f in dataclasses.fields(self)
         }
+
+    @cached_property
+    def model(self) -> tuple:
+        """``build_model(self)``, refused unless it passes the standing assumptions."""
+        space, prior, lik, net = build_model(self)
+        report = validate_assumptions(lik, net, space)
+        if not report.passed:
+            raise AssumptionViolation(
+                "model fails standing assumptions\n" + report.summary()
+            )
+        return space, prior, lik, net
+
+    @cached_property
+    def _baseline(self) -> "ExperimentConfig":
+        """The always-communicate arm of this config: threshold 1.0."""
+        return dataclasses.replace(self, tau=1.0)
 
 
 def reference_config(**overrides) -> ExperimentConfig:
@@ -369,15 +388,16 @@ def generate_signals(
     to numpy's ``Philox(key=[seed, replica])`` with ``Generator.random``
     doubles, and picks the symbol whose cumulative law first exceeds it.
     """
-    single = isinstance(replica, numbers.Integral)
-    keys = [int(replica)] if single else [int(r) for r in replica]
+    single = np.ndim(replica) == 0
+    keys = [replica] if single else list(replica)
     n = lik.agent_count
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
     if not keys:
         raise ValueError("replica must name at least one replica")
-    if not all(0 <= r < 2**64 for r in keys):
-        raise ValueError("replica must fit in 64 bits")
+    for name, value in (("seed", seed), *(("replica", r) for r in keys)):
+        if not (_is_index(value) and 0 <= value < 2**64):
+            raise ValueError(f"{name} must be an integer >= 0 that fits in 64 bits, got {value!r}")
+    # numpy integers become Python ints, so no Philox key arithmetic overflows
+    seed, keys = int(seed), [int(r) for r in keys]
     if not (_is_index(rounds) and rounds >= 1):
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     if not (_is_index(start) and start >= 0):
@@ -561,17 +581,6 @@ class TrajectoryRecord:
         return touched / len(u)
 
 
-def _checked_model(config: ExperimentConfig) -> tuple:
-    """``build_model(config)``, refused unless it passes the standing assumptions."""
-    space, prior, lik, net = build_model(config)
-    report = validate_assumptions(lik, net, space)
-    if not report.passed:
-        raise AssumptionViolation(
-            "model fails standing assumptions\n" + report.summary()
-        )
-    return space, prior, lik, net
-
-
 def run_experiment(
     config: ExperimentConfig, first_replica: int = 0, *, rows=None
 ) -> list:
@@ -581,7 +590,7 @@ def run_experiment(
     - 1``: each record carries its global index and draws that
     replica's signal stream, so a run split into replica ranges gives
     the same records, bit for bit, as one run over all of them.
-    Validates the standing assumptions up front, then advances the
+    Reads the checked ``config.model`` up front, then advances the
     call's replicas in lockstep with batched array arithmetic. The
     dynamics are those of ``run_round``; the batched path exists
     because long multi-replica sweeps dominate this package's runtime.
@@ -599,7 +608,7 @@ def run_experiment(
         raise ValueError(
             f"first_replica must be a nonnegative integer, got {first_replica!r}"
         )
-    space, prior, lik, net = _checked_model(config)
+    space, prior, lik, net = config.model
 
     reps, horizon = config.replicas, config.rounds
     replicas = range(first_replica, first_replica + reps)
@@ -737,12 +746,7 @@ class BaselineComparison:
         out.mkdir(parents=True, exist_ok=True)
         (out / "comparison.txt").write_text(self.summary() + "\n")
         export(self.switching, out / "switching", self.config)
-        export(self.baseline, out / "baseline", _baseline_config(self.config))
-
-
-def _baseline_config(config: ExperimentConfig) -> ExperimentConfig:
-    """The always-communicate arm of ``config``: threshold 1.0."""
-    return dataclasses.replace(config, tau=1.0)
+        export(self.baseline, out / "baseline", self.config._baseline)
 
 
 def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
@@ -754,7 +758,7 @@ def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
     return BaselineComparison(
         config=config,
         switching=tuple(run_experiment(config)),
-        baseline=tuple(run_experiment(_baseline_config(config))),
+        baseline=tuple(run_experiment(config._baseline)),
     )
 
 
@@ -791,11 +795,11 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
     arrives, and the record is released before the next is drawn, so a
     source that builds one replica at a time keeps one replica's record
     in memory, however many replicas; a streamed one holds no belief
-    history at all. The model is checked against the standing
-    assumptions before any file is made, so a run that fails there
-    writes nothing.
+    history at all. ``config.model``, the checked model the engine
+    read, is read before any file is made, so a run that fails the
+    standing assumptions writes nothing.
     """
-    space, _, lik, _ = _checked_model(config)
+    space, _, lik, _ = config.model
     report = identifiability_report(lik, space)
     agent, state = config.comparison_agent, report.slowest_state
     window = (math.ceil(config.rounds / 2), config.rounds)

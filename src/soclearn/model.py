@@ -106,7 +106,7 @@ class Prior:
             raise ValueError("prior must have full support (finite log mass)")
         total = np.sum(np.exp(arr))
         if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"prior mass sums to {total!r}, not 1")
+            raise ValueError(f"prior mass sums to {float(total)!r}, not 1")
         object.__setattr__(self, "log_mass", arr)
 
     @classmethod

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import log_normalized
+from test_trace_contract import traced_job
 from soclearn.analysis import estimate_rate, identifiability_report
 from soclearn import harness, switching
 from soclearn.cli import main
@@ -167,6 +168,22 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_dict()))
     assert ExperimentConfig.from_json(path) == config
+
+
+def test_config_stores_a_numpy_seed_as_the_equal_python_int():
+    # a numpy seed used to overflow in the Philox key arithmetic and
+    # to make the config's dict unserialisable
+    config = reference_config(seed=np.int64(7), replicas=2, rounds=40)
+    assert type(config.seed) is int
+    assert json.loads(json.dumps(config.to_dict()))["seed"] == 7
+    want = run_experiment(reference_config(seed=7, replicas=2, rounds=40))
+    for got, rec in zip(run_experiment(config), want, strict=True):
+        for name in ("log_beliefs", "tv_series", "uninformative", "last_below"):
+            assert getattr(got, name).tobytes() == getattr(rec, name).tobytes()
+    # generate_signals takes numpy integer seeds and replicas as the equal ints
+    space, _, lik, _ = config.model
+    got = generate_signals(lik, space, seed=np.uint64(7), rounds=9, replica=np.arange(2))
+    assert np.array_equal(got, generate_signals(lik, space, seed=7, rounds=9, replica=[0, 1]))
 
 
 def test_distinguished_state_cycles_over_false_states():
@@ -340,15 +357,18 @@ def test_signal_start_must_be_nonnegative():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rounds", 2.5), ("rounds", 2.0), ("rounds", True), ("start", 1.5), ("start", "1")],
+    [("rounds", 2.5), ("rounds", 2.0), ("rounds", True), ("start", 1.5), ("start", "1"),
+     ("seed", True), ("seed", 5.0), ("replica", True), ("replica", [True, 0]),
+     ("replica", 1.5)],
 )
 def test_signal_rounds_and_start_must_be_integers(field, value):
-    # rounds=2.5 used to raise a raw TypeError from inside the Philox draw
+    # rounds=2.5, seed=5.0 and replica=1.5 used to raise a raw TypeError;
+    # seed=True and replica=True read as 1
     config = reference_config()
     space, _, lik, _ = build_model(config)
-    kwargs = {"rounds": 3, "start": 0, field: value}
+    kwargs = {"seed": 5, "rounds": 3, "start": 0, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        generate_signals(lik, space, seed=5, **kwargs)
+        generate_signals(lik, space, **kwargs)
 
 
 def test_signals_are_valid_alphabet_indices():
@@ -1333,6 +1353,40 @@ def test_cli_compare_without_out_stores_only_the_ends(tmp_path, monkeypatch, cap
     for rec in exported.switching + exported.baseline:
         assert rec.stored_rounds.tolist() == [0, 7, 14, 21, 28, 30]
     assert exported.config == config
+
+
+def test_cli_run_builds_the_model_as_often_at_any_replica_count(tmp_path):
+    # each one-replica engine call used to build and check the model again
+    config = {**json.loads((CONFIG_DIR / "ring15.json").read_text()), "rounds": 30}
+    builds = []
+    for replicas in (1, 4):
+        work = tmp_path / str(replicas)
+        work.mkdir()
+        result, _ = traced_job(work, "cli", {**config, "replicas": replicas},
+                               ("run", "--out", str(work / "out")))
+        spans = result["trace"]["by_name"]
+        builds.append((spans["model.build"]["calls"], spans["model.validate"]["calls"]))
+    assert builds == [(1, 1), (1, 1)]
+
+
+def test_cli_compare_builds_one_model_per_arm(tmp_path, monkeypatch, capsys):
+    # compare --out used to build four models: two for the engines, two in export
+    builds = []
+
+    def counted(config):
+        builds.append(config.tau)
+        return build_model(config)
+
+    monkeypatch.setattr(harness, "build_model", counted)
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+        replicas=2, rounds=30,
+    )
+    path = write_config(tmp_path, config)
+    for out in ([], ["--out", str(tmp_path / "cmp")]):
+        builds.clear()
+        assert main(["compare", "--config", str(path), *out]) == 0
+        assert sorted(builds) == [config.tau, 1.0]
 
 
 @pytest.mark.parametrize("name", ["ring15.json", "complete5_tables.json"])

@@ -88,7 +88,8 @@ def test_prior_rejects_zero_mass():
 
 
 def test_prior_rejects_unnormalized():
-    with pytest.raises(ValueError):
+    # the sum used to print as a numpy repr, np.float64(1.1)
+    with pytest.raises(ValueError, match=r"^prior mass sums to 1\.1\d*, not 1$"):
         Prior.from_probabilities([0.5, 0.6])
 
 

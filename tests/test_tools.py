@@ -141,3 +141,35 @@ def test_paired_bench_reports_each_checkouts_src_line_count(tmp_path, monkeypatc
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "src/ lines: base 3, change 1"
     assert json.loads(lines[-1])["src_lines"] == {"base": 3, "change": 1}
+
+
+def test_paired_bench_marks_a_metric_unresolved_when_the_base_spread_exceeds_its_bound(
+        tmp_path, monkeypatch, capsys):
+    bench = load_paired_bench()
+    # setup_s: the base IQR (0.25) is far above 25% of its median (0.35);
+    # on "complete5-compare" every change run beats every base run
+    setup = {("ring15-run", "base"): [0.2, 0.3, 0.4, 0.5],
+             ("ring15-run", "chng"): [0.45, 0.25, 0.35, 0.3],
+             ("complete5-compare", "base"): [0.2, 0.3, 0.4, 0.5],
+             ("complete5-compare", "chng"): [0.1, 0.1, 0.1, 0.1]}
+    runs = {key: iter(values) for key, values in setup.items()}
+
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {"peak_rss_mb": {"value": 30.0 + len(checkout.name)},
+                   "setup_s": {"value": next(runs[workload, checkout.name])}}
+        return metrics, 1.0
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side in ("base", "chng"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"),
+                       "--workload", "ring15-run", "--workload", "complete5-compare",
+                       "--seed", "12", "--pairs", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reports = [json.loads(line) for line in lines if line.startswith("{")]
+    assert [(r["setup_s"]["unresolved"], r["peak_rss_mb"]["unresolved"]) for r in reports] \
+        == [(True, False), (False, False)]
+    marked = [line for line in lines if "UNRESOLVED" in line]
+    assert len(marked) == 1 and marked[0].startswith("  setup_s (lower is better): base 0.35 ")
+    assert marked[0].endswith(", UNRESOLVED: base IQR exceeds the bound")

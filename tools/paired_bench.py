@@ -12,7 +12,10 @@ pairs the change wins. A gain may be claimed when the change wins at
 least 9 pairs in 10 and its median beats the base median by more than
 the base's interquartile range. It also says whether the change's
 median is within the bound by which the benchmark lets the metric
-worsen. It also prints each side's median and quartiles of the ungated
+worsen, and marks the metric "unresolved" when the base's interquartile
+range exceeds that bound times the base median and not every change run
+beats every base run: the spread then hides a change as large as the
+bound. It also prints each side's median and quartiles of the ungated
 ``wall_s``, read from each run's detail line and labelled "not gated":
 the benchmark does not bound it, so no claim or bound is judged on it.
 Before the first workload it prints each checkout's line count of
@@ -64,7 +67,7 @@ def quartiles(values: list) -> tuple:
 
 
 def verdict(base: list, change: list, better: str, bound: float) -> dict:
-    """Medians, quartiles, wins, the claim rule and the bound for one metric."""
+    """Medians, quartiles, wins, the claim rule, the bound and the spread mark of one metric."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     bq, cq = quartiles(base), quartiles(change)
@@ -76,6 +79,10 @@ def verdict(base: list, change: list, better: str, bound: float) -> dict:
         "gain": gain,
         "claim_holds": wins >= math.ceil(0.9 * len(base)) and gain > bq[2] - bq[0],
         "within_bound": -gain <= bound * abs(bq[1]),
+        # the base's own spread is wider than the bound, so a median inside
+        # it shows nothing unless every change run beats every base run
+        "unresolved": bq[2] - bq[0] > bound * abs(bq[1])
+        and not all(sign * (c - b) > 0 for b in base for c in change),
     }
 
 
@@ -113,7 +120,8 @@ def bench(args, workload: str, better: dict, bounds: dict, lines: dict) -> dict:
               f"gain {v['gain']:.4g} vs base IQR {b3 - b1:.4g}: "
               f"claim {'holds' if v['claim_holds'] else 'does not hold'}, "
               f"{'within' if v['within_bound'] else 'OUTSIDE'} the "
-              f"{bounds[name]:.0%} bound")
+              f"{bounds[name]:.0%} bound"
+              + (", UNRESOLVED: base IQR exceeds the bound" if v["unresolved"] else ""))
     (b1, bm, b3), (c1, cm, c3) = quartiles(wall["base"]), quartiles(wall["change"])
     print(f"  wall_s (not gated): base {bm:.4g} [{b1:.4g}, {b3:.4g}], "
           f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]")
