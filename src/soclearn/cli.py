@@ -13,9 +13,11 @@ import argparse
 import dataclasses
 import os
 import sys
+from pathlib import Path
 
 from .analysis import identifiability_report
 from .harness import (
+    BaselineComparison,
     ExperimentConfig,
     build_model,
     compare_baseline,
@@ -32,22 +34,28 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _cmd_run(args) -> int:
-    config = _load_config(args)
+def _export_replicas(config, out_dir, keep) -> None:
+    """Export ``config``'s replicas, each from one engine call that streams its rows.
+
+    ``keep`` sees each record before export releases it. Export reads the
+    model that the engine calls built on the one-replica config.
+    """
     one = dataclasses.replace(config, replicas=1)
-    settled = []
 
     def replicas(rows):
-        # one engine call per replica, each writing its belief rows as it
-        # makes them, so memory holds one replica's verdicts and no beliefs
         for r in range(config.replicas):
             (rec,) = run_experiment(one, r, rows=rows)
-            settled.append(rec.consensus_round)
+            keep(rec)
             yield rec
             del rec  # released before the next replica is built
 
-    # the engine's config, so export reads the one model the engine built
-    export(replicas, args.out, one)
+    export(replicas, out_dir, one)
+
+
+def _cmd_run(args) -> int:
+    config = _load_config(args)
+    settled = []
+    _export_replicas(config, args.out, lambda rec: settled.append(rec.consensus_round))
     print(f"ran {len(settled)} replica(s) of {config.rounds} rounds")
     print(f"consensus rounds: {settled}")
     print(f"wrote beliefs.csv, comm.csv, summary.txt to {args.out}")
@@ -56,14 +64,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
-    if not args.out:
+    if args.out:
+        # streamed records keep the verdicts, ledgers and final beliefs the summary reads
+        switching, baseline = [], []
+        _export_replicas(config, Path(args.out) / "switching", switching.append)
+        _export_replicas(config._baseline, Path(args.out) / "baseline", baseline.append)
+        comparison = BaselineComparison(config, tuple(switching), tuple(baseline))
+    else:
         # the summary reads only the final stored round; the ledger, the
         # fractions and the consensus rounds are recorded every round
-        config = dataclasses.replace(config, thin_every=config.rounds)
-    comparison = compare_baseline(config)
-    print(comparison.summary())
+        comparison = compare_baseline(dataclasses.replace(config, thin_every=config.rounds))
+    summary = comparison.summary()
+    print(summary)
     if args.out:
-        comparison.write(args.out)
+        (Path(args.out) / "comparison.txt").write_text(summary + "\n")
         print(f"wrote comparison to {args.out}")
     return 0
 

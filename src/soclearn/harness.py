@@ -491,14 +491,13 @@ class TrajectoryRecord:
     call, so keeping any one record alive keeps the whole call's history
     in memory; copy the arrays you need to release it. A record of a
     call that streamed its rows (``run_experiment(..., rows=...)``, as
-    ``soclearn run`` makes one per replica) stores beliefs at rounds 0
-    and ``rounds`` only, so what it holds that grows with the horizon is
-    its verdicts: 9 bytes per agent-round.
+    ``soclearn run`` and ``compare --out`` make one per replica) stores
+    beliefs at rounds 0 and ``rounds`` only, so what it holds that grows
+    with the horizon is its verdicts: 9 bytes per agent-round.
     """
 
     replica: int
     true_state_index: int
-    state_labels: tuple
     stored_rounds: np.ndarray
     log_beliefs: np.ndarray
     tv_series: np.ndarray
@@ -671,7 +670,13 @@ def run_experiment(
         tv_hist[:, t - 1] = tv
         uninf_hist[:, t - 1] = uninf
 
-        phi = _mixing_matrices(net, uninf) @ phi + fresh
+        # nobody flagged mixes with I, everybody with net.weights: same bits
+        if not uninf.any():
+            phi = phi + fresh
+        elif uninf.all():
+            phi = net.weights @ phi + fresh
+        else:
+            phi = _mixing_matrices(net, uninf) @ phi + fresh
         logb = anchor + phi
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t
@@ -684,7 +689,6 @@ def run_experiment(
         TrajectoryRecord(
             replica=replica,
             true_state_index=space.true_state_index,
-            state_labels=tuple(space.states),
             stored_rounds=stored,
             log_beliefs=store[r],
             tv_series=tv_hist[r],
@@ -741,13 +745,6 @@ class BaselineComparison:
         lines.append(f"total exchanges: {total_s} vs {total_b} baseline ({saved})")
         return "\n".join(lines)
 
-    def write(self, out_dir) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "comparison.txt").write_text(self.summary() + "\n")
-        export(self.switching, out / "switching", self.config)
-        export(self.baseline, out / "baseline", self.config._baseline)
-
 
 def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
     """Run a configuration against its always-communicate counterpart.
@@ -782,29 +779,28 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
     (round-trip exact for doubles). The header comments pin the signal
     generator and seed so an export is traceable to its streams.
 
-    ``records`` is an iterable of records, read once, or a function
-    ``records(rows)`` returning one whose records have already sent
-    their stored rounds to ``rows``, as ``run_experiment(..., rows=rows)``
-    does while it runs. One writer makes every belief row: a given
-    record's stored rounds are replayed into it, one ``(n, m)`` round at
-    a time. A streamed record keeps only rounds 0 and ``rounds``, so
-    ``rows`` also keeps what the rate fit reads: the designated agent's
-    log belief on the slowest state at round 0 and inside the window.
+    ``records(rows)`` returns an iterable of records, read once, each of
+    which has sent its stored rounds to ``rows`` before it arrives, as
+    ``run_experiment(..., rows=rows)`` does while it runs. ``rows``
+    writes each ``(n, m)`` round as it comes and keeps what the rate fit
+    reads: the designated agent's log belief on the slowest state at
+    round 0 and inside the window.
 
-    Each record's rows, exchanges and summary line are written as it
-    arrives, and the record is released before the next is drawn, so a
-    source that builds one replica at a time keeps one replica's record
-    in memory, however many replicas; a streamed one holds no belief
-    history at all. ``config.model``, the checked model the engine
-    read, is read before any file is made, so a run that fails the
-    standing assumptions writes nothing.
+    Each record's exchanges and summary line are written as it arrives,
+    and the record is released before the next is drawn, so a source
+    that builds one replica at a time keeps one replica's record in
+    memory, however many replicas, and no belief history at all.
+    ``config.model``, the checked model the engine read, is read before
+    any file is made, so a run that fails the standing assumptions
+    writes nothing.
     """
     space, _, lik, _ = config.model
     report = identifiability_report(lik, space)
     agent, state = config.comparison_agent, report.slowest_state
     window = (math.ceil(config.rounds / 2), config.rounds)
-    labels = [_csv_cell(label) for label in space.states]
-    cells = [f",{i},{label}," for i in range(config.agents) for label in labels]
+    # one row template per (agent, state); "%.17g" writes as f"{v:.17g}"
+    labels = [_csv_cell(label).replace("%", "%%") for label in space.states]
+    cells = [f",{i},{label},%.17g" for i in range(config.agents) for label in labels]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -812,14 +808,10 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
     with open(out / "beliefs.csv", "w", newline="") as beliefs, \
             open(out / "comm.csv", "wb") as comm:
 
-        def write(replica, t, log_belief):
-            head = f"{replica},{t}"
-            values = np.exp(log_belief).ravel().tolist()
-            beliefs.write("".join([f"{head}{cell}{v:.17g}\r\n"
-                                   for cell, v in zip(cells, values)]))
-
         def rows(replica, t, log_belief):
-            write(replica, t, log_belief)
+            head = f"{replica},{t}"
+            beliefs.write((head + ("\r\n" + head).join(cells) + "\r\n")
+                          % tuple(np.exp(log_belief).ravel().tolist()))
             if t == 0 or t >= window[0]:
                 fit_rounds.append(t)
                 fit_values.append(log_belief[agent, state])
@@ -828,21 +820,14 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
         beliefs.write(f"# seed: {config.seed}\n")
         beliefs.write("replica,t,agent,state_label,belief\r\n")
         comm.write(b"replica,t,agent_i,agent_j\r\n")
-        streamed = callable(records)
         fit_rounds, fit_values = array("q"), array("d")
-        for rec in records(rows) if streamed else records:
-            if streamed:
-                fit = fit_rounds, fit_values
-            else:
-                for t, log_belief in zip(rec.stored_rounds, rec.log_beliefs):
-                    write(rec.replica, t, log_belief)
-                fit = rec.stored_rounds, rec.log_beliefs[:, agent, state]
+        for rec in records(rows):
             # bytes go straight to the file buffer, where a text file would
             # hold up to 8 KiB of pending rows as separate str objects
             comm.writelines(f"{rec.replica},{t},{i},{j}\r\n".encode() for t, i, j in rec.ledger)
             frac = float(np.mean(rec.communication_fractions()))
             try:
-                rate = estimate_rate(*fit, window)
+                rate = estimate_rate(fit_rounds, fit_values, window)
                 rate_text = f"{rate:.6g} nats/round over rounds {window[0]}..{window[1]}"
             except ValueError as exc:
                 rate_text = f"not estimated ({exc})"
@@ -850,7 +835,7 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
                 f"replica {rec.replica}: consensus round {rec.consensus_round}, "
                 f"mean comm fraction {frac:.4f}, estimated rate {rate_text}"
             )
-            del rec, fit  # released before the next replica is built
+            del rec  # released before the next replica is built
             fit_rounds, fit_values = array("q"), array("d")
 
     head = [

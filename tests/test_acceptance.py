@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import flagged_mask, log_normalized, record_criterion
+from conftest import export_streamed, flagged_mask, log_normalized, record_criterion
 from soclearn.analysis import identifiability_report, product_convergence_gap
 from soclearn.harness import (
     ExperimentConfig,
     build_model,
-    export,
     generate_signals,
     initial_state,
     reference_config,
@@ -478,7 +477,7 @@ def test_criterion_10_outputs_are_byte_deterministic(tmp_path):
     """Identical (config, seed) must produce byte-identical CSV files."""
     config = reference_config(replicas=2, rounds=300)
     for name in ("first", "second"):
-        export(run_experiment(config), tmp_path / name, config)
+        export_streamed(config, tmp_path / name)
 
     same = {}
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import log_normalized
+from conftest import export_streamed, log_normalized
 from test_trace_contract import traced_job
 from soclearn.analysis import estimate_rate, identifiability_report
 from soclearn import harness, switching
@@ -481,6 +482,19 @@ def test_unidentifiable_config_is_refused():
         run_experiment(config)
 
 
+# one replica each, so a round is quiet or all-flagged for the whole call:
+# quiet stretches of up to 156 rounds between single mixed rounds, 200
+# all-flagged rounds at tau = 1, and over 20 switches among all three
+REGIME_CASES = [
+    pytest.param(reference_config(replicas=1, rounds=400), id="quiet-stretches"),
+    pytest.param(reference_config(replicas=1, rounds=200, tau=1.0), id="tau1-all-flagged"),
+    pytest.param(
+        reference_config(agents=4, states=5, replicas=1, rounds=200, tau=1e-2),
+        id="alternation",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -516,10 +530,43 @@ def test_unidentifiable_config_is_refused():
             ),
             id="unequal-alphabets",
         ),
+        *REGIME_CASES,
     ],
 )
 def test_batched_engine_matches_reference_rounds(config):
     assert_engine_matches_reference(config)
+
+
+def regime_runs(rec) -> list:
+    """``(regime, length)`` runs of a record's rounds: "quiet" flags no agent,
+    "all" flags every agent, "mixed" the rest."""
+    u = rec.uninformative
+    regime = np.where(~u.any(axis=1), "quiet", np.where(u.all(axis=1), "all", "mixed"))
+    return [(k, len(list(g))) for k, g in itertools.groupby(regime.tolist())]
+
+
+def test_regime_cases_force_their_regimes(monkeypatch):
+    # the engine skips the matrix build on quiet and all-flagged rounds;
+    # these cases hold the rounds it skips to the reference round
+    built = []
+
+    def counted(net, flagged):
+        built.append(len(flagged))
+        return switching._mixing_matrices(net, flagged)
+
+    monkeypatch.setattr(harness, "_mixing_matrices", counted)
+    runs = {}
+    for case in REGIME_CASES:
+        built.clear()
+        (rec,) = run_experiment(case.values[0])
+        runs[case.id] = regime_runs(rec)
+        assert len(built) == sum(n for k, n in runs[case.id] if k == "mixed")
+    assert max(n for k, n in runs["quiet-stretches"] if k == "quiet") >= 100
+    assert sum(k == "quiet" for k, _ in runs["quiet-stretches"]) >= 5
+    assert runs["tau1-all-flagged"] == [("all", 200)]
+    alternation = runs["alternation"]
+    assert {k for k, _ in alternation} == {"quiet", "all", "mixed"}
+    assert len(alternation) >= 20
 
 
 def assert_engine_matches_reference(config):
@@ -778,7 +825,6 @@ def test_record_leaves_the_callers_arrays_writable():
     rec = harness.TrajectoryRecord(
         replica=0,
         true_state_index=0,
-        state_labels=("a", "b"),
         network=net,
         **arrays,
     )
@@ -869,7 +915,6 @@ def test_ledger_replay_matches_vectorised_events(case):
     rec = harness.TrajectoryRecord(
         replica=0,
         true_state_index=0,
-        state_labels=("a",),
         stored_rounds=np.array([0]),
         log_beliefs=np.zeros((1, n, 1)),
         tv_series=np.zeros(u.shape),
@@ -954,14 +999,6 @@ def test_comparison_designated_agent_override():
         dataclasses.replace(config, comparison_agent=9)
 
 
-def test_comparison_write(tmp_path):
-    comparison = compare_baseline(settling_config(replicas=1, rounds=30))
-    comparison.write(tmp_path)
-    assert (tmp_path / "comparison.txt").exists()
-    assert (tmp_path / "switching" / "beliefs.csv").exists()
-    assert (tmp_path / "baseline" / "beliefs.csv").exists()
-
-
 def test_comparison_without_edges_has_none_to_avoid():
     # a lone agent has no neighbour, so neither arm ever exchanges
     config = ExperimentConfig.from_dict({"agents": 1, "states": 2, "rounds": 20})
@@ -984,7 +1021,7 @@ def beliefs_csv_rows(path):
 def test_export_round_trip(tmp_path):
     config = settling_config(replicas=2, rounds=12)
     records = run_experiment(config)
-    export(records, tmp_path, config)
+    export_streamed(config, tmp_path)
     comments, rows = beliefs_csv_rows(tmp_path / "beliefs.csv")
     assert comments == [f"# generator: {GENERATOR_NAME}\n", f"# seed: {config.seed}\n"]
 
@@ -1004,7 +1041,7 @@ def test_export_round_trip(tmp_path):
 def test_export_is_byte_deterministic(tmp_path):
     config = settling_config(replicas=2, rounds=25)
     for name in ("a", "b"):
-        export(run_experiment(config), tmp_path / name, config)
+        export_streamed(config, tmp_path / name)
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):
         assert (tmp_path / "a" / fname).read_bytes() == (
             tmp_path / "b" / fname
@@ -1018,12 +1055,13 @@ def oracle_beliefs_csv(records, config) -> bytes:
     buf.write(f"# seed: {config.seed}\n")
     writer = csv.writer(buf)
     writer.writerow(["replica", "t", "agent", "state_label", "belief"])
+    labels = build_model(config)[0].states
     for rec in records:
         belief = np.exp(rec.log_beliefs)
         n_agents = belief.shape[1]
         for s, t in enumerate(rec.stored_rounds):
             for i in range(n_agents):
-                for label, value in zip(rec.state_labels, belief[s, i]):
+                for label, value in zip(labels, belief[s, i]):
                     writer.writerow(
                         [rec.replica, int(t), i, label, format(value, ".17g")]
                     )
@@ -1031,8 +1069,9 @@ def oracle_beliefs_csv(records, config) -> bytes:
 
 
 # labels the csv module must quote, an empty one, one it leaves
-# unquoted despite its space, and numbers
-AWKWARD_LABELS = ("a,b", 'say "hi"', "line\nbreak", "", " lead", "cr\r", '"', 0.1, 3)
+# unquoted despite its space, ones a %-template must escape, and numbers
+AWKWARD_LABELS = ("a,b", 'say "hi"', "line\nbreak", "", " lead", "cr\r", '"', "50%", "%s",
+                  0.1, 3)
 
 EXPORT_CASES = [
     pytest.param(settling_config(replicas=2, rounds=25), id="two-replicas"),
@@ -1045,6 +1084,13 @@ EXPORT_CASES = [
         ),
         id="awkward-labels",
     ),
+    pytest.param(
+        settling_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
+        id="past-a-signal-chunk",
+    ),
+    pytest.param(settling_config(replicas=2, rounds=1), id="one-round"),
+    pytest.param(settling_config(replicas=2, rounds=40, comparison_agent=3),
+                 id="designated-agent-3"),
 ]
 
 
@@ -1057,23 +1103,60 @@ def test_csv_cell_quotes_as_the_csv_module_does(label):
 
 @pytest.mark.parametrize("config", EXPORT_CASES)
 def test_export_matches_the_per_row_csv_writer(tmp_path, config):
-    records = run_experiment(config)
-    export(records, tmp_path, config)
+    export_streamed(config, tmp_path)
     assert (tmp_path / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
-        records, config
+        run_experiment(config), config
     )
     _, rows = beliefs_csv_rows(tmp_path / "beliefs.csv")
-    labels = [str(label) for label in records[0].state_labels]
+    labels = [str(label) for label in build_model(config)[0].states]
     assert [row[3] for row in rows[: len(labels)]] == labels
 
 
+@pytest.mark.parametrize("config", EXPORT_CASES)
+def test_cli_run_writes_what_export_writes_from_stored_records(tmp_path, capsys, config):
+    # run streams each replica's rows and keeps only the rate fit's
+    # column; the oracles read the records of one stored run
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    records = run_experiment(config)
+    assert (tmp_path / "out" / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
+        records, config
+    )
+    comm = (tmp_path / "out" / "comm.csv").read_text().splitlines()
+    assert comm[1:] == [f"{rec.replica},{t},{i},{j}" for rec in records for t, i, j in rec.ledger]
+    space, _, lik, _ = build_model(config)
+    state = identifiability_report(lik, space).slowest_state
+    window = (math.ceil(config.rounds / 2), config.rounds)
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()[3:]
+    for rec, line in zip(records, summary, strict=True):
+        if config.rounds > 1:
+            rate = estimate_rate(
+                rec.stored_rounds, rec.log_beliefs[:, config.comparison_agent, state], window
+            )
+            assert f"estimated rate {rate:.6g} nats/round over rounds " in line
+        else:
+            assert "estimated rate not estimated (" in line
+
+
 def _export_peak_bytes(records, out_dir, config):
-    """Traced peak of ``export``, with the ledgers replayed beforehand."""
+    """Traced peak of ``export`` fed stored records, with the ledgers replayed beforehand.
+
+    The source sends each record's stored rounds to ``rows`` before
+    yielding it, as a streamed engine call would, so the peak is
+    export's own working set.
+    """
     for rec in records:
         rec.ledger
+
+    def source(rows):
+        for rec in records:
+            for t, log_belief in zip(rec.stored_rounds, rec.log_beliefs):
+                rows(rec.replica, int(t), log_belief)
+            yield rec
+
     tracemalloc.start()
     try:
-        export(records, out_dir, config)
+        export(source, out_dir, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1097,13 +1180,13 @@ def test_export_memory_does_not_grow_with_the_horizon(tmp_path):
     assert peak[1000] <= peak[500] + 16 * 1024
 
 
-def _cli_run_peak_bytes(out, config):
-    """Traced peak of ``soclearn run`` on ``config``, writing under ``out``."""
+def _cli_peak_bytes(out, config, command="run"):
+    """Traced peak of ``soclearn run`` (or ``compare``) on ``config``, writing under ``out``."""
     out.mkdir()
     path = write_config(out, config)
     tracemalloc.start()
     try:
-        assert main(["run", "--config", str(path), "--out", str(out / "out")]) == 0
+        assert main([command, "--config", str(path), "--out", str(out / "out")]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1123,20 +1206,21 @@ def test_cli_run_memory_does_not_grow_with_the_replica_count(tmp_path, capsys):
     up to about 25 KiB.
     """
     config = reference_config(agents=5, states=6, rounds=600)
-    _cli_run_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2, replicas=1))
+    _cli_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2, replicas=1))
     one, six = (
-        _cli_run_peak_bytes(tmp_path / str(k), dataclasses.replace(config, replicas=k))
+        _cli_peak_bytes(tmp_path / str(k), dataclasses.replace(config, replicas=k))
         for k in (1, 6)
     )
     assert six <= one + 64 * 1024
 
 
 def _ledger_bytes(config):
-    """Traced bytes the replayed ledger of ``config``'s one replica retains."""
-    (rec,) = run_experiment(config)
+    """Traced bytes the replayed ledgers of ``config``'s replicas retain."""
+    records = run_experiment(config)
     tracemalloc.start()
     try:
-        rec.ledger
+        for rec in records:
+            rec.ledger
         return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1154,45 +1238,40 @@ def test_cli_run_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     free-list and bookkeeping noise of the replica-count test.
     """
     config = reference_config(agents=5, states=6, replicas=1)
-    _cli_run_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2))
+    _cli_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2))
     peak, ledger = {}, {}
     for rounds in (600, 2400):
         sized = dataclasses.replace(config, rounds=rounds)
-        peak[rounds] = _cli_run_peak_bytes(tmp_path / str(rounds), sized)
+        peak[rounds] = _cli_peak_bytes(tmp_path / str(rounds), sized)
         ledger[rounds] = _ledger_bytes(sized)
     verdicts = 9 * config.agents * (2400 - 600)
     assert peak[2400] <= peak[600] + verdicts + ledger[2400] - ledger[600] + 64 * 1024
 
 
-@pytest.mark.parametrize(
-    "config",
-    EXPORT_CASES + [
-        pytest.param(
-            settling_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
-            id="past-a-signal-chunk",
-        ),
-        pytest.param(settling_config(replicas=2, rounds=1), id="one-round"),
-        pytest.param(settling_config(replicas=2, rounds=40, comparison_agent=3),
-                     id="designated-agent-3"),
-    ],
-)
-def test_cli_run_writes_what_export_writes_from_stored_records(tmp_path, capsys, config):
-    # run streams each replica's rows and keeps only the rate fit's
-    # column; export of stored records replays them, and fits the record
-    export(run_experiment(config), tmp_path / "stored", config)
-    path = write_config(tmp_path, config)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "streamed")]) == 0
-    for name in ("beliefs.csv", "comm.csv", "summary.txt"):
-        streamed = (tmp_path / "streamed" / name).read_bytes()
-        assert streamed == (tmp_path / "stored" / name).read_bytes(), name
-    estimated = "not estimated (" not in (tmp_path / "stored" / "summary.txt").read_text()
-    assert estimated == (config.rounds > 1)
+def test_cli_compare_out_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    """``compare --out`` writes both arms' belief rows as the engine makes them.
+
+    The summary reads every record of both arms, so what grows with the
+    horizon is their verdicts (9 bytes per agent-round) and ledgers; the
+    tau = 1 arm's ledgers alone grow by about 32 KB here. Storing the
+    belief histories, as ``compare --out`` once did, would add 1,800
+    rounds of 5 x 6 doubles per replica and arm, about 864 KB, between
+    the two horizons. The 64 KiB slack is the run horizon test's.
+    """
+    config = reference_config(agents=5, states=6, replicas=2)
+    _cli_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2), "compare")
+    peak, ledger = {}, {}
+    for rounds in (600, 2400):
+        sized = dataclasses.replace(config, rounds=rounds)
+        peak[rounds] = _cli_peak_bytes(tmp_path / str(rounds), sized, "compare")
+        ledger[rounds] = _ledger_bytes(sized) + _ledger_bytes(sized._baseline)
+    verdicts = 9 * config.agents * (2400 - 600) * config.replicas * 2
+    assert peak[2400] <= peak[600] + verdicts + ledger[2400] - ledger[600] + 64 * 1024
 
 
 def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
     config = settling_config(replicas=1, rounds=40)
-    records = run_experiment(config)
-    export(records, tmp_path, config)
+    export_streamed(config, tmp_path)
     space, _, lik, _ = build_model(config)
     expected = identifiability_report(lik, space).asymptotic_rate
     summary = (tmp_path / "summary.txt").read_text()
@@ -1201,8 +1280,7 @@ def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
 
 def test_comm_csv_matches_ledgers(tmp_path):
     config = reference_config(replicas=2, rounds=200)
-    records = run_experiment(config)
-    export(records, tmp_path, config)
+    records = export_streamed(config, tmp_path)
     lines = (tmp_path / "comm.csv").read_text().splitlines()
     assert lines[0] == "replica,t,agent_i,agent_j"
     expected = [
@@ -1253,7 +1331,7 @@ def test_export_line_endings_are_pinned(tmp_path):
     # every CSV row ends with \r\n; the two '#' lines of beliefs.csv end
     # with \n. Pinned output digests depend on this mix.
     config = settling_config(replicas=1, rounds=15, tau=1.0)
-    export(run_experiment(config), tmp_path, config)
+    export_streamed(config, tmp_path)
     beliefs = (tmp_path / "beliefs.csv").read_bytes()
     assert beliefs.startswith(
         b"# generator: philox4x64\n# seed: 21\n"
@@ -1296,6 +1374,9 @@ def test_cli_compare_writes_comparison(tmp_path):
     out = tmp_path / "cmp"
     assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "comparison.txt").exists()
+    for arm in ("switching", "baseline"):
+        for fname in ("beliefs.csv", "comm.csv", "summary.txt"):
+            assert (out / arm / fname).exists()
 
 
 def test_cli_compare_agent_sets_the_exported_rate_agent(tmp_path, capsys):
@@ -1347,12 +1428,12 @@ def test_cli_compare_without_out_stores_only_the_ends(tmp_path, monkeypatch, cap
     path = write_config(tmp_path, config)
     assert main(["compare", "--config", str(path)]) == 0
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
-    bare, exported = seen
+    (bare,) = seen  # --out streams each arm's rows instead
     for rec in bare.switching + bare.baseline:
         assert rec.stored_rounds.tolist() == [0, 30]
-    for rec in exported.switching + exported.baseline:
-        assert rec.stored_rounds.tolist() == [0, 7, 14, 21, 28, 30]
-    assert exported.config == config
+    for arm in ("switching", "baseline"):
+        _, rows = beliefs_csv_rows(tmp_path / "cmp" / arm / "beliefs.csv")
+        assert sorted({int(row[1]) for row in rows}) == [0, 7, 14, 21, 28, 30]
 
 
 def test_cli_run_builds_the_model_as_often_at_any_replica_count(tmp_path):

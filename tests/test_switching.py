@@ -34,7 +34,6 @@ def record_of(net, uninformative):
     return TrajectoryRecord(
         replica=0,
         true_state_index=0,
-        state_labels=("a",),
         stored_rounds=np.array([0]),
         log_beliefs=np.zeros((1, n, 1)),
         tv_series=np.zeros(u.shape),
