@@ -10,7 +10,6 @@ state sets the asymptotic learning rate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -31,6 +30,25 @@ __all__ = [
 # Two states are observationally equivalent for an agent when their
 # log-likelihood columns agree to within this.
 CLASS_TOL = 1e-12
+
+
+def _csv_cell(value) -> str:
+    """``value`` as a ``csv.writer`` of the "excel" dialect writes it inside a row.
+
+    That dialect quotes a field only when it holds a comma, a quote or a
+    line break, and doubles the quotes inside; it writes floats by
+    ``repr`` and everything else by ``str``.
+    """
+    text = repr(value) if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Rows of two or more cells, written as a ``csv.writer`` writes them."""
+    path.write_text("".join(",".join(map(_csv_cell, row)) + "\r\n" for row in rows),
+                    newline="")
 
 
 def equivalence_classes(lik: LikelihoodModel, agent: int) -> tuple:
@@ -146,18 +164,15 @@ class IdentifiabilityReport:
     def write_csv(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "kl.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["agent"] + [f"kl_to_{label}_nats" for label in self.state_labels]
-            )
-            for i in range(self.kl.shape[0]):
-                writer.writerow([i] + [format(v, ".17g") for v in self.kl[i]])
-        with open(out / "divergence.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state_label", "network_divergence_nats"])
-            for k, label in enumerate(self.state_labels):
-                writer.writerow([label, format(self.network_divergence[k], ".17g")])
+        _write_csv(out / "kl.csv", [
+            ["agent"] + [f"kl_to_{label}_nats" for label in self.state_labels],
+            *([i] + [format(v, ".17g") for v in row] for i, row in enumerate(self.kl)),
+        ])
+        _write_csv(out / "divergence.csv", [
+            ["state_label", "network_divergence_nats"],
+            *([label, format(v, ".17g")] for label, v in zip(self.state_labels,
+                                                             self.network_divergence)),
+        ])
 
 
 def identifiability_report(

@@ -23,14 +23,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import estimate_rate, identifiability_report
+from .analysis import _csv_cell, estimate_rate, identifiability_report
 from .learning import _bayes_tv_rows, _check_threshold, _lse_last, \
     belief_from_potentials, potential_update
 from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, \
     Prior, StateSpace, _is_index, complete_edges, metropolis_weights, ring_edges, \
     validate_assumptions
-from .switching import CommLedger, _mixing_matrices, build_switching_matrix, \
-    record_round
+from .switching import CommLedger, _block_rounds, _fired, _mixing_matrices, \
+    build_switching_matrix, record_round
 
 __all__ = [
     "GENERATOR_NAME",
@@ -55,9 +55,6 @@ GENERATOR_NAME = "philox4x64"
 # Rounds of signals the batched engine draws at a time, so the signal
 # buffer stays the same size however long the horizon.
 _SIGNAL_CHUNK = 1024
-
-# Rounds of verdict masks counted at a time by the record's summaries.
-_MASK_CHUNK = 256
 
 _TOPOLOGIES = ("ring", "complete", "edges")
 
@@ -460,7 +457,7 @@ def run_round(
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
     sig = lik.checked_signals(signals_t)
-    tv = _bayes_tv_rows(state.log_belief, *lik.value_class_rows(sig))
+    tv = _bayes_tv_rows(state.log_belief, *lik.signal_rows(sig)[1:])
     tv.setflags(write=False)
     q = build_switching_matrix(net, tv < tau, round=state.round + 1)
     phi = potential_update(state.potentials, q.q, lik, sig)
@@ -566,17 +563,15 @@ class TrajectoryRecord:
     def communication_fractions(self) -> np.ndarray:
         """Per-agent fraction of rounds with at least one exchange.
 
-        An agent exchanges in a round when it or a neighbour found its
-        signal uninformative. Counted over blocks of rounds, so no
-        temporary grows with the horizon.
+        An agent exchanges in a round when one of its edges fires.
+        Counted over blocks of rounds, so no temporary grows with the
+        horizon.
         """
-        u = self.uninformative
-        adj = self.network.adjacency
-        has_neighbor = adj.any(axis=1)
-        touched = np.zeros(self.network.n, dtype=np.int64)
-        for start in range(0, len(u), _MASK_CHUNK):
-            block = u[start:start + _MASK_CHUNK]
-            touched += ((block & has_neighbor) | (block @ adj)).sum(axis=0)
+        u, net = self.uninformative, self.network
+        step = _block_rounds(net.n)
+        touched = np.zeros(net.n, dtype=np.int64)
+        for start in range(0, len(u), step):
+            touched += _fired(net, u[start:start + step]).any(axis=-1).sum(axis=0)
         return touched / len(u)
 
 
@@ -612,8 +607,6 @@ def run_experiment(
     reps, horizon = config.replicas, config.rounds
     replicas = range(first_replica, first_replica + reps)
     n, m = net.n, lik.state_count
-    padded = lik.padded_log_lik
-    agents = np.arange(n)
 
     def signal_chunk(start):
         # (rounds, reps, n) signal indices for rounds start .. start + CHUNK - 1
@@ -622,12 +615,7 @@ def run_experiment(
             lik, space, config.seed, rounds, replica=replicas, start=start
         )
 
-    if config.thin_every is not None:
-        stride = config.thin_every
-    elif horizon <= 10_000:
-        stride = 1
-    else:
-        stride = math.ceil(horizon / 10_000)
+    stride = config.thin_every or math.ceil(horizon / 10_000)
 
     if rows is None:
         # stride multiples and the horizon; round t is stored in slot ceil(t / stride)
@@ -653,7 +641,7 @@ def run_experiment(
     log_settled = math.log1p(-config.consensus_delta)
 
     signals = signal_chunk(0)
-    anchor = _round0_beliefs(prior, padded[agents, signals[0], :])
+    anchor = _round0_beliefs(prior, lik.signal_rows(signals[0])[0])
     logb = anchor.copy()
     phi = np.zeros((reps, n, m))
     last_below[logb[:, :, space.true_state_index] < log_settled] = 0
@@ -661,11 +649,10 @@ def run_experiment(
 
     for t in range(1, horizon + 1):
         if t % _SIGNAL_CHUNK == 0:
-            del signals, sig  # the spent chunk goes before the next is drawn
+            del signals  # the spent chunk goes before the next is drawn
             signals = signal_chunk(t)
-        sig = signals[t % _SIGNAL_CHUNK]
-        fresh = padded[agents, sig, :]
-        tv = _bayes_tv_rows(logb, *lik.value_class_rows(sig))
+        fresh, label, levels = lik.signal_rows(signals[t % _SIGNAL_CHUNK])
+        tv = _bayes_tv_rows(logb, label, levels)
         uninf = tv < config.tau
         tv_hist[:, t - 1] = tv
         uninf_hist[:, t - 1] = uninf
@@ -757,19 +744,6 @@ def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
         switching=tuple(run_experiment(config)),
         baseline=tuple(run_experiment(config._baseline)),
     )
-
-
-def _csv_cell(value) -> str:
-    """``value`` as a ``csv.writer`` of the "excel" dialect writes it inside a row.
-
-    That dialect quotes a field only when it holds a comma, a quote or a
-    line break, and doubles the quotes inside; it writes floats by
-    ``repr`` and everything else by ``str``.
-    """
-    text = repr(value) if isinstance(value, float) else str(value)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def export(records, out_dir, config: ExperimentConfig) -> None:

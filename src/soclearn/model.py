@@ -87,10 +87,6 @@ class StateSpace:
     def size(self) -> int:
         return len(self.states)
 
-    @property
-    def true_state(self):
-        return self.states[self.true_state_index]
-
 
 @dataclass(frozen=True)
 class Prior:
@@ -119,10 +115,6 @@ class Prior:
         if np.any(arr <= 0.0):
             raise ValueError("prior must place positive mass on every state")
         return cls(np.log(arr))
-
-    @property
-    def size(self) -> int:
-        return self.log_mass.size
 
 
 @dataclass(frozen=True)
@@ -235,14 +227,16 @@ class LikelihoodModel:
         levels.setflags(write=False)
         return label, levels
 
-    def value_class_rows(self, signals) -> tuple:
-        """``value_classes`` at each agent's signal, for signals ``(..., n)``.
+    def signal_rows(self, signals) -> tuple:
+        """``(fresh, label, levels)`` at each agent's signal, for signals ``(..., n)``.
 
-        The indices are not checked; ``checked_signals`` does that.
+        ``fresh`` holds the ``(..., n, m)`` log-likelihood rows, and
+        ``label`` and ``levels`` the ``value_classes`` rows. The indices
+        are not checked; ``checked_signals`` does that.
         """
         label, levels = self.value_classes
-        agents = np.arange(self.agent_count)
-        return label[agents, signals], levels[agents, signals]
+        at = np.arange(self.agent_count), signals
+        return self.padded_log_lik[at], label[at], levels[at]
 
     @cached_property
     def _usable_rows(self) -> np.ndarray:
@@ -279,8 +273,7 @@ class LikelihoodModel:
 
         The indices go through ``checked_signals`` first.
         """
-        sig = self.checked_signals(signals)
-        return self.padded_log_lik[np.arange(self.agent_count), sig, :]
+        return self.signal_rows(self.checked_signals(signals))[0]
 
 
 def _value_classes(values: np.ndarray) -> tuple:

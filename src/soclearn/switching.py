@@ -62,6 +62,16 @@ def _fired(net: Network, flagged: np.ndarray) -> np.ndarray:
     return (flagged[..., :, None] | flagged[..., None, :]) & net.adjacency
 
 
+# fired-edge cells (rounds x n x n) per step of a walk over a run's
+# masks; a round is never split
+_BLOCK_CELLS = 4096
+
+
+def _block_rounds(n: int) -> int:
+    """Rounds of ``(n,)`` masks per step of a walk over a run's masks."""
+    return max(1, _BLOCK_CELLS // n ** 2)
+
+
 def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
     """Mixing matrices ``(..., n, n)`` for uninformative masks ``(..., n)``.
 
@@ -88,11 +98,6 @@ def build_switching_matrix(net: Network, flagged, round: int) -> SwitchingMatrix
     return SwitchingMatrix(network=net, flagged=flagged, round=round)
 
 
-# fired-edge cells (rounds x n x n) decoded per step of iterating a
-# ledger; a round is never split
-_DECODE_CELLS = 4096
-
-
 class CommLedger:
     """Mutable record of which edges of ``network`` fired in which rounds.
 
@@ -105,8 +110,6 @@ class CommLedger:
     and pairs row-major within a round. ``events`` builds a fresh list
     of them on each access, and ``len(ledger)`` is a running count.
     Only rounds on the ledger's own network object are recorded.
-    Per-agent communication fractions are read off the verdicts, by
-    ``TrajectoryRecord.communication_fractions``.
     """
 
     def __init__(self, network: Network):
@@ -122,7 +125,7 @@ class CommLedger:
         return self._count
 
     def __iter__(self):
-        step = max(1, _DECODE_CELLS // self.network.n ** 2)
+        step = _block_rounds(self.network.n)
         lo = 0
         while lo < len(self._rounds):
             hi = min(lo + step, len(self._rounds))

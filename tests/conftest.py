@@ -1,11 +1,7 @@
 """Shared pytest plumbing: the acceptance suite's criterion report, the
-closed-form Bayes oracle, the flagged-mask helper and the streamed export."""
-
-import dataclasses
+closed-form Bayes oracle and the flagged-mask helper."""
 
 import numpy as np
-
-from soclearn.harness import export, run_experiment
 
 CRITERION_RESULTS = {}
 
@@ -26,25 +22,6 @@ def flagged_mask(n: int, members) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[list(members)] = True
     return mask
-
-
-def export_streamed(config, out_dir) -> list:
-    """``export`` of ``config``'s replicas as ``soclearn run`` feeds it.
-
-    One engine call per replica sends its stored rounds to export's
-    ``rows`` while it runs. Returns the records, which keep rounds 0
-    and ``rounds`` only.
-    """
-    one = dataclasses.replace(config, replicas=1)
-    records = []
-
-    def source(rows):
-        for r in range(config.replicas):
-            records.extend(run_experiment(one, r, rows=rows))
-            yield records[-1]
-
-    export(source, out_dir, one)
-    return records
 
 
 def record_criterion(number: int, title: str, passed: bool, detail: str) -> bool:

@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import export_streamed, flagged_mask, log_normalized, record_criterion
+from conftest import flagged_mask, log_normalized, record_criterion
 from soclearn.analysis import identifiability_report, product_convergence_gap
+from soclearn.cli import _export_replicas
 from soclearn.harness import (
     ExperimentConfig,
     build_model,
@@ -406,7 +407,7 @@ def test_criterion_08_binary_closed_form_agrees_with_tv_test():
             [np.array([[r / (1.0 + r), 1.0 / (1.0 + r)],
                        [1.0 / (1.0 + r), r / (1.0 + r)]])]
         )
-        tvs = _bayes_tv_rows(prev, *lik.value_class_rows(first))
+        tvs = _bayes_tv_rows(prev, *lik.signal_rows(first)[1:])
         for eps, tv in zip(epsilons, tvs):
             for tau in taus:
                 closed = binary_informative(eps, float(r), tau)
@@ -477,7 +478,7 @@ def test_criterion_10_outputs_are_byte_deterministic(tmp_path):
     """Identical (config, seed) must produce byte-identical CSV files."""
     config = reference_config(replicas=2, rounds=300)
     for name in ("first", "second"):
-        export_streamed(config, tmp_path / name)
+        _export_replicas(config, tmp_path / name, [].append)
 
     same = {}
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):

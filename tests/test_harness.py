@@ -12,17 +12,18 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import export_streamed, log_normalized
+from conftest import log_normalized
 from test_trace_contract import traced_job
 from soclearn.analysis import estimate_rate, identifiability_report
 from soclearn import harness, switching
-from soclearn.cli import main
+from soclearn.cli import _export_replicas, main
 from soclearn.harness import (
     GENERATOR_NAME,
     ExperimentConfig,
@@ -875,6 +876,41 @@ def test_fraction_definitions_agree():
         assert np.array_equal(rec.communication_fractions(), ledger_fractions(rec))
 
 
+@settings(max_examples=40, deadline=None)
+@given(engine_configs(), st.data())
+def test_communication_fractions_match_the_dense_fired_oracle(config, data):
+    # any block size, so the walk also crosses block boundaries mid-run;
+    # the ledger walks its masks in the same blocks
+    valid_model(config)
+    cells = data.draw(st.integers(1, 2 * config.agents ** 2))
+    with mock.patch.object(switching, "_BLOCK_CELLS", cells):
+        for rec in run_experiment(config):
+            touched = switching._fired(rec.network, rec.uninformative).any(axis=-1)
+            fractions = rec.communication_fractions()
+            assert np.array_equal(fractions, touched.sum(axis=0) / rec.rounds)
+            assert np.array_equal(fractions, ledger_fractions(rec))
+
+
+def test_communication_fractions_walk_the_masks_in_blocks():
+    # at n = 64 a block is one round, whose fired edges take 4 KiB; blocks
+    # of 256 rounds would hold about 1 MiB of them
+    net = metropolis_weights(ring_edges(64), 64)
+    u = np.random.default_rng(3).random((5000, 64)) < 0.05
+    rec = harness.TrajectoryRecord(
+        replica=0, true_state_index=0, stored_rounds=np.array([0]),
+        log_beliefs=np.zeros((1, 64, 1)), tv_series=np.zeros(u.shape),
+        uninformative=u, last_below=np.full(64, -1), network=net,
+    )
+    rec.communication_fractions()
+    tracemalloc.start()
+    try:
+        rec.communication_fractions()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
 @st.composite
 def networks(draw):
     """Connected graphs on 2..7 agents, Metropolis or explicit weights."""
@@ -1021,7 +1057,7 @@ def beliefs_csv_rows(path):
 def test_export_round_trip(tmp_path):
     config = settling_config(replicas=2, rounds=12)
     records = run_experiment(config)
-    export_streamed(config, tmp_path)
+    _export_replicas(config, tmp_path, [].append)
     comments, rows = beliefs_csv_rows(tmp_path / "beliefs.csv")
     assert comments == [f"# generator: {GENERATOR_NAME}\n", f"# seed: {config.seed}\n"]
 
@@ -1041,7 +1077,7 @@ def test_export_round_trip(tmp_path):
 def test_export_is_byte_deterministic(tmp_path):
     config = settling_config(replicas=2, rounds=25)
     for name in ("a", "b"):
-        export_streamed(config, tmp_path / name)
+        _export_replicas(config, tmp_path / name, [].append)
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):
         assert (tmp_path / "a" / fname).read_bytes() == (
             tmp_path / "b" / fname
@@ -1103,7 +1139,7 @@ def test_csv_cell_quotes_as_the_csv_module_does(label):
 
 @pytest.mark.parametrize("config", EXPORT_CASES)
 def test_export_matches_the_per_row_csv_writer(tmp_path, config):
-    export_streamed(config, tmp_path)
+    _export_replicas(config, tmp_path, [].append)
     assert (tmp_path / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
         run_experiment(config), config
     )
@@ -1271,7 +1307,7 @@ def test_cli_compare_out_memory_does_not_grow_with_the_horizon(tmp_path, capsys)
 
 def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
     config = settling_config(replicas=1, rounds=40)
-    export_streamed(config, tmp_path)
+    _export_replicas(config, tmp_path, [].append)
     space, _, lik, _ = build_model(config)
     expected = identifiability_report(lik, space).asymptotic_rate
     summary = (tmp_path / "summary.txt").read_text()
@@ -1280,7 +1316,8 @@ def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
 
 def test_comm_csv_matches_ledgers(tmp_path):
     config = reference_config(replicas=2, rounds=200)
-    records = export_streamed(config, tmp_path)
+    records = []
+    _export_replicas(config, tmp_path, records.append)
     lines = (tmp_path / "comm.csv").read_text().splitlines()
     assert lines[0] == "replica,t,agent_i,agent_j"
     expected = [
@@ -1331,7 +1368,7 @@ def test_export_line_endings_are_pinned(tmp_path):
     # every CSV row ends with \r\n; the two '#' lines of beliefs.csv end
     # with \n. Pinned output digests depend on this mix.
     config = settling_config(replicas=1, rounds=15, tau=1.0)
-    export_streamed(config, tmp_path)
+    _export_replicas(config, tmp_path, [].append)
     beliefs = (tmp_path / "beliefs.csv").read_bytes()
     assert beliefs.startswith(
         b"# generator: philox4x64\n# seed: 21\n"
@@ -1567,6 +1604,32 @@ def test_report_output_digests_are_pinned(tmp_path, capsys, name):
         got[csv_name] = (tmp_path / csv_name).read_bytes()
     digests = {key: hashlib.sha256(data).hexdigest() for key, data in got.items()}
     assert digests == REPORT_SHA256[name]
+
+
+def oracle_report_csvs(report) -> dict:
+    """kl.csv and divergence.csv as one ``csv.writer`` row per line writes them."""
+    files = {}
+    for name, rows in (
+        ("kl.csv", [["agent"] + [f"kl_to_{label}_nats" for label in report.state_labels]]
+         + [[i] + [format(v, ".17g") for v in row] for i, row in enumerate(report.kl)]),
+        ("divergence.csv", [["state_label", "network_divergence_nats"]]
+         + [[label, format(v, ".17g")]
+            for label, v in zip(report.state_labels, report.network_divergence)]),
+    ):
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        files[name] = buf.getvalue().encode()
+    return files
+
+
+def test_cli_analyze_out_quotes_labels_as_the_csv_module_does(tmp_path, capsys):
+    config = reference_config(agents=len(AWKWARD_LABELS) - 1, states=len(AWKWARD_LABELS),
+                              state_labels=AWKWARD_LABELS)
+    path = write_config(tmp_path, config)
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    space, _, lik, _ = build_model(ExperimentConfig.from_json(path))
+    for name, want in oracle_report_csvs(identifiability_report(lik, space)).items():
+        assert (tmp_path / "out" / name).read_bytes() == want, name
 
 
 def test_cli_exits_quietly_when_stdout_is_closed(tmp_path):

@@ -273,7 +273,7 @@ def test_grouped_kernel_allocates_far_less_than_the_dense_tensor():
     lik = build_likelihoods(reference_config(agents=63, states=64))
     rng = np.random.default_rng(5)
     log_mu = np.log(rng.dirichlet(np.ones(64), size=(2, 63)))
-    label, levels = lik.value_class_rows(rng.integers(0, 2, (2, 63)))
+    _, label, levels = lik.signal_rows(rng.integers(0, 2, (2, 63)))
     dense_bytes = 2 * 63 * 64 * 64 * 8
     tracemalloc.start()
     try:

@@ -10,11 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_paired_bench():
-    spec = importlib.util.spec_from_file_location("paired_bench", ROOT / "tools" / "paired_bench.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_paired_bench():
+    return load_tool("paired_bench")
 
 
 def test_paired_bench_refuses_checkout_paths_of_unequal_length(tmp_path, monkeypatch, capsys):
@@ -173,3 +177,70 @@ def test_paired_bench_marks_a_metric_unresolved_when_the_base_spread_exceeds_its
     marked = [line for line in lines if "UNRESOLVED" in line]
     assert len(marked) == 1 and marked[0].startswith("  setup_s (lower is better): base 0.35 ")
     assert marked[0].endswith(", UNRESOLVED: base IQR exceeds the bound")
+
+
+CRITERION_1, CRITERION_9 = (
+    "tests.test_acceptance::test_criterion_01_all_agents_settle_on_default_scenario",
+    "tests.test_acceptance::test_criterion_09_mixing_product_converges",
+)
+
+
+def junit_xml(**cases) -> str:
+    """A JUnit report of one suite that took 87.5 s; ``cases`` maps a test id to its children."""
+    body = "".join(
+        f'<testcase classname="{test_id.split("::")[0]}" name="{test_id.split("::")[1]}" '
+        f'time="0.1">{children}</testcase>'
+        for test_id, children in cases.items()
+    )
+    return (f'<?xml version="1.0" encoding="utf-8"?><testsuites name="pytest tests">'
+            f'<testsuite name="pytest" time="87.5">{body}</testsuite></testsuites>')
+
+
+def run_tier1(monkeypatch, capsys, xml):
+    """``tools/tier1.py``'s exit status and stdout, with pytest's report canned as ``xml``."""
+    tier1 = load_tool("tier1")
+    commands = []
+
+    def run(cmd, cwd, env):
+        commands.append((cmd, cwd))
+        report = next(arg for arg in cmd if arg.startswith("--junitxml="))
+        Path(report.split("=", 1)[1]).write_text(xml)
+        return subprocess.CompletedProcess(cmd, 1)
+
+    monkeypatch.setattr(tier1.subprocess, "run", run)
+    status = tier1.main()
+    (cmd, cwd), = commands
+    assert cmd[1:5] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert cwd == ROOT
+    return status, capsys.readouterr().out.splitlines()
+
+
+FAILED = '<failure message="assert False">trace</failure>'
+
+
+def test_tier1_accepts_exactly_the_by_design_failures(monkeypatch, capsys):
+    xml = junit_xml(**{CRITERION_1: FAILED, CRITERION_9: FAILED, "tests.test_a::test_x": "",
+                       "tests.test_a::test_y": '<skipped message="no"/>'})
+    status, lines = run_tier1(monkeypatch, capsys, xml)
+    assert status == 0
+    assert lines == ["tier-1: 1 passed, 2 failed, 0 errors, 1 skipped in 87.5 s"]
+
+
+def test_tier1_names_each_unexpected_failure_and_error(monkeypatch, capsys):
+    xml = junit_xml(**{CRITERION_1: FAILED, CRITERION_9: FAILED,
+                       "tests.test_a::test_x": FAILED,
+                       "tests.test_a::test_y": '<error message="fixture">trace</error>',
+                       "tests.test_a::test_z": ""})
+    status, lines = run_tier1(monkeypatch, capsys, xml)
+    assert status == 1
+    assert lines == ["tier-1: 1 passed, 3 failed, 1 errors, 0 skipped in 87.5 s",
+                     "unexpected failed: tests.test_a::test_x",
+                     "unexpected error: tests.test_a::test_y"]
+
+
+def test_tier1_names_a_by_design_failure_that_did_not_fail(monkeypatch, capsys):
+    status, lines = run_tier1(monkeypatch, capsys, junit_xml(**{CRITERION_9: ""}))
+    assert status == 1
+    assert lines == ["tier-1: 1 passed, 0 failed, 0 errors, 0 skipped in 87.5 s",
+                     f"fails by design but did not run: {CRITERION_1}",
+                     f"fails by design but passed: {CRITERION_9}"]
