@@ -52,9 +52,19 @@ __all__ = [
 # Recorded in export headers; the only generator the package uses.
 GENERATOR_NAME = "philox4x64"
 
-# Rounds of signals the batched engine draws at a time, so the signal
-# buffer stays the same size however long the horizon.
+# The batched engine draws its signals in slabs of whole rounds: at most
+# _SIGNAL_CHUNK rounds, and at most _SIGNAL_CELLS signal indices (rounds
+# x replicas x agents) unless one round alone holds more. So the signal
+# buffer and its Philox words stay the same size however long the
+# horizon, and stop growing with replicas x agents past one slab.
 _SIGNAL_CHUNK = 1024
+_SIGNAL_CELLS = 16384
+
+
+def _slab_rounds(replicas: int, agents: int) -> int:
+    """Rounds of signals per draw of an engine call over ``replicas x agents``."""
+    return max(1, min(_SIGNAL_CHUNK, _SIGNAL_CELLS // (replicas * agents)))
+
 
 _TOPOLOGIES = ("ring", "complete", "edges")
 
@@ -406,11 +416,13 @@ def generate_signals(
         )
     replicas = np.array(keys, dtype=np.uint64)[:, None]
     draws = _philox_doubles(seed, replicas, start * n, rounds * n)
-    draws = draws.reshape(len(keys), rounds, n)
+    draws = draws.reshape(len(keys), rounds, n).transpose(1, 0, 2)
     cdf = lik.signal_cdf(space.true_state_index)
-    out = np.empty((rounds, len(keys), n), dtype=np.intp)
-    for i in range(n):
-        out[:, :, i] = np.searchsorted(cdf[i], draws[:, :, i].T, side="right")
+    # the symbol is the number of cdf entries at or below the draw; each
+    # row's last entry is 1.0 or +inf padding, which no draw in [0, 1) reaches
+    out = np.zeros((rounds, len(keys), n), dtype=np.intp)
+    for column in cdf.T[:-1]:
+        out += column <= draws
     return out[:, 0] if single else out
 
 
@@ -564,14 +576,19 @@ class TrajectoryRecord:
         """Per-agent fraction of rounds with at least one exchange.
 
         An agent exchanges in a round when one of its edges fires.
-        Counted over blocks of rounds, so no temporary grows with the
-        horizon.
+        A round that flags nobody fires no edge, so the walk keeps only
+        the flagged rounds of each span of 16 blocks and builds their
+        fired edges a block at a time. No temporary grows with the
+        horizon, and long quiet stretches cost one scan.
         """
         u, net = self.uninformative, self.network
         step = _block_rounds(net.n)
         touched = np.zeros(net.n, dtype=np.int64)
-        for start in range(0, len(u), step):
-            touched += _fired(net, u[start:start + step]).any(axis=-1).sum(axis=0)
+        for start in range(0, len(u), 16 * step):
+            span = u[start:start + 16 * step]
+            flagged = span[span.any(axis=1)]
+            for lo in range(0, len(flagged), step):
+                touched += _fired(net, flagged[lo:lo + step]).any(axis=-1).sum(axis=0)
         return touched / len(u)
 
 
@@ -607,10 +624,11 @@ def run_experiment(
     reps, horizon = config.replicas, config.rounds
     replicas = range(first_replica, first_replica + reps)
     n, m = net.n, lik.state_count
+    slab = _slab_rounds(reps, n)
 
-    def signal_chunk(start):
-        # (rounds, reps, n) signal indices for rounds start .. start + CHUNK - 1
-        rounds = min(_SIGNAL_CHUNK, horizon + 1 - start)
+    def signal_slab(start):
+        # (rounds, reps, n) signal indices for rounds start .. start + slab - 1
+        rounds = min(slab, horizon + 1 - start)
         return generate_signals(
             lik, space, config.seed, rounds, replica=replicas, start=start
         )
@@ -640,7 +658,7 @@ def run_experiment(
     last_below = np.full((reps, n), -1, dtype=np.int64)
     log_settled = math.log1p(-config.consensus_delta)
 
-    signals = signal_chunk(0)
+    signals = signal_slab(0)
     anchor = _round0_beliefs(prior, lik.signal_rows(signals[0])[0])
     logb = anchor.copy()
     phi = np.zeros((reps, n, m))
@@ -648,10 +666,10 @@ def run_experiment(
     keep(0, logb)
 
     for t in range(1, horizon + 1):
-        if t % _SIGNAL_CHUNK == 0:
-            del signals  # the spent chunk goes before the next is drawn
-            signals = signal_chunk(t)
-        fresh, label, levels = lik.signal_rows(signals[t % _SIGNAL_CHUNK])
+        if t % slab == 0:
+            del signals  # the spent slab goes before the next is drawn
+            signals = signal_slab(t)
+        fresh, label, levels = lik.signal_rows(signals[t % slab])
         tv = _bayes_tv_rows(logb, label, levels)
         uninf = tv < config.tau
         tv_hist[:, t - 1] = tv

@@ -496,6 +496,47 @@ REGIME_CASES = [
 ]
 
 
+# horizons that cross signal slab boundaries: 2, 4 and 3 slabs of 546,
+# 54 and 327 rounds
+SLAB_CASES = [
+    pytest.param(
+        reference_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
+        id="reference-second-chunk",
+    ),
+    pytest.param(reference_config(replicas=20, rounds=200), id="reference-20-replicas"),
+    pytest.param(
+        dataclasses.replace(
+            ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+            replicas=10, rounds=700,
+        ),
+        id="complete5-10-replicas",
+    ),
+]
+
+
+@pytest.mark.parametrize("config", SLAB_CASES)
+def test_engine_draws_signals_in_bounded_slabs(config, monkeypatch):
+    # every draw but the last is a full slab of at most _SIGNAL_CELLS
+    # indices, and the slabs concatenate to one draw of the whole horizon
+    draws = []
+
+    def recorded(*args, **kwargs):
+        draws.append(generate_signals(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(harness, "generate_signals", recorded)
+    run_experiment(config)
+    slab = harness._slab_rounds(config.replicas, config.agents)
+    assert len(draws) == -(-(config.rounds + 1) // slab) >= 2
+    for signals in draws:
+        assert len(signals) <= min(slab, harness._SIGNAL_CHUNK)
+        assert signals.size <= harness._SIGNAL_CELLS
+    space, _, lik, _ = config.model
+    whole = generate_signals(lik, space, config.seed, config.rounds + 1,
+                             replica=range(config.replicas))
+    assert np.array_equal(np.concatenate(draws), whole)
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -514,10 +555,7 @@ REGIME_CASES = [
             ),
             id="explicit4-tau1",
         ),
-        pytest.param(
-            reference_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
-            id="reference-second-chunk",
-        ),
+        *SLAB_CASES,
         pytest.param(
             settling_config(
                 agents=4, states=3, topology_kind="ring", tau=0.05,
@@ -635,15 +673,58 @@ def engine_configs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(engine_configs())
-def test_batched_engine_matches_reference_on_random_models(config):
-    # run_experiment refuses exactly the models validate_assumptions fails
+@given(engine_configs(), st.integers(1, 64))
+def test_batched_engine_matches_reference_on_random_models(config, cells):
+    # run_experiment refuses exactly the models validate_assumptions fails;
+    # a small slab budget cuts the signal stream at arbitrary rounds
     space, _, lik, net = build_model(config)
     if validate_assumptions(lik, net, space).passed:
-        assert_engine_matches_reference(config)
+        with mock.patch.object(harness, "_SIGNAL_CELLS", cells):
+            assert_engine_matches_reference(config)
     else:
         with pytest.raises(AssumptionViolation):
             run_experiment(config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_configs(), st.integers(0, 50))
+def test_signals_pick_the_first_symbol_whose_law_exceeds_the_draw(config, start):
+    # oracle: numpy's own Philox doubles and one searchsorted per agent, on
+    # tables with zero entries (tied cdf entries) and unequal alphabets
+    space, _, lik, _ = build_model(config)
+    n, rounds = config.agents, 5
+    got = generate_signals(lik, space, config.seed, rounds,
+                           replica=range(config.replicas), start=start)
+    cdf = lik.signal_cdf(space.true_state_index)
+    for r in range(config.replicas):
+        draws = _numpy_philox_doubles(config.seed, r, start * n, rounds * n)
+        draws = draws.reshape(rounds, n)
+        for i in range(n):
+            want = np.searchsorted(cdf[i], draws[:, i], side="right")
+            assert np.array_equal(got[:, r, i], want)
+
+
+def test_a_draw_on_a_cdf_entry_picks_the_symbol_after_it(monkeypatch):
+    # random draws almost never land on a cdf entry, so feed the lookup
+    # every entry below 1.0 and its two neighbouring doubles; agent 0 has a
+    # zero-probability symbol, so two of its entries tie at 0.25
+    config = ExperimentConfig(
+        agents=2, states=2, tables=(
+            ((0.25, 0.5), (0.0, 0.5), (0.75, 0.0)),
+            ((0.5, 0.5), (0.5, 0.5)),
+        ),
+    )
+    space, _, lik, _ = build_model(config)
+    cdf = lik.signal_cdf(space.true_state_index)
+    edges = np.unique(np.append(cdf[cdf < 1.0], 0.0))
+    draws = np.unique(np.concatenate([edges, np.nextafter(edges, 0.0),
+                                      np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)]]))
+    monkeypatch.setattr(harness, "_philox_doubles",
+                        lambda seed, replicas, first, count: np.repeat(draws, 2)[None])
+    got = generate_signals(lik, space, 0, len(draws))
+    for i in range(2):
+        assert np.array_equal(got[:, i], np.searchsorted(cdf[i], draws, side="right"))
+    assert set(got[:, 0]) == {0, 2}
 
 
 @settings(max_examples=40, deadline=None)
@@ -784,9 +865,9 @@ def _engine_overhead_bytes(config):
 
 
 def test_engine_memory_does_not_grow_with_the_horizon():
-    # Both horizons store 101 rounds and draw past two signal chunks, so
+    # Both horizons store 101 rounds and draw past two signal slabs, so
     # the working set beyond the returned history is the same: one
-    # signal chunk and its draws (~0.15 MiB here), the per-round
+    # signal slab and its draws (~0.15 MiB here), the per-round
     # temporaries and the model. A copy of the history or a full-horizon
     # signal array would add ~0.26 MiB between the two runs.
     run_experiment(reference_config(agents=3, states=4, rounds=5))  # warm caches
@@ -798,6 +879,19 @@ def test_engine_memory_does_not_grow_with_the_horizon():
         overhead[rounds] = _engine_overhead_bytes(config)
     assert max(overhead.values()) < 256 * 1024
     assert overhead[4200] <= overhead[2100] + 16 * 1024
+
+
+def test_engine_memory_does_not_grow_with_replicas_and_agents():
+    # A slab holds at most _SIGNAL_CELLS signal indices, so the working
+    # set beyond the returned history stays under one bound at any
+    # replicas x agents: about 0.5 MiB at both sizes here. Slabs of 1,024
+    # rounds took 5.3 MiB at 20 x 15 and 2.4 MiB at 2 x 63.
+    run_experiment(reference_config(agents=3, states=4, rounds=5))  # warm caches
+    for replicas, agents in ((20, 15), (2, 63)):
+        config = reference_config(
+            agents=agents, replicas=replicas, rounds=1100, thin_every=1100
+        )
+        assert _engine_overhead_bytes(config) < 1024 * 1024, (replicas, agents)
 
 
 def test_engine_records_are_read_only():
@@ -879,12 +973,20 @@ def test_fraction_definitions_agree():
 @settings(max_examples=40, deadline=None)
 @given(engine_configs(), st.data())
 def test_communication_fractions_match_the_dense_fired_oracle(config, data):
-    # any block size, so the walk also crosses block boundaries mid-run;
-    # the ledger walks its masks in the same blocks
+    # any block size, so the walk also crosses block and span boundaries
+    # mid-run; the ledger walks its masks in the same blocks. One more
+    # record is quiet but for one lone flagged round, so the walk skips
+    # long stretches around it
     valid_model(config)
     cells = data.draw(st.integers(1, 2 * config.agents ** 2))
+    records = run_experiment(config)
+    n = config.agents
+    quiet = np.zeros((data.draw(st.integers(1, 600)), n), dtype=bool)
+    lone = data.draw(st.integers(0, len(quiet) - 1))
+    quiet[lone] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    records.append(dataclasses.replace(records[0], uninformative=quiet, tv_series=quiet * 0.0))
     with mock.patch.object(switching, "_BLOCK_CELLS", cells):
-        for rec in run_experiment(config):
+        for rec in records:
             touched = switching._fired(rec.network, rec.uninformative).any(axis=-1)
             fractions = rec.communication_fractions()
             assert np.array_equal(fractions, touched.sum(axis=0) / rec.rounds)
