@@ -9,11 +9,13 @@ being enough.
 
 from .analysis import (
     IdentifiabilityReport,
+    ValidationReport,
     equivalence_classes,
     estimate_rate,
     identifiability_report,
     mixing_gap,
     product_convergence_gap,
+    validate_assumptions,
 )
 from .harness import (
     BaselineComparison,
@@ -43,11 +45,9 @@ from .model import (
     Network,
     Prior,
     StateSpace,
-    ValidationReport,
     complete_edges,
     metropolis_weights,
     ring_edges,
-    validate_assumptions,
 )
 from .switching import (
     CommLedger,

@@ -1,11 +1,13 @@
-"""Identifiability diagnostics and convergence measurements.
+"""Identifiability diagnostics, the standing assumptions, convergence measurements.
 
 The central quantity is the network divergence of a candidate state:
 the per-agent Kullback-Leibler divergence from the realized signal
 distribution to the candidate's, averaged over agents and negated.
 A state other than the realized one is ruled out asymptotically iff
 its network divergence is strictly negative, and the slowest such
-state sets the asymptotic learning rate.
+state sets the asymptotic learning rate. ``validate_assumptions`` judges
+the standing assumptions A1-A3 (Jadbabaie et al., GEB 2012): bounded
+likelihoods, no state ``not_excluded`` (A2) and a connected network.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LikelihoodModel, StateSpace, _is_index
+from .model import LikelihoodModel, Network, StateSpace, _is_index
 
 __all__ = [
     "equivalence_classes",
     "IdentifiabilityReport",
     "identifiability_report",
+    "ValidationReport",
+    "validate_assumptions",
     "estimate_rate",
     "mixing_gap",
     "product_convergence_gap",
@@ -193,6 +197,79 @@ def identifiability_report(
         kl=_kl_matrix(lik, t, classes),
         true_state_index=t,
         state_labels=tuple(space.states),
+    )
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Outcome of checking the three standing assumptions.
+
+    A1: every log likelihood is bounded (no zero-probability signals).
+    A2: the realized state is globally identifiable, i.e. the network
+        divergence of every other state is strictly negative.
+    A3: the communication graph is connected.
+    """
+
+    log_bound: float
+    a2_violations: tuple
+    a3_unreachable: tuple
+
+    @property
+    def a1_passed(self) -> bool:
+        return bool(np.isfinite(self.log_bound))
+
+    @property
+    def a2_passed(self) -> bool:
+        return not self.a2_violations
+
+    @property
+    def a3_passed(self) -> bool:
+        return not self.a3_unreachable
+
+    @property
+    def passed(self) -> bool:
+        return self.a1_passed and self.a2_passed and self.a3_passed
+
+    def summary(self) -> str:
+        mark = {True: "pass", False: "FAIL"}
+        a2 = f" (states not identified: {list(self.a2_violations)})" if self.a2_violations else ""
+        a3 = f" (unreachable agents: {list(self.a3_unreachable)})" if self.a3_unreachable else ""
+        return "\n".join([
+            f"A1 bounded likelihoods: {mark[self.a1_passed]} (log bound {self.log_bound:.6g})",
+            f"A2 global identifiability: {mark[self.a2_passed]}{a2}",
+            f"A3 connected network: {mark[self.a3_passed]}{a3}",
+        ])
+
+
+def _reachable(support: np.ndarray) -> np.ndarray:
+    """Nodes a breadth-first walk from node 0 reaches over a boolean support.
+
+    Each step reads the rows of the frontier, the nodes first reached by
+    the step before, so every node's row is read once.
+    """
+    seen = np.zeros(len(support), dtype=bool)
+    frontier = np.arange(len(support)) == 0
+    while frontier.any():
+        seen |= frontier
+        frontier = support[frontier].any(axis=0) & ~seen
+    return seen
+
+
+def validate_assumptions(
+    lik: LikelihoodModel, net: Network, space: StateSpace
+) -> ValidationReport:
+    """Check A1-A3 for a model triple and report per-assumption outcomes.
+
+    The one place that decides the standing assumptions: constructors
+    only check that their inputs are well formed. Pure function; raises
+    ``ValueError`` only on dimension mismatches between the three inputs.
+    """
+    if lik.agent_count != net.n:
+        raise ValueError(f"likelihoods cover {lik.agent_count} agents, network has {net.n}")
+    return ValidationReport(
+        log_bound=lik.log_bound,
+        a2_violations=identifiability_report(lik, space).not_excluded,
+        a3_unreachable=tuple(int(i) for i in np.flatnonzero(~_reachable(net.adjacency))),
     )
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import identifiability_report
+from .analysis import identifiability_report, validate_assumptions
 from .harness import (
     BaselineComparison,
     ExperimentConfig,
@@ -24,7 +24,7 @@ from .harness import (
     export,
     run_experiment,
 )
-from .model import AssumptionViolation, validate_assumptions
+from .model import AssumptionViolation
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -37,10 +37,10 @@ def _load_config(args) -> ExperimentConfig:
 def _export_replicas(config, out_dir, keep) -> None:
     """Export ``config``'s replicas, each from one engine call that streams its rows.
 
-    ``keep`` sees each record before export releases it. Export reads the
-    model that the engine calls built on the one-replica config.
+    ``keep`` sees each record before export releases it. The engine
+    calls and export read ``config``'s checked model.
     """
-    one = dataclasses.replace(config, replicas=1)
+    one = config._derived(replicas=1)
 
     def replicas(rows):
         for r in range(config.replicas):
@@ -73,7 +73,7 @@ def _cmd_compare(args) -> int:
     else:
         # the summary reads only the final stored round; the ledger, the
         # fractions and the consensus rounds are recorded every round
-        comparison = compare_baseline(dataclasses.replace(config, thin_every=config.rounds))
+        comparison = compare_baseline(config._derived(thin_every=config.rounds))
     summary = comparison.summary()
     print(summary)
     if args.out:

@@ -23,12 +23,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import _csv_cell, estimate_rate, identifiability_report
+from .analysis import _csv_cell, estimate_rate, identifiability_report, validate_assumptions
 from .learning import _bayes_tv_rows, _check_threshold, _lse_last, \
     belief_from_potentials, potential_update
 from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, \
-    Prior, StateSpace, _is_index, complete_edges, metropolis_weights, ring_edges, \
-    validate_assumptions
+    Prior, StateSpace, _is_index, complete_edges, metropolis_weights, ring_edges
 from .switching import CommLedger, _block_rounds, _fired, _mixing_matrices, \
     build_switching_matrix, record_round
 
@@ -122,7 +121,8 @@ class ExperimentConfig:
     uniform prior.
 
     ``model`` is the checked model, built on first read and kept, so
-    the engine calls and exports handed one config object share it.
+    the engine calls and exports handed one config object share it, and
+    so do the configs ``_derived`` from it.
     """
 
     agents: int
@@ -251,10 +251,20 @@ class ExperimentConfig:
             )
         return space, prior, lik, net
 
+    def _derived(self, **settings) -> "ExperimentConfig":
+        """A copy with run settings changed, sharing this config's checked ``model``.
+
+        Only ``replicas``, ``tau`` and ``thin_every`` may change: the model reads none of them.
+        """
+        assert settings.keys() <= {"replicas", "tau", "thin_every"}, settings
+        config = dataclasses.replace(self, **settings)
+        object.__setattr__(config, "model", self.model)
+        return config
+
     @cached_property
     def _baseline(self) -> "ExperimentConfig":
         """The always-communicate arm of this config: threshold 1.0."""
-        return dataclasses.replace(self, tau=1.0)
+        return self._derived(tau=1.0)
 
 
 def reference_config(**overrides) -> ExperimentConfig:
@@ -417,7 +427,7 @@ def generate_signals(
     replicas = np.array(keys, dtype=np.uint64)[:, None]
     draws = _philox_doubles(seed, replicas, start * n, rounds * n)
     draws = draws.reshape(len(keys), rounds, n).transpose(1, 0, 2)
-    cdf = lik.signal_cdf(space.true_state_index)
+    cdf = lik.signal_cdf[:, :, space.true_state_index]
     # the symbol is the number of cdf entries at or below the draw; each
     # row's last entry is 1.0 or +inf padding, which no draw in [0, 1) reaches
     out = np.zeros((rounds, len(keys), n), dtype=np.intp)

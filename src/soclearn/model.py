@@ -1,11 +1,12 @@
 """Domain types for networked belief-learning experiments.
 
 Holds the finite state space, the shared prior, per-agent signal
-likelihoods, and the communication network. Every type checks that it
-is well formed at construction (shapes, symmetry, stochasticity,
-finiteness) and is immutable afterwards, so instances can be shared
-freely across replicas. The standing assumptions A1-A3 are decided in
-one place only, ``validate_assumptions``.
+likelihoods and the communication network, and the tables derived from
+them. Every type checks that it is well formed at construction (shapes,
+symmetry, stochasticity, finiteness) and is immutable afterwards, so
+instances can be shared freely across replicas. The module is a leaf:
+it imports nothing from the package. Whether a model meets the standing
+assumptions A1-A3 is judged in ``analysis``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "LikelihoodModel",
     "Network",
     "BeliefState",
-    "ValidationReport",
-    "validate_assumptions",
     "metropolis_weights",
     "ring_edges",
     "complete_edges",
@@ -155,7 +154,7 @@ class LikelihoodModel:
         """Build from linear-domain tables, one ``(symbols, states)`` per agent.
 
         Zero entries are accepted as ``-inf`` log likelihoods; such a
-        model is unbounded and fails A1 in ``validate_assumptions``.
+        model is unbounded and fails A1 in ``analysis.validate_assumptions``.
         """
         arrs = [np.asarray(t, dtype=float) for t in tables]
         for i, a in enumerate(arrs):
@@ -177,26 +176,6 @@ class LikelihoodModel:
     def log_bound(self) -> float:
         """Largest log-likelihood magnitude across all tables."""
         return float(max(np.max(np.abs(t)) for t in self.log_lik))
-
-    def signal_distribution(self, agent: int, state_index: int) -> np.ndarray:
-        """Linear-domain symbol distribution for one agent and state."""
-        _check_index("agent", agent, self.agent_count)
-        _check_index("state_index", state_index, self.state_count)
-        return np.exp(self.log_lik[agent][:, state_index])
-
-    def signal_cdf(self, state_index: int) -> np.ndarray:
-        """``(n, max_symbols)`` cumulative symbol laws under one state.
-
-        Row ``i`` is the running sum of ``signal_distribution(i, state_index)``
-        with its last entry set to exactly 1.0, then ``+inf`` padding. The
-        number of entries at or below a uniform draw in ``[0, 1)`` is
-        therefore a valid row index of agent ``i``'s table.
-        """
-        cdf = np.full((self.agent_count, max(len(t) for t in self.log_lik)), np.inf)
-        for i, table in enumerate(self.log_lik):
-            cdf[i, : len(table)] = np.cumsum(self.signal_distribution(i, state_index))
-            cdf[i, len(table) - 1] = 1.0
-        return cdf
 
     @cached_property
     def padded_log_lik(self) -> np.ndarray:
@@ -226,6 +205,23 @@ class LikelihoodModel:
         label.setflags(write=False)
         levels.setflags(write=False)
         return label, levels
+
+    @cached_property
+    def signal_cdf(self) -> np.ndarray:
+        """``(n, max_symbols, m)`` cumulative symbol laws, built on first use.
+
+        ``[i, :, k]`` is the running sum of agent ``i``'s symbol
+        probabilities under state ``k``, its last real entry set to
+        exactly 1.0, then ``+inf`` padding. The number of entries at or
+        below a uniform draw in ``[0, 1)`` is therefore a valid row index
+        of agent ``i``'s table.
+        """
+        cdf = np.cumsum(np.exp(self.padded_log_lik), axis=1)
+        sizes = np.array([len(t) for t in self.log_lik])
+        cdf[np.arange(self.agent_count), sizes - 1] = 1.0
+        cdf[np.arange(cdf.shape[1]) >= sizes[:, None]] = np.inf
+        cdf.setflags(write=False)
+        return cdf
 
     def signal_rows(self, signals) -> tuple:
         """``(fresh, label, levels)`` at each agent's signal, for signals ``(..., n)``.
@@ -293,23 +289,6 @@ def _value_classes(values: np.ndarray) -> tuple:
     levels = np.zeros(values.shape[:-1] + (int(rank.max(initial=0)) + 1,))
     np.put_along_axis(levels, rank, ordered, axis=-1)
     return label, levels
-
-
-def _reachable(support: np.ndarray) -> np.ndarray:
-    """Nodes a breadth first search from node 0 reaches over a boolean support."""
-    n = support.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    frontier = [0] if n else []
-    seen[frontier] = True
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.nonzero(support[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    nxt.append(int(j))
-        frontier = nxt
-    return seen
 
 
 def _check_mixing(mat: np.ndarray, what: str) -> None:
@@ -400,7 +379,7 @@ def metropolis_weights(adjacency: Iterable, n: int) -> Network:
     Raises ``ValueError`` on an edge that is not a pair, non-integer or
     bool node ids, self-loops or out-of-range nodes. A disconnected
     adjacency gives a valid network that fails A3 in
-    ``validate_assumptions``.
+    ``analysis.validate_assumptions``.
     """
     adj = np.zeros((n, n), dtype=bool)
     for e in adjacency:
@@ -463,74 +442,3 @@ class BeliefState:
     @property
     def state_count(self) -> int:
         return self.log_belief.shape[1]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of checking the three standing assumptions.
-
-    A1: every log likelihood is bounded (no zero-probability signals).
-    A2: the realized state is globally identifiable, i.e. the network
-        divergence of every other state is strictly negative.
-    A3: the communication graph is connected.
-    """
-
-    log_bound: float
-    a2_violations: tuple
-    a3_unreachable: tuple
-
-    @property
-    def a1_passed(self) -> bool:
-        return bool(np.isfinite(self.log_bound))
-
-    @property
-    def a2_passed(self) -> bool:
-        return not self.a2_violations
-
-    @property
-    def a3_passed(self) -> bool:
-        return not self.a3_unreachable
-
-    @property
-    def passed(self) -> bool:
-        return self.a1_passed and self.a2_passed and self.a3_passed
-
-    def summary(self) -> str:
-        lines = []
-        mark = {True: "pass", False: "FAIL"}
-        lines.append(
-            f"A1 bounded likelihoods: {mark[self.a1_passed]}"
-            f" (log bound {self.log_bound:.6g})"
-        )
-        detail = ""
-        if self.a2_violations:
-            detail = f" (states not identified: {list(self.a2_violations)})"
-        lines.append(f"A2 global identifiability: {mark[self.a2_passed]}{detail}")
-        detail = ""
-        if self.a3_unreachable:
-            detail = f" (unreachable agents: {list(self.a3_unreachable)})"
-        lines.append(f"A3 connected network: {mark[self.a3_passed]}{detail}")
-        return "\n".join(lines)
-
-
-def validate_assumptions(
-    lik: LikelihoodModel, net: Network, space: StateSpace
-) -> ValidationReport:
-    """Check A1-A3 for a model triple and report per-assumption outcomes.
-
-    The one place that decides the standing assumptions: constructors
-    only check that their inputs are well formed. Pure function; raises
-    ``ValueError`` only on dimension mismatches between the three inputs.
-    """
-    if lik.agent_count != net.n:
-        raise ValueError(
-            f"likelihoods cover {lik.agent_count} agents, network has {net.n}"
-        )
-
-    from .analysis import identifiability_report  # local import, avoids a cycle
-
-    return ValidationReport(
-        log_bound=lik.log_bound,
-        a2_violations=identifiability_report(lik, space).not_excluded,
-        a3_unreachable=tuple(int(i) for i in np.flatnonzero(~_reachable(net.weights > 0.0))),
-    )

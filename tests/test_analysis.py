@@ -6,15 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soclearn.analysis import (
     CLASS_TOL,
+    _reachable,
     equivalence_classes,
     identifiability_report,
     mixing_gap,
     product_convergence_gap,
+    validate_assumptions,
 )
 from soclearn.harness import ExperimentConfig, run_experiment
 from soclearn.model import (
@@ -22,7 +24,6 @@ from soclearn.model import (
     StateSpace,
     metropolis_weights,
     ring_edges,
-    validate_assumptions,
 )
 
 # the reference signal family: fair coin everywhere except one state
@@ -167,9 +168,9 @@ def test_report_matches_oracles_on_random_tables(model):
     for i in range(lik.agent_count):
         assert equivalence_classes(lik, i) == greedy_classes(lik.log_lik[i])
         same = next(cls for cls in equivalence_classes(lik, i) if t in cls)
-        p = lik.signal_distribution(i, t)
+        p = np.exp(lik.log_lik[i][:, t])
         for k in range(space.size):
-            q = lik.signal_distribution(i, k)
+            q = np.exp(lik.log_lik[i][:, k])
             if k in same:
                 assert report.kl[i, k] == 0.0
             elif np.any((p > 0.0) & (q == 0.0)):
@@ -193,6 +194,38 @@ def test_report_matches_oracles_on_random_tables(model):
 
 
 # --------------------------------------------------- report.network_divergence
+
+
+def bfs_oracle(support):
+    """Nodes reached from node 0, one queue entry per node, in plain Python."""
+    rows, seen, queue = support.tolist(), {0}, [0]
+    for i in queue:
+        for j, edge in enumerate(rows[i]):
+            if edge and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return [i in seen for i in range(len(support))]
+
+
+@st.composite
+def supports(draw):
+    """Boolean supports of 1-24 nodes from up to 2n random arcs, often disconnected."""
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    support = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        support[i, j] = True
+    return support | support.T if draw(st.booleans()) else support
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports())
+@example(np.ones((1, 1), dtype=bool))
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.kron(np.eye(2, dtype=bool), np.ones((3, 3), dtype=bool)))
+@example(np.roll(np.eye(511, dtype=bool), 1, axis=1) | np.roll(np.eye(511, dtype=bool), -1, axis=1))
+def test_reachable_matches_a_breadth_first_search(support):
+    assert _reachable(support).tolist() == bfs_oracle(support)
 
 
 def test_divergence_is_zero_at_the_realized_state():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import log_normalized
 from test_trace_contract import traced_job
-from soclearn.analysis import estimate_rate, identifiability_report
+from soclearn.analysis import estimate_rate, identifiability_report, validate_assumptions
 from soclearn import harness, switching
 from soclearn.cli import _export_replicas, main
 from soclearn.harness import (
@@ -39,7 +39,7 @@ from soclearn.harness import (
     run_round,
 )
 from soclearn.model import AssumptionViolation, LikelihoodModel, Network, Prior, \
-    metropolis_weights, ring_edges, validate_assumptions
+    metropolis_weights, ring_edges
 
 
 def bernoulli(p1s):
@@ -243,7 +243,7 @@ def test_signal_frequencies_match_the_conditional_law():
     sig = generate_signals(lik, space, seed=11, rounds=rounds, replica=0)
     assert sig.shape == (rounds, 3)
     for i in range(3):
-        p = lik.signal_distribution(i, space.true_state_index)[1]
+        p = np.exp(lik.log_lik[i][1, space.true_state_index])
         got = sig[:, i].mean()
         band = 3.0 * math.sqrt(p * (1.0 - p) / rounds)
         assert abs(got - p) <= band
@@ -695,7 +695,7 @@ def test_signals_pick_the_first_symbol_whose_law_exceeds_the_draw(config, start)
     n, rounds = config.agents, 5
     got = generate_signals(lik, space, config.seed, rounds,
                            replica=range(config.replicas), start=start)
-    cdf = lik.signal_cdf(space.true_state_index)
+    cdf = lik.signal_cdf[:, :, space.true_state_index]
     for r in range(config.replicas):
         draws = _numpy_philox_doubles(config.seed, r, start * n, rounds * n)
         draws = draws.reshape(rounds, n)
@@ -715,7 +715,7 @@ def test_a_draw_on_a_cdf_entry_picks_the_symbol_after_it(monkeypatch):
         ),
     )
     space, _, lik, _ = build_model(config)
-    cdf = lik.signal_cdf(space.true_state_index)
+    cdf = lik.signal_cdf[:, :, space.true_state_index]
     edges = np.unique(np.append(cdf[cdf < 1.0], 0.0))
     draws = np.unique(np.concatenate([edges, np.nextafter(edges, 0.0),
                                       np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)]]))
@@ -1589,8 +1589,9 @@ def test_cli_run_builds_the_model_as_often_at_any_replica_count(tmp_path):
     assert builds == [(1, 1), (1, 1)]
 
 
-def test_cli_compare_builds_one_model_per_arm(tmp_path, monkeypatch, capsys):
-    # compare --out used to build four models: two for the engines, two in export
+def test_cli_compare_builds_one_model(tmp_path, monkeypatch, capsys):
+    # compare --out used to build four models: two for the engines, two in
+    # export; the tau = 1 arm and the one-replica configs share the first
     builds = []
 
     def counted(config):
@@ -1606,7 +1607,7 @@ def test_cli_compare_builds_one_model_per_arm(tmp_path, monkeypatch, capsys):
     for out in ([], ["--out", str(tmp_path / "cmp")]):
         builds.clear()
         assert main(["compare", "--config", str(path), *out]) == 0
-        assert sorted(builds) == [config.tau, 1.0]
+        assert builds == [config.tau]
 
 
 @pytest.mark.parametrize("name", ["ring15.json", "complete5_tables.json"])

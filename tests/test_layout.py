@@ -1,6 +1,7 @@
-"""The package's public names: each has a caller in the package or a stated reason."""
+"""The package's layering, and its public names: each has a caller in the package or a stated reason."""
 
 import ast
+import graphlib
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +9,26 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "soclearn"
+
+
+def package_imports() -> dict:
+    """Each module's set of package modules it imports at any depth, function-level ones included."""
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        graph[path.stem] = {
+            name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names])
+        }
+    return graph
+
+
+def test_model_is_a_leaf_and_the_imports_form_no_cycle():
+    graph = package_imports()
+    assert graph["model"] == set(), "model holds the model; what judges it lives elsewhere"
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
 def exported_names() -> set:
@@ -139,7 +160,7 @@ SHARED_READS = {
     "BeliefState.agent_count": "harness.run_round",
     "BeliefState.state_count": "harness.run_round",
     "IdentifiabilityReport.summary": "cli._cmd_analyze",
-    "LikelihoodModel.log_bound": "model.validate_assumptions",
+    "LikelihoodModel.log_bound": "analysis.validate_assumptions",
     "StateSpace.size": "analysis.identifiability_report",
     "TrajectoryRecord.true_state_index": "harness.BaselineComparison.summary",
     "ValidationReport.summary": "cli._cmd_validate",

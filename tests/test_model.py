@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclearn.analysis import validate_assumptions
 from soclearn.model import (
     BeliefState,
     LikelihoodModel,
@@ -16,7 +17,6 @@ from soclearn.model import (
     complete_edges,
     metropolis_weights,
     ring_edges,
-    validate_assumptions,
 )
 
 
@@ -139,27 +139,6 @@ def test_likelihood_symbol_lookup():
             lik.fresh_rows([bad])
 
 
-def test_signal_distribution_matches_table():
-    lik = reference_like_model()
-    dist = lik.signal_distribution(1, 2)
-    assert np.allclose(dist, [0.75, 0.25], atol=1e-15)
-    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "agent, state, name",
-    [(-1, 0, "agent"), (4, 0, "agent"), (1.0, 0, "agent"), (True, 0, "agent"),
-     (0, -1, "state_index"), (0, 5, "state_index"), (0, np.float64(1), "state_index")],
-)
-def test_signal_distribution_rejects_an_index_out_of_range(agent, state, name):
-    # a negative index used to wrap to the last agent or state
-    lik = reference_like_model()
-    with pytest.raises(ValueError, match=f"^{name} must be an integer in"):
-        lik.signal_distribution(agent, state)
-    assert np.array_equal(lik.signal_distribution(np.int64(1), np.int32(2)),
-                          lik.signal_distribution(1, 2))
-
-
 def test_padded_log_lik_pads_with_neginf():
     tables = [
         bernoulli_table([0.5, 0.25]),
@@ -170,6 +149,38 @@ def test_padded_log_lik_pads_with_neginf():
     assert padded.shape == (2, 4, 2)
     assert np.all(np.isneginf(padded[0, 2:, :]))
     assert np.allclose(padded[1], np.log(0.25))
+
+
+@st.composite
+def ragged_models(draw):
+    """1-4 agents over 2-64 states, alphabets of 1-5 symbols, zero entries likely."""
+    m = draw(st.integers(2, 64))
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        weight = st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]), min_size=m, max_size=m)
+        w = np.array(draw(st.lists(weight, min_size=1, max_size=5)))
+        w[0] += w.sum(axis=0) == 0.0
+        tables.append(w / w.sum(axis=0))
+    return LikelihoodModel.from_probabilities(tables)
+
+
+def cdf_oracle(lik, k):
+    """Each agent's running sum of its law under state k, last entry 1.0, inf padded."""
+    out = np.full((lik.agent_count, max(len(t) for t in lik.log_lik)), np.inf)
+    for i, table in enumerate(lik.log_lik):
+        out[i, : len(table)] = np.cumsum(np.exp(table[:, k]))
+        out[i, len(table) - 1] = 1.0
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged_models())
+def test_signal_cdf_matches_the_per_agent_laws_bit_for_bit(lik):
+    cdf = lik.signal_cdf
+    assert cdf.shape == lik.padded_log_lik.shape
+    assert cdf is lik.signal_cdf and not cdf.flags.writeable
+    for k in range(lik.state_count):
+        assert np.array_equal(cdf[:, :, k].view(np.uint64), cdf_oracle(lik, k).view(np.uint64))
 
 
 # ------------------------------------------------------------------- Network
