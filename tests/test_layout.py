@@ -1,4 +1,4 @@
-"""The package's layering, and its public names: each has a caller in the package or a stated reason."""
+"""The package's layering, and its public names: each has a package caller or a stated reason."""
 
 import ast
 import graphlib
@@ -12,7 +12,7 @@ PACKAGE = ROOT / "src" / "soclearn"
 
 
 def package_imports() -> dict:
-    """Each module's set of package modules it imports at any depth, function-level ones included."""
+    """The package modules each module imports, at any depth, function-level imports included."""
     graph = {}
     for path in PACKAGE.glob("*.py"):
         graph[path.stem] = {
