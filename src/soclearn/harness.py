@@ -498,12 +498,15 @@ class TrajectoryRecord:
     """One replica's recorded trajectory.
 
     Beliefs are stored at ``stored_rounds`` (always including round 0
-    and the final round; intermediate rounds may be thinned). The test
-    outcomes ``tv_series`` and ``uninformative`` cover rounds
-    ``1..rounds`` densely, so ``rounds`` is the number of verdict rows.
+    and the final round; intermediate rounds may be thinned), with
+    shape ``(len(stored_rounds), n, m)``. ``tv_series[k - 1]`` holds
+    the TVs of round ``stored_rounds[k]``, so it has one row fewer, as
+    round 0 has no test. The verdicts ``uninformative`` cover rounds
+    ``1..rounds`` densely, so ``rounds`` is the number of their rows.
     ``last_below[i]`` is the last round at which agent ``i``'s belief on
     the realized state was below the run's ``1 - consensus_delta``, or
-    -1 if it never was.
+    -1 if it never was. A record whose arrays break this layout is
+    refused with a ``ValueError`` that names the field.
 
     The arrays are read-only. Records from ``run_experiment`` hold views
     into one history buffer per call, shared by all the replicas of that
@@ -511,8 +514,9 @@ class TrajectoryRecord:
     in memory; copy the arrays you need to release it. A record of a
     call that streamed its rows (``run_experiment(..., rows=...)``, as
     ``soclearn run`` and ``compare --out`` make one per replica) stores
-    beliefs at rounds 0 and ``rounds`` only, so what it holds that grows
-    with the horizon is its verdicts: 9 bytes per agent-round.
+    beliefs at rounds 0 and ``rounds`` and TVs at ``rounds`` only, so
+    what it holds that grows with the horizon is its verdicts: 1 byte
+    per agent-round.
     """
 
     replica: int
@@ -536,6 +540,18 @@ class TrajectoryRecord:
             arr = np.asarray(getattr(self, name)).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        k, n = len(self.stored_rounds), self.network.n
+        for name, want, what in (
+            ("log_beliefs", (k, n, None), "(len(stored_rounds), n, m)"),
+            ("tv_series", (k - 1, n), "(len(stored_rounds) - 1, n)"),
+            ("uninformative", (None, n), "(rounds, n)"),
+        ):
+            shape = getattr(self, name).shape
+            if len(shape) != len(want) or any(w not in (None, g) for w, g in zip(want, shape)):
+                raise ValueError(
+                    f"{name} must be {what} with len(stored_rounds) = {k} "
+                    f"and n = {n}, got shape {shape}"
+                )
 
     @property
     def rounds(self) -> int:
@@ -619,11 +635,18 @@ def run_experiment(
     wants one replica's history in memory at a time makes one call per
     replica.
 
+    The records store beliefs at rounds 0, the multiples of the
+    stride and the final round, and the TVs at those rounds after 0.
+    The stride is ``config.thin_every``, or by default the least that
+    stores at most 10,000 rounds after round 0, so 1 up to 10,000
+    rounds. The verdicts ``uninformative`` are kept for every round.
+
     With ``rows``, the engine stores no belief history. At each round
     it would store, it calls ``rows(replica, t, log_belief)`` once per
     replica, in replica order, with that replica's read-only ``(n, m)``
-    log beliefs, and the records keep only rounds 0 and
-    ``config.rounds``, as ``thin_every = rounds`` would store them.
+    log beliefs, and the records keep beliefs only at rounds 0 and
+    ``config.rounds``, and TVs only at ``config.rounds``, as
+    ``thin_every = rounds`` would store them.
     """
     if not (_is_index(first_replica) and first_replica >= 0):
         raise ValueError(
@@ -645,25 +668,33 @@ def run_experiment(
 
     stride = config.thin_every or math.ceil(horizon / 10_000)
 
+    # A record keeps the TVs of its stored rounds after round 0:
+    # tv_hist[:, k - 1] holds those of round stored[k]
     if rows is None:
         # stride multiples and the horizon; round t is stored in slot ceil(t / stride)
         stored = np.arange(0, horizon + stride, stride, dtype=np.int64)
         stored[-1] = horizon
         # replica-major, so each record is a view of its own contiguous block
         store = np.empty((reps, len(stored), n, m))
+        tv_hist = np.empty((reps, len(stored) - 1, n))
 
-        def keep(t, logb):
-            store[:, -(-t // stride)] = logb
+        def keep(t, logb, tv=None):
+            slot = -(-t // stride)
+            store[:, slot] = logb
+            if t:
+                tv_hist[:, slot - 1] = tv
     else:
         stored = np.array([0, horizon], dtype=np.int64)
+        tv_hist = np.empty((reps, 1, n))
 
-        def keep(t, logb):
+        def keep(t, logb, tv=None):
+            if t == horizon:
+                tv_hist[:, 0] = tv
             logb = logb.view()
             logb.setflags(write=False)
             for r, replica in enumerate(replicas):
                 rows(replica, t, logb[r])
 
-    tv_hist = np.empty((reps, horizon, n))
     uninf_hist = np.empty((reps, horizon, n), dtype=bool)
     last_below = np.full((reps, n), -1, dtype=np.int64)
     log_settled = math.log1p(-config.consensus_delta)
@@ -682,7 +713,6 @@ def run_experiment(
         fresh, label, levels = lik.signal_rows(signals[t % slab])
         tv = _bayes_tv_rows(logb, label, levels)
         uninf = tv < config.tau
-        tv_hist[:, t - 1] = tv
         uninf_hist[:, t - 1] = uninf
 
         # nobody flagged mixes with I, everybody with net.weights: same bits
@@ -696,7 +726,7 @@ def run_experiment(
         logb -= _lse_last(logb)
         last_below[logb[:, :, space.true_state_index] < log_settled] = t
         if t % stride == 0 or t == horizon:
-            keep(t, logb)
+            keep(t, logb, tv)
 
     if rows is not None:
         store = np.stack((anchor, logb), axis=1)

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -610,18 +611,24 @@ def test_regime_cases_force_their_regimes(monkeypatch):
 
 def assert_engine_matches_reference(config):
     # the vectorized replica engine must be bit-identical to the
-    # one-round reference implementation: beliefs, tvs and masks. Each
-    # tv lies in [0, 1], and the mask flags exactly the tvs below tau
+    # one-round reference implementation: beliefs and tvs at the stored
+    # rounds, masks at every round. Each tv lies in [0, 1], and the mask
+    # flags exactly the tvs below tau
     space, prior, lik, net = build_model(config)
     records = run_experiment(config)
+    stride = config.thin_every or -(-config.rounds // 10_000)
+    stored = sorted({*range(0, config.rounds, stride), config.rounds})
     for r, rec in enumerate(records):
+        assert rec.stored_rounds.tolist() == stored
+        slot = {t: k for k, t in enumerate(stored)}
         sig = generate_signals(lik, space, config.seed, config.rounds + 1, replica=r)
         state = initial_state(prior, lik, sig[0])
         assert np.array_equal(rec.log_beliefs[0], state.log_belief)
         for t in range(1, config.rounds + 1):
             state, q, tv = run_round(state, net, lik, config.tau, sig[t])
-            assert np.array_equal(rec.log_beliefs[t], state.log_belief)
-            assert np.array_equal(rec.tv_series[t - 1], tv)
+            if t in slot:
+                assert np.array_equal(rec.log_beliefs[slot[t]], state.log_belief)
+                assert np.array_equal(rec.tv_series[slot[t] - 1], tv)
             assert np.all((tv >= 0.0) & (tv <= 1.0))
             assert np.array_equal(rec.uninformative[t - 1], tv < config.tau)
 
@@ -633,7 +640,8 @@ def engine_configs(draw):
     1-6 agents on a random edge set, usually grown from a spanning tree
     (connected) and sometimes not; Metropolis or explicit weights on it.
     Tables over 2-4 states with 2-4 symbols per agent, now and then with
-    zero entries; uniform or skewed explicit priors; three thresholds.
+    zero entries; uniform or skewed explicit priors; three thresholds;
+    the default thinning or any stride up to the horizon.
     """
     n, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -663,12 +671,14 @@ def engine_configs(draw):
         decades = draw(st.lists(st.integers(-8, 0), min_size=m, max_size=m))
         mass = 10.0 ** np.array(decades)
         prior = {"prior_mass": (mass / mass.sum()).tolist()}
+    rounds = draw(st.integers(1, 40))
     return ExperimentConfig(
         agents=n, states=m, true_state=draw(st.integers(0, m - 1)),
         tables=tables,
         tau=draw(st.sampled_from([1e-17, 0.05, 1.0])),
-        rounds=draw(st.integers(1, 40)), replicas=draw(st.integers(1, 2)),
-        seed=draw(st.integers(0, 2**32)), **net, **prior,
+        rounds=rounds, replicas=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**32)),
+        thin_every=draw(st.one_of(st.none(), st.integers(1, rounds))), **net, **prior,
     )
 
 
@@ -844,6 +854,11 @@ def test_explicit_thinning_stride():
         assert tuple(rec.stored_rounds) == stored
         # each row is its own round's, the final one included
         assert np.array_equal(rec.log_beliefs, full.log_beliefs[list(stored)])
+        assert np.array_equal(rec.tv_series, full.tv_series[np.array(stored[1:]) - 1])
+        assert np.array_equal(rec.uninformative, full.uninformative)
+    # a streamed record keeps the final round's TVs, as thin_every = rounds does
+    streamed = run_experiment(config, rows=lambda *args: None)[0]
+    assert np.array_equal(streamed.tv_series, full.tv_series[-1:])
 
 
 def _engine_overhead_bytes(config):
@@ -894,6 +909,24 @@ def test_engine_memory_does_not_grow_with_replicas_and_agents():
         assert _engine_overhead_bytes(config) < 1024 * 1024, (replicas, agents)
 
 
+def test_streamed_record_grows_by_its_verdict_mask_alone():
+    # A streamed record keeps beliefs at rounds 0 and rounds and one TV
+    # row at any horizon, so its bytes grow by the bool verdicts alone:
+    # n bytes a round. A dense float64 TV history would add 9 n.
+    held = {}
+    for rounds in (1000, 4000):
+        config = reference_config(agents=31, states=4, replicas=1, rounds=rounds)
+        (rec,) = run_experiment(config, 0, rows=lambda *args: None)
+        assert rec.tv_series.shape == (1, 31)
+        held[rounds] = sum(getattr(rec, name).nbytes for name in (
+            "stored_rounds", "log_beliefs", "tv_series", "uninformative", "last_below"))
+    assert held[4000] - held[1000] == 31 * 3000
+    # a stored record keeps one TV row per stored round after round 0
+    config = reference_config(agents=31, states=4, replicas=1, rounds=1000, thin_every=2)
+    (rec,) = run_experiment(config)
+    assert rec.tv_series.shape == (500, 31)
+
+
 def test_engine_records_are_read_only():
     for rec in run_experiment(settling_config(replicas=2, rounds=30)):
         for arr in (
@@ -908,25 +941,49 @@ def test_engine_records_are_read_only():
                 arr[...] = 0
 
 
-def test_record_leaves_the_callers_arrays_writable():
-    net = metropolis_weights(ring_edges(3), 3)
-    arrays = dict(
+def hand_record_arrays() -> dict:
+    """The arrays of a 3-agent, 2-state record of 2 rounds that stores rounds 0 and 2."""
+    return dict(
         stored_rounds=np.array([0, 2]),
         log_beliefs=np.full((2, 3, 2), np.log(0.5)),
-        tv_series=np.zeros((2, 3)),
+        tv_series=np.zeros((1, 3)),
         uninformative=np.zeros((2, 3), dtype=bool),
         last_below=np.full(3, -1),
     )
-    rec = harness.TrajectoryRecord(
-        replica=0,
-        true_state_index=0,
-        network=net,
-        **arrays,
-    )
+
+
+def hand_record(**arrays):
+    net = metropolis_weights(ring_edges(3), 3)
+    return harness.TrajectoryRecord(replica=0, true_state_index=0, network=net, **arrays)
+
+
+def test_record_leaves_the_callers_arrays_writable():
+    arrays = hand_record_arrays()
+    rec = hand_record(**arrays)
     for name, arr in arrays.items():
         assert arr.flags.writeable
         assert not getattr(rec, name).flags.writeable
         assert np.shares_memory(getattr(rec, name), arr)
+
+
+@pytest.mark.parametrize(
+    "name, shape, what",
+    [
+        ("log_beliefs", (3, 3, 2), "(len(stored_rounds), n, m)"),
+        ("log_beliefs", (2, 3), "(len(stored_rounds), n, m)"),
+        # the dense layout of one TV row per round
+        ("tv_series", (2, 3), "(len(stored_rounds) - 1, n)"),
+        ("tv_series", (1, 2), "(len(stored_rounds) - 1, n)"),
+        ("uninformative", (2, 4), "(rounds, n)"),
+        ("uninformative", (6,), "(rounds, n)"),
+    ],
+)
+def test_record_refuses_a_field_of_the_wrong_shape(name, shape, what):
+    arrays = hand_record_arrays()
+    arrays[name] = np.zeros(shape, dtype=arrays[name].dtype)
+    message = f"{name} must be {what} with len(stored_rounds) = 2 and n = 3, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hand_record(**arrays)
 
 
 def test_most_replicas_learn_the_realized_state():
@@ -984,7 +1041,7 @@ def test_communication_fractions_match_the_dense_fired_oracle(config, data):
     quiet = np.zeros((data.draw(st.integers(1, 600)), n), dtype=bool)
     lone = data.draw(st.integers(0, len(quiet) - 1))
     quiet[lone] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
-    records.append(dataclasses.replace(records[0], uninformative=quiet, tv_series=quiet * 0.0))
+    records.append(dataclasses.replace(records[0], uninformative=quiet))
     with mock.patch.object(switching, "_BLOCK_CELLS", cells):
         for rec in records:
             touched = switching._fired(rec.network, rec.uninformative).any(axis=-1)
@@ -1000,7 +1057,7 @@ def test_communication_fractions_walk_the_masks_in_blocks():
     u = np.random.default_rng(3).random((5000, 64)) < 0.05
     rec = harness.TrajectoryRecord(
         replica=0, true_state_index=0, stored_rounds=np.array([0]),
-        log_beliefs=np.zeros((1, 64, 1)), tv_series=np.zeros(u.shape),
+        log_beliefs=np.zeros((1, 64, 1)), tv_series=np.zeros((0, 64)),
         uninformative=u, last_below=np.full(64, -1), network=net,
     )
     rec.communication_fractions()
@@ -1055,7 +1112,7 @@ def test_ledger_replay_matches_vectorised_events(case):
         true_state_index=0,
         stored_rounds=np.array([0]),
         log_beliefs=np.zeros((1, n, 1)),
-        tv_series=np.zeros(u.shape),
+        tv_series=np.zeros((0, n)),
         uninformative=u,
         last_below=np.full(n, -1),
         network=net,

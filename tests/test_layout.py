@@ -92,10 +92,8 @@ def test_every_export_has_a_package_caller_or_a_stated_reason():
 
 # Dataclass fields that no module of the package reads, each with its reason.
 UNREAD_FIELDS = {
-    "TrajectoryRecord.tv_series": "the benchmark's history_bytes reads it; "
-    "ROADMAP item 12 deletes it once item 1 lands",
-    "TrajectoryRecord.stored_rounds": "perfbench checks the thinning rule with it, "
-    "and library callers read log_beliefs by it",
+    "TrajectoryRecord.tv_series": "the TVs at the stored rounds, for library callers "
+    "and the benchmark's history_bytes; ROADMAP item 12 deletes it once item 1 lands",
 }
 
 

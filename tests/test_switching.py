@@ -36,7 +36,7 @@ def record_of(net, uninformative):
         true_state_index=0,
         stored_rounds=np.array([0]),
         log_beliefs=np.zeros((1, n, 1)),
-        tv_series=np.zeros(u.shape),
+        tv_series=np.zeros((0, n)),
         uninformative=u,
         last_below=np.full(n, -1),
         network=net,

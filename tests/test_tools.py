@@ -179,6 +179,63 @@ def test_paired_bench_marks_a_metric_unresolved_when_the_base_spread_exceeds_its
     assert marked[0].endswith(", UNRESOLVED: base IQR exceeds the bound")
 
 
+def test_paired_bench_writes_the_bench_document(tmp_path, monkeypatch, capsys):
+    bench = load_paired_bench()
+
+    def run_once(checkout, workload, seed, seconds):
+        value = 20.0 if checkout.name == "chng" else 30.0
+        return {"peak_rss_mb": {"value": value}, "setup_s": {"value": 0.3}}, 1.0
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side in ("base", "chng"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    # git looks for no repository above tmp_path, so "base" is none
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run(git + ["init", "-q"], cwd=tmp_path / "chng", check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], cwd=tmp_path / "chng",
+                   check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path / "chng", check=True,
+                          capture_output=True, text=True).stdout.strip()
+    out = tmp_path / "BENCH_99_smaller history.json"
+    argv = [str(tmp_path / "base"), str(tmp_path / "chng"), "--workload", "ring15-run",
+            "--workload", "complete5-compare", "--seed", "7", "--pairs", "2",
+            "--out", str(out), "--what", "keeps less"]
+    assert bench.main(argv) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+               if line.startswith("{")]
+    document = json.loads(out.read_text())
+    assert document["label"] == "99_smaller history"
+    assert document["what"] == "keeps less"
+    assert document["command"] == (
+        f"python3 tools/paired_bench.py {tmp_path / 'base'} {tmp_path / 'chng'} "
+        f"--workload ring15-run --workload complete5-compare --seed 7 --pairs 2 "
+        f"--out '{out}' --what 'keeps less'")
+    assert document["base_commit"] is None  # not a git checkout
+    assert document["change_commit"] == head
+    assert set(document["host"]) == {"python", "numpy", "nproc", "cpu", "platform"}
+    assert document["host"]["nproc"] >= 1
+    assert document["reports"] == reports
+    assert [r["peak_rss_mb"]["wins"] for r in reports] == [2, 2]
+
+
+def test_paired_bench_writes_no_document_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    bench = load_paired_bench()
+
+    def run_once(checkout, workload, seed, seconds):
+        raise RuntimeError(f"{checkout}: exit 1")
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for side in ("base", "chng"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH_99_x.json"
+    assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"), "--workload",
+                       "ring15-run", "--seed", "7", "--pairs", "2", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 CRITERION_1, CRITERION_9 = (
     "tests.test_acceptance::test_criterion_01_all_agents_settle_on_default_scenario",
     "tests.test_acceptance::test_criterion_09_mixing_product_converges",

@@ -1,6 +1,7 @@
 """Paired end-to-end benchmark of two checkouts, one workload after another.
 
-    python3 tools/paired_bench.py BASE CHANGE --workload W [--workload W2 ...] --seed N --pairs 10
+    python3 tools/paired_bench.py BASE CHANGE --workload W [--workload W2 ...] --seed N --pairs 10 \
+        [--out BENCH_NN_label.json [--what TEXT]]
 
 For each workload in turn, runs ``perfbench/run.py --workload W --seed N
 --trace 0`` once in each checkout per pair, alternating which side goes
@@ -21,6 +22,11 @@ the benchmark does not bound it, so no claim or bound is judged on it.
 Before the first workload it prints each checkout's line count of
 Python source under ``src/``, which every report also records.
 A pair in which either side fails makes the script exit 1.
+With ``--out``, a run in which every workload passes also writes a
+``BENCH_*.json`` document: its label (the file name without ``BENCH_``
+and ``.json``), the ``--what`` text, the command line, each checkout's
+``git rev-parse HEAD`` (null where that fails), the host and the
+per-workload reports.
 The two checkouts must sit at resolved paths of equal length, since
 the benchmark's peak RSS moves with the checkout's directory; the
 script exits 2 before any run when they do not.
@@ -29,8 +35,12 @@ script exits 2 before any run when they do not.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import math
+import os
+import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -59,6 +69,34 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
 def src_lines(checkout: Path) -> int:
     """Lines of the Python files under ``checkout/src``, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
+def head_commit(checkout: Path):
+    """``git rev-parse HEAD`` in ``checkout``, or ``None`` where it gives none."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def host() -> dict:
+    """Python and numpy versions, usable cores, CPU model and platform of this host."""
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu": cpu,
+        "platform": platform.platform(),
+    }
 
 
 def quartiles(values: list) -> tuple:
@@ -139,6 +177,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", type=Path,
+                        help="write the BENCH_*.json document of the run here")
+    parser.add_argument("--what", default="", help="what the change does, for --out")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -152,12 +193,25 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     lines = {side: src_lines(getattr(args, side)) for side in ("base", "change")}
     print(f"src/ lines: base {lines['base']}, change {lines['change']}", flush=True)
+    reports = []
     for workload in args.workload:
         try:
-            bench(args, workload, better, bounds, lines)
+            reports.append(bench(args, workload, better, bounds, lines))
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
+    if args.out:
+        argv = sys.argv[1:] if argv is None else argv
+        document = {
+            "label": args.out.name.removeprefix("BENCH_").removesuffix(".json"),
+            "what": args.what,
+            "command": shlex.join(["python3", "tools/paired_bench.py", *argv]),
+            "base_commit": head_commit(args.base),
+            "change_commit": head_commit(args.change),
+            "host": host(),
+            "reports": reports,
+        }
+        args.out.write_text(json.dumps(document, indent=1) + "\n")
     return 0
 
 
