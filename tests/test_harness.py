@@ -618,9 +618,9 @@ def assert_engine_matches_reference(config):
     records = run_experiment(config)
     stride = config.thin_every or -(-config.rounds // 10_000)
     stored = sorted({*range(0, config.rounds, stride), config.rounds})
+    slot = {t: k for k, t in enumerate(stored)}
     for r, rec in enumerate(records):
         assert rec.stored_rounds.tolist() == stored
-        slot = {t: k for k, t in enumerate(stored)}
         sig = generate_signals(lik, space, config.seed, config.rounds + 1, replica=r)
         state = initial_state(prior, lik, sig[0])
         assert np.array_equal(rec.log_beliefs[0], state.log_belief)
@@ -917,7 +917,6 @@ def test_streamed_record_grows_by_its_verdict_mask_alone():
     for rounds in (1000, 4000):
         config = reference_config(agents=31, states=4, replicas=1, rounds=rounds)
         (rec,) = run_experiment(config, 0, rows=lambda *args: None)
-        assert rec.tv_series.shape == (1, 31)
         held[rounds] = sum(getattr(rec, name).nbytes for name in (
             "stored_rounds", "log_beliefs", "tv_series", "uninformative", "last_below"))
     assert held[4000] - held[1000] == 31 * 3000

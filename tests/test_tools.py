@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shlex
 import subprocess
 from pathlib import Path
 
@@ -118,11 +119,13 @@ def test_paired_bench_stops_at_the_first_failing_workload(tmp_path, monkeypatch,
     for side in ("base", "chng"):
         (tmp_path / side).mkdir()
     (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "BENCH_99_x.json"
     assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"),
                        "--workload", "ring15-run", "--workload", "complete5-compare",
-                       "--seed", "12", "--pairs", "2"]) == 1
+                       "--seed", "12", "--pairs", "2", "--out", str(out)]) == 1
     assert calls == ["ring15-run"]
     assert "ring15-run pair 1, base: " in capsys.readouterr().err
+    assert not out.exists()  # no document of a failed run
 
 
 def test_paired_bench_reports_each_checkouts_src_line_count(tmp_path, monkeypatch, capsys):
@@ -208,32 +211,13 @@ def test_paired_bench_writes_the_bench_document(tmp_path, monkeypatch, capsys):
     document = json.loads(out.read_text())
     assert document["label"] == "99_smaller history"
     assert document["what"] == "keeps less"
-    assert document["command"] == (
-        f"python3 tools/paired_bench.py {tmp_path / 'base'} {tmp_path / 'chng'} "
-        f"--workload ring15-run --workload complete5-compare --seed 7 --pairs 2 "
-        f"--out '{out}' --what 'keeps less'")
+    assert shlex.split(document["command"]) == ["python3", "tools/paired_bench.py", *argv]
     assert document["base_commit"] is None  # not a git checkout
     assert document["change_commit"] == head
     assert set(document["host"]) == {"python", "numpy", "nproc", "cpu", "platform"}
     assert document["host"]["nproc"] >= 1
     assert document["reports"] == reports
     assert [r["peak_rss_mb"]["wins"] for r in reports] == [2, 2]
-
-
-def test_paired_bench_writes_no_document_when_a_run_fails(tmp_path, monkeypatch, capsys):
-    bench = load_paired_bench()
-
-    def run_once(checkout, workload, seed, seconds):
-        raise RuntimeError(f"{checkout}: exit 1")
-
-    monkeypatch.setattr(bench, "run_once", run_once)
-    for side in ("base", "chng"):
-        (tmp_path / side).mkdir()
-    (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    out = tmp_path / "BENCH_99_x.json"
-    assert bench.main([str(tmp_path / "base"), str(tmp_path / "chng"), "--workload",
-                       "ring15-run", "--seed", "7", "--pairs", "2", "--out", str(out)]) == 1
-    assert not out.exists()
 
 
 CRITERION_1, CRITERION_9 = (
