@@ -511,12 +511,10 @@ class TrajectoryRecord:
     The arrays are read-only. Records from ``run_experiment`` hold views
     into one history buffer per call, shared by all the replicas of that
     call, so keeping any one record alive keeps the whole call's history
-    in memory; copy the arrays you need to release it. A record of a
-    call that streamed its rows (``run_experiment(..., rows=...)``, as
-    ``soclearn run`` and ``compare --out`` make one per replica) stores
-    beliefs at rounds 0 and ``rounds`` and TVs at ``rounds`` only, so
-    what it holds that grows with the horizon is its verdicts: 1 byte
-    per agent-round.
+    in memory; copy the arrays you need to release it. A streamed
+    record (``run_experiment(..., rows=...)``) is the ``thin_every =
+    rounds`` record, so what it holds that grows with the horizon is its
+    verdicts: 1 byte per agent-round.
     """
 
     replica: int
@@ -640,13 +638,10 @@ def run_experiment(
     The stride is ``config.thin_every``, or by default the least that
     stores at most 10,000 rounds after round 0, so 1 up to 10,000
     rounds. The verdicts ``uninformative`` are kept for every round.
-
-    With ``rows``, the engine stores no belief history. At each round
-    it would store, it calls ``rows(replica, t, log_belief)`` once per
-    replica, in replica order, with that replica's read-only ``(n, m)``
-    log beliefs, and the records keep beliefs only at rounds 0 and
-    ``config.rounds``, and TVs only at ``config.rounds``, as
-    ``thin_every = rounds`` would store them.
+    With ``rows``, each of those rounds goes instead to ``rows(replica,
+    t, log_belief)``, once per replica in replica order, with that
+    replica's read-only ``(n, m)`` log beliefs, and the records are the
+    ``thin_every = rounds`` records.
     """
     if not (_is_index(first_replica) and first_replica >= 0):
         raise ValueError(
@@ -667,44 +662,39 @@ def run_experiment(
         )
 
     stride = config.thin_every or math.ceil(horizon / 10_000)
-
-    # A record keeps the TVs of its stored rounds after round 0:
-    # tv_hist[:, k - 1] holds those of round stored[k]
-    if rows is None:
-        # stride multiples and the horizon; round t is stored in slot ceil(t / stride)
-        stored = np.arange(0, horizon + stride, stride, dtype=np.int64)
-        stored[-1] = horizon
-        # replica-major, so each record is a view of its own contiguous block
-        store = np.empty((reps, len(stored), n, m))
-        tv_hist = np.empty((reps, len(stored) - 1, n))
-
-        def keep(t, logb, tv=None):
-            slot = -(-t // stride)
-            store[:, slot] = logb
-            if t:
-                tv_hist[:, slot - 1] = tv
-    else:
-        stored = np.array([0, horizon], dtype=np.int64)
-        tv_hist = np.empty((reps, 1, n))
-
-        def keep(t, logb, tv=None):
-            if t == horizon:
-                tv_hist[:, 0] = tv
-            logb = logb.view()
-            logb.setflags(write=False)
-            for r, replica in enumerate(replicas):
-                rows(replica, t, logb[r])
-
+    # the record keeps the multiples of its step and the horizon; a
+    # streamed record is the one of step = horizon
+    step = stride if rows is None else horizon
+    stored = np.arange(0, horizon + step, step, dtype=np.int64)
+    stored[-1] = horizon
+    # replica-major, so each record is a view of its own contiguous block;
+    # tv_hist[:, k - 1] holds the TVs of round stored[k]
+    store = np.empty((reps, len(stored), n, m))
+    tv_hist = np.empty((reps, len(stored) - 1, n))
     uninf_hist = np.empty((reps, horizon, n), dtype=bool)
     last_below = np.full((reps, n), -1, dtype=np.int64)
     log_settled = math.log1p(-config.consensus_delta)
 
+    def close(t, logb, tv=None):
+        # the end of round t: consensus, then the hand-off and the record
+        last_below[logb[:, :, space.true_state_index] < log_settled] = t
+        if t % stride and t != horizon:
+            return
+        if rows is not None:
+            view = logb.view()
+            view.setflags(write=False)
+            for r, replica in enumerate(replicas):
+                rows(replica, t, view[r])
+        if t % step == 0 or t == horizon:
+            slot = -(-t // step)
+            store[:, slot] = logb
+            if t:
+                tv_hist[:, slot - 1] = tv
+
     signals = signal_slab(0)
-    anchor = _round0_beliefs(prior, lik.signal_rows(signals[0])[0])
-    logb = anchor.copy()
+    anchor = logb = _round0_beliefs(prior, lik.signal_rows(signals[0])[0])
     phi = np.zeros((reps, n, m))
-    last_below[logb[:, :, space.true_state_index] < log_settled] = 0
-    keep(0, logb)
+    close(0, logb)
 
     for t in range(1, horizon + 1):
         if t % slab == 0:
@@ -724,12 +714,8 @@ def run_experiment(
             phi = _mixing_matrices(net, uninf) @ phi + fresh
         logb = anchor + phi
         logb -= _lse_last(logb)
-        last_below[logb[:, :, space.true_state_index] < log_settled] = t
-        if t % stride == 0 or t == horizon:
-            keep(t, logb, tv)
+        close(t, logb, tv)
 
-    if rows is not None:
-        store = np.stack((anchor, logb), axis=1)
     return [
         TrajectoryRecord(
             replica=replica,

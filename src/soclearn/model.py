@@ -111,8 +111,8 @@ class Prior:
     @classmethod
     def from_probabilities(cls, mass) -> "Prior":
         arr = np.asarray(mass, dtype=float)
-        if np.any(arr <= 0.0):
-            raise ValueError("prior must place positive mass on every state")
+        if not np.all((arr > 0.0) & (arr < np.inf)):
+            raise ValueError("prior must place positive, finite mass on every state")
         return cls(np.log(arr))
 
 
@@ -158,8 +158,8 @@ class LikelihoodModel:
         """
         arrs = [np.asarray(t, dtype=float) for t in tables]
         for i, a in enumerate(arrs):
-            if np.any(a < 0.0):
-                raise ValueError(f"agent {i}: negative probabilities")
+            if not np.all((a >= 0.0) & (a < np.inf)):
+                raise ValueError(f"agent {i}: probabilities must be finite and >= 0")
         with np.errstate(divide="ignore"):
             logs = tuple(np.log(a) for a in arrs)
         return cls(logs)

@@ -613,22 +613,42 @@ def assert_engine_matches_reference(config):
     # the vectorized replica engine must be bit-identical to the
     # one-round reference implementation: beliefs and tvs at the stored
     # rounds, masks at every round. Each tv lies in [0, 1], and the mask
-    # flags exactly the tvs below tau
+    # flags exactly the tvs below tau. A streamed call hands over the
+    # beliefs of those same rounds, and its records are, bit for bit, the
+    # records of thin_every = rounds
     space, prior, lik, net = build_model(config)
     records = run_experiment(config)
+    handed = {}
+
+    def collect(replica, t, log_belief):
+        assert not log_belief.flags.writeable
+        assert log_belief.shape == (config.agents, config.states)
+        handed[replica, t] = log_belief.copy()
+
+    streamed = run_experiment(config, rows=collect)
     stride = config.thin_every or -(-config.rounds // 10_000)
     stored = sorted({*range(0, config.rounds, stride), config.rounds})
     slot = {t: k for k, t in enumerate(stored)}
+    # dicts keep insertion order: every replica of a round, in replica order
+    assert list(handed) == [(r, t) for t in stored for r in range(config.replicas)]
+    thinned = run_experiment(config._derived(thin_every=config.rounds))
+    for rec, want in zip(streamed, thinned, strict=True):
+        assert rec.stored_rounds.tolist() == [0, config.rounds]
+        for name in ("log_beliefs", "tv_series", "uninformative", "last_below"):
+            got, expected = getattr(rec, name), getattr(want, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
     for r, rec in enumerate(records):
         assert rec.stored_rounds.tolist() == stored
         sig = generate_signals(lik, space, config.seed, config.rounds + 1, replica=r)
         state = initial_state(prior, lik, sig[0])
         assert np.array_equal(rec.log_beliefs[0], state.log_belief)
+        assert handed[r, 0].tobytes() == state.log_belief.tobytes()
         for t in range(1, config.rounds + 1):
             state, q, tv = run_round(state, net, lik, config.tau, sig[t])
             if t in slot:
                 assert np.array_equal(rec.log_beliefs[slot[t]], state.log_belief)
                 assert np.array_equal(rec.tv_series[slot[t] - 1], tv)
+                assert handed[r, t].tobytes() == state.log_belief.tobytes()
             assert np.all((tv >= 0.0) & (tv <= 1.0))
             assert np.array_equal(rec.uninformative[t - 1], tv < config.tau)
 

@@ -366,6 +366,19 @@ def test_network_rejects_inf_without_a_warning(weights):
         Network(weights)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5], ids=["nan", "inf", "-inf", "neg"])
+def test_probability_tables_reject_non_finite_and_negative_entries_without_a_warning(bad):
+    table = [[0.5, bad], [0.5, 0.5]]
+    with pytest.raises(ValueError, match="^agent 0: probabilities must be finite and >= 0$"):
+        LikelihoodModel.from_probabilities([table])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+def test_prior_rejects_non_finite_and_nonpositive_mass_without_a_warning(bad):
+    with pytest.raises(ValueError, match="^prior must place positive, finite mass on every state$"):
+        Prior.from_probabilities([0.5, bad])
+
+
 def test_strong_connectivity_check():
     # A3 is the one connectivity check: a search over the positive weights
     lik = reference_like_model(n=2, m=3)

@@ -285,3 +285,90 @@ def test_tier1_names_a_by_design_failure_that_did_not_fail(monkeypatch, capsys):
     assert lines == ["tier-1: 1 passed, 0 failed, 0 errors, 0 skipped in 87.5 s",
                      f"fails by design but did not run: {CRITERION_1}",
                      f"fails by design but passed: {CRITERION_9}"]
+
+
+def same_outputs_checkouts(tmp_path, change_config=b"{}"):
+    """Checkouts "base" and "chng" with configs a.json and b.json; chng's b.json is given."""
+    for side, b in (("base", b"{}"), ("chng", change_config)):
+        (tmp_path / side / "configs").mkdir(parents=True)
+        (tmp_path / side / "configs" / "a.json").write_bytes(b"{}")
+        (tmp_path / side / "configs" / "b.json").write_bytes(b)
+    return [str(tmp_path / "base"), str(tmp_path / "chng")]
+
+
+def stub_cli(monkeypatch, tool, files=lambda checkout, args: {"x.csv": b"1\r\n"}):
+    """Replace the CLI runs with one that echoes its out directory and writes ``files``."""
+    calls = []
+
+    def run(cmd, cwd, env, capture_output, text):
+        assert cmd[1:3] == ["-m", "soclearn.cli"]
+        assert env["PYTHONPATH"] == str(Path(cwd) / "src")
+        args = cmd[3:]
+        calls.append((Path(cwd).name, args))
+        stdout = f"ran {' '.join(args[:1])}\n"
+        if "--out" in args:
+            out = Path(args[args.index("--out") + 1])
+            out.mkdir()
+            for name, data in files(Path(cwd).name, args).items():
+                (out / name).write_bytes(data)
+            stdout += f"wrote to {out}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    return calls
+
+
+def test_same_outputs_runs_every_command_on_every_config(tmp_path, monkeypatch, capsys):
+    tool = load_tool("same_outputs")
+    calls = stub_cli(monkeypatch, tool)
+    assert tool.main([*same_outputs_checkouts(tmp_path), "--replicas", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [f"a.json {name}: same (exit 0, {files} files)" for name, files in (
+        ("run --out", 1), ("compare", 0), ("compare --out", 1), ("analyze --out", 1),
+        ("validate", 0))]
+    assert len(lines) == 10 and lines[5].startswith("b.json run --out: same")
+    # each command runs in base, then in the change, on that checkout's config
+    assert [side for side, _ in calls] == ["base", "chng"] * 10
+    commands = [args for side, args in calls if side == "base"]
+    for args in commands:
+        assert args[-2] == "--config" and Path(args[-1]).parent == tmp_path / "base" / "configs"
+    assert [args[0] for args in commands[:5]] == ["run", "compare", "compare", "analyze",
+                                                  "validate"]
+    assert [("--replicas", "3") == tuple(args[-4:-2]) for args in commands[:5]] \
+        == [True, True, True, False, False]
+
+
+def test_same_outputs_names_the_first_differing_file(tmp_path, monkeypatch, capsys):
+    tool = load_tool("same_outputs")
+
+    def files(side, args):
+        return {"x.csv": b"1\r\n", "y.txt": b"same\n" if side == "base" or args[0] == "run"
+                else b"other\n"}
+
+    calls = stub_cli(monkeypatch, tool, files)
+    assert tool.main(same_outputs_checkouts(tmp_path)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["a.json run --out: same (exit 0, 2 files)",
+                     "a.json compare: same (exit 0, 0 files)",
+                     "a.json compare --out: DIFFERS, y.txt differs"]
+    assert len(calls) == 6  # nothing runs after the first difference
+
+
+def test_same_outputs_compares_exit_codes_and_stdout():
+    tool = load_tool("same_outputs")
+    same = (0, "ran\nwrote to OUT\n", {"x.csv": b"1"})
+    assert tool.difference(same, same) is None
+    assert tool.difference(same, (2, *same[1:])) == "exit 0 vs 2"
+    assert tool.difference(same, (0, "ran\nwrote to out\n", same[2])) \
+        == "stdout line 2: 'wrote to OUT' vs 'wrote to out'"
+    assert tool.difference(same, (0, "ran\nwrote to OUT\nmore\n", same[2])) \
+        == "stdout has 2 lines vs 3"
+    assert tool.difference(same, (0, same[1], {})) == "files ['x.csv'] vs []"
+
+
+def test_same_outputs_refuses_checkouts_whose_configs_differ(tmp_path, monkeypatch, capsys):
+    tool = load_tool("same_outputs")
+    calls = stub_cli(monkeypatch, tool)
+    assert tool.main(same_outputs_checkouts(tmp_path, change_config=b'{"seed": 1}')) == 2
+    assert "the two checkouts' configs/ differ" in capsys.readouterr().err
+    assert calls == []

@@ -1,0 +1,98 @@
+"""Check that two checkouts give the same CLI outputs, byte for byte.
+
+    python3 tools/same_outputs.py BASE CHANGE [--replicas N]
+
+For each ``configs/*.json``, runs ``python -m soclearn.cli`` in each
+checkout, with ``PYTHONPATH=<checkout>/src``, as ``run --out``,
+``compare``, ``compare --out``, ``analyze --out`` and ``validate``;
+``--replicas`` is passed on to ``run`` and ``compare``. Each command
+writes into a fresh temporary directory. It compares the exit codes,
+stdout with the output directory masked, and every output file, byte
+for byte, and prints one line per config and command. It exits 0 when
+everything matches, 1 at the first difference, which it names, and 2
+before any run when the two checkouts' ``configs/`` differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (name, arguments, takes --replicas); "OUT" stands for the output directory
+COMMANDS = (
+    ("run --out", ("run", "--out", "OUT"), True),
+    ("compare", ("compare",), True),
+    ("compare --out", ("compare", "--out", "OUT"), True),
+    ("analyze --out", ("analyze", "--out", "OUT"), False),
+    ("validate", ("validate",), False),
+)
+
+
+def configs(checkout: Path) -> dict:
+    """``{file name: bytes}`` of the checkout's ``configs/*.json``."""
+    return {path.name: path.read_bytes() for path in sorted((checkout / "configs").glob("*.json"))}
+
+
+def outputs(checkout: Path, config: str, args: tuple) -> tuple:
+    """``(exit code, masked stdout, {relative path: bytes})`` of one CLI command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cmd = [sys.executable, "-m", "soclearn.cli", *(str(out) if a == "OUT" else a for a in args),
+               "--config", str(checkout / "configs" / config)]
+        env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        files = {str(path.relative_to(out)): path.read_bytes()
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+    return done.returncode, done.stdout.replace(str(out), "OUT"), files
+
+
+def difference(base: tuple, change: tuple):
+    """The first difference between two ``outputs``, in words, or ``None``."""
+    (code_b, out_b, files_b), (code_c, out_c, files_c) = base, change
+    if code_b != code_c:
+        return f"exit {code_b} vs {code_c}"
+    lines_b, lines_c = out_b.splitlines(), out_c.splitlines()
+    for k, (b, c) in enumerate(zip(lines_b, lines_c), start=1):
+        if b != c:
+            return f"stdout line {k}: {b!r} vs {c!r}"
+    if out_b != out_c:
+        return f"stdout has {len(lines_b)} lines vs {len(lines_c)}"
+    if files_b.keys() != files_c.keys():
+        return f"files {sorted(files_b)} vs {sorted(files_c)}"
+    for name in files_b:
+        if files_b[name] != files_c[name]:
+            return f"{name} differs"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--replicas", type=int, help="passed on to run and compare")
+    args = parser.parse_args(argv)
+    base, change = args.base.resolve(), args.change.resolve()
+    names = configs(base)
+    if names != configs(change):
+        print("the two checkouts' configs/ differ", file=sys.stderr)
+        return 2
+    for config in names:
+        for name, command, replicated in COMMANDS:
+            if replicated and args.replicas is not None:
+                command += ("--replicas", str(args.replicas))
+            got = [outputs(checkout, config, command) for checkout in (base, change)]
+            diff = difference(*got)
+            if diff:
+                print(f"{config} {name}: DIFFERS, {diff}")
+                return 1
+            code, _, files = got[0]
+            print(f"{config} {name}: same (exit {code}, {len(files)} files)", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
