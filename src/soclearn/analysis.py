@@ -281,16 +281,21 @@ def estimate_rate(stored_rounds, values, window) -> float:
     stored rounds inside ``window`` (inclusive) and returns the negated
     slope in nats per round. The slope is the closed form
     ``sum(x * y) / sum(x * x)`` with the rounds centred on their mean as
-    ``x``. Raises ``ValueError`` when ``window`` is not exactly two
-    integer bounds, is empty, reaches outside the stored rounds or
-    covers fewer than two of them.
+    ``x``. Raises ``ValueError`` when ``values`` and ``stored_rounds``
+    differ in length, or ``window`` is not exactly two integer bounds,
+    is empty, reaches outside the stored rounds or covers fewer than
+    two of them.
     """
     if len(window) != 2 or not all(_is_index(bound) for bound in window):
         raise ValueError(f"window bounds must be integers, exactly two, got {window!r}")
     lo, hi = map(int, window)
     if lo > hi:
         raise ValueError(f"window {window} is empty")
-    stored = np.asarray(stored_rounds)
+    stored, values = np.asarray(stored_rounds), np.asarray(values)
+    if len(stored) != len(values):
+        raise ValueError(
+            f"values has {len(values)} entries, stored_rounds has {len(stored)}"
+        )
     keep = (stored >= lo) & (stored <= hi)
     if stored.size and (lo < stored[0] or hi > stored[-1]):
         raise ValueError(
@@ -301,7 +306,7 @@ def estimate_rate(stored_rounds, values, window) -> float:
     if rounds.size < 2:
         raise ValueError("window covers fewer than two stored rounds")
     x = rounds - rounds.mean()
-    slope = np.dot(x, np.asarray(values)[keep]) / np.dot(x, x)
+    slope = np.dot(x, values[keep]) / np.dot(x, x)
     return float(-slope)
 
 

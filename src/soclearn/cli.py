@@ -16,14 +16,9 @@ import sys
 from pathlib import Path
 
 from .analysis import identifiability_report, validate_assumptions
-from .harness import (
-    BaselineComparison,
-    ExperimentConfig,
-    build_model,
-    compare_baseline,
-    export,
-    run_experiment,
-)
+from .harness import ExperimentConfig, build_model, compare_baseline, export
+# not called here: bound so that perfbench/job.py can trace soclearn.cli.run_experiment
+from .harness import run_experiment  # noqa: F401
 from .model import AssumptionViolation
 
 
@@ -34,28 +29,10 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _export_replicas(config, out_dir, keep) -> None:
-    """Export ``config``'s replicas, each from one engine call that streams its rows.
-
-    ``keep`` sees each record before export releases it. The engine
-    calls and export read ``config``'s checked model.
-    """
-    one = config._derived(replicas=1)
-
-    def replicas(rows):
-        for r in range(config.replicas):
-            (rec,) = run_experiment(one, r, rows=rows)
-            keep(rec)
-            yield rec
-            del rec  # released before the next replica is built
-
-    export(replicas, out_dir, one)
-
-
 def _cmd_run(args) -> int:
     config = _load_config(args)
     settled = []
-    _export_replicas(config, args.out, lambda rec: settled.append(rec.consensus_round))
+    export(config, args.out, lambda rec: settled.append(rec.consensus_round))
     print(f"ran {len(settled)} replica(s) of {config.rounds} rounds")
     print(f"consensus rounds: {settled}")
     print(f"wrote beliefs.csv, comm.csv, summary.txt to {args.out}")
@@ -64,17 +41,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
-    if args.out:
-        # streamed records keep the verdicts, ledgers and final beliefs the summary reads
-        switching, baseline = [], []
-        _export_replicas(config, Path(args.out) / "switching", switching.append)
-        _export_replicas(config._baseline, Path(args.out) / "baseline", baseline.append)
-        comparison = BaselineComparison(config, tuple(switching), tuple(baseline))
-    else:
-        # the summary reads only the final stored round; the ledger, the
-        # fractions and the consensus rounds are recorded every round
-        comparison = compare_baseline(config._derived(thin_every=config.rounds))
-    summary = comparison.summary()
+    summary = compare_baseline(config, args.out or None).summary()
     print(summary)
     if args.out:
         (Path(args.out) / "comparison.txt").write_text(summary + "\n")

@@ -162,6 +162,15 @@ class ExperimentConfig:
             raise ValueError("true_state out of range")
         if self.state_labels is not None and len(self.state_labels) != self.states:
             raise ValueError("state_labels length must equal states")
+        first = {}  # CSV cell -> index of the first label that writes it
+        for k, label in enumerate(self.state_labels or ()):
+            cell = _csv_cell(label)
+            j = first.setdefault(cell, k)
+            if j != k:
+                raise ValueError(
+                    f"state_labels {self.state_labels[j]!r} and {label!r} "
+                    f"both write the CSV cell {cell}"
+                )
         if self.prior_mass is not None and np.shape(self.prior_mass) != (self.states,):
             raise ValueError("prior_mass must be a vector whose length equals states")
         if self.topology_kind not in _TOPOLOGIES:
@@ -200,7 +209,9 @@ class ExperimentConfig:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(
+                f"seed must be an integer >= 0 that fits in 64 bits, got {self.seed!r}"
+            )
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if not 0.0 < self.consensus_delta < 1.0:
@@ -777,40 +788,46 @@ class BaselineComparison:
         return "\n".join(lines)
 
 
-def compare_baseline(config: ExperimentConfig) -> BaselineComparison:
+def compare_baseline(config: ExperimentConfig, out_dir=None) -> BaselineComparison:
     """Run a configuration against its always-communicate counterpart.
 
     The designated agent of the summary and of both arms' exported
-    rates is ``config.comparison_agent``.
+    rates is ``config.comparison_agent``. The summary reads only each
+    record's final round, so without ``out_dir`` each arm is one engine
+    call that stores rounds 0 and ``rounds`` alone. Given ``out_dir``,
+    ``export`` writes the arms to ``out_dir/switching`` and
+    ``out_dir/baseline``, and the comparison holds the records it streamed.
+    Both arms read ``config``'s checked model.
     """
-    return BaselineComparison(
-        config=config,
-        switching=tuple(run_experiment(config)),
-        baseline=tuple(run_experiment(config._baseline)),
-    )
+    if out_dir is None:
+        ends = config._derived(thin_every=config.rounds)
+        arms = [run_experiment(arm) for arm in (ends, ends._baseline)]
+    else:
+        arms = [], []
+        export(config, Path(out_dir) / "switching", arms[0].append)
+        export(config._baseline, Path(out_dir) / "baseline", arms[1].append)
+    return BaselineComparison(config, tuple(arms[0]), tuple(arms[1]))
 
 
-def export(records, out_dir, config: ExperimentConfig) -> None:
-    """Write beliefs.csv, comm.csv, and summary.txt for a set of replicas.
+def export(config: ExperimentConfig, out_dir, keep=None) -> None:
+    """Run ``config``'s replicas and write beliefs.csv, comm.csv and summary.txt.
 
     Beliefs are written in the linear domain with 17 significant digits
     (round-trip exact for doubles). The header comments pin the signal
     generator and seed so an export is traceable to its streams.
 
-    ``records(rows)`` returns an iterable of records, read once, each of
-    which has sent its stored rounds to ``rows`` before it arrives, as
-    ``run_experiment(..., rows=rows)`` does while it runs. ``rows``
-    writes each ``(n, m)`` round as it comes and keeps what the rate fit
-    reads: the designated agent's log belief on the slowest state at
-    round 0 and inside the window.
-
-    Each record's exchanges and summary line are written as it arrives,
-    and the record is released before the next is drawn, so a source
-    that builds one replica at a time keeps one replica's record in
-    memory, however many replicas, and no belief history at all.
-    ``config.model``, the checked model the engine read, is read before
-    any file is made, so a run that fails the standing assumptions
-    writes nothing.
+    Each replica is one engine call, ``run_experiment(one, r,
+    rows=rows)`` with ``one`` the one-replica config derived from
+    ``config``. ``rows`` writes each ``(n, m)`` round as the engine
+    hands it over and keeps what the rate fit reads: the designated
+    agent's log belief on the slowest state at round 0 and inside the
+    window. Then the replica's exchanges and summary line are written,
+    ``keep(rec)``, when given, sees the record, and the record is
+    released before the next replica runs. So export keeps one
+    replica's record in memory, however many replicas, and no belief
+    history at all. ``config.model``, the checked model every engine
+    call reads, is read before any file is made, so a run that fails
+    the standing assumptions writes nothing.
     """
     space, _, lik, _ = config.model
     report = identifiability_report(lik, space)
@@ -838,8 +855,10 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
         beliefs.write(f"# seed: {config.seed}\n")
         beliefs.write("replica,t,agent,state_label,belief\r\n")
         comm.write(b"replica,t,agent_i,agent_j\r\n")
-        fit_rounds, fit_values = array("q"), array("d")
-        for rec in records(rows):
+        one = config._derived(replicas=1)
+        for r in range(config.replicas):
+            fit_rounds, fit_values = array("q"), array("d")
+            (rec,) = run_experiment(one, r, rows=rows)
             # bytes go straight to the file buffer, where a text file would
             # hold up to 8 KiB of pending rows as separate str objects
             comm.writelines(f"{rec.replica},{t},{i},{j}\r\n".encode() for t, i, j in rec.ledger)
@@ -853,12 +872,13 @@ def export(records, out_dir, config: ExperimentConfig) -> None:
                 f"replica {rec.replica}: consensus round {rec.consensus_round}, "
                 f"mean comm fraction {frac:.4f}, estimated rate {rate_text}"
             )
+            if keep is not None:
+                keep(rec)
             del rec  # released before the next replica is built
-            fit_rounds, fit_values = array("q"), array("d")
 
     head = [
         f"agents: {config.agents}, states: {config.states}, "
-        f"rounds: {config.rounds}, replicas: {len(lines)}",
+        f"rounds: {config.rounds}, replicas: {config.replicas}",
         f"threshold: {config.tau:g}, seed: {config.seed}, "
         f"generator: {GENERATOR_NAME}",
         f"theoretical asymptotic rate: {report.asymptotic_rate:.12g} nats/round",

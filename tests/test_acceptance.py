@@ -14,10 +14,10 @@ import pytest
 
 from conftest import flagged_mask, log_normalized, record_criterion
 from soclearn.analysis import identifiability_report, product_convergence_gap
-from soclearn.cli import _export_replicas
 from soclearn.harness import (
     ExperimentConfig,
     build_model,
+    export,
     generate_signals,
     initial_state,
     reference_config,
@@ -478,7 +478,7 @@ def test_criterion_10_outputs_are_byte_deterministic(tmp_path):
     """Identical (config, seed) must produce byte-identical CSV files."""
     config = reference_config(replicas=2, rounds=300)
     for name in ("first", "second"):
-        _export_replicas(config, tmp_path / name, [].append)
+        export(config, tmp_path / name)
 
     same = {}
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):

@@ -353,6 +353,15 @@ def test_rate_window_validation():
         estimate_rate(stored, values, (1, 1))
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_rate_rejects_values_and_rounds_of_unequal_length(count):
+    # used to fail with a raw IndexError from the window mask
+    from soclearn.analysis import estimate_rate
+
+    with pytest.raises(ValueError, match=f"^values has {count} entries, stored_rounds has 3$"):
+        estimate_rate((0, 1, 2), np.zeros(count), (0, 2))
+
+
 @pytest.mark.parametrize(
     "window",
     [(2.9, 9.5), (2.0, 9), (2, 9.0), (np.float64(2), 9), ("2", 9), (True, 9),

@@ -24,7 +24,7 @@ from conftest import log_normalized
 from test_trace_contract import traced_job
 from soclearn.analysis import estimate_rate, identifiability_report, validate_assumptions
 from soclearn import harness, switching
-from soclearn.cli import _export_replicas, main
+from soclearn.cli import main
 from soclearn.harness import (
     GENERATOR_NAME,
     ExperimentConfig,
@@ -120,6 +120,27 @@ def test_config_rejects_bad_consensus_delta():
         reference_config(consensus_delta=0.0)
     with pytest.raises(ValueError):
         reference_config(consensus_delta=1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_a_seed_outside_64_bits(seed):
+    # -1 used to be refused only for not fitting in 64 bits
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0 that fits in "
+                                         rf"64 bits, got {seed}$"):
+        reference_config(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "labels, cell",
+    [(("1", 1), "1"), ((0.5, "0.5"), "0.5"), (("a", "a"), "a"), (('a"b', 'a"b'), '"a""b"')],
+)
+def test_config_rejects_state_labels_that_write_the_same_csv_cell(labels, cell):
+    # beliefs.csv and divergence.csv could not tell such states apart
+    first, second = labels
+    with pytest.raises(ValueError, match=re.escape(
+            f"state_labels {first!r} and {second!r} both write the CSV cell {cell}")):
+        reference_config(agents=2, states=3, state_labels=("z", *labels))
+    reference_config(agents=2, states=3, state_labels=("z", first, "other"))
 
 
 def test_equal_bernoulli_parameters_fail_a2():
@@ -1235,7 +1256,7 @@ def beliefs_csv_rows(path):
 def test_export_round_trip(tmp_path):
     config = settling_config(replicas=2, rounds=12)
     records = run_experiment(config)
-    _export_replicas(config, tmp_path, [].append)
+    export(config, tmp_path)
     comments, rows = beliefs_csv_rows(tmp_path / "beliefs.csv")
     assert comments == [f"# generator: {GENERATOR_NAME}\n", f"# seed: {config.seed}\n"]
 
@@ -1255,7 +1276,7 @@ def test_export_round_trip(tmp_path):
 def test_export_is_byte_deterministic(tmp_path):
     config = settling_config(replicas=2, rounds=25)
     for name in ("a", "b"):
-        _export_replicas(config, tmp_path / name, [].append)
+        export(config, tmp_path / name)
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):
         assert (tmp_path / "a" / fname).read_bytes() == (
             tmp_path / "b" / fname
@@ -1317,7 +1338,7 @@ def test_csv_cell_quotes_as_the_csv_module_does(label):
 
 @pytest.mark.parametrize("config", EXPORT_CASES)
 def test_export_matches_the_per_row_csv_writer(tmp_path, config):
-    _export_replicas(config, tmp_path, [].append)
+    export(config, tmp_path)
     assert (tmp_path / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
         run_experiment(config), config
     )
@@ -1353,27 +1374,28 @@ def test_cli_run_writes_what_export_writes_from_stored_records(tmp_path, capsys,
 
 
 def _export_peak_bytes(records, out_dir, config):
-    """Traced peak of ``export`` fed stored records, with the ledgers replayed beforehand.
+    """Traced peak of ``export`` replaying stored records, with the ledgers replayed beforehand.
 
-    The source sends each record's stored rounds to ``rows`` before
-    yielding it, as a streamed engine call would, so the peak is
-    export's own working set.
+    Export's engine call is replaced by one that sends a stored record's
+    rounds to ``rows`` and returns it, as a streamed engine call would,
+    so the peak is export's own working set.
     """
     for rec in records:
         rec.ledger
 
-    def source(rows):
-        for rec in records:
-            for t, log_belief in zip(rec.stored_rounds, rec.log_beliefs):
-                rows(rec.replica, int(t), log_belief)
-            yield rec
+    def replay(one, replica, *, rows):
+        rec = records[replica]
+        for t, log_belief in zip(rec.stored_rounds, rec.log_beliefs):
+            rows(rec.replica, int(t), log_belief)
+        return [rec]
 
-    tracemalloc.start()
-    try:
-        export(source, out_dir, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with mock.patch.object(harness, "run_experiment", replay):
+        tracemalloc.start()
+        try:
+            export(config, out_dir)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     return peak
 
 
@@ -1410,22 +1432,22 @@ def _cli_peak_bytes(out, config, command="run"):
 def test_cli_run_memory_does_not_grow_with_the_replica_count(tmp_path, capsys):
     """``run`` builds, exports and releases one replica at a time.
 
-    One replica's record here is about 27 KB (the verdicts and TV
-    values of 600 rounds of 5 agents) plus its ledger, so a run that
-    kept its records until export ended would peak about 140 KB higher
-    at six replicas than at one. The 64 KiB slack covers what
-    differs between the two runs without being history: the open output
-    files and the summary lines while later replicas run, numpy's and
-    Python's free-list caches and tracemalloc's own bookkeeping, seen at
-    up to about 25 KiB.
+    One replica's record here is its verdicts (1 byte per agent-round,
+    3 KB for 600 rounds of 5 agents) plus its ledger and the record
+    itself, about 6 KB in all, so a run that kept its records until
+    export ended would peak about 90 KB higher at sixteen replicas than
+    at one. The 64 KiB slack covers what differs between the two runs
+    without being history: the open output files and the summary lines
+    while later replicas run, numpy's and Python's free-list caches and
+    tracemalloc's own bookkeeping, seen at about 12 KB.
     """
     config = reference_config(agents=5, states=6, rounds=600)
     _cli_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2, replicas=1))
-    one, six = (
+    one, sixteen = (
         _cli_peak_bytes(tmp_path / str(k), dataclasses.replace(config, replicas=k))
-        for k in (1, 6)
+        for k in (1, 16)
     )
-    assert six <= one + 64 * 1024
+    assert sixteen <= one + 64 * 1024
 
 
 def _ledger_bytes(config):
@@ -1444,12 +1466,13 @@ def test_cli_run_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
     """``run`` writes belief rows as the engine makes them.
 
     What a replica keeps that grows with the horizon is its verdicts
-    (TV value and flag, 9 bytes per agent-round) and its ledger. A run
-    that stored the replica's beliefs would add 1,800 rounds of 5 x 6
-    doubles, about 432 KB, between the two horizons. The 64 KiB slack
-    covers the rate fit's column (16 bytes per round of the window's
-    900 extra rounds, about 14 KiB), the fit's copies of it and the
-    free-list and bookkeeping noise of the replica-count test.
+    (the uninformative mask, 1 byte per agent-round; its TVs are kept
+    for the final round only) and its ledger. A run that stored the
+    replica's beliefs would add 1,800 rounds of 5 x 6 doubles, about
+    432 KB, between the two horizons. The 64 KiB slack covers the rate
+    fit's column (16 bytes per round of the window's 900 extra rounds,
+    about 14 KiB), the fit's copies of it and the free-list and
+    bookkeeping noise of the replica-count test.
     """
     config = reference_config(agents=5, states=6, replicas=1)
     _cli_peak_bytes(tmp_path / "warm", dataclasses.replace(config, rounds=2))
@@ -1458,7 +1481,7 @@ def test_cli_run_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
         sized = dataclasses.replace(config, rounds=rounds)
         peak[rounds] = _cli_peak_bytes(tmp_path / str(rounds), sized)
         ledger[rounds] = _ledger_bytes(sized)
-    verdicts = 9 * config.agents * (2400 - 600)
+    verdicts = config.agents * (2400 - 600)
     assert peak[2400] <= peak[600] + verdicts + ledger[2400] - ledger[600] + 64 * 1024
 
 
@@ -1466,7 +1489,7 @@ def test_cli_compare_out_memory_does_not_grow_with_the_horizon(tmp_path, capsys)
     """``compare --out`` writes both arms' belief rows as the engine makes them.
 
     The summary reads every record of both arms, so what grows with the
-    horizon is their verdicts (9 bytes per agent-round) and ledgers; the
+    horizon is their verdicts (1 byte per agent-round) and ledgers; the
     tau = 1 arm's ledgers alone grow by about 32 KB here. Storing the
     belief histories, as ``compare --out`` once did, would add 1,800
     rounds of 5 x 6 doubles per replica and arm, about 864 KB, between
@@ -1479,13 +1502,13 @@ def test_cli_compare_out_memory_does_not_grow_with_the_horizon(tmp_path, capsys)
         sized = dataclasses.replace(config, rounds=rounds)
         peak[rounds] = _cli_peak_bytes(tmp_path / str(rounds), sized, "compare")
         ledger[rounds] = _ledger_bytes(sized) + _ledger_bytes(sized._baseline)
-    verdicts = 9 * config.agents * (2400 - 600) * config.replicas * 2
+    verdicts = config.agents * (2400 - 600) * config.replicas * 2
     assert peak[2400] <= peak[600] + verdicts + ledger[2400] - ledger[600] + 64 * 1024
 
 
 def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
     config = settling_config(replicas=1, rounds=40)
-    _export_replicas(config, tmp_path, [].append)
+    export(config, tmp_path)
     space, _, lik, _ = build_model(config)
     expected = identifiability_report(lik, space).asymptotic_rate
     summary = (tmp_path / "summary.txt").read_text()
@@ -1495,7 +1518,7 @@ def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
 def test_comm_csv_matches_ledgers(tmp_path):
     config = reference_config(replicas=2, rounds=200)
     records = []
-    _export_replicas(config, tmp_path, records.append)
+    export(config, tmp_path, records.append)
     lines = (tmp_path / "comm.csv").read_text().splitlines()
     assert lines[0] == "replica,t,agent_i,agent_j"
     expected = [
@@ -1546,7 +1569,7 @@ def test_export_line_endings_are_pinned(tmp_path):
     # every CSV row ends with \r\n; the two '#' lines of beliefs.csv end
     # with \n. Pinned output digests depend on this mix.
     config = settling_config(replicas=1, rounds=15, tau=1.0)
-    _export_replicas(config, tmp_path, [].append)
+    export(config, tmp_path)
     beliefs = (tmp_path / "beliefs.csv").read_bytes()
     assert beliefs.startswith(
         b"# generator: philox4x64\n# seed: 21\n"
@@ -1626,25 +1649,15 @@ def test_cli_compare_overrides_seed_and_replicas(tmp_path, capsys):
     assert capsys.readouterr().out != out
 
 
-def test_cli_compare_without_out_stores_only_the_ends(tmp_path, monkeypatch, capsys):
-    # the summary reads only the final stored round, so without --out the
-    # engines keep rounds 0 and `rounds`; with --out the config's thinning
-    # decides what both arms export
-    import soclearn.cli
-
-    seen = []
-
-    def spy(config):
-        seen.append(compare_baseline(config))
-        return seen[-1]
-
-    monkeypatch.setattr(soclearn.cli, "compare_baseline", spy)
+def test_compare_baseline_stores_only_the_ends(tmp_path):
+    # the summary reads only the final stored round, so both routes keep
+    # rounds 0 and `rounds` of each record; with out_dir the config's
+    # thinning decides what both arms export
     config = settling_config(replicas=2, rounds=30, thin_every=7)
-    path = write_config(tmp_path, config)
-    assert main(["compare", "--config", str(path)]) == 0
-    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
-    (bare,) = seen  # --out streams each arm's rows instead
-    for rec in bare.switching + bare.baseline:
+    bare = compare_baseline(config)
+    written = compare_baseline(config, tmp_path / "cmp")
+    assert written.summary() == bare.summary()
+    for rec in bare.switching + bare.baseline + written.switching + written.baseline:
         assert rec.stored_rounds.tolist() == [0, 30]
     for arm in ("switching", "baseline"):
         _, rows = beliefs_csv_rows(tmp_path / "cmp" / arm / "beliefs.csv")
