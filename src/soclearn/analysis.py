@@ -314,11 +314,13 @@ def mixing_gap(matrix: np.ndarray) -> float:
     """Distance from a square matrix to the flat averaging matrix.
 
     Measured in the induced infinity norm: the largest absolute row sum
-    of ``matrix - J/n``.
+    of ``matrix - J/n``. A matrix with an inf or NaN entry is refused.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix must be finite, without inf or NaN")
     n = mat.shape[0]
     return float(np.max(np.sum(np.abs(mat - 1.0 / n), axis=1)))
 
@@ -329,11 +331,18 @@ def product_convergence_gap(q_sequence) -> float:
     ``q_sequence`` yields per-round matrices oldest first; the product
     applies them in run order (each new round multiplies on the left).
     The product is accumulated while iterating, so a generator is never
-    held in memory as a whole.
+    held in memory as a whole. The first matrix must be square, the
+    others of its shape, and all finite; a refusal names the matrix by
+    its position.
     """
     prod = None
-    for q in q_sequence:
+    for k, q in enumerate(q_sequence):
         mat = np.asarray(q, dtype=float)
+        want = mat.shape[:1] * 2 if prod is None else prod.shape
+        if mat.shape != want:
+            raise ValueError(f"matrix {k} has shape {mat.shape}, not {want}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"matrix {k} must be finite, without inf or NaN")
         prod = mat if prod is None else mat @ prod
     if prod is None:
         raise ValueError("need at least one matrix")

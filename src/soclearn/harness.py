@@ -24,10 +24,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analysis import _csv_cell, estimate_rate, identifiability_report, validate_assumptions
-from .learning import _bayes_tv_rows, _check_threshold, _lse_last, \
-    belief_from_potentials, potential_update
-from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, \
-    Prior, StateSpace, _is_index, complete_edges, metropolis_weights, ring_edges
+from .learning import _bayes_tv_rows, _lse_last, belief_from_potentials, potential_update
+from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, Prior, \
+    StateSpace, _check_integer, _check_unit, complete_edges, metropolis_weights, ring_edges
 from .switching import CommLedger, _block_rounds, _fired, _mixing_matrices, \
     build_switching_matrix, record_round
 
@@ -154,12 +153,15 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, _typed(value, depth, kind))
             except TypeError:
                 raise ValueError(f"{f.name} must be {what}") from None
-        if self.agents < 1:
-            raise ValueError("agents must be >= 1")
-        if self.states < 2:
-            raise ValueError("states must be >= 2")
-        if not 0 <= self.true_state < self.states:
-            raise ValueError("true_state out of range")
+        for name, value, lo, hi in (
+            ("agents", self.agents, 1, None), ("states", self.states, 2, None),
+            ("true_state", self.true_state, 0, self.states), ("rounds", self.rounds, 1, None),
+            ("seed", self.seed, 0, 2**64), ("replicas", self.replicas, 1, None),
+            ("thin_every", self.thin_every, 1, None),
+            ("comparison_agent", self.comparison_agent, 0, self.agents),
+        ):
+            if value is not None:  # thin_every may be left out
+                _check_integer(name, value, lo, hi)
         if self.state_labels is not None and len(self.state_labels) != self.states:
             raise ValueError("state_labels length must equal states")
         first = {}  # CSV cell -> index of the first label that writes it
@@ -203,23 +205,11 @@ class ExperimentConfig:
         edges = self.topology_edges
         if edges is not None and any(len(e) != 2 for e in edges):
             raise ValueError("topology_edges must be a list of [i, j] agent pairs")
-        if self.tables is None and not (0.0 < self.p_eq < 1.0 and 0.0 < self.p_diff < 1.0):
-            raise ValueError("p_eq and p_diff must lie strictly inside (0, 1)")
-        _check_threshold(self.tau, "tau")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(
-                f"seed must be an integer >= 0 that fits in 64 bits, got {self.seed!r}"
-            )
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if not 0.0 < self.consensus_delta < 1.0:
-            raise ValueError("consensus_delta must lie strictly inside (0, 1)")
-        if self.thin_every is not None and self.thin_every < 1:
-            raise ValueError("thin_every must be >= 1 when given")
-        if not 0 <= self.comparison_agent < self.agents:
-            raise ValueError("comparison_agent out of range")
+        if self.tables is None:
+            _check_unit("p_eq", self.p_eq)
+            _check_unit("p_diff", self.p_diff)
+        _check_unit("tau", self.tau, closed=True)
+        _check_unit("consensus_delta", self.consensus_delta)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -422,14 +412,11 @@ def generate_signals(
     if not keys:
         raise ValueError("replica must name at least one replica")
     for name, value in (("seed", seed), *(("replica", r) for r in keys)):
-        if not (_is_index(value) and 0 <= value < 2**64):
-            raise ValueError(f"{name} must be an integer >= 0 that fits in 64 bits, got {value!r}")
+        _check_integer(name, value, 0, 2**64)
     # numpy integers become Python ints, so no Philox key arithmetic overflows
     seed, keys = int(seed), [int(r) for r in keys]
-    if not (_is_index(rounds) and rounds >= 1):
-        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
-    if not (_is_index(start) and start >= 0):
-        raise ValueError(f"start must be an integer >= 0, got {start!r}")
+    _check_integer("rounds", rounds, 1)
+    _check_integer("start", start, 0)
     if ((start + rounds) * n + 3) // 4 > _WORD:
         raise ValueError(
             f"rounds {start} .. {start + rounds - 1} need a Philox block "
@@ -485,7 +472,7 @@ def run_round(
     This is the reference implementation; ``run_experiment`` reproduces
     it in batched form.
     """
-    _check_threshold(tau)
+    _check_unit("threshold", tau, closed=True)
     n, m = state.agent_count, state.state_count
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
@@ -654,10 +641,8 @@ def run_experiment(
     replica's read-only ``(n, m)`` log beliefs, and the records are the
     ``thin_every = rounds`` records.
     """
-    if not (_is_index(first_replica) and first_replica >= 0):
-        raise ValueError(
-            f"first_replica must be a nonnegative integer, got {first_replica!r}"
-        )
+    # the last replica key must fit in 64 bits
+    _check_integer("first_replica", first_replica, 0, 2**64 - config.replicas + 1)
     space, prior, lik, net = config.model
 
     reps, horizon = config.replicas, config.rounds

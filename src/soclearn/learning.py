@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .model import LikelihoodModel, _check_mixing
+from .model import LikelihoodModel, _check_mixing, _check_unit
 
 __all__ = [
     "binary_tv",
@@ -23,16 +23,9 @@ __all__ = [
 ]
 
 
-def _check_threshold(tau: float, name: str = "threshold") -> None:
-    """Reject an informativeness threshold outside ``(0, 1]``."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"{name} must lie in (0, 1], got {tau!r}")
-
-
 def _check_binary(epsilon_prev: float, r: float) -> None:
     """Reject arguments outside the binary closed form's domain."""
-    if not 0.0 < epsilon_prev < 1.0:
-        raise ValueError("epsilon_prev must lie strictly inside (0, 1)")
+    _check_unit("epsilon_prev", epsilon_prev)
     if not r >= 0.0:  # NaN fails every comparison
         raise ValueError("likelihood ratio must be nonnegative")
 
@@ -104,7 +97,7 @@ def binary_informative(epsilon_prev: float, r: float, tau: float) -> bool:
     that is always >= 1, and symmetrically for r < 1. Ties informative.
     """
     _check_binary(epsilon_prev, r)
-    _check_threshold(tau)
+    _check_unit("threshold", tau, closed=True)
     e = epsilon_prev
     if r >= 1.0:
         if e <= tau:

@@ -5,8 +5,10 @@ likelihoods and the communication network, and the tables derived from
 them. Every type checks that it is well formed at construction (shapes,
 symmetry, stochasticity, finiteness) and is immutable afterwards, so
 instances can be shared freely across replicas. The module is a leaf:
-it imports nothing from the package. Whether a model meets the standing
-assumptions A1-A3 is judged in ``analysis``.
+it imports nothing from the package. It holds the package's two range
+rules, ``_check_integer`` and ``_check_unit``, through which every
+range refusal goes. Whether a model meets the standing assumptions
+A1-A3 is judged in ``analysis``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -47,10 +49,20 @@ def _is_index(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_index(name: str, value, size: int) -> None:
-    """Refuse ``value`` unless it indexes ``size`` items; negatives do not wrap."""
-    if not (_is_index(value) and 0 <= value < size):
-        raise ValueError(f"{name} must be an integer in [0, {size}), got {value!r}")
+def _check_integer(name: str, value, lo: int, hi: Optional[int] = None) -> None:
+    """The integer range rule: refuse ``value`` unless it is an integer
+    (``_is_index``) in ``[lo, hi)``, or ``>= lo`` when ``hi`` is None."""
+    if _is_index(value) and lo <= value and (hi is None or value < hi):
+        return
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_unit(name: str, value, closed: bool = False) -> None:
+    """The unit-interval rule: refuse ``value`` unless it lies in ``(0, 1)``,
+    or in ``(0, 1]`` when ``closed``. NaN lies in neither."""
+    if not (0.0 < value < 1.0 or (closed and value == 1.0)):
+        raise ValueError(f"{name} must lie in (0, 1{']' if closed else ')'}, got {value!r}")
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -80,7 +92,7 @@ class StateSpace:
             raise ValueError("state space needs at least two states")
         if len(set(self.states)) != len(self.states):
             raise ValueError("state labels must be distinct")
-        _check_index("true_state_index", self.true_state_index, len(self.states))
+        _check_integer("true_state_index", self.true_state_index, 0, len(self.states))
 
     @property
     def size(self) -> int:
@@ -423,8 +435,7 @@ class BeliefState:
             raise ValueError("log_belief must be (agents, states)")
         if phi.shape != logb.shape or logb0.shape != logb.shape:
             raise ValueError("belief, potential, and anchor shapes must agree")
-        if not (_is_index(self.round) and self.round >= 0):
-            raise ValueError(f"round must be a nonnegative integer, got {self.round!r}")
+        _check_integer("round", self.round, 0)
         for name, rows in (("log_belief", logb), ("log_belief_initial", logb0)):
             sums = np.sum(np.exp(rows), axis=1)
             if np.max(np.abs(sums - 1.0)) > BELIEF_SUM_TOL:

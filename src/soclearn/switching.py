@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, _check_mixing, _is_index
+from .model import Network, _check_integer, _check_mixing
 
 __all__ = [
     "SwitchingMatrix",
@@ -43,8 +43,7 @@ class SwitchingMatrix:
         if mask.dtype != bool or mask.shape != (self.network.n,):
             raise ValueError(f"flagged must be {self.network.n} booleans, got "
                              f"{mask.dtype} of shape {mask.shape}")
-        if not (_is_index(self.round) and self.round >= 0):
-            raise ValueError(f"round must be a nonnegative integer, got {self.round!r}")
+        _check_integer("round", self.round, 0)
         mask.setflags(write=False)
         object.__setattr__(self, "flagged", mask)
 

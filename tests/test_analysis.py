@@ -471,3 +471,20 @@ def test_gap_streams_a_generator():
 def test_gap_requires_matrices():
     with pytest.raises(ValueError):
         product_convergence_gap([])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gap_refuses_a_matrix_it_cannot_measure(bad):
+    # a NaN entry used to give a NaN gap
+    with pytest.raises(ValueError, match="must be finite"):
+        mixing_gap([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^matrix 1 must be finite"):
+        product_convergence_gap([np.eye(2), [[bad, 0.0], [0.0, 1.0]]])
+
+
+def test_gap_names_the_first_matrix_of_another_shape():
+    # used to surface as numpy's raw matmul core-dimension error
+    with pytest.raises(ValueError, match=r"^matrix 2 has shape \(3, 3\), not \(2, 2\)$"):
+        product_convergence_gap([np.eye(2), np.eye(2), np.eye(3), np.eye(4)])
+    with pytest.raises(ValueError, match=r"^matrix 0 has shape \(2, 3\), not \(2, 2\)$"):
+        product_convergence_gap([np.ones((2, 3))] * 2)

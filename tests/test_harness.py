@@ -125,9 +125,41 @@ def test_config_rejects_bad_consensus_delta():
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_config_rejects_a_seed_outside_64_bits(seed):
     # -1 used to be refused only for not fitting in 64 bits
-    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0 that fits in "
-                                         rf"64 bits, got {seed}$"):
+    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, {2**64}\), "
+                                         rf"got {seed}$"):
         reference_config(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("agents", 0, "be an integer >= 1"),
+        ("states", 1, "be an integer >= 2"),
+        ("true_state", -1, "be an integer in [0, 16)"),
+        ("true_state", 16, "be an integer in [0, 16)"),
+        ("rounds", 0, "be an integer >= 1"),
+        ("seed", -1, f"be an integer in [0, {2**64})"),
+        ("seed", 2**64, f"be an integer in [0, {2**64})"),
+        ("replicas", 0, "be an integer >= 1"),
+        ("thin_every", 0, "be an integer >= 1"),
+        ("comparison_agent", -1, "be an integer in [0, 15)"),
+        ("comparison_agent", 15, "be an integer in [0, 15)"),
+        ("p_eq", 0.0, "lie in (0, 1)"),
+        ("p_eq", 1.0, "lie in (0, 1)"),
+        ("p_diff", 0.0, "lie in (0, 1)"),
+        ("p_diff", 1.0, "lie in (0, 1)"),
+        ("tau", 0.0, "lie in (0, 1]"),
+        ("tau", math.nextafter(1.0, 2.0), "lie in (0, 1]"),
+        ("consensus_delta", 0.0, "lie in (0, 1)"),
+        ("consensus_delta", 1.0, "lie in (0, 1)"),
+    ],
+)
+def test_config_refusals_name_the_field_its_range_and_the_value(field, value, rule):
+    # each range-checked field one step outside its range, on the
+    # 15-agent, 16-state reference config
+    with pytest.raises(ValueError) as refused:
+        reference_config(**{field: value})
+    assert str(refused.value) == f"{field} must {rule}, got {value!r}"
 
 
 @pytest.mark.parametrize(
@@ -329,7 +361,8 @@ def test_replica_sequence_draws_each_replica_stream(start):
         assert np.array_equal(many[:, r], one)
     with pytest.raises(ValueError, match="at least one"):
         generate_signals(lik, space, seed=5, rounds=1, replica=[])
-    with pytest.raises(ValueError, match="64 bits"):
+    with pytest.raises(ValueError, match=rf"^replica must be an integer in \[0, {2**64}\), "
+                                         rf"got {2**64}$"):
         generate_signals(lik, space, seed=5, rounds=1, replica=[0, 2**64])
 
 
@@ -797,10 +830,27 @@ def test_a_replica_range_matches_those_replicas_of_one_run(config, data):
 
 @pytest.mark.parametrize("first", [-1, 1.5, 2.0, "1", True, None])
 def test_first_replica_must_be_a_nonnegative_integer(first):
-    with pytest.raises(ValueError, match="^first_replica must be a nonnegative integer"):
+    with pytest.raises(ValueError, match=r"^first_replica must be an integer in \[0, "):
         run_experiment(settling_config(replicas=1, rounds=2), first_replica=first)
     rec, = run_experiment(settling_config(replicas=1, rounds=2), first_replica=np.int64(3))
     assert rec.replica == 3
+
+
+def test_a_replica_range_past_64_bits_is_refused_before_any_allocation():
+    # used to allocate the history buffers, then fail inside
+    # generate_signals on replica 2**64
+    config = settling_config(replicas=2, rounds=200_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^first_replica must be an integer in "
+                                             rf"\[0, {2**64 - 1}\), got {2**64 - 1}$"):
+            run_experiment(config, first_replica=2**64 - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    records = run_experiment(dataclasses.replace(config, rounds=2), first_replica=2**64 - 2)
+    assert [rec.replica for rec in records] == [2**64 - 2, 2**64 - 1]
 
 
 def valid_model(config):
@@ -1766,6 +1816,62 @@ def test_compare_out_tree_digest_is_pinned(tmp_path, capsys):
     assert digest.hexdigest() == COMPARE_TREE_SHA256
 
 
+def compare_out_in_subprocess(config_path, out, **env) -> str:
+    """``soclearn compare --out`` in a fresh interpreter; its stdout, ``out`` masked."""
+    done = subprocess.run(
+        [sys.executable, "-m", "soclearn.cli", "compare", "--config", str(config_path),
+         "--out", str(out)],
+        env={**package_env(), **env}, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.replace(str(out), "OUT")
+
+
+def belief_values(path) -> tuple:
+    """``(row keys, beliefs)`` of a ``beliefs.csv``: its text before the last
+    cell of each row, and that cell as floats."""
+    keys, values = zip(*(line.rsplit(",", 1) for line in path.read_text().splitlines()
+                         if line[:1].isdigit()))
+    return keys, np.array(values, dtype=float)
+
+
+def test_compare_out_is_portable_across_blas_kernels(tmp_path):
+    """Everything but the last bits of ``beliefs.csv`` is the same whether
+    the BLAS mixes with FMA (as the host computes) or without
+    (``OPENBLAS_CORETYPE=Sandybridge``).
+
+    The beliefs may differ by rounding alone. Each mixed potential is a
+    dot product of n terms, so the two kernels round it apart by at most
+    n eps |phi| (a row of weights sums to 1), and |phi| <= t L after t
+    rounds, L the model's log bound. Mixing is an average and does not
+    amplify earlier differences, so after T rounds the potentials differ
+    by at most n eps L T^2 / 2; a log belief, a potential less the
+    logsumexp of its row, by twice that; and a belief, relatively, by
+    as much as its log belief. Here n = 5, L = ln 5 and T = 300, so
+    n eps L T^2 = 1.6e-10. The bound allows 1e-9 for the roundings this
+    count leaves out. On this config 4.3e-13 was measured, the same
+    order as 5.7e-13 on the full-size configs. A host without OpenBLAS
+    ignores the setting, and the two runs agree exactly.
+    """
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+        replicas=2, rounds=300,
+    )
+    path = write_config(tmp_path, config)
+    host, plain = tmp_path / "host", tmp_path / "plain"
+    assert compare_out_in_subprocess(path, host) == compare_out_in_subprocess(
+        path, plain, OPENBLAS_CORETYPE="Sandybridge")
+    same = ["comparison.txt"] + [f"{arm}/{name}" for arm in ("switching", "baseline")
+                                 for name in ("comm.csv", "summary.txt")]
+    for rel in same:
+        assert (host / rel).read_bytes() == (plain / rel).read_bytes(), rel
+    for arm in ("switching", "baseline"):
+        keys, want = belief_values(host / arm / "beliefs.csv")
+        got_keys, got = belief_values(plain / arm / "beliefs.csv")
+        assert keys == got_keys
+        assert len(keys) == 2 * 301 * 5 * 4
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 # analyze and validate on the bundled configs as shipped: their stdout,
 # and the two CSVs of `analyze --out`
 REPORT_SHA256 = {
@@ -1849,6 +1955,13 @@ def test_cli_runs_with_no_stdout_at_all(tmp_path):
         preexec_fn=lambda: os.close(1),
     )
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_cli_names_the_range_of_an_agent_override(tmp_path, capsys):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5, "replicas": 2}))
+    assert main(["compare", "--config", str(config), "--agent", "9"]) == 1
+    assert capsys.readouterr().err == "error: comparison_agent must be an integer in [0, 3), got 9\n"
 
 
 def test_cli_rejects_invalid_config_file(tmp_path, capsys):

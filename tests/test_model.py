@@ -417,7 +417,7 @@ def test_belief_state_round_zero_needs_zero_potentials():
 def test_belief_state_rejects_a_round_that_is_not_a_nonnegative_integer(round_):
     # round 0.5 used to construct, and run_round failed on it only later
     logb = np.log(np.full((1, 2), 0.5))
-    with pytest.raises(ValueError, match="^round must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="^round must be an integer >= 0, got "):
         BeliefState(log_belief=logb, potentials=np.zeros((1, 2)),
                     log_belief_initial=logb, round=round_)
     state = BeliefState(log_belief=logb, potentials=np.zeros((1, 2)),
