@@ -26,7 +26,6 @@ from .harness import (
     compare_baseline,
     distinguished_state,
     export,
-    generate_signals,
     initial_state,
     reference_config,
     run_experiment,
@@ -46,6 +45,7 @@ from .model import (
     Prior,
     StateSpace,
     complete_edges,
+    generate_signals,
     metropolis_weights,
     ring_edges,
 )

@@ -4,7 +4,9 @@ Holds the finite state space, the shared prior, per-agent signal
 likelihoods and the communication network, and the tables derived from
 them. Every type checks that it is well formed at construction (shapes,
 symmetry, stochasticity, finiteness) and is immutable afterwards, so
-instances can be shared freely across replicas. The module is a leaf:
+instances can be shared freely across replicas. ``generate_signals``
+draws the signals from the law ``LikelihoodModel.signal_cdf`` tabulates,
+through the package's own Philox4x64-10 generator. The module is a leaf:
 it imports nothing from the package. It holds the package's two range
 rules, ``_check_integer`` and ``_check_unit``, through which every
 range refusal goes. Whether a model meets the standing assumptions
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "metropolis_weights",
     "ring_edges",
     "complete_edges",
+    "generate_signals",
 ]
 
 
@@ -303,6 +306,128 @@ def _value_classes(values: np.ndarray) -> tuple:
     return label, levels
 
 
+_WORD = 2**64 - 1
+_HALF = np.uint64(2**32 - 1)
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple:
+    """High and low 64-bit words of ``a * b``, multiplied in 32-bit halves."""
+    a_lo, a_hi = a & 0xFFFFFFFF, a >> 32
+    low, high = b & _HALF, b >> 32
+    # Hacker's Delight mulhu, in place: every partial sum stays below 2**64
+    mid = low * a_hi
+    low *= a_lo
+    low >>= 32
+    mid += low
+    cross = high * a_lo
+    cross += mid & _HALF
+    high *= a_hi
+    high += mid >> 32
+    high += cross >> 32
+    return high, np.multiply(b, a, out=low)
+
+
+def _philox_blocks(seed: int, replicas: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of counters ``(c, 0, 0, 0)`` under keys ``(seed, replica)``.
+
+    ``replicas`` holds uint64 keys of shape ``(reps, 1)``; the result is
+    ``(reps, len(counters), 4)`` words. Round keys are Python ints masked
+    to 64 bits, so no numpy scalar ever overflows.
+    """
+    shape = (len(replicas), len(counters))
+    x0 = np.broadcast_to(counters, shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = (seed + r * _PHILOX_W[0]) & _WORD
+        k1 = replicas + np.uint64((r * _PHILOX_W[1]) & _WORD)
+        # the next word 2 waits in x0, so the spent word 0 is freed early
+        hi, lo = _mulhilo(_PHILOX_M[0], x0)
+        hi ^= x3
+        hi ^= k1
+        x0, x3 = hi, lo
+        hi, lo = _mulhilo(_PHILOX_M[1], x2)
+        hi ^= x1
+        hi ^= k0
+        x0, x1, x2 = hi, lo, x0
+    return np.stack((x0, x1, x2, x3), axis=-1)
+
+
+def _philox_doubles(seed: int, replicas: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Doubles ``first .. first + count - 1`` of the streams keyed ``(seed, replica)``.
+
+    The result has shape ``(reps, count)``. Double ``g`` is word
+    ``g % 4`` of the block at counter ``(g // 4 + 1, 0, 0, 0)``, shifted
+    right by 11 and scaled by 2**-53: what numpy's
+    ``Generator(Philox(key=[seed, replica])).random()`` draws. The
+    caller keeps the last counter below 2**64, since no carry reaches
+    word 1.
+    """
+    block, last = first // 4, (first + count - 1) // 4
+    counters = np.arange(last - block + 1, dtype=np.uint64) + (block + 1)
+    words = _philox_blocks(seed, replicas, counters)
+    words >>= 11
+    skip = first - 4 * block
+    # cast, then scale in place: a mixed-type multiply would add a cast buffer
+    doubles = words.reshape(len(replicas), -1)[:, skip:skip + count].astype(np.float64)
+    doubles *= 2.0**-53
+    return doubles
+
+
+def generate_signals(
+    lik: LikelihoodModel,
+    space: StateSpace,
+    seed: int,
+    rounds: int,
+    replica: Union[int, Sequence[int]] = 0,
+    start: int = 0,
+) -> np.ndarray:
+    """Draw every agent's signal stream under the realized state.
+
+    Returns a ``(rounds, agents)`` array of table row indices for
+    rounds ``start .. start + rounds - 1``. The stream is a pure
+    function of ``(seed, replica)``: each replica gets an independent
+    counter-based key, so adding replicas or reordering calls never
+    perturbs existing streams, and consecutive slices concatenate to
+    exactly one longer draw. A sequence of replicas draws them all at
+    once, with shape ``(rounds, len(replica), agents)``.
+
+    The package computes Philox4x64-10 itself: round ``t`` of agent
+    ``i`` reads double ``t * agents + i`` of the stream, bit-identical
+    to numpy's ``Philox(key=[seed, replica])`` with ``Generator.random``
+    doubles, and picks the symbol whose cumulative law first exceeds it.
+    """
+    single = np.ndim(replica) == 0
+    keys = [replica] if single else list(replica)
+    n = lik.agent_count
+    if not keys:
+        raise ValueError("replica must name at least one replica")
+    for name, value in (("seed", seed), *(("replica", r) for r in keys)):
+        _check_integer(name, value, 0, 2**64)
+    # numpy integers become Python ints, so no Philox key arithmetic overflows
+    seed, keys = int(seed), [int(r) for r in keys]
+    _check_integer("rounds", rounds, 1)
+    _check_integer("start", start, 0)
+    if ((start + rounds) * n + 3) // 4 > _WORD:
+        raise ValueError(
+            f"rounds {start} .. {start + rounds - 1} need a Philox block "
+            "counter past 2**64 - 1"
+        )
+    replicas = np.array(keys, dtype=np.uint64)[:, None]
+    draws = _philox_doubles(seed, replicas, start * n, rounds * n)
+    draws = draws.reshape(len(keys), rounds, n).transpose(1, 0, 2)
+    cdf = lik.signal_cdf[:, :, space.true_state_index]
+    # the symbol is the number of cdf entries at or below the draw; each
+    # row's last entry is 1.0 or +inf padding, which no draw in [0, 1) reaches
+    out = np.zeros((rounds, len(keys), n), dtype=np.intp)
+    for column in cdf.T[:-1]:
+        out += column <= draws
+    return out[:, 0] if single else out
+
+
 def _check_mixing(mat: np.ndarray, what: str) -> None:
     """Reject a matrix that cannot mix: the one mixing-matrix invariant.
 
@@ -366,8 +491,7 @@ class Network:
 
 def ring_edges(n: int) -> list:
     """Undirected cycle on ``n`` nodes (a single edge for n=2, none for n=1)."""
-    if n < 1:
-        raise ValueError("need at least one node")
+    _check_integer("n", n, 1)
     if n == 1:
         return []
     if n == 2:
@@ -376,8 +500,7 @@ def ring_edges(n: int) -> list:
 
 
 def complete_edges(n: int) -> list:
-    if n < 1:
-        raise ValueError("need at least one node")
+    _check_integer("n", n, 1)
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
@@ -391,8 +514,9 @@ def metropolis_weights(adjacency: Iterable, n: int) -> Network:
     Raises ``ValueError`` on an edge that is not a pair, non-integer or
     bool node ids, self-loops or out-of-range nodes. A disconnected
     adjacency gives a valid network that fails A3 in
-    ``analysis.validate_assumptions``.
+    ``analysis.validate_assumptions``. ``n`` must be an integer >= 1.
     """
+    _check_integer("n", n, 1)
     adj = np.zeros((n, n), dtype=bool)
     for e in adjacency:
         try:

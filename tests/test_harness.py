@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import log_normalized
 from test_trace_contract import traced_job
 from soclearn.analysis import estimate_rate, identifiability_report, validate_assumptions
-from soclearn import harness, switching
+from soclearn import harness, model, switching
 from soclearn.cli import main
 from soclearn.harness import (
     GENERATOR_NAME,
@@ -343,7 +343,7 @@ _WORD_VALUES = st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 )
 def test_philox_doubles_match_numpy(seed, replicas, first, count):
     keys = np.array(replicas, dtype=np.uint64)[:, None]
-    got = harness._philox_doubles(seed, keys, first, count)
+    got = model._philox_doubles(seed, keys, first, count)
     assert got.shape == (len(replicas), count)
     for r, replica in enumerate(replicas):
         want = _numpy_philox_doubles(seed, replica, first, count)
@@ -803,7 +803,7 @@ def test_a_draw_on_a_cdf_entry_picks_the_symbol_after_it(monkeypatch):
     edges = np.unique(np.append(cdf[cdf < 1.0], 0.0))
     draws = np.unique(np.concatenate([edges, np.nextafter(edges, 0.0),
                                       np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)]]))
-    monkeypatch.setattr(harness, "_philox_doubles",
+    monkeypatch.setattr(model, "_philox_doubles",
                         lambda seed, replicas, first, count: np.repeat(draws, 2)[None])
     got = generate_signals(lik, space, 0, len(draws))
     for i in range(2):

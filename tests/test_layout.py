@@ -31,6 +31,36 @@ def test_model_is_a_leaf_and_the_imports_form_no_cycle():
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
+def top_level_definitions(tree) -> set:
+    """Names a module's top level defines: functions, classes and assigned names, not imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name))
+    return names
+
+
+def test_each_name_is_defined_in_one_module():
+    # one implementation per concept: a second module that needs a helper imports it
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in top_level_definitions(ast.parse(path.read_text())) - {"__all__"}:
+            owners.setdefault(name, []).append(path.stem)
+    twice = {name: modules for name, modules in owners.items() if len(modules) > 1}
+    assert twice == {}, "defined in more than one module; keep one and import it"
+
+
+def test_the_definition_guard_counts_assignments_and_not_imports():
+    tree = ast.parse("import numpy as np\nfrom .model import _WORD\n"
+                     "_A, (_B, _C) = 1, (2, 3)\n_D: int = 4\n__all__ = []\n"
+                     "def f():\n    inner = 1\nclass K:\n    field = 2\n")
+    assert top_level_definitions(tree) == {"_A", "_B", "_C", "_D", "__all__", "f", "K"}
+
+
 def exported_names() -> set:
     """Names ``soclearn/__init__.py`` imports from the package's modules."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())

@@ -261,6 +261,19 @@ def test_metropolis_rejects_an_edge_that_is_not_a_pair(edge):
         metropolis_weights([edge, (1, 2)], 3)
 
 
+@pytest.mark.parametrize(
+    "build, n",
+    [(ring_edges, True), (complete_edges, True), (ring_edges, 2.5), (complete_edges, 2.5),
+     (ring_edges, 0), (complete_edges, -1), (lambda n: metropolis_weights([], n), 0),
+     (lambda n: metropolis_weights([], n), True)],
+)
+def test_graph_builders_refuse_a_node_count_that_is_not_a_positive_integer(build, n):
+    # the two True cases used to build empty graphs; 2.5 and metropolis_weights([], True)
+    # raised a raw TypeError, and metropolis_weights([], 0) numpy's empty-reduction error
+    with pytest.raises(ValueError, match=rf"^n must be an integer >= 1, got {n!r}$"):
+        build(n)
+
+
 def test_metropolis_accepts_numpy_integer_node_ids():
     edges = [(np.int64(0), np.int32(1)), (np.intp(1), 2)]
     assert np.array_equal(metropolis_weights(edges, 3).weights,

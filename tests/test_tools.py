@@ -226,11 +226,15 @@ CRITERION_1, CRITERION_9 = (
 )
 
 
-def junit_xml(**cases) -> str:
-    """A JUnit report of one suite that took 87.5 s; ``cases`` maps a test id to its children."""
+def junit_xml(times=None, **cases) -> str:
+    """A JUnit report of one suite that took 87.5 s; ``cases`` maps a test id to its children.
+
+    ``times`` maps a test id to its seconds; every other test took 0.1 s.
+    """
+    times = times or {}
     body = "".join(
         f'<testcase classname="{test_id.split("::")[0]}" name="{test_id.split("::")[1]}" '
-        f'time="0.1">{children}</testcase>'
+        f'time="{times.get(test_id, 0.1)}">{children}</testcase>'
         for test_id, children in cases.items()
     )
     return (f'<?xml version="1.0" encoding="utf-8"?><testsuites name="pytest tests">'
@@ -259,12 +263,19 @@ def run_tier1(monkeypatch, capsys, xml):
 FAILED = '<failure message="assert False">trace</failure>'
 
 
+def slowest_block(*test_ids) -> list:
+    """tier1's slowest-tests lines for tests that each took 0.1 s."""
+    return ["slowest tests:", *(f"    0.10 s  {test_id}" for test_id in sorted(test_ids))]
+
+
 def test_tier1_accepts_exactly_the_by_design_failures(monkeypatch, capsys):
     xml = junit_xml(**{CRITERION_1: FAILED, CRITERION_9: FAILED, "tests.test_a::test_x": "",
                        "tests.test_a::test_y": '<skipped message="no"/>'})
     status, lines = run_tier1(monkeypatch, capsys, xml)
     assert status == 0
-    assert lines == ["tier-1: 1 passed, 2 failed, 0 errors, 1 skipped in 87.5 s"]
+    assert lines == ["tier-1: 1 passed, 2 failed, 0 errors, 1 skipped in 87.5 s",
+                     *slowest_block(CRITERION_1, CRITERION_9, "tests.test_a::test_x",
+                                    "tests.test_a::test_y")]
 
 
 def test_tier1_names_each_unexpected_failure_and_error(monkeypatch, capsys):
@@ -275,6 +286,8 @@ def test_tier1_names_each_unexpected_failure_and_error(monkeypatch, capsys):
     status, lines = run_tier1(monkeypatch, capsys, xml)
     assert status == 1
     assert lines == ["tier-1: 1 passed, 3 failed, 1 errors, 0 skipped in 87.5 s",
+                     *slowest_block(CRITERION_1, CRITERION_9, "tests.test_a::test_x",
+                                    "tests.test_a::test_y", "tests.test_a::test_z"),
                      "unexpected failed: tests.test_a::test_x",
                      "unexpected error: tests.test_a::test_y"]
 
@@ -283,8 +296,30 @@ def test_tier1_names_a_by_design_failure_that_did_not_fail(monkeypatch, capsys):
     status, lines = run_tier1(monkeypatch, capsys, junit_xml(**{CRITERION_9: ""}))
     assert status == 1
     assert lines == ["tier-1: 1 passed, 0 failed, 0 errors, 0 skipped in 87.5 s",
+                     *slowest_block(CRITERION_9),
                      f"fails by design but did not run: {CRITERION_1}",
                      f"fails by design but passed: {CRITERION_9}"]
+
+
+def test_tier1_prints_the_ten_slowest_tests_slowest_first(monkeypatch, capsys):
+    # twelve tests: the two fastest drop out, and the tie at 2.5 s goes by test id
+    times = {f"tests.test_a::test_{k:02d}": seconds for k, seconds in
+             enumerate([0.01, 11.7, 2.5, 0.3, 6.9, 2.5, 0.02, 1.0, 0.5, 0.4, 3.0, 0.2])}
+    xml = junit_xml(times=times, **{CRITERION_1: FAILED, CRITERION_9: FAILED},
+                    **dict.fromkeys(times, ""))
+    status, lines = run_tier1(monkeypatch, capsys, xml)
+    assert status == 0
+    assert lines[1:] == ["slowest tests:",
+                         "   11.70 s  tests.test_a::test_01",
+                         "    6.90 s  tests.test_a::test_04",
+                         "    3.00 s  tests.test_a::test_10",
+                         "    2.50 s  tests.test_a::test_02",
+                         "    2.50 s  tests.test_a::test_05",
+                         "    1.00 s  tests.test_a::test_07",
+                         "    0.50 s  tests.test_a::test_08",
+                         "    0.40 s  tests.test_a::test_09",
+                         "    0.30 s  tests.test_a::test_03",
+                         "    0.20 s  tests.test_a::test_11"]
 
 
 def same_outputs_checkouts(tmp_path, change_config=b"{}"):

@@ -6,7 +6,8 @@ Runs ROADMAP.md's tier-1 command, ``python -m pytest -q
 --continue-on-collection-errors``, at the repository root with ``src``
 on ``PYTHONPATH`` and ``--junitxml`` into a temporary file, then prints
 the counts of passed, failed, errored and skipped tests and the suite's
-time. It exits 0 only when no test errored and the failed tests are
+time, then the ten slowest tests with their seconds (setup and teardown
+included), as the report gives them. It exits 0 only when no test errored and the failed tests are
 exactly acceptance criteria 1 and 9, which fail by design (README
 "Known failures"). Otherwise it exits 1 and names each unexpected
 failure or error, and each by-design failure that did not fail.
@@ -30,7 +31,7 @@ BY_DESIGN = (
 
 
 def outcomes(xml_path) -> tuple:
-    """``({test id: outcome}, seconds)`` from a JUnit XML report.
+    """``({test id: outcome}, {test id: seconds}, seconds)`` from a JUnit XML report.
 
     A test id is ``classname::name``, as the suite prints it; the
     outcome is "error", "failed", "skipped" or "passed". An error in
@@ -39,13 +40,21 @@ def outcomes(xml_path) -> tuple:
     """
     root = ET.parse(xml_path).getroot()
     seconds = sum(float(suite.get("time", 0.0)) for suite in root.iter("testsuite"))
-    result = {}
+    result, times = {}, {}
     for case in root.iter("testcase"):
+        test_id = f"{case.get('classname')}::{case.get('name')}"
         tags = {child.tag for child in case}
-        result[f"{case.get('classname')}::{case.get('name')}"] = next(
+        result[test_id] = next(
             (outcome for tag, outcome in (("error", "error"), ("failure", "failed"),
                                           ("skipped", "skipped")) if tag in tags), "passed")
-    return result, seconds
+        times[test_id] = float(case.get("time", 0.0))
+    return result, times, seconds
+
+
+def slowest(times: dict, count: int = 10) -> list:
+    """One line per test of the ``count`` slowest, slowest first, ties by test id."""
+    ranked = sorted(times.items(), key=lambda item: (-item[1], item[0]))[:count]
+    return [f"{seconds:8.2f} s  {test_id}" for test_id, seconds in ranked]
 
 
 def problems(results: dict) -> list:
@@ -67,11 +76,14 @@ def main() -> int:
         if not xml_path.exists():
             print("pytest wrote no report", file=sys.stderr)
             return 1
-        results, seconds = outcomes(xml_path)
+        results, times, seconds = outcomes(xml_path)
     counts = {o: sum(v == o for v in results.values())
               for o in ("passed", "failed", "error", "skipped")}
     print(f"tier-1: {counts['passed']} passed, {counts['failed']} failed, "
           f"{counts['error']} errors, {counts['skipped']} skipped in {seconds:.1f} s")
+    print("slowest tests:")
+    for line in slowest(times):
+        print(line)
     lines = problems(results)
     for line in lines:
         print(line)
