@@ -356,11 +356,11 @@ def run_round(
     n, m = state.agent_count, state.state_count
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
-    sig = lik.checked_signals(signals_t)
-    tv = _bayes_tv_rows(state.log_belief, *lik.signal_rows(sig)[1:])
+    fresh, label, levels = lik.signal_rows(lik.checked_signals(signals_t))
+    tv = _bayes_tv_rows(state.log_belief, label, levels)
     tv.setflags(write=False)
     q = build_switching_matrix(net, tv < tau, round=state.round + 1)
-    phi = potential_update(state.potentials, q.q, lik, sig)
+    phi = potential_update(state.potentials, q, fresh)
     logb = belief_from_potentials(state.log_belief_initial, phi)
     new_state = BeliefState(
         log_belief=logb,

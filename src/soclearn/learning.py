@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .model import LikelihoodModel, _check_mixing, _check_unit
+from .model import _check_unit
+from .switching import SwitchingMatrix
 
 __all__ = [
     "binary_tv",
@@ -108,26 +109,20 @@ def binary_informative(epsilon_prev: float, r: float, tau: float) -> bool:
     return r <= (e * (1.0 - e) - tau * e) / (e * (1.0 - e) + tau * (1.0 - e))
 
 
-def potential_update(
-    potentials_prev: np.ndarray,
-    q: np.ndarray,
-    lik: LikelihoodModel,
-    signals: np.ndarray,
-) -> np.ndarray:
-    """One round of the potential recursion for all agents.
+def potential_update(potentials_prev: np.ndarray, q: SwitchingMatrix,
+                     fresh: np.ndarray) -> np.ndarray:
+    """One round of the potential recursion, phi_t = Q_t phi_{t-1} + l_t.
 
-    New potentials are the network-mixed previous potentials plus each
-    agent's fresh log-likelihood row. The mixing matrix ``q`` must be
-    symmetric and doubly stochastic with a positive diagonal;
-    ``signals`` are alphabet row indices, one per agent.
+    ``q`` is the round's ``SwitchingMatrix``; the potentials and ``fresh``,
+    the log-likelihood rows of its signals, are both ``(q.network.n, m)``.
     """
-    phi = np.asarray(potentials_prev, dtype=float)
-    mix = np.asarray(q, dtype=float)
-    n, m = phi.shape
-    if mix.shape != (n, n):
-        raise ValueError(f"mixing matrix must be {n}x{n}, got {mix.shape}")
-    _check_mixing(mix, "mixing matrix")
-    return mix @ phi + lik.fresh_rows(signals)
+    if not isinstance(q, SwitchingMatrix):
+        raise ValueError(f"need the round's SwitchingMatrix, got {type(q).__name__}")
+    phi, fresh = np.asarray(potentials_prev, dtype=float), np.asarray(fresh, dtype=float)
+    if phi.ndim != 2 or phi.shape[0] != q.network.n or fresh.shape != phi.shape:
+        raise ValueError(f"potentials and fresh rows must both be ({q.network.n}, m), "
+                         f"got {phi.shape} and {fresh.shape}")
+    return q.q @ phi + fresh
 
 
 def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.ndarray:

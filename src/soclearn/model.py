@@ -433,8 +433,8 @@ def _check_mixing(mat: np.ndarray, what: str) -> None:
 
     ``mat`` must be square, finite, symmetric, nonnegative, have rows
     and columns summing to one and a positive diagonal, all within
-    ``PROB_SUM_TOL``. Network weights, per-round switching matrices and
-    the potential recursion all rely on exactly this.
+    ``PROB_SUM_TOL``. Only ``Network`` calls it, on its weights; with
+    its self-weight rule, every round's switching matrix meets it too.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
@@ -463,7 +463,9 @@ class Network:
     neighbours exactly when entry ``(i, j)`` is positive, and ``n`` and
     ``adjacency`` are both read off the matrix. Input that passes the
     mixing-matrix checks, so is within ``PROB_SUM_TOL`` of symmetric, is
-    then symmetrised: the stored weights are exactly symmetric.
+    then symmetrised: the stored weights are exactly symmetric. Each
+    agent must keep a positive self-weight, 1 minus its summed edge
+    weights; float sums being monotone, every round's matrix then mixes.
     """
 
     weights: np.ndarray
@@ -473,6 +475,10 @@ class Network:
         _check_mixing(w, "weights")
         # averaging with the transpose keeps every checked property
         w = (w + w.T) / 2.0
+        kept = 1.0 - np.sum(w - np.diag(np.diag(w)), axis=1) > 0.0
+        if not kept.all():
+            raise ValueError(f"agent {np.argmin(kept)}: weights must leave a positive "
+                             "self-weight, 1 minus the agent's summed edge weights")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

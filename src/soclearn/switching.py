@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, _check_integer, _check_mixing
+from .model import Network, _check_integer
 
 __all__ = [
     "SwitchingMatrix",
@@ -30,8 +30,8 @@ class SwitchingMatrix:
     """One round's switching rule: the read-only ``(n,)`` mask of agents
     that found their signal uninformative, on its network.
 
-    ``q`` is the mixing matrix that follows, built and checked on each
-    read.
+    ``q`` is the mixing matrix that follows, built on each read. It
+    needs no check: ``Network``'s self-weight rule makes it mix.
     """
 
     network: Network
@@ -50,7 +50,6 @@ class SwitchingMatrix:
     @property
     def q(self) -> np.ndarray:
         mat = _mixing_matrices(self.network, self.flagged)
-        _check_mixing(mat, "mixing matrix")
         mat.setflags(write=False)
         return mat
 

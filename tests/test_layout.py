@@ -61,6 +61,34 @@ def test_the_definition_guard_counts_assignments_and_not_imports():
     assert top_level_definitions(tree) == {"_A", "_B", "_C", "_D", "__all__", "f", "K"}
 
 
+def call_sites(node, name: str, where: str) -> set:
+    """``where.[Class.]function`` of each call to ``name`` under ``node``, bare or as an attribute."""
+    sites = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            sites |= call_sites(child, name, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                    getattr(child.func, "attr", None)):
+            sites.add(where)
+        sites |= call_sites(child, name, where)
+    return sites
+
+
+def test_the_mixing_check_has_one_call_site():
+    # Network's self-weight rule makes every round's matrix mix, so no round re-checks one
+    sites = set()
+    for path in PACKAGE.glob("*.py"):
+        sites |= call_sites(ast.parse(path.read_text()), "_check_mixing", path.stem)
+    assert sites == {"model.Network.__post_init__"}
+
+
+def test_the_call_site_guard_sees_nested_and_attribute_calls():
+    tree = ast.parse("class K:\n    def f(self):\n        m._c(g(_c))\n"
+                     "        def h():\n            return [_c() for _ in x]\n_c()\n")
+    assert call_sites(tree, "_c", "mod") == {"mod.K.f", "mod.K.f.h", "mod"}
+
+
 def exported_names() -> set:
     """Names ``soclearn/__init__.py`` imports from the package's modules."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())

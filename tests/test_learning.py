@@ -23,6 +23,7 @@ from soclearn.model import BeliefState, LikelihoodModel, Prior, _value_classes, 
 from soclearn.switching import build_switching_matrix
 
 LONE = metropolis_weights([], 1)
+PATH3 = metropolis_weights([(0, 1), (1, 2)], 3)
 
 
 def two_state_model(p1, p2):
@@ -159,6 +160,15 @@ def test_verdict_consistency_enforced():
         _, q, _ = run_round(state, net, lik, tau, [1, 1, 1])
         flagged = tv < tau
         assert np.array_equal(q.q, build_switching_matrix(net, flagged, 1).q)
+
+
+def test_round_refuses_a_signal_its_belief_gives_zero_probability():
+    # the signal is possible under state 0 only, which the belief rules out;
+    # its likelihood exp(-800) under state 1 underflows, yet A1-A3 hold
+    lik = LikelihoodModel((np.array([[0.0, -800.0], [-800.0, 0.0]]),))
+    with pytest.raises(ValueError, match="^signal has zero probability under every "
+                       "state its agent's belief supports$"):
+        lone_round([-np.inf, 0.0], lik, 0)
 
 
 def test_tiny_threshold_tracks_tiny_moves():
@@ -400,11 +410,16 @@ def three_agent_model():
     return LikelihoodModel.from_probabilities(tables)
 
 
+def identity_round():
+    """A round in which no agent of ``PATH3`` is flagged: its matrix is the identity."""
+    return build_switching_matrix(PATH3, flagged_mask(3, ()), round=1)
+
+
 def test_identity_mixing_adds_fresh_evidence_exactly():
     lik = three_agent_model()
     phi = np.arange(9, dtype=float).reshape(3, 3)
     sig = np.array([1, 0, 1])
-    out = potential_update(phi, np.eye(3), lik, sig)
+    out = potential_update(phi, identity_round(), lik.fresh_rows(sig))
     fresh = np.stack([lik.log_lik[i][sig[i]] for i in range(3)])
     assert np.array_equal(out, phi + fresh)
 
@@ -412,32 +427,20 @@ def test_identity_mixing_adds_fresh_evidence_exactly():
 def test_round_zero_convention_is_all_zero_potentials():
     # the recursion starts from nothing accumulated
     lik = three_agent_model()
-    out = potential_update(np.zeros((3, 3)), np.eye(3), lik, np.array([0, 0, 0]))
+    out = potential_update(np.zeros((3, 3)), identity_round(), lik.fresh_rows([0, 0, 0]))
     fresh = np.stack([lik.log_lik[i][0] for i in range(3)])
     assert np.array_equal(out, fresh)
 
 
-def test_potential_update_rejects_non_doubly_stochastic():
-    lik = three_agent_model()
-    bad = np.array([[0.9, 0.1, 0.0], [0.1, 0.8, 0.1], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
-        potential_update(np.zeros((3, 3)), bad, lik, np.array([0, 0, 0]))
-
-
-@pytest.mark.parametrize(
-    "mix",
-    [
-        # doubly stochastic but not symmetric: a cyclic shift mixed with the identity
-        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
-        # symmetric and doubly stochastic, but agent 0 drops its own potential
-        [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
-    ],
-    ids=["asymmetric", "zero-diagonal"],
-)
-def test_potential_update_rejects_invalid_mixing(mix):
-    lik = three_agent_model()
-    with pytest.raises(ValueError):
-        potential_update(np.zeros((3, 3)), np.array(mix), lik, np.array([0, 0, 0]))
+def test_potential_update_takes_the_round_and_refuses_other_shapes():
+    # the round's SwitchingMatrix, not a bare matrix: Network has checked its rule
+    fresh = three_agent_model().fresh_rows([0, 0, 0])
+    with pytest.raises(ValueError, match="^need the round's SwitchingMatrix, got ndarray$"):
+        potential_update(np.zeros((3, 3)), np.eye(3), fresh)
+    for phi, rows in ((np.zeros((2, 3)), fresh[:2]), (np.zeros(3), fresh[0]),
+                      (np.zeros((3, 3)), fresh[:, :2])):
+        with pytest.raises(ValueError, match=r"^potentials and fresh rows must both be \(3, m\)"):
+            potential_update(phi, identity_round(), rows)
 
 
 def test_recursion_matches_expanded_product_form():
@@ -460,7 +463,7 @@ def test_recursion_matches_expanded_product_form():
         fresh_list.append(
             np.stack([lik.log_lik[i][signals[t, i]] for i in range(3)])
         )
-        phi = potential_update(phi, q.q, lik, signals[t])
+        phi = potential_update(phi, q, lik.fresh_rows(signals[t]))
 
     expanded = np.zeros((3, 3))
     trailing = np.eye(3)
@@ -495,7 +498,7 @@ def test_one_identity_round_reproduces_bayes():
     prior = Prior.uniform(3)
     mu0 = initial_state(prior, lik, [0, 0, 0]).log_belief
     sig = np.array([1, 0, 1])
-    phi = potential_update(np.zeros((3, 3)), np.eye(3), lik, sig)
+    phi = potential_update(np.zeros((3, 3)), identity_round(), lik.fresh_rows(sig))
     composed = belief_from_potentials(mu0, phi)
     direct = log_normalized(prior.log_mass + lik.fresh_rows([0, 0, 0]) + lik.fresh_rows(sig))
     assert np.allclose(composed, direct, atol=1e-12)
@@ -517,7 +520,7 @@ def test_agent_behind_identity_row_stays_bayesian():
     for t in range(1, 40):
         q = build_switching_matrix(net, flagged_mask(3, (2,)), round=t)
         assert np.array_equal(q.q[0], np.array([1.0, 0.0, 0.0]))
-        phi = potential_update(phi, q.q, lik, signals[t])
+        phi = potential_update(phi, q, lik.fresh_rows(signals[t]))
         mixed = belief_from_potentials(mu0, phi)
         assert np.allclose(mixed[0], log_normalized(solo[t]), atol=1e-10)
 

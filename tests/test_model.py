@@ -1,6 +1,9 @@
 """Domain types: state space, prior, likelihoods, network, assumptions."""
 
+import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclearn.analysis import validate_assumptions
+from soclearn.cli import main
 from soclearn.model import (
+    PROB_SUM_TOL,
     BeliefState,
     LikelihoodModel,
     Network,
     Prior,
     StateSpace,
+    _check_mixing,
     complete_edges,
     metropolis_weights,
     ring_edges,
 )
+from soclearn.switching import build_switching_matrix
 
 
 def bernoulli_table(p_one_per_state):
@@ -338,6 +345,73 @@ def test_network_from_weights_rejects_zero_diagonal():
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         Network(w)
+
+
+SELF_WEIGHT = "weights must leave a positive self-weight, 1 minus the agent's summed edge weights"
+# both rows pass every mixing check, but 1 - 1.0 leaves no self-weight when the edge fires
+NO_SELF_WEIGHT = [[1e-20, 1 - 1e-20], [1 - 1e-20, 1e-20]]
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        # rows sum to one, but columns 1 and 2 do not: entry (1, 2) has no mirror
+        ([[0.9, 0.1, 0.0], [0.1, 0.8, 0.1], [0.0, 0.0, 1.0]], "weights must be symmetric"),
+        # doubly stochastic but not symmetric: a cyclic shift mixed with the identity
+        ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], "weights must be symmetric"),
+        ([[0.5, 0.25], [0.25, 0.5]], "weights must be doubly stochastic"),
+        # symmetric and doubly stochastic, but agent 0 drops its own potential
+        ([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+         "weights must have a positive diagonal"),
+        (NO_SELF_WEIGHT, "agent 0: " + SELF_WEIGHT),
+    ],
+    ids=["column-sums-off", "asymmetric", "symmetric-rows-short", "zero-diagonal",
+         "self-weight-rounds-to-zero"],
+)
+def test_network_refuses_weights_that_cannot_mix(weights, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Network(weights)
+
+
+@st.composite
+def nearly_full_weights(draw):
+    # symmetric and doubly stochastic within PROB_SUM_TOL: the fullest
+    # row's edge weights sum to about 1 and it stores a tiny self-weight
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    upper = np.triu(rng.uniform(0.01, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    upper[0, 1] = rng.uniform(0.01, 1.0)  # at least one edge
+    w = upper + upper.T
+    w /= w.sum(axis=1).max()
+    self_weight = draw(st.floats(1e-20, 1e-13))
+    diagonal = np.maximum(1.0 - w.sum(axis=1), self_weight)
+    diagonal[np.argmax(w.sum(axis=1))] = self_weight
+    np.fill_diagonal(w, diagonal)
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= PROB_SUM_TOL
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearly_full_weights())
+def test_every_switching_matrix_of_an_accepted_network_mixes(w):
+    # Network checks its rule once; every round's matrix must then pass
+    # the mixing check that no round repeats
+    try:
+        net = Network(w)
+    except ValueError as exc:
+        assert str(exc).endswith(SELF_WEIGHT)
+        return
+    for mask in itertools.product([False, True], repeat=net.n):
+        _check_mixing(build_switching_matrix(net, np.array(mask), 1).q, "switching matrix")
+
+
+def test_cli_validate_names_the_self_weight_rule(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"agents": 2, "states": 3, "tau": 1e-3, "seed": 3,
+                                "weight_matrix": NO_SELF_WEIGHT}))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: agent 0: {SELF_WEIGHT}\n"
 
 
 def test_network_disconnected_weights_fail_a3():
