@@ -26,16 +26,16 @@ from .harness import (
     compare_baseline,
     distinguished_state,
     export,
-    initial_state,
     reference_config,
     run_experiment,
-    run_round,
 )
 from .learning import (
     belief_from_potentials,
     binary_informative,
     binary_tv,
+    initial_state,
     potential_update,
+    run_round,
 )
 from .model import (
     AssumptionViolation,

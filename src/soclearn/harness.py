@@ -1,12 +1,13 @@
 """Experiment configuration, simulation engine, and result export.
 
 An ``ExperimentConfig`` declares a full scenario: model family,
-network, threshold, horizon, seeding, and replication. ``run_round``
-is the normative single-round operation; ``run_experiment`` advances
-all replicas in lockstep with batched array arithmetic and records
-trajectories. It draws its signals through ``model.generate_signals``,
-whose streams are a pure function of ``(seed, replica)``, so results
-are reproducible run to run and replica by replica.
+network, threshold, horizon, seeding, and replication.
+``run_experiment`` advances all replicas of the normative round,
+``learning.run_round``, in lockstep with batched array arithmetic and
+records trajectories. It draws its signals through
+``model.generate_signals``, whose streams are a pure function of
+``(seed, replica)``, so results are reproducible run to run and
+replica by replica.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _csv_cell, estimate_rate, identifiability_report, validate_assumptions
-from .learning import _bayes_tv_rows, _lse_last, belief_from_potentials, potential_update
-from .model import AssumptionViolation, BeliefState, LikelihoodModel, Network, Prior, \
+from .learning import _bayes_tv_rows, _lse_last, belief_from_potentials
+from .model import AssumptionViolation, LikelihoodModel, Network, Prior, \
     StateSpace, _check_integer, _check_unit, complete_edges, generate_signals, \
     metropolis_weights, ring_edges
 from .switching import CommLedger, _block_rounds, _fired, _mixing_matrices, \
@@ -38,8 +39,6 @@ __all__ = [
     "distinguished_state",
     "build_likelihoods",
     "build_model",
-    "initial_state",
-    "run_round",
     "TrajectoryRecord",
     "run_experiment",
     "BaselineComparison",
@@ -314,63 +313,6 @@ def build_model(config: ExperimentConfig) -> tuple:
     return space, prior, build_likelihoods(config), net
 
 
-def _round0_beliefs(prior: Prior, fresh: np.ndarray) -> np.ndarray:
-    """The shared prior conditioned on first-signal rows ``(..., n, m)``, normalised."""
-    anchor = prior.log_mass + fresh
-    return anchor - _lse_last(anchor)
-
-
-def initial_state(prior: Prior, lik: LikelihoodModel, signals_0) -> BeliefState:
-    """Round-0 state: each agent conditions the shared prior on its first signal."""
-    logb = _round0_beliefs(prior, lik.fresh_rows(signals_0))
-    return BeliefState(
-        log_belief=logb,
-        potentials=np.zeros(logb.shape),
-        log_belief_initial=logb,
-        round=0,
-    )
-
-
-def run_round(
-    state: BeliefState,
-    net: Network,
-    lik: LikelihoodModel,
-    tau: float,
-    signals_t,
-):
-    """Advance all agents by one protocol round.
-
-    Each agent tests its fresh signal for informativeness against its
-    current belief; the round's mixing matrix couples exactly the edges
-    with an uninformative endpoint; potentials mix and absorb the fresh
-    log likelihoods; beliefs follow from the round-0 anchor and the new
-    potentials. Returns ``(new_state, mixing_matrix, tv)``, with ``tv``
-    the read-only ``(n,)`` total variation of each agent's one-step
-    Bayes move. Agent ``i``'s signal is informative iff
-    ``tv[i] >= tau``; the others are flagged uninformative and mix.
-
-    This is the reference implementation; ``run_experiment`` reproduces
-    it in batched form.
-    """
-    _check_unit("threshold", tau, closed=True)
-    n, m = state.agent_count, state.state_count
-    if lik.agent_count != n or net.n != n or lik.state_count != m:
-        raise ValueError("state, network, and likelihood dimensions disagree")
-    fresh, label, levels = lik.signal_rows(lik.checked_signals(signals_t))
-    tv = _bayes_tv_rows(state.log_belief, label, levels)
-    tv.setflags(write=False)
-    q = build_switching_matrix(net, tv < tau, round=state.round + 1)
-    phi = potential_update(state.potentials, q, fresh)
-    logb = belief_from_potentials(state.log_belief_initial, phi)
-    new_state = BeliefState(
-        log_belief=logb,
-        potentials=phi,
-        log_belief_initial=state.log_belief_initial,
-        round=state.round + 1,
-    )
-    return new_state, q, tv
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """One replica's recorded trajectory.
@@ -505,7 +447,7 @@ def run_experiment(
     the same records, bit for bit, as one run over all of them.
     Reads the checked ``config.model`` up front, then advances the
     call's replicas in lockstep with batched array arithmetic. The
-    dynamics are those of ``run_round``; the batched path exists
+    dynamics are those of ``learning.run_round``; the batched path exists
     because long multi-replica sweeps dominate this package's runtime.
     The records share one history buffer per call, so a caller that
     wants one replica's history in memory at a time makes one call per
@@ -568,7 +510,7 @@ def run_experiment(
                 tv_hist[:, slot - 1] = tv
 
     signals = signal_slab(0)
-    anchor = logb = _round0_beliefs(prior, lik.signal_rows(signals[0])[0])
+    anchor = logb = belief_from_potentials(prior.log_mass, lik.signal_rows(signals[0])[0])
     phi = np.zeros((reps, n, m))
     close(0, logb)
 

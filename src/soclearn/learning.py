@@ -1,4 +1,8 @@
-"""Belief updates, informativeness tests, and potential recursion.
+"""The protocol round: informativeness tests, potential recursion, beliefs.
+
+``run_round`` is the normative round, from ``initial_state`` on: the
+tests flag agents, the potentials mix over the round's switching
+matrix, and beliefs renormalise the round-0 anchor plus potentials.
 
 All belief arithmetic happens in the natural-log domain. Linear-domain
 probabilities appear only at the API boundary (total variation values,
@@ -13,14 +17,16 @@ import math
 
 import numpy as np
 
-from .model import _check_unit
-from .switching import SwitchingMatrix
+from .model import BeliefState, LikelihoodModel, Network, Prior, _check_unit
+from .switching import SwitchingMatrix, build_switching_matrix
 
 __all__ = [
     "binary_tv",
     "binary_informative",
     "potential_update",
     "belief_from_potentials",
+    "initial_state",
+    "run_round",
 ]
 
 
@@ -126,10 +132,56 @@ def potential_update(potentials_prev: np.ndarray, q: SwitchingMatrix,
 
 
 def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.ndarray:
-    """Normalized log beliefs from round-0 beliefs and current potentials."""
+    """Normalized log beliefs from an anchor and potentials, ``anchor + phi`` renormalised.
+
+    The anchor is the round-0 belief rows, or the prior row ``(m,)``
+    that round 0 conditions on its first signals: it must broadcast to
+    the potentials' shape without enlarging it.
+    """
     log_mu0 = np.asarray(log_mu0, dtype=float)
     phi = np.asarray(potentials, dtype=float)
-    if log_mu0.shape != phi.shape:
-        raise ValueError("anchor beliefs and potentials must share a shape")
+    if log_mu0.ndim > phi.ndim or any(
+            a not in (1, b) for a, b in zip(log_mu0.shape[::-1], phi.shape[::-1])):
+        raise ValueError(f"anchor of shape {log_mu0.shape} must broadcast to the "
+                         f"potentials' shape {phi.shape}")
     logb = log_mu0 + phi
     return logb - _lse_last(logb)
+
+
+def initial_state(prior: Prior, lik: LikelihoodModel, signals_0) -> BeliefState:
+    """Round-0 state: each agent conditions the shared prior on its first signal."""
+    logb = belief_from_potentials(prior.log_mass, lik.fresh_rows(signals_0))
+    return BeliefState(log_belief=logb, potentials=np.zeros(logb.shape),
+                       log_belief_initial=logb, round=0)
+
+
+def run_round(state: BeliefState, net: Network, lik: LikelihoodModel, tau: float,
+              signals_t):
+    """Advance all agents by one protocol round.
+
+    Each agent tests its fresh signal for informativeness against its
+    current belief; the round's mixing matrix couples exactly the edges
+    with an uninformative endpoint; potentials mix and absorb the fresh
+    log likelihoods; beliefs follow from the round-0 anchor and the new
+    potentials. Returns ``(new_state, mixing_matrix, tv)``, with ``tv``
+    the read-only ``(n,)`` total variation of each agent's one-step
+    Bayes move. Agent ``i``'s signal is informative iff
+    ``tv[i] >= tau``; the others are flagged uninformative and mix.
+
+    This is the reference implementation; ``harness.run_experiment``
+    reproduces it in batched form.
+    """
+    _check_unit("threshold", tau, closed=True)
+    n, m = state.agent_count, state.state_count
+    if lik.agent_count != n or net.n != n or lik.state_count != m:
+        raise ValueError("state, network, and likelihood dimensions disagree")
+    fresh, label, levels = lik.signal_rows(lik.checked_signals(signals_t))
+    tv = _bayes_tv_rows(state.log_belief, label, levels)
+    tv.setflags(write=False)
+    q = build_switching_matrix(net, tv < tau, round=state.round + 1)
+    phi = potential_update(state.potentials, q, fresh)
+    logb = belief_from_potentials(state.log_belief_initial, phi)
+    new_state = BeliefState(log_belief=logb, potentials=phi,
+                            log_belief_initial=state.log_belief_initial,
+                            round=state.round + 1)
+    return new_state, q, tv

@@ -455,6 +455,11 @@ def _check_mixing(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must have a positive diagonal")
 
 
+def _self_weights(edges: np.ndarray) -> np.ndarray:
+    """Each agent's self-weight: 1 minus its row sum of ``edges``, whose diagonal is zero."""
+    return 1.0 - np.sum(edges, axis=-1)
+
+
 @dataclass(frozen=True)
 class Network:
     """Symmetric stochastic communication weights over ``n`` agents.
@@ -475,7 +480,7 @@ class Network:
         _check_mixing(w, "weights")
         # averaging with the transpose keeps every checked property
         w = (w + w.T) / 2.0
-        kept = 1.0 - np.sum(w - np.diag(np.diag(w)), axis=1) > 0.0
+        kept = _self_weights(w - np.diag(np.diag(w))) > 0.0
         if not kept.all():
             raise ValueError(f"agent {np.argmin(kept)}: weights must leave a positive "
                              "self-weight, 1 minus the agent's summed edge weights")
@@ -538,7 +543,7 @@ def metropolis_weights(adjacency: Iterable, n: int) -> Network:
         adj[i, j] = adj[j, i] = True
     degree = adj.sum(axis=1)
     w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(degree, degree)), 0.0)
-    w[np.diag_indices(n)] = 1.0 - w.sum(axis=1)
+    w[np.diag_indices(n)] = _self_weights(w)
     return Network(w)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Network, _check_integer
+from .model import Network, _check_integer, _self_weights
 
 __all__ = [
     "SwitchingMatrix",
@@ -80,7 +80,7 @@ def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
     """
     q = np.where(_fired(net, flagged), net.weights, 0.0)
     agents = np.arange(net.n)
-    q[..., agents, agents] = 1.0 - np.sum(q, axis=-1)
+    q[..., agents, agents] = _self_weights(q)
     q[np.all(flagged, axis=-1)] = net.weights
     return q
 

@@ -19,12 +19,10 @@ from soclearn.harness import (
     build_model,
     export,
     generate_signals,
-    initial_state,
     reference_config,
     run_experiment,
-    run_round,
 )
-from soclearn.learning import _bayes_tv_rows, binary_informative
+from soclearn.learning import _bayes_tv_rows, binary_informative, initial_state, run_round
 from soclearn.model import (
     LikelihoodModel,
     Network,

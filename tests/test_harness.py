@@ -34,11 +34,10 @@ from soclearn.harness import (
     distinguished_state,
     export,
     generate_signals,
-    initial_state,
     reference_config,
     run_experiment,
-    run_round,
 )
+from soclearn.learning import initial_state, run_round
 from soclearn.model import AssumptionViolation, LikelihoodModel, Network, Prior, \
     metropolis_weights, ring_edges
 

@@ -61,32 +61,64 @@ def test_the_definition_guard_counts_assignments_and_not_imports():
     assert top_level_definitions(tree) == {"_A", "_B", "_C", "_D", "__all__", "f", "K"}
 
 
-def call_sites(node, name: str, where: str) -> set:
-    """``where.[Class.]function`` of each call to ``name`` under ``node``, bare or as an attribute."""
-    sites = set()
+def sites(node, hit, where: str) -> set:
+    """``where.[Class.]function`` of each node under ``node`` for which ``hit`` holds."""
+    found = set()
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            sites |= call_sites(child, name, f"{where}.{child.name}")
+            found |= sites(child, hit, f"{where}.{child.name}")
             continue
-        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                    getattr(child.func, "attr", None)):
-            sites.add(where)
-        sites |= call_sites(child, name, where)
-    return sites
+        if hit(child):
+            found.add(where)
+        found |= sites(child, hit, where)
+    return found
+
+
+def calls(name: str):
+    """The test whether a node calls ``name``, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def package_sites(hit) -> set:
+    """``module.[Class.]function`` of each node of the package for which ``hit`` holds."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= sites(ast.parse(path.read_text()), hit, path.stem)
+    return found
 
 
 def test_the_mixing_check_has_one_call_site():
     # Network's self-weight rule makes every round's matrix mix, so no round re-checks one
-    sites = set()
-    for path in PACKAGE.glob("*.py"):
-        sites |= call_sites(ast.parse(path.read_text()), "_check_mixing", path.stem)
-    assert sites == {"model.Network.__post_init__"}
+    assert package_sites(calls("_check_mixing")) == {"model.Network.__post_init__"}
 
 
 def test_the_call_site_guard_sees_nested_and_attribute_calls():
     tree = ast.parse("class K:\n    def f(self):\n        m._c(g(_c))\n"
                      "        def h():\n            return [_c() for _ in x]\n_c()\n")
-    assert call_sites(tree, "_c", "mod") == {"mod.K.f", "mod.K.f.h", "mod"}
+    assert sites(tree, calls("_c"), "mod") == {"mod.K.f", "mod.K.f.h", "mod"}
+
+
+def is_one_minus_a_sum(node) -> bool:
+    """Whether ``node`` is ``1 - <expression holding a sum call>``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and any(map(calls("sum"), ast.walk(node.right))))
+
+
+def test_the_self_weight_is_computed_once():
+    # every self-weight, of a network or of one round's matrix, is 1 minus
+    # the agent's edge weights, summed by the one function
+    assert package_sites(calls("_self_weights")) == {
+        "model.metropolis_weights", "model.Network.__post_init__", "switching._mixing_matrices"}
+    assert package_sites(is_one_minus_a_sum) == {"model._self_weights"}
+
+
+def test_the_self_weight_guard_sees_each_spelling():
+    tree = ast.parse("def f(w):\n    return 1.0 - np.sum(w, axis=1) > 0.0\n"
+                     "def g(w):\n    return 1 - w.sum(axis=1)\n"
+                     "def h(w):\n    return 1.0 - w, 2.0 - w.sum(), w.sum() - 1.0\n")
+    assert sites(tree, is_one_minus_a_sum, "mod") == {"mod.f", "mod.g"}
 
 
 def exported_names() -> set:
@@ -213,8 +245,8 @@ def class_reads() -> set:
 # "Class.name": the package function that reads it, "module.function".
 SHARED_READS = {
     "BaselineComparison.summary": "cli._cmd_compare",
-    "BeliefState.agent_count": "harness.run_round",
-    "BeliefState.state_count": "harness.run_round",
+    "BeliefState.agent_count": "learning.run_round",
+    "BeliefState.state_count": "learning.run_round",
     "IdentifiabilityReport.summary": "cli._cmd_analyze",
     "LikelihoodModel.log_bound": "analysis.validate_assumptions",
     "StateSpace.size": "analysis.identifiability_report",

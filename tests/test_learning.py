@@ -1,6 +1,7 @@
 """Belief updates, informativeness, and the potential recursion."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,13 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import flagged_mask, log_normalized
-from soclearn.harness import build_likelihoods, initial_state, reference_config, run_round
+from soclearn.harness import build_likelihoods, reference_config
 from soclearn.learning import (
     _bayes_tv_rows,
+    _lse_last,
     belief_from_potentials,
     binary_informative,
     binary_tv,
+    initial_state,
     potential_update,
+    run_round,
 )
 from soclearn.model import BeliefState, LikelihoodModel, Prior, _value_classes, \
     metropolis_weights
@@ -532,3 +536,28 @@ def test_outputs_normalize():
     phi = rng.normal(size=(3, 3)) * 5
     out = belief_from_potentials(mu0, phi)
     assert np.allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("rows", [(3,), (2, 3)], ids=["agents", "replicas-agents"])
+def test_a_prior_row_anchors_rows_of_any_batch_shape(rows):
+    # round 0 conditions the prior row on each agent's first signal: the
+    # broadcast sum, then the shared normaliser, bit for bit
+    rng = np.random.default_rng(11)
+    prior = Prior.from_probabilities([0.2, 0.3, 0.1, 0.4])
+    fresh = rng.normal(size=rows + (4,)) * 3
+    x = prior.log_mass + fresh
+    want = x - _lse_last(x)
+    got = belief_from_potentials(prior.log_mass, fresh)
+    assert got.shape == fresh.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "anchor, phi",
+    [((3,), (2, 4)), ((2, 3, 4), (3, 4))],
+    ids=["rows-do-not-broadcast", "anchor-enlarges-the-result"],
+)
+def test_an_anchor_must_broadcast_to_the_potentials(anchor, phi):
+    message = f"anchor of shape {anchor} must broadcast to the potentials' shape {phi}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        belief_from_potentials(np.zeros(anchor), np.zeros(phi))

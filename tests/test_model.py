@@ -335,18 +335,6 @@ def test_network_structure_is_read_off_the_weights(w):
         assert np.array_equal(np.flatnonzero(net.adjacency[i]), np.flatnonzero(off[i]))
 
 
-def test_network_from_weights_rejects_asymmetric():
-    w = np.array([[0.5, 0.5], [0.2, 0.8]])
-    with pytest.raises(ValueError):
-        Network(w)
-
-
-def test_network_from_weights_rejects_zero_diagonal():
-    w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        Network(w)
-
-
 SELF_WEIGHT = "weights must leave a positive self-weight, 1 minus the agent's summed edge weights"
 # both rows pass every mixing check, but 1 - 1.0 leaves no self-weight when the edge fires
 NO_SELF_WEIGHT = [[1e-20, 1 - 1e-20], [1 - 1e-20, 1e-20]]
@@ -359,14 +347,18 @@ NO_SELF_WEIGHT = [[1e-20, 1 - 1e-20], [1 - 1e-20, 1e-20]]
         ([[0.9, 0.1, 0.0], [0.1, 0.8, 0.1], [0.0, 0.0, 1.0]], "weights must be symmetric"),
         # doubly stochastic but not symmetric: a cyclic shift mixed with the identity
         ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], "weights must be symmetric"),
+        # rows sum to one, columns do not: the 2-agent case
+        ([[0.5, 0.5], [0.2, 0.8]], "weights must be symmetric"),
         ([[0.5, 0.25], [0.25, 0.5]], "weights must be doubly stochastic"),
         # symmetric and doubly stochastic, but agent 0 drops its own potential
         ([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
          "weights must have a positive diagonal"),
+        # the swap: every agent hands all its potential to the other
+        ([[0.0, 1.0], [1.0, 0.0]], "weights must have a positive diagonal"),
         (NO_SELF_WEIGHT, "agent 0: " + SELF_WEIGHT),
     ],
-    ids=["column-sums-off", "asymmetric", "symmetric-rows-short", "zero-diagonal",
-         "self-weight-rounds-to-zero"],
+    ids=["column-sums-off", "asymmetric", "asymmetric-rows-stochastic", "symmetric-rows-short",
+         "zero-diagonal", "zero-diagonal-swap", "self-weight-rounds-to-zero"],
 )
 def test_network_refuses_weights_that_cannot_mix(weights, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -147,7 +147,11 @@ def test_paired_bench_reports_each_checkouts_src_line_count(tmp_path, monkeypatc
                        "--workload", "ring15-run", "--seed", "12", "--pairs", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "src/ lines: base 3, change 1"
-    assert json.loads(lines[-1])["src_lines"] == {"base": 3, "change": 1}
+    assert lines[1] == "largest src/ module: base pkg/a.py 12 bytes, change pkg/a.py 6 bytes"
+    report = json.loads(lines[-1])
+    assert report["src_lines"] == {"base": 3, "change": 1}
+    assert report["largest_module"] == {"base": {"name": "pkg/a.py", "bytes": 12},
+                                        "change": {"name": "pkg/a.py", "bytes": 6}}
 
 
 def test_paired_bench_marks_a_metric_unresolved_when_the_base_spread_exceeds_its_bound(

@@ -20,7 +20,12 @@ bound. It also prints each side's median and quartiles of the ungated
 ``wall_s``, read from each run's detail line and labelled "not gated":
 the benchmark does not bound it, so no claim or bound is judged on it.
 Before the first workload it prints each checkout's line count of
-Python source under ``src/``, which every report also records.
+Python source under ``src/`` and the path (relative to ``src/``) and
+byte size of its largest module, which every report also records as
+``src_lines`` and ``largest_module``. A run without a bytecode cache
+(``PYTHONDONTWRITEBYTECODE`` set) compiles ``src`` from source, so the
+largest module's compile shows in every workload's peak RSS: the pair
+tells code-size drift from a change in the data.
 A pair in which either side fails makes the script exit 1.
 With ``--out``, a run in which every workload passes also writes a
 ``BENCH_*.json`` document: its label (the file name without ``BENCH_``
@@ -69,6 +74,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
 def src_lines(checkout: Path) -> int:
     """Lines of the Python files under ``checkout/src``, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
+def largest_module(checkout: Path):
+    """``{"name", "bytes"}`` of the largest Python file under ``checkout/src``, or ``None``.
+
+    The name is relative to ``src``; of files of equal size, the first by name.
+    """
+    sizes = {path.relative_to(checkout / "src").as_posix(): path.stat().st_size
+             for path in (checkout / "src").rglob("*.py")}
+    if not sizes:
+        return None
+    name = min(sizes, key=lambda name: (-sizes[name], name))
+    return {"name": name, "bytes": sizes[name]}
 
 
 def head_commit(checkout: Path):
@@ -124,7 +142,7 @@ def verdict(base: list, change: list, better: str, bound: float) -> dict:
     }
 
 
-def bench(args, workload: str, better: dict, bounds: dict, lines: dict) -> dict:
+def bench(args, workload: str, better: dict, bounds: dict, sizes: dict) -> dict:
     """Run ``args.pairs`` pairs of one workload, print its verdict block, return its report.
 
     Raises ``RuntimeError`` when a run fails.
@@ -148,7 +166,7 @@ def bench(args, workload: str, better: dict, bounds: dict, lines: dict) -> dict:
               flush=True)
 
     print(f"{workload} seed {args.seed}, {args.pairs} pairs")
-    report = {"workload": workload, "src_lines": lines}
+    report = {"workload": workload, **sizes}
     for name, direction in better.items():
         v = verdict(values["base"][name], values["change"][name], direction, bounds[name])
         report[name] = {**v, "values": {side: values[side][name] for side in values}}
@@ -191,12 +209,18 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    lines = {side: src_lines(getattr(args, side)) for side in ("base", "change")}
-    print(f"src/ lines: base {lines['base']}, change {lines['change']}", flush=True)
+    sides = {side: getattr(args, side) for side in ("base", "change")}
+    sizes = {"src_lines": {side: src_lines(path) for side, path in sides.items()},
+             "largest_module": {side: largest_module(path) for side, path in sides.items()}}
+    lines, largest = sizes["src_lines"], sizes["largest_module"]
+    print(f"src/ lines: base {lines['base']}, change {lines['change']}")
+    print("largest src/ module: " + ", ".join(
+        f"{side} " + (f"{module['name']} {module['bytes']} bytes" if module else "none")
+        for side, module in largest.items()), flush=True)
     reports = []
     for workload in args.workload:
         try:
-            reports.append(bench(args, workload, better, bounds, lines))
+            reports.append(bench(args, workload, better, bounds, sizes))
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
