@@ -30,6 +30,7 @@ from .harness import (
     run_experiment,
 )
 from .learning import (
+    BeliefState,
     belief_from_potentials,
     binary_informative,
     binary_tv,
@@ -39,7 +40,6 @@ from .learning import (
 )
 from .model import (
     AssumptionViolation,
-    BeliefState,
     LikelihoodModel,
     Network,
     Prior,

@@ -3,6 +3,8 @@
 ``run_round`` is the normative round, from ``initial_state`` on: the
 tests flag agents, the potentials mix over the round's switching
 matrix, and beliefs renormalise the round-0 anchor plus potentials.
+A ``BeliefState`` stores only that anchor, the potentials and the
+round; its beliefs are derived from them.
 
 All belief arithmetic happens in the natural-log domain. Linear-domain
 probabilities appear only at the API boundary (total variation values,
@@ -14,13 +16,20 @@ the signal informative when the distance reaches the threshold.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import BeliefState, LikelihoodModel, Network, Prior, _check_unit
+from .model import LikelihoodModel, Network, Prior, _check_integer, _check_unit, _readonly
 from .switching import SwitchingMatrix, build_switching_matrix
 
+# Tolerance for belief rows evolved over many rounds.
+BELIEF_SUM_TOL = 1e-10
+
 __all__ = [
+    "BELIEF_SUM_TOL",
+    "BeliefState",
     "binary_tv",
     "binary_informative",
     "potential_update",
@@ -148,11 +157,50 @@ def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.nd
     return logb - _lse_last(logb)
 
 
+@dataclass(frozen=True)
+class BeliefState:
+    """Joint belief state of all agents after some round.
+
+    ``log_belief_initial`` holds the round-0 belief rows, normalized in
+    log form, that anchor the run, and ``potentials`` the accumulated
+    averaged log-likelihood scores, exactly zero at round 0. The log
+    beliefs are derived from the two, never stored.
+    """
+
+    potentials: np.ndarray
+    log_belief_initial: np.ndarray
+    round: int
+
+    def __post_init__(self):
+        anchor = _readonly(self.log_belief_initial)
+        phi = _readonly(self.potentials)
+        if anchor.ndim != 2:
+            raise ValueError("log_belief_initial must be (agents, states)")
+        # written so that a NaN sum fails too
+        if not (np.abs(np.sum(np.exp(anchor), axis=1) - 1.0) <= BELIEF_SUM_TOL).all():
+            raise ValueError("log_belief_initial rows must exponentiate to 1")
+        if phi.shape != anchor.shape:
+            raise ValueError(f"potentials {phi.shape} must have the anchor's shape {anchor.shape}")
+        if not np.isfinite(phi).all():
+            raise ValueError("potentials must be finite, without inf or NaN")
+        _check_integer("round", self.round, 0)
+        if self.round == 0 and np.any(phi != 0.0):
+            raise ValueError("potentials must be identically zero at round 0")
+        object.__setattr__(self, "potentials", phi)
+        object.__setattr__(self, "log_belief_initial", anchor)
+
+    @cached_property
+    def log_belief(self) -> np.ndarray:
+        """Normalized log beliefs, read-only: the anchor at round 0, then anchor plus potentials."""
+        if self.round == 0:
+            return self.log_belief_initial
+        return _readonly(belief_from_potentials(self.log_belief_initial, self.potentials))
+
+
 def initial_state(prior: Prior, lik: LikelihoodModel, signals_0) -> BeliefState:
     """Round-0 state: each agent conditions the shared prior on its first signal."""
     logb = belief_from_potentials(prior.log_mass, lik.fresh_rows(signals_0))
-    return BeliefState(log_belief=logb, potentials=np.zeros(logb.shape),
-                       log_belief_initial=logb, round=0)
+    return BeliefState(potentials=np.zeros(logb.shape), log_belief_initial=logb, round=0)
 
 
 def run_round(state: BeliefState, net: Network, lik: LikelihoodModel, tau: float,
@@ -172,7 +220,7 @@ def run_round(state: BeliefState, net: Network, lik: LikelihoodModel, tau: float
     reproduces it in batched form.
     """
     _check_unit("threshold", tau, closed=True)
-    n, m = state.agent_count, state.state_count
+    n, m = state.potentials.shape
     if lik.agent_count != n or net.n != n or lik.state_count != m:
         raise ValueError("state, network, and likelihood dimensions disagree")
     fresh, label, levels = lik.signal_rows(lik.checked_signals(signals_t))
@@ -180,8 +228,6 @@ def run_round(state: BeliefState, net: Network, lik: LikelihoodModel, tau: float
     tv.setflags(write=False)
     q = build_switching_matrix(net, tv < tau, round=state.round + 1)
     phi = potential_update(state.potentials, q, fresh)
-    logb = belief_from_potentials(state.log_belief_initial, phi)
-    new_state = BeliefState(log_belief=logb, potentials=phi,
-                            log_belief_initial=state.log_belief_initial,
+    new_state = BeliefState(potentials=phi, log_belief_initial=state.log_belief_initial,
                             round=state.round + 1)
     return new_state, q, tv

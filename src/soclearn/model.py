@@ -10,7 +10,8 @@ through the package's own Philox4x64-10 generator. The module is a leaf:
 it imports nothing from the package. It holds the package's two range
 rules, ``_check_integer`` and ``_check_unit``, through which every
 range refusal goes. Whether a model meets the standing assumptions
-A1-A3 is judged in ``analysis``.
+A1-A3 is judged in ``analysis``; the belief state a run evolves lives
+in ``learning``, beside the round that evolves it.
 """
 
 from __future__ import annotations
@@ -24,18 +25,14 @@ import numpy as np
 
 # Tolerance for probability tables supplied as input.
 PROB_SUM_TOL = 1e-12
-# Looser tolerance for belief rows evolved over many rounds.
-BELIEF_SUM_TOL = 1e-10
 
 __all__ = [
     "PROB_SUM_TOL",
-    "BELIEF_SUM_TOL",
     "AssumptionViolation",
     "StateSpace",
     "Prior",
     "LikelihoodModel",
     "Network",
-    "BeliefState",
     "metropolis_weights",
     "ring_edges",
     "complete_edges",
@@ -545,46 +542,3 @@ def metropolis_weights(adjacency: Iterable, n: int) -> Network:
     w = np.where(adj, 1.0 / (1.0 + np.maximum.outer(degree, degree)), 0.0)
     w[np.diag_indices(n)] = _self_weights(w)
     return Network(w)
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """Joint belief state of all agents after some round.
-
-    ``log_belief`` rows are normalized log beliefs, ``potentials`` the
-    accumulated averaged log-likelihood scores, and ``log_belief_initial``
-    the round-0 belief rows that anchor the potential-to-belief map for
-    the rest of the run. Potentials start at exactly zero.
-    """
-
-    log_belief: np.ndarray
-    potentials: np.ndarray
-    log_belief_initial: np.ndarray
-    round: int
-
-    def __post_init__(self):
-        logb = _readonly(self.log_belief)
-        phi = _readonly(self.potentials)
-        logb0 = _readonly(self.log_belief_initial)
-        if logb.ndim != 2:
-            raise ValueError("log_belief must be (agents, states)")
-        if phi.shape != logb.shape or logb0.shape != logb.shape:
-            raise ValueError("belief, potential, and anchor shapes must agree")
-        _check_integer("round", self.round, 0)
-        for name, rows in (("log_belief", logb), ("log_belief_initial", logb0)):
-            sums = np.sum(np.exp(rows), axis=1)
-            if np.max(np.abs(sums - 1.0)) > BELIEF_SUM_TOL:
-                raise ValueError(f"{name} rows must exponentiate to 1")
-        if self.round == 0 and np.any(phi != 0.0):
-            raise ValueError("potentials must be identically zero at round 0")
-        object.__setattr__(self, "log_belief", logb)
-        object.__setattr__(self, "potentials", phi)
-        object.__setattr__(self, "log_belief_initial", logb0)
-
-    @property
-    def agent_count(self) -> int:
-        return self.log_belief.shape[0]
-
-    @property
-    def state_count(self) -> int:
-        return self.log_belief.shape[1]

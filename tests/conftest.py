@@ -1,9 +1,33 @@
 """Shared pytest plumbing: the acceptance suite's criterion report, the
-closed-form Bayes oracle and the flagged-mask helper."""
+closed-form Bayes oracle, the flagged-mask helper and the binary signal
+tables the suites build their models from."""
 
 import numpy as np
 
+from soclearn.model import LikelihoodModel
+
 CRITERION_RESULTS = {}
+
+
+def bernoulli(p1s):
+    """A binary signal table as config ``tables`` take it: P(symbol 1 | state k) is ``p1s[k]``."""
+    return (tuple(1.0 - p for p in p1s), tuple(p1s))
+
+
+def bernoulli_table(p_one_per_state):
+    # rows are symbols {0, 1}, columns are states
+    return np.array([[1.0 - p for p in p_one_per_state], list(p_one_per_state)])
+
+
+def reference_like_model(n=4, m=5, p_eq=0.5, p_diff=0.25):
+    # agent i's signal law differs only in state 1 + (i mod (m-1))
+    tables = []
+    for i in range(n):
+        special = 1 + (i % (m - 1))
+        tables.append(
+            bernoulli_table([p_diff if k == special else p_eq for k in range(m)])
+        )
+    return LikelihoodModel.from_probabilities(tables)
 
 
 def log_normalized(rows):

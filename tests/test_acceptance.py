@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import flagged_mask, log_normalized, record_criterion
+from conftest import bernoulli, flagged_mask, log_normalized, record_criterion
 from soclearn.analysis import identifiability_report, product_convergence_gap
 from soclearn.harness import (
     ExperimentConfig,
@@ -31,10 +31,6 @@ from soclearn.model import (
     metropolis_weights,
 )
 from soclearn.switching import _mixing_matrices, build_switching_matrix
-
-
-def bernoulli(p1s):
-    return (tuple(1.0 - p for p in p1s), tuple(p1s))
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bernoulli_table, reference_like_model
 from soclearn.analysis import (
     CLASS_TOL,
     _reachable,
@@ -28,20 +29,6 @@ from soclearn.model import (
 
 # the reference signal family: fair coin everywhere except one state
 D_HALF_QUARTER = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
-
-
-def bernoulli_table(p_one_per_state):
-    return np.array([[1.0 - p for p in p_one_per_state], list(p_one_per_state)])
-
-
-def reference_like_model(n, m, p_eq=0.5, p_diff=0.25):
-    tables = []
-    for i in range(n):
-        special = 1 + (i % (m - 1))
-        tables.append(
-            bernoulli_table([p_diff if k == special else p_eq for k in range(m)])
-        )
-    return LikelihoodModel.from_probabilities(tables)
 
 
 def kl(p, q):

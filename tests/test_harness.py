@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import log_normalized
+from conftest import bernoulli, log_normalized
 from test_trace_contract import traced_job
 from soclearn.analysis import estimate_rate, identifiability_report, validate_assumptions
 from soclearn import harness, model, switching
@@ -40,10 +40,6 @@ from soclearn.harness import (
 from soclearn.learning import initial_state, run_round
 from soclearn.model import AssumptionViolation, LikelihoodModel, Network, Prior, \
     metropolis_weights, ring_edges
-
-
-def bernoulli(p1s):
-    return (tuple(1.0 - p for p in p1s), tuple(p1s))
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

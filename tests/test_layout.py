@@ -245,8 +245,6 @@ def class_reads() -> set:
 # "Class.name": the package function that reads it, "module.function".
 SHARED_READS = {
     "BaselineComparison.summary": "cli._cmd_compare",
-    "BeliefState.agent_count": "learning.run_round",
-    "BeliefState.state_count": "learning.run_round",
     "IdentifiabilityReport.summary": "cli._cmd_analyze",
     "LikelihoodModel.log_bound": "analysis.validate_assumptions",
     "StateSpace.size": "analysis.identifiability_report",

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import flagged_mask, log_normalized
-from soclearn.harness import build_likelihoods, reference_config
+from soclearn.harness import build_likelihoods, build_model, reference_config
 from soclearn.learning import (
+    BeliefState,
     _bayes_tv_rows,
     _lse_last,
     belief_from_potentials,
@@ -22,7 +23,7 @@ from soclearn.learning import (
     potential_update,
     run_round,
 )
-from soclearn.model import BeliefState, LikelihoodModel, Prior, _value_classes, \
+from soclearn.model import LikelihoodModel, Prior, _value_classes, generate_signals, \
     metropolis_weights
 from soclearn.switching import build_switching_matrix
 
@@ -47,9 +48,7 @@ def lone_round(log_row, lik, signal, tau=0.5):
     ``signal`` whatever the verdict.
     """
     row = np.asarray(log_row, dtype=float)[None, :]
-    state = BeliefState(
-        log_belief=row, potentials=np.zeros(row.shape), log_belief_initial=row, round=0
-    )
+    state = BeliefState(potentials=np.zeros(row.shape), log_belief_initial=row, round=0)
     new, _, tv = run_round(state, LONE, lik, tau, [signal])
     return new.log_belief[0], float(tv[0])
 
@@ -561,3 +560,80 @@ def test_an_anchor_must_broadcast_to_the_potentials(anchor, phi):
     message = f"anchor of shape {anchor} must broadcast to the potentials' shape {phi}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         belief_from_potentials(np.zeros(anchor), np.zeros(phi))
+
+
+# --------------------------------------------------------------- BeliefState
+
+
+def test_belief_state_requires_normalized_rows():
+    logb = np.log(np.array([[0.5, 0.4]]))  # sums to 0.9
+    with pytest.raises(ValueError):
+        BeliefState(potentials=np.zeros((1, 2)), log_belief_initial=logb, round=0)
+
+
+def test_belief_state_round_zero_needs_zero_potentials():
+    logb = np.log(np.full((1, 2), 0.5))
+    with pytest.raises(ValueError):
+        BeliefState(potentials=np.ones((1, 2)), log_belief_initial=logb, round=0)
+
+
+@pytest.mark.parametrize("round_", [0.5, 2.0, "1", True, -1, None])
+def test_belief_state_rejects_a_round_that_is_not_a_nonnegative_integer(round_):
+    # round 0.5 used to construct, and run_round failed on it only later
+    logb = np.log(np.full((1, 2), 0.5))
+    with pytest.raises(ValueError, match="^round must be an integer >= 0, got "):
+        BeliefState(potentials=np.zeros((1, 2)), log_belief_initial=logb, round=round_)
+    state = BeliefState(potentials=np.zeros((1, 2)), log_belief_initial=logb,
+                        round=np.int64(3))
+    assert state.round == 3
+
+
+def test_belief_state_arrays_are_readonly():
+    logb = np.log(np.full((1, 2), 0.5))
+    state = BeliefState(potentials=np.zeros((1, 2)), log_belief_initial=logb, round=0)
+    with pytest.raises(ValueError):
+        state.potentials[0, 0] = 1.0
+
+
+def test_a_state_derives_its_beliefs_from_its_anchor_and_potentials():
+    config = reference_config(agents=5, states=4, tau=1e-4)
+    space, prior, lik, net = build_model(config)
+    signals = generate_signals(lik, space, seed=12, rounds=7)
+    state = initial_state(prior, lik, signals[0])
+    assert state.log_belief is state.log_belief_initial
+    for sig in signals[1:]:
+        state = run_round(state, net, lik, config.tau, sig)[0]
+        want = belief_from_potentials(state.log_belief_initial, state.potentials)
+        assert np.array_equal(state.log_belief.view(np.uint64), want.view(np.uint64))
+        assert state.log_belief is state.log_belief  # derived once
+        assert not state.log_belief.flags.writeable
+
+
+def test_a_state_stores_no_beliefs_of_its_own():
+    logb = np.log(np.full((1, 2), 0.5))
+    with pytest.raises(TypeError):
+        BeliefState(log_belief=logb, potentials=np.zeros((1, 2)), log_belief_initial=logb,
+                    round=0)
+
+
+def test_a_state_refuses_a_nan_anchor_row():
+    logb = np.log(np.full((2, 2), 0.5))
+    logb[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^log_belief_initial rows must exponentiate to 1$"):
+        BeliefState(potentials=np.zeros((2, 2)), log_belief_initial=logb, round=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_state_refuses_potentials_that_are_not_finite(bad):
+    logb = np.log(np.full((2, 2), 0.5))
+    phi = np.zeros((2, 2))
+    phi[0, 1] = bad
+    with pytest.raises(ValueError, match="^potentials must be finite, without inf or NaN$"):
+        BeliefState(potentials=phi, log_belief_initial=logb, round=3)
+
+
+def test_a_state_refuses_potentials_of_another_shape():
+    logb = np.log(np.full((2, 2), 0.5))
+    message = "potentials (2, 3) must have the anchor's shape (2, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BeliefState(potentials=np.zeros((2, 3)), log_belief_initial=logb, round=1)

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bernoulli_table, reference_like_model
 from soclearn.analysis import validate_assumptions
 from soclearn.cli import main
 from soclearn.model import (
     PROB_SUM_TOL,
-    BeliefState,
     LikelihoodModel,
     Network,
     Prior,
@@ -25,22 +25,6 @@ from soclearn.model import (
     ring_edges,
 )
 from soclearn.switching import build_switching_matrix
-
-
-def bernoulli_table(p_one_per_state):
-    # rows are symbols {0, 1}, columns are states
-    return np.array([[1.0 - p for p in p_one_per_state], list(p_one_per_state)])
-
-
-def reference_like_model(n=4, m=5, p_eq=0.5, p_diff=0.25):
-    # agent i's signal law differs only in state 1 + (i mod (m-1))
-    tables = []
-    for i in range(n):
-        special = 1 + (i % (m - 1))
-        tables.append(
-            bernoulli_table([p_diff if k == special else p_eq for k in range(m)])
-        )
-    return LikelihoodModel.from_probabilities(tables)
 
 
 # ---------------------------------------------------------------- StateSpace
@@ -465,55 +449,6 @@ def test_strong_connectivity_check():
     assert validate_assumptions(lik, Network([[0.5, 0.5], [0.5, 0.5]]), space).a3_passed
     report = validate_assumptions(lik, Network(np.eye(2)), space)
     assert not report.a3_passed and report.a3_unreachable == (1,)
-
-
-# --------------------------------------------------------------- BeliefState
-
-
-def test_belief_state_requires_normalized_rows():
-    logb = np.log(np.array([[0.5, 0.4]]))  # sums to 0.9
-    with pytest.raises(ValueError):
-        BeliefState(
-            log_belief=logb,
-            potentials=np.zeros((1, 2)),
-            log_belief_initial=logb,
-            round=0,
-        )
-
-
-def test_belief_state_round_zero_needs_zero_potentials():
-    logb = np.log(np.full((1, 2), 0.5))
-    with pytest.raises(ValueError):
-        BeliefState(
-            log_belief=logb,
-            potentials=np.ones((1, 2)),
-            log_belief_initial=logb,
-            round=0,
-        )
-
-
-@pytest.mark.parametrize("round_", [0.5, 2.0, "1", True, -1, None])
-def test_belief_state_rejects_a_round_that_is_not_a_nonnegative_integer(round_):
-    # round 0.5 used to construct, and run_round failed on it only later
-    logb = np.log(np.full((1, 2), 0.5))
-    with pytest.raises(ValueError, match="^round must be an integer >= 0, got "):
-        BeliefState(log_belief=logb, potentials=np.zeros((1, 2)),
-                    log_belief_initial=logb, round=round_)
-    state = BeliefState(log_belief=logb, potentials=np.zeros((1, 2)),
-                        log_belief_initial=logb, round=np.int64(3))
-    assert state.round == 3
-
-
-def test_belief_state_arrays_are_readonly():
-    logb = np.log(np.full((1, 2), 0.5))
-    state = BeliefState(
-        log_belief=logb,
-        potentials=np.zeros((1, 2)),
-        log_belief_initial=logb,
-        round=0,
-    )
-    with pytest.raises(ValueError):
-        state.potentials[0, 0] = 1.0
 
 
 # ------------------------------------------------------- validate_assumptions

@@ -40,7 +40,8 @@ def test_paired_bench_refuses_checkout_paths_of_unequal_length(tmp_path, monkeyp
 
 def test_paired_bench_reads_wall_time_from_the_detail_line(monkeypatch):
     bench = load_paired_bench()
-    detail = {"report_only": {"wall_s": 1.25, "cpu_s": 1.5}}
+    detail = {"report_only": {"wall_s": 1.25, "cpu_s": 1.5},
+              "runs": {"wall_s": [1.25], "setup_s": [0.21, 0.19, 0.2]}}
     result = {"failed": 0, "metrics": {"peak_rss_mb": {"value": 33.8, "unit": "MB"}}}
     stdout = "  peak_rss_mb 33.8 MB\n" + json.dumps(detail) + "\n" + json.dumps(result) + "\n"
 
@@ -48,9 +49,10 @@ def test_paired_bench_reads_wall_time_from_the_detail_line(monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench.subprocess, "run", run)
-    metrics, wall_s = bench.run_once(ROOT, "ring15-run", 12, 1.0)
+    metrics, wall_s, setup_s = bench.run_once(ROOT, "ring15-run", 12, 1.0)
     assert metrics == result["metrics"]
     assert wall_s == 1.25
+    assert setup_s == [0.21, 0.19, 0.2]
 
 
 def test_paired_bench_prints_wall_time_as_not_gated(tmp_path, monkeypatch, capsys):
@@ -60,7 +62,8 @@ def test_paired_bench_prints_wall_time_as_not_gated(tmp_path, monkeypatch, capsy
     def run_once(checkout, workload, seed, seconds):
         value = next(runs[checkout.name])
         metrics = {"peak_rss_mb": {"value": value}, "setup_s": {"value": 0.3}}
-        return metrics, value / 10
+        # each run's set-up samples; the floor is the least of all of a side's
+        return metrics, value / 10, [value / 100, value / 200]
 
     monkeypatch.setattr(bench, "run_once", run_once)
     for side in ("base", "chng"):
@@ -70,9 +73,12 @@ def test_paired_bench_prints_wall_time_as_not_gated(tmp_path, monkeypatch, capsy
                        "--workload", "ring15-run", "--seed", "12", "--pairs", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "  wall_s (not gated): base 3.1 [3, 3.2], change 2.1 [2, 2.2]" in lines
+    assert "  setup_s floor (not gated): base 0.15, change 0.1" in lines
     report = json.loads(lines[-1])
     assert report["wall_s"] == {"not_gated": True,
                                 "values": {"base": [3.0, 3.1, 3.2], "change": [2.0, 2.1, 2.2]}}
+    assert report["setup_floor_s"] == {"not_gated": True,
+                                       "values": {"base": 0.15, "change": 0.1}}
     assert report["peak_rss_mb"]["wins"] == 3
 
 
@@ -85,7 +91,7 @@ def test_paired_bench_prints_one_verdict_block_per_workload(tmp_path, monkeypatc
         # the change halves the first workload's RSS and leaves the second's alone
         value = 20.0 if (workload, checkout.name) == ("ring15-run", "chng") else 40.0
         metrics = {"peak_rss_mb": {"value": value}, "setup_s": {"value": 0.3}}
-        return metrics, 1.0
+        return metrics, 1.0, [0.3]
 
     monkeypatch.setattr(bench, "run_once", run_once)
     for side in ("base", "chng"):
@@ -132,7 +138,7 @@ def test_paired_bench_reports_each_checkouts_src_line_count(tmp_path, monkeypatc
     bench = load_paired_bench()
 
     def run_once(checkout, workload, seed, seconds):
-        return {"peak_rss_mb": {"value": 30.0}, "setup_s": {"value": 0.3}}, 1.0
+        return {"peak_rss_mb": {"value": 30.0}, "setup_s": {"value": 0.3}}, 1.0, [0.3]
 
     monkeypatch.setattr(bench, "run_once", run_once)
     for side, modules in (("base", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
@@ -168,7 +174,7 @@ def test_paired_bench_marks_a_metric_unresolved_when_the_base_spread_exceeds_its
     def run_once(checkout, workload, seed, seconds):
         metrics = {"peak_rss_mb": {"value": 30.0 + len(checkout.name)},
                    "setup_s": {"value": next(runs[workload, checkout.name])}}
-        return metrics, 1.0
+        return metrics, 1.0, [0.3]
 
     monkeypatch.setattr(bench, "run_once", run_once)
     for side in ("base", "chng"):
@@ -191,7 +197,7 @@ def test_paired_bench_writes_the_bench_document(tmp_path, monkeypatch, capsys):
 
     def run_once(checkout, workload, seed, seconds):
         value = 20.0 if checkout.name == "chng" else 30.0
-        return {"peak_rss_mb": {"value": value}, "setup_s": {"value": 0.3}}, 1.0
+        return {"peak_rss_mb": {"value": value}, "setup_s": {"value": 0.3}}, 1.0, [0.3]
 
     monkeypatch.setattr(bench, "run_once", run_once)
     for side in ("base", "chng"):

@@ -19,6 +19,11 @@ beats every base run: the spread then hides a change as large as the
 bound. It also prints each side's median and quartiles of the ungated
 ``wall_s``, read from each run's detail line and labelled "not gated":
 the benchmark does not bound it, so no claim or bound is judged on it.
+Beside it, also "not gated", it prints each side's ``setup_s`` floor,
+the minimum over every set-up sample of every run (the detail line's
+``runs.setup_s``), which the report records as ``setup_floor_s``: a
+median of import-bound samples moves with the host's load, while the
+floor shows what a change does to the import itself.
 Before the first workload it prints each checkout's line count of
 Python source under ``src/`` and the path (relative to ``src/``) and
 byte size of its largest module, which every report also records as
@@ -53,10 +58,10 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """The gated metrics and the ungated ``wall_s`` of one benchmark run.
+    """The gated metrics, the ungated ``wall_s`` and the set-up samples of one benchmark run.
 
     The metrics come from the result object (the last stdout line), the
-    wall time from the detail line before it.
+    wall time and the list of set-up samples from the detail line before it.
     """
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
@@ -68,7 +73,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     detail, result = map(json.loads, done.stdout.strip().splitlines()[-2:])
     if result["failed"]:
         raise RuntimeError(f"{checkout}: {result['failed']} failed execution(s)")
-    return result["metrics"], detail["report_only"]["wall_s"]
+    return result["metrics"], detail["report_only"]["wall_s"], detail["runs"]["setup_s"]
 
 
 def src_lines(checkout: Path) -> int:
@@ -148,18 +153,19 @@ def bench(args, workload: str, better: dict, bounds: dict, sizes: dict) -> dict:
     Raises ``RuntimeError`` when a run fails.
     """
     values = {"base": {name: [] for name in better}, "change": {name: [] for name in better}}
-    wall = {"base": [], "change": []}
+    wall, setup = {"base": [], "change": []}, {"base": [], "change": []}
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
             try:
-                metrics, wall_s = run_once(getattr(args, side), workload, args.seed,
-                                           args.seconds)
+                metrics, wall_s, setup_s = run_once(getattr(args, side), workload,
+                                                    args.seed, args.seconds)
             except RuntimeError as exc:
                 raise RuntimeError(f"{workload} pair {k + 1}, {side}: {exc}") from None
             for name in better:
                 values[side][name].append(metrics[name]["value"])
             wall[side].append(wall_s)
+            setup[side].extend(setup_s)
         print(f"pair {k + 1}/{args.pairs} ({order[0]} first): "
               + ", ".join(f"{name} {values['base'][name][-1]:.4g} -> "
                           f"{values['change'][name][-1]:.4g}" for name in better),
@@ -182,6 +188,10 @@ def bench(args, workload: str, better: dict, bounds: dict, sizes: dict) -> dict:
     print(f"  wall_s (not gated): base {bm:.4g} [{b1:.4g}, {b3:.4g}], "
           f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]")
     report["wall_s"] = {"not_gated": True, "values": wall}
+    floor = {side: min(samples) for side, samples in setup.items()}
+    print(f"  setup_s floor (not gated): base {floor['base']:.4g}, "
+          f"change {floor['change']:.4g}")
+    report["setup_floor_s"] = {"not_gated": True, "values": floor}
     print(json.dumps(report), flush=True)
     return report
 
