@@ -29,8 +29,8 @@ from .learning import _bayes_tv_rows, _lse_last, belief_from_potentials
 from .model import AssumptionViolation, LikelihoodModel, Network, Prior, \
     StateSpace, _check_integer, _check_unit, complete_edges, generate_signals, \
     metropolis_weights, ring_edges
-from .switching import CommLedger, _block_rounds, _fired, _mixing_matrices, \
-    build_switching_matrix, record_round
+from .switching import CommLedger, _block_rounds, _fired, _mix, build_switching_matrix, \
+    record_round
 
 __all__ = [
     "GENERATOR_NAME",
@@ -522,14 +522,7 @@ def run_experiment(
         tv = _bayes_tv_rows(logb, label, levels)
         uninf = tv < config.tau
         uninf_hist[:, t - 1] = uninf
-
-        # nobody flagged mixes with I, everybody with net.weights: same bits
-        if not uninf.any():
-            phi = phi + fresh
-        elif uninf.all():
-            phi = net.weights @ phi + fresh
-        else:
-            phi = _mixing_matrices(net, uninf) @ phi + fresh
+        phi = _mix(net, uninf, phi, fresh)
         logb = anchor + phi
         logb -= _lse_last(logb)
         close(t, logb, tv)

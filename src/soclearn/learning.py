@@ -1,8 +1,8 @@
 """The protocol round: informativeness tests, potential recursion, beliefs.
 
 ``run_round`` is the normative round, from ``initial_state`` on: the
-tests flag agents, the potentials mix over the round's switching
-matrix, and beliefs renormalise the round-0 anchor plus potentials.
+tests flag agents, the potentials mix in ``switching._mix``, as in the
+engine, and beliefs renormalise the round-0 anchor plus potentials.
 A ``BeliefState`` stores only that anchor, the potentials and the
 round; its beliefs are derived from them.
 
@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import LikelihoodModel, Network, Prior, _check_integer, _check_unit, _readonly
-from .switching import SwitchingMatrix, build_switching_matrix
+from .model import LikelihoodModel, Network, Prior, _check_integer, _check_unit, _readonly, \
+    _sums_to_one
+from .switching import SwitchingMatrix, _mix, build_switching_matrix
 
 # Tolerance for belief rows evolved over many rounds.
 BELIEF_SUM_TOL = 1e-10
@@ -137,7 +138,7 @@ def potential_update(potentials_prev: np.ndarray, q: SwitchingMatrix,
     if phi.ndim != 2 or phi.shape[0] != q.network.n or fresh.shape != phi.shape:
         raise ValueError(f"potentials and fresh rows must both be ({q.network.n}, m), "
                          f"got {phi.shape} and {fresh.shape}")
-    return q.q @ phi + fresh
+    return _mix(q.network, q.flagged, phi, fresh)
 
 
 def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.ndarray:
@@ -176,8 +177,7 @@ class BeliefState:
         phi = _readonly(self.potentials)
         if anchor.ndim != 2:
             raise ValueError("log_belief_initial must be (agents, states)")
-        # written so that a NaN sum fails too
-        if not (np.abs(np.sum(np.exp(anchor), axis=1) - 1.0) <= BELIEF_SUM_TOL).all():
+        if not _sums_to_one(anchor, BELIEF_SUM_TOL, axis=1, log=True)[1]:
             raise ValueError("log_belief_initial rows must exponentiate to 1")
         if phi.shape != anchor.shape:
             raise ValueError(f"potentials {phi.shape} must have the anchor's shape {anchor.shape}")

@@ -65,6 +65,15 @@ def _check_unit(name: str, value, closed: bool = False) -> None:
         raise ValueError(f"{name} must lie in (0, 1{']' if closed else ')'}, got {value!r}")
 
 
+def _sums_to_one(values, tol: float, axis=None, log=False) -> tuple:
+    """The sum-to-one rule: ``(sums, ok)`` of ``values``, or of ``exp(values)``
+    when ``log``, along ``axis``; ``ok`` when there is a sum and each is within
+    ``tol`` of 1. An overflow gives inf, which fails as NaN does, without a warning."""
+    with np.errstate(over="ignore"):
+        sums = np.sum(np.exp(values) if log else values, axis=axis)
+    return sums, np.size(sums) > 0 and bool((np.abs(sums - 1.0) <= tol).all())
+
+
 def _readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -111,8 +120,8 @@ class Prior:
             raise ValueError("prior needs a 1-d log-mass vector over >= 2 states")
         if not np.all(np.isfinite(arr)):
             raise ValueError("prior must have full support (finite log mass)")
-        total = np.sum(np.exp(arr))
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        total, ok = _sums_to_one(arr, PROB_SUM_TOL, log=True)
+        if not ok:
             raise ValueError(f"prior mass sums to {float(total)!r}, not 1")
         object.__setattr__(self, "log_mass", arr)
 
@@ -156,8 +165,7 @@ class LikelihoodModel:
                 )
             if np.any(np.isnan(table)) or np.any(table == np.inf):
                 raise ValueError(f"agent {i}: log likelihoods must be < inf")
-            sums = np.sum(np.exp(table), axis=0)
-            if np.max(np.abs(sums - 1.0)) > PROB_SUM_TOL:
+            if not _sums_to_one(table, PROB_SUM_TOL, axis=0, log=True)[1]:
                 raise ValueError(f"agent {i}: likelihood columns must sum to 1")
         object.__setattr__(self, "log_lik", tables)
 
@@ -428,25 +436,23 @@ def generate_signals(
 def _check_mixing(mat: np.ndarray, what: str) -> None:
     """Reject a matrix that cannot mix: the one mixing-matrix invariant.
 
-    ``mat`` must be square, finite, symmetric, nonnegative, have rows
+    ``mat`` must be square, finite, nonnegative, symmetric, have rows
     and columns summing to one and a positive diagonal, all within
     ``PROB_SUM_TOL``. Only ``Network`` calls it, on its weights; with
     its self-weight rule, every round's switching matrix meets it too.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
-    # ahead of any arithmetic, where inf - inf would warn and NaN would
-    # slip through every comparison
+    # finite and nonnegative ahead of any arithmetic, where inf - inf or an
+    # overflowing mat - mat.T would warn and NaN slip through every comparison
     if not np.isfinite(mat).all():
         raise ValueError(f"{what} must be finite, without inf or NaN")
-    if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
-        raise ValueError(f"{what} must be symmetric")
     if np.any(mat < 0.0):
         raise ValueError(f"{what} must be nonnegative")
-    if (
-        np.max(np.abs(np.sum(mat, axis=1) - 1.0)) > PROB_SUM_TOL
-        or np.max(np.abs(np.sum(mat, axis=0) - 1.0)) > PROB_SUM_TOL
-    ):
+    if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
+        raise ValueError(f"{what} must be symmetric")
+    if not (_sums_to_one(mat, PROB_SUM_TOL, axis=1)[1]
+            and _sums_to_one(mat, PROB_SUM_TOL, axis=0)[1]):
         raise ValueError(f"{what} must be doubly stochastic")
     if np.any(np.diag(mat) <= 0.0):
         raise ValueError(f"{what} must have a positive diagonal")

@@ -1,11 +1,12 @@
-"""Round-by-round mixing matrices and the communication ledger.
+"""Round-by-round mixing matrices, the potential update and the ledger.
 
 The protocol communicates selectively: a network edge carries weight in
 a given round only when at least one endpoint found its own signal
 uninformative. Everyone else leans on their own accumulated potential,
-which the diagonal absorbs. The ledger keeps each round's flagged mask
-and reads which edges fired off it, by the same rule as the mixing, so
-a run's communication cost can be audited afterwards.
+which the diagonal absorbs; ``_mix`` applies the round's mixing to the
+potentials, for the reference round and the engine. The ledger keeps
+each round's mask and reads the fired edges off it by the mixing's
+rule, so a run's communication cost can be audited afterwards.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
     q[..., agents, agents] = _self_weights(q)
     q[np.all(flagged, axis=-1)] = net.weights
     return q
+
+
+def _mix(net: Network, flagged: np.ndarray, phi: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The one potential update ``Q phi + fresh``, masks ``(..., n)``, rows
+    ``(..., n, m)``. A batch flagging nobody mixes with I, one flagging
+    everybody with ``net.weights``: no matrix, the dense product's bits."""
+    if not flagged.any():
+        return phi + fresh
+    if flagged.all():
+        return net.weights @ phi + fresh
+    return _mixing_matrices(net, flagged) @ phi + fresh
 
 
 def build_switching_matrix(net: Network, flagged, round: int) -> SwitchingMatrix:

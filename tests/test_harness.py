@@ -635,21 +635,30 @@ def regime_runs(rec) -> list:
 
 
 def test_regime_cases_force_their_regimes(monkeypatch):
-    # the engine skips the matrix build on quiet and all-flagged rounds;
-    # these cases hold the rounds it skips to the reference round
-    built = []
+    # the engine and the reference round skip the matrix build on quiet and
+    # all-flagged rounds; these cases hold the rounds they skip to each other
+    built, build = [], switching._mixing_matrices
 
     def counted(net, flagged):
         built.append(len(flagged))
-        return switching._mixing_matrices(net, flagged)
+        return build(net, flagged)
 
-    monkeypatch.setattr(harness, "_mixing_matrices", counted)
+    monkeypatch.setattr(switching, "_mixing_matrices", counted)
     runs = {}
     for case in REGIME_CASES:
+        config = case.values[0]
         built.clear()
-        (rec,) = run_experiment(case.values[0])
+        (rec,) = run_experiment(config)
         runs[case.id] = regime_runs(rec)
-        assert len(built) == sum(n for k, n in runs[case.id] if k == "mixed")
+        mixed = sum(n for k, n in runs[case.id] if k == "mixed")
+        assert len(built) == mixed
+        built.clear()
+        space, prior, lik, net = config.model
+        sig = generate_signals(lik, space, config.seed, config.rounds + 1)
+        state = initial_state(prior, lik, sig[0])
+        for t in range(1, config.rounds + 1):
+            state, _, _ = run_round(state, net, lik, config.tau, sig[t])
+        assert len(built) == mixed
     assert max(n for k, n in runs["quiet-stretches"] if k == "quiet") >= 100
     assert sum(k == "quiet" for k, _ in runs["quiet-stretches"]) >= 5
     assert runs["tau1-all-flagged"] == [("all", 200)]
@@ -1950,6 +1959,18 @@ def test_cli_runs_with_no_stdout_at_all(tmp_path):
         preexec_fn=lambda: os.close(1),
     )
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_cli_refuses_an_overflowing_prior_in_one_line(tmp_path):
+    # with warnings as errors, numpy's overflow warning would end in a traceback
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5,
+                                  "prior_mass": [1e308] * 4}))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "soclearn.cli", "validate", "--config", str(config)],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (1, "error: prior mass sums to inf, not 1\n")
 
 
 def test_cli_names_the_range_of_an_agent_override(tmp_path, capsys):

@@ -309,6 +309,7 @@ UNREAD_MEMBERS = {
     "ExperimentConfig.to_dict": "perfbench writes workload configs with it",
     "TrajectoryRecord.final_log_belief": "perfbench digests the final beliefs with it",
     "CommLedger.events": "perfbench counts ledger events with it",
+    "SwitchingMatrix.q": "the dense round matrix that the tests and criteria 4, 7 and 9 multiply",
 }
 
 

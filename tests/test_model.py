@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import bernoulli_table, reference_like_model
 from soclearn.analysis import validate_assumptions
 from soclearn.cli import main
+from soclearn.learning import BeliefState
 from soclearn.model import (
     PROB_SUM_TOL,
     LikelihoodModel,
@@ -440,6 +441,28 @@ def test_probability_tables_reject_non_finite_and_negative_entries_without_a_war
 def test_prior_rejects_non_finite_and_nonpositive_mass_without_a_warning(bad):
     with pytest.raises(ValueError, match="^prior must place positive, finite mass on every state$"):
         Prior.from_probabilities([0.5, bad])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Prior(np.array([800.0, 0.0])), r"^prior mass sums to inf, not 1$"),
+    (lambda: Prior.from_probabilities([1e308, 1e308]), r"^prior mass sums to inf, not 1$"),
+    (lambda: LikelihoodModel((np.array([[800.0, 0.0], [0.0, 0.0]]),)),
+     "^agent 0: likelihood columns must sum to 1$"),
+    (lambda: LikelihoodModel.from_probabilities([[[1e308, 1.0], [1e308, 0.0]]]),
+     "^agent 0: likelihood columns must sum to 1$"),
+    (lambda: Network(np.array([[1e308, 1e308], [1e308, 1e308]])),
+     "^weights must be doubly stochastic$"),
+    (lambda: Network(np.array([[0.5, 1e308], [-1e308, 0.5]])), "^weights must be nonnegative$"),
+    (lambda: BeliefState(np.zeros((1, 2)), np.array([[800.0, 0.0]]), 0),
+     "^log_belief_initial rows must exponentiate to 1$"),
+], ids=["prior", "prior-probabilities", "likelihood", "likelihood-probabilities", "network",
+        "network-asymmetric", "belief-state"])
+def test_sums_that_overflow_are_refused_without_a_warning(build, message):
+    # an exp or a sum past the largest double gives inf, which fails the
+    # sum-to-one rule, and a negative entry is refused before mat - mat.T
+    # can overflow; the suite would raise numpy's overflow warning instead
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_strong_connectivity_check():

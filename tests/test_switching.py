@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import flagged_mask
 from soclearn.harness import TrajectoryRecord
-from soclearn.model import complete_edges, metropolis_weights, ring_edges
+from soclearn.model import Network, complete_edges, metropolis_weights, ring_edges
 from soclearn.switching import (
     CommLedger,
     SwitchingMatrix,
+    _mix,
     build_switching_matrix,
     record_round,
 )
+
+# complete on 3 agents, every entry 1/3: the diagonal is not bitwise
+# 1 - 2/3, so a round that fires every edge must copy the weights
+THIRDS = Network(np.full((3, 3), 1 / 3))
 
 
 @pytest.fixture
@@ -97,6 +104,50 @@ def test_constructed_matrices_satisfy_invariants():
         assert np.max(np.abs(q.sum(axis=0) - 1.0)) <= 1e-12
         assert np.all(q >= 0.0)
         assert np.all(np.diag(q) > 0.0)
+
+
+@st.composite
+def mix_cases(draw):
+    """``(net, flagged, phi, fresh)``: masks ``(n,)`` or ``(reps, n)`` whose
+    rows flag nobody, everybody or some agents, and finite rows for them."""
+    if draw(st.booleans()):
+        net = THIRDS
+    else:
+        n = draw(st.integers(2, 6))
+        tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        extra = draw(st.lists(st.sampled_from(complete_edges(n)), max_size=n))
+        net = metropolis_weights(tree + extra, n)
+    n, m = net.n, draw(st.integers(1, 4))
+    reps = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    kinds = draw(st.lists(st.sampled_from(["none", "all", "some"]),
+                          min_size=max(reps, default=1), max_size=max(reps, default=1)))
+    rows = [np.zeros(n, bool) if k == "none" else np.ones(n, bool) if k == "all"
+            else np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            for k in kinds]
+    flagged = np.array(rows).reshape(reps + (n,))
+    # + 0.0 turns -0.0 into 0.0: I @ phi + fresh loses the sign of a zero
+    # that phi + fresh keeps, and no run's potentials or rows hold -0.0
+    finite = st.floats(-1e6, 1e6).map(lambda x: x + 0.0)
+    phi, fresh = (np.array(draw(st.lists(finite, min_size=len(rows) * n * m,
+                                         max_size=len(rows) * n * m))).reshape(reps + (n, m))
+                  for _ in range(2))
+    return net, flagged, phi, fresh
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mix_cases())
+@example(case=(THIRDS, np.ones(3, bool), np.array([[1.0], [0.0], [0.0]]), np.zeros((3, 1))))
+def test_mix_gives_the_bits_of_the_dense_product(case):
+    # the engine and the reference round both update through _mix, so
+    # its shortcuts are held here to the dense round matrix q.q
+    net, flagged, phi, fresh = case
+    n, m = phi.shape[-2:]
+    got = _mix(net, flagged, phi, fresh)
+    assert got.shape == phi.shape
+    for mask, p, f, g in zip(flagged.reshape(-1, n), phi.reshape(-1, n, m),
+                             fresh.reshape(-1, n, m), got.reshape(-1, n, m)):
+        q = build_switching_matrix(net, mask, round=1)
+        assert np.array_equal(g.view(np.uint64), (q.q @ p + f).view(np.uint64))
 
 
 def test_exchanges_stay_on_network_edges():

@@ -342,13 +342,14 @@ def same_outputs_checkouts(tmp_path, change_config=b"{}"):
 
 
 def stub_cli(monkeypatch, tool, files=lambda checkout, args: {"x.csv": b"1\r\n"}):
-    """Replace the CLI runs with one that echoes its out directory and writes ``files``."""
+    """Replace the CLI and library runs with one that echoes its out directory
+    and writes ``files``; a library run is recorded as ``("library", *args)``."""
     calls = []
 
     def run(cmd, cwd, env, capture_output, text):
-        assert cmd[1:3] == ["-m", "soclearn.cli"]
+        assert cmd[1:3] in (["-m", "soclearn.cli"], list(tool.LIBRARY))
         assert env["PYTHONPATH"] == str(Path(cwd) / "src")
-        args = cmd[3:]
+        args = cmd[3:] if cmd[1] == "-m" else ["library", *cmd[3:]]
         calls.append((Path(cwd).name, args))
         stdout = f"ran {' '.join(args[:1])}\n"
         if "--out" in args:
@@ -368,19 +369,19 @@ def test_same_outputs_runs_every_command_on_every_config(tmp_path, monkeypatch, 
     calls = stub_cli(monkeypatch, tool)
     assert tool.main([*same_outputs_checkouts(tmp_path), "--replicas", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:5] == [f"a.json {name}: same (exit 0, {files} files)" for name, files in (
+    assert lines[:6] == [f"a.json {name}: same (exit 0, {files} files)" for name, files in (
         ("run --out", 1), ("compare", 0), ("compare --out", 1), ("analyze --out", 1),
-        ("validate", 0))]
-    assert len(lines) == 10 and lines[5].startswith("b.json run --out: same")
+        ("validate", 0), ("library", 0))]
+    assert len(lines) == 12 and lines[6].startswith("b.json run --out: same")
     # each command runs in base, then in the change, on that checkout's config
-    assert [side for side, _ in calls] == ["base", "chng"] * 10
+    assert [side for side, _ in calls] == ["base", "chng"] * 12
     commands = [args for side, args in calls if side == "base"]
     for args in commands:
         assert args[-2] == "--config" and Path(args[-1]).parent == tmp_path / "base" / "configs"
-    assert [args[0] for args in commands[:5]] == ["run", "compare", "compare", "analyze",
-                                                  "validate"]
-    assert [("--replicas", "3") == tuple(args[-4:-2]) for args in commands[:5]] \
-        == [True, True, True, False, False]
+    assert [args[0] for args in commands[:6]] == ["run", "compare", "compare", "analyze",
+                                                  "validate", "library"]
+    assert [("--replicas", "3") == tuple(args[-4:-2]) for args in commands[:6]] \
+        == [True, True, True, False, False, True]
 
 
 def test_same_outputs_names_the_first_differing_file(tmp_path, monkeypatch, capsys):
@@ -409,6 +410,56 @@ def test_same_outputs_compares_exit_codes_and_stdout():
     assert tool.difference(same, (0, "ran\nwrote to OUT\nmore\n", same[2])) \
         == "stdout has 2 lines vs 3"
     assert tool.difference(same, (0, same[1], {})) == "files ['x.csv'] vs []"
+
+
+def test_same_outputs_names_differing_library_digests(tmp_path, monkeypatch, capsys):
+    tool = load_tool("same_outputs")
+    stub_cli(monkeypatch, tool)
+    run = tool.subprocess.run
+
+    def digests(cmd, cwd, **kwargs):
+        done = run(cmd, cwd, **kwargs)
+        if cmd[1] == "-c":
+            done.stdout += f"run_experiment tv_series: {Path(cwd).name}\n"
+        return done
+
+    monkeypatch.setattr(tool.subprocess, "run", digests)
+    assert tool.main(same_outputs_checkouts(tmp_path)) == 1
+    assert capsys.readouterr().out.splitlines()[5] \
+        == "a.json library: DIFFERS, stdout line 2: 'run_experiment tv_series: base' " \
+           "vs 'run_experiment tv_series: chng'"
+
+
+def test_same_outputs_stops_when_the_library_fails_on_both_sides(tmp_path, monkeypatch, capsys):
+    tool = load_tool("same_outputs")
+    stub_cli(monkeypatch, tool)
+    run = tool.subprocess.run
+
+    def failing(cmd, cwd, **kwargs):
+        done = run(cmd, cwd, **kwargs)
+        done.returncode = int(cmd[1] == "-c")
+        return done
+
+    monkeypatch.setattr(tool.subprocess, "run", failing)
+    assert tool.main(same_outputs_checkouts(tmp_path)) == 1
+    assert capsys.readouterr().out.splitlines()[5:] == ["a.json library: FAILED on both (exit 1)"]
+
+
+def test_library_digests_cover_the_engine_and_the_reference_round(tmp_path, capsys):
+    # run in this process, on this checkout's package; --replicas reaches the engine
+    tool = load_tool("same_outputs")
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5, "replicas": 2}))
+    tool.library_digests(["--config", str(config)])
+    tool.library_digests(["--replicas", "1", "--config", str(config)])
+    lines = capsys.readouterr().out.splitlines()
+    two, one = (dict(line.split(": ") for line in part) for part in (lines[:5], lines[5:]))
+    assert list(two) == [f"run_experiment {name}" for name in (
+        "log_beliefs", "tv_series", "uninformative", "last_below")] \
+        + ["run_round final log_belief"]
+    assert all(len(digest) == 64 for digest in two.values())
+    assert two["run_experiment log_beliefs"] != one["run_experiment log_beliefs"]
+    assert two["run_round final log_belief"] == one["run_round final log_belief"]
 
 
 def test_same_outputs_refuses_checkouts_whose_configs_differ(tmp_path, monkeypatch, capsys):

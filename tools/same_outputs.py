@@ -1,35 +1,73 @@
-"""Check that two checkouts give the same CLI outputs, byte for byte.
+"""Check that two checkouts give the same CLI and library outputs, byte for byte.
 
     python3 tools/same_outputs.py BASE CHANGE [--replicas N]
 
 For each ``configs/*.json``, runs ``python -m soclearn.cli`` in each
 checkout, with ``PYTHONPATH=<checkout>/src``, as ``run --out``,
-``compare``, ``compare --out``, ``analyze --out`` and ``validate``;
-``--replicas`` is passed on to ``run`` and ``compare``. Each command
-writes into a fresh temporary directory. It compares the exit codes,
-stdout with the output directory masked, and every output file, byte
-for byte, and prints one line per config and command. It exits 0 when
-everything matches, 1 at the first difference, which it names, and 2
-before any run when the two checkouts' ``configs/`` differ.
+``compare``, ``compare --out``, ``analyze --out`` and ``validate``,
+then ``library``: a child process runs ``library_digests``, which
+prints the sha256 of the engine's record arrays and of the final
+beliefs of a ``run_round`` chain. ``--replicas`` is passed on to ``run``,
+``compare`` and ``library``. Each command writes into a fresh
+temporary directory. It compares the exit codes, stdout with the
+output directory masked, and every output file, byte for byte, and
+prints one line per config and command. It exits 0 when everything
+matches, 1 at the first difference, which it names, and 2 before any
+run when the two checkouts' ``configs/`` differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-# (name, arguments, takes --replicas); "OUT" stands for the output directory
+CLI = ("-m", "soclearn.cli")
+# imports this file in the child, which finds the checkout's package on its path
+LIBRARY = ("-c", f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+                 "import same_outputs; same_outputs.library_digests(sys.argv[1:])")
+# (name, python arguments, takes --replicas); "OUT" stands for the output directory
 COMMANDS = (
-    ("run --out", ("run", "--out", "OUT"), True),
-    ("compare", ("compare",), True),
-    ("compare --out", ("compare", "--out", "OUT"), True),
-    ("analyze --out", ("analyze", "--out", "OUT"), False),
-    ("validate", ("validate",), False),
+    ("run --out", (*CLI, "run", "--out", "OUT"), True),
+    ("compare", (*CLI, "compare"), True),
+    ("compare --out", (*CLI, "compare", "--out", "OUT"), True),
+    ("analyze --out", (*CLI, "analyze", "--out", "OUT"), False),
+    ("validate", (*CLI, "validate"), False),
+    ("library", LIBRARY, True),
 )
+
+
+def library_digests(argv) -> None:
+    """Print the sha256 of ``run_experiment``'s record arrays, each over
+    all replicas in order, and of the final ``log_belief`` of a
+    ``run_round`` chain over replica 0's signals, for ``config.rounds``
+    rounds. ``argv`` is ``[--replicas N] --config PATH``."""
+    from soclearn.harness import ExperimentConfig, run_experiment
+    from soclearn.learning import initial_state, run_round
+    from soclearn.model import generate_signals
+
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--replicas", type=int)
+    args = parser.parse_args(argv)
+    config = ExperimentConfig.from_json(args.config)
+    if args.replicas is not None:
+        config = dataclasses.replace(config, replicas=args.replicas)
+    records = run_experiment(config)
+    for name in ("log_beliefs", "tv_series", "uninformative", "last_below"):
+        digest = hashlib.sha256(b"".join(getattr(rec, name).tobytes() for rec in records))
+        print(f"run_experiment {name}: {digest.hexdigest()}")
+    space, prior, lik, net = config.model
+    signals = generate_signals(lik, space, config.seed, config.rounds + 1)
+    state = initial_state(prior, lik, signals[0])
+    for t in range(1, config.rounds + 1):
+        state = run_round(state, net, lik, config.tau, signals[t])[0]
+    print(f"run_round final log_belief: {hashlib.sha256(state.log_belief.tobytes()).hexdigest()}")
 
 
 def configs(checkout: Path) -> dict:
@@ -38,10 +76,10 @@ def configs(checkout: Path) -> dict:
 
 
 def outputs(checkout: Path, config: str, args: tuple) -> tuple:
-    """``(exit code, masked stdout, {relative path: bytes})`` of one CLI command."""
+    """``(exit code, masked stdout, {relative path: bytes})`` of one command."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        cmd = [sys.executable, "-m", "soclearn.cli", *(str(out) if a == "OUT" else a for a in args),
+        cmd = [sys.executable, *(str(out) if a == "OUT" else a for a in args),
                "--config", str(checkout / "configs" / config)]
         env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
         done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
@@ -73,7 +111,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--replicas", type=int, help="passed on to run and compare")
+    parser.add_argument("--replicas", type=int, help="passed on to run, compare and library")
     args = parser.parse_args(argv)
     base, change = args.base.resolve(), args.change.resolve()
     names = configs(base)
@@ -90,6 +128,9 @@ def main(argv=None) -> int:
                 print(f"{config} {name}: DIFFERS, {diff}")
                 return 1
             code, _, files = got[0]
+            if name == "library" and code:
+                print(f"{config} {name}: FAILED on both (exit {code})")
+                return 1
             print(f"{config} {name}: same (exit {code}, {len(files)} files)", flush=True)
     return 0
 
