@@ -29,8 +29,7 @@ from .learning import _bayes_tv_rows, _lse_last, belief_from_potentials
 from .model import AssumptionViolation, LikelihoodModel, Network, Prior, \
     StateSpace, _check_integer, _check_unit, complete_edges, generate_signals, \
     metropolis_weights, ring_edges
-from .switching import CommLedger, _block_rounds, _fired, _mix, build_switching_matrix, \
-    record_round
+from .switching import CommLedger, _mix, build_switching_matrix, record_round
 
 __all__ = [
     "GENERATOR_NAME",
@@ -408,32 +407,14 @@ class TrajectoryRecord:
         Rounds are recorded one at a time from their masks, so the
         replay builds no mixing matrix. The ledger is cached on the
         record and keeps, per round with exchanges, the round number and
-        the flagged mask packed 8 agents to a byte; its exchanges are
-        read off those masks by the fired-edge rule.
+        the flagged mask packed 8 agents to a byte; its exchanges and
+        each agent's communication fraction are read off those masks by
+        the fired-edge rule.
         """
         ledger = CommLedger(self.network)
         for t, mask in enumerate(self.uninformative, start=1):
             record_round(ledger, build_switching_matrix(self.network, mask, t))
         return ledger
-
-    def communication_fractions(self) -> np.ndarray:
-        """Per-agent fraction of rounds with at least one exchange.
-
-        An agent exchanges in a round when one of its edges fires.
-        A round that flags nobody fires no edge, so the walk keeps only
-        the flagged rounds of each span of 16 blocks and builds their
-        fired edges a block at a time. No temporary grows with the
-        horizon, and long quiet stretches cost one scan.
-        """
-        u, net = self.uninformative, self.network
-        step = _block_rounds(net.n)
-        touched = np.zeros(net.n, dtype=np.int64)
-        for start in range(0, len(u), 16 * step):
-            span = u[start:start + 16 * step]
-            flagged = span[span.any(axis=1)]
-            for lo in range(0, len(flagged), step):
-                touched += _fired(net, flagged[lo:lo + step]).any(axis=-1).sum(axis=0)
-        return touched / len(u)
 
 
 def run_experiment(
@@ -572,7 +553,7 @@ class BaselineComparison:
         for rec_s, rec_b, ne_s, ne_b in zip(
             self.switching, self.baseline, sw_events, base_events
         ):
-            frac = float(np.mean(rec_s.communication_fractions()))
+            frac = float(np.mean(rec_s.ledger.communication_fractions()))
             final_s = float(rec_s.final_belief[self.agent, rec_s.true_state_index])
             final_b = float(rec_b.final_belief[self.agent, rec_b.true_state_index])
             lines.append(
@@ -662,7 +643,7 @@ def export(config: ExperimentConfig, out_dir, keep=None) -> None:
             # bytes go straight to the file buffer, where a text file would
             # hold up to 8 KiB of pending rows as separate str objects
             comm.writelines(f"{rec.replica},{t},{i},{j}\r\n".encode() for t, i, j in rec.ledger)
-            frac = float(np.mean(rec.communication_fractions()))
+            frac = float(np.mean(rec.ledger.communication_fractions()))
             try:
                 rate = estimate_rate(fit_rounds, fit_values, window)
                 rate_text = f"{rate:.6g} nats/round over rounds {window[0]}..{window[1]}"

@@ -119,6 +119,8 @@ class CommLedger:
     ``(round, i, j)`` tuples with ``i < j``, rounds in recorded order
     and pairs row-major within a round. ``events`` builds a fresh list
     of them on each access, and ``len(ledger)`` is a running count.
+    ``communication_fractions`` walks the same blocks, so no temporary
+    of either grows with the horizon.
     Only rounds on the ledger's own network object are recorded.
     """
 
@@ -135,31 +137,41 @@ class CommLedger:
         return self._count
 
     def __iter__(self):
-        step = _block_rounds(self.network.n)
+        for rounds, masks in self._blocks():
+            t, i, j = np.nonzero(np.triu(_fired(self.network, masks), 1))
+            yield from zip(rounds[t].tolist(), i.tolist(), j.tolist())
+
+    def _blocks(self):
+        """The stored rows in blocks of ``_block_rounds(n)``, each as its
+        round numbers and its unpacked ``(rows, n)`` masks.
+
+        Each block is copied out of the storage, so the ledger can still
+        grow while a walk is paused; rows recorded meanwhile start the next.
+        """
+        n = self.network.n
+        width, step = -(-n // 8), _block_rounds(n)
         lo = 0
         while lo < len(self._rounds):
             hi = min(lo + step, len(self._rounds))
-            yield from self._decode(lo, hi)
-            lo = hi  # rows recorded during this block start the next
-
-    def _decode(self, lo: int, hi: int):
-        """The ``(round, i, j)`` tuples of rows ``lo .. hi - 1``, as an iterator.
-
-        The numpy views of the storage end with this call, so the ledger
-        can still grow while an iteration is paused.
-        """
-        n = self.network.n
-        width = -(-n // 8)
-        packed = np.frombuffer(self._masks, np.uint8)[lo * width:hi * width]
-        masks = np.unpackbits(packed.reshape(-1, width), axis=1, count=n).view(bool)
-        t, i, j = np.nonzero(np.triu(_fired(self.network, masks), 1))
-        rounds = np.frombuffer(self._rounds, np.int64)[lo:hi][t]
-        return zip(rounds.tolist(), i.tolist(), j.tolist())
+            packed = np.frombuffer(self._masks[lo * width:hi * width], np.uint8)
+            masks = np.unpackbits(packed.reshape(-1, width), axis=1, count=n).view(bool)
+            yield np.frombuffer(self._rounds[lo:hi], np.int64), masks
+            lo = hi
 
     @property
     def events(self) -> list:
         """``(round, i, j)`` tuples of Python ints, rebuilt on each access."""
         return list(self)
+
+    def communication_fractions(self) -> np.ndarray:
+        """Per agent, the fraction of recorded rounds in which one of its
+        edges fired; ``ValueError`` when no round was recorded."""
+        if not self.rounds_recorded:
+            raise ValueError("no round was recorded, so there is no fraction of rounds")
+        touched = np.zeros(self.network.n, dtype=np.int64)
+        for _, masks in self._blocks():
+            touched += _fired(self.network, masks).any(axis=-1).sum(axis=0)
+        return touched / self.rounds_recorded
 
     def record(self, q: SwitchingMatrix) -> None:
         if q.network is not self.network:

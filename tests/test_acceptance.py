@@ -79,12 +79,12 @@ def test_criterion_02_communication_savings(default_scenario):
     """Mean exchange fraction below 20%, inside the 1%-20% band, and the
     always-communicate baseline at exactly 100%."""
     config, records, _ = default_scenario
-    fractions = np.array([rec.communication_fractions() for rec in records])
+    fractions = np.array([rec.ledger.communication_fractions() for rec in records])
     mean_frac = float(fractions.mean())
     agent0 = float(fractions[:, config.comparison_agent].mean())
 
     baseline = run_experiment(dataclasses.replace(config, tau=1.0))
-    base_fracs = np.array([rec.communication_fractions() for rec in baseline])
+    base_fracs = np.array([rec.ledger.communication_fractions() for rec in baseline])
     baseline_full = bool(np.all(base_fracs == 1.0))
 
     ok = (

@@ -1100,7 +1100,7 @@ def test_communication_stays_sparse_under_switching():
     sw_events = sum(len(rec.ledger.events) for rec in records)
     base_events = sum(len(rec.ledger.events) for rec in baseline)
     assert sw_events < base_events
-    fractions = np.concatenate([rec.communication_fractions() for rec in records])
+    fractions = np.concatenate([rec.ledger.communication_fractions() for rec in records])
     assert fractions.mean() < 0.2
 
 
@@ -1114,20 +1114,19 @@ def ledger_fractions(rec):
 
 
 def test_fraction_definitions_agree():
-    # the trajectory's fraction (uninformative or uninformative
-    # neighbor) must equal the ledger replay
+    # the ledger's fraction (uninformative or uninformative neighbor)
+    # must equal the one counted from its events
     records = run_experiment(reference_config(replicas=2))
     for rec in records:
-        assert np.array_equal(rec.communication_fractions(), ledger_fractions(rec))
+        assert np.array_equal(rec.ledger.communication_fractions(), ledger_fractions(rec))
 
 
 @settings(max_examples=40, deadline=None)
 @given(engine_configs(), st.data())
 def test_communication_fractions_match_the_dense_fired_oracle(config, data):
-    # any block size, so the walk also crosses block and span boundaries
-    # mid-run; the ledger walks its masks in the same blocks. One more
-    # record is quiet but for one lone flagged round, so the walk skips
-    # long stretches around it
+    # any block size, so the ledger's walk also crosses block boundaries
+    # mid-run, in the blocks its iteration uses. One more record is quiet
+    # but for one lone flagged round, which is all its ledger stores
     valid_model(config)
     cells = data.draw(st.integers(1, 2 * config.agents ** 2))
     records = run_experiment(config)
@@ -1139,14 +1138,16 @@ def test_communication_fractions_match_the_dense_fired_oracle(config, data):
     with mock.patch.object(switching, "_BLOCK_CELLS", cells):
         for rec in records:
             touched = switching._fired(rec.network, rec.uninformative).any(axis=-1)
-            fractions = rec.communication_fractions()
+            fractions = rec.ledger.communication_fractions()
             assert np.array_equal(fractions, touched.sum(axis=0) / rec.rounds)
             assert np.array_equal(fractions, ledger_fractions(rec))
 
 
 def test_communication_fractions_walk_the_masks_in_blocks():
     # at n = 64 a block is one round, whose fired edges take 4 KiB; blocks
-    # of 256 rounds would hold about 1 MiB of them
+    # of 256 rounds would hold about 1 MiB of them. The first call replays
+    # the ledger, which the record caches, so the bar measures the ledger's
+    # walk over its stored masks after the replay
     net = metropolis_weights(ring_edges(64), 64)
     u = np.random.default_rng(3).random((5000, 64)) < 0.05
     rec = harness.TrajectoryRecord(
@@ -1154,10 +1155,10 @@ def test_communication_fractions_walk_the_masks_in_blocks():
         log_beliefs=np.zeros((1, 64, 1)), tv_series=np.zeros((0, 64)),
         uninformative=u, last_below=np.full(64, -1), network=net,
     )
-    rec.communication_fractions()
+    rec.ledger.communication_fractions()
     tracemalloc.start()
     try:
-        rec.communication_fractions()
+        rec.ledger.communication_fractions()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1217,7 +1218,7 @@ def test_ledger_replay_matches_vectorised_events(case):
     assert ledger.events == expect
     assert len(ledger) == len(ledger.events)
     assert ledger.rounds_recorded == len(u)
-    assert np.array_equal(ledger_fractions(rec), rec.communication_fractions())
+    assert np.array_equal(ledger_fractions(rec), rec.ledger.communication_fractions())
 
 
 def test_ledger_replay_builds_no_mixing_matrix(monkeypatch):

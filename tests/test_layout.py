@@ -121,6 +121,26 @@ def test_the_self_weight_guard_sees_each_spelling():
     assert sites(tree, is_one_minus_a_sum, "mod") == {"mod.f", "mod.g"}
 
 
+def mentions(name: str):
+    """The test whether a node names ``name``: loaded, read as an attribute or imported."""
+    return lambda node: (isinstance(node, ast.alias) and node.name == name) or name in (
+        getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_the_walk_over_a_runs_masks_lives_in_switching():
+    # the ledger's iteration and its communication fractions are the one
+    # walk: no other module reads off fired edges or sizes a block of masks
+    for name in ("_fired", "_block_rounds"):
+        assert {site.split(".")[0] for site in package_sites(mentions(name))} \
+            == {"switching"}, name
+
+
+def test_the_mention_guard_sees_imports_names_and_attributes():
+    tree = ast.parse("from .switching import _f\nimport m\ndef g():\n    return m._f\n"
+                     "class K:\n    x = _f\n    def _f(self):\n        pass\n")
+    assert sites(tree, mentions("_f"), "mod") == {"mod", "mod.g", "mod.K"}
+
+
 def exported_names() -> set:
     """Names ``soclearn/__init__.py`` imports from the package's modules."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())

@@ -11,6 +11,7 @@ from soclearn.model import Network, complete_edges, metropolis_weights, ring_edg
 from soclearn.switching import (
     CommLedger,
     SwitchingMatrix,
+    _fired,
     _mix,
     build_switching_matrix,
     record_round,
@@ -228,7 +229,7 @@ def test_identity_round_records_nothing(path3):
     assert ledger.events == []
     assert ledger.rounds_recorded == 1
     rec = record_of(path3, [[False, False, False]])
-    assert np.array_equal(rec.communication_fractions(), np.zeros(3))
+    assert np.array_equal(rec.ledger.communication_fractions(), np.zeros(3))
 
 
 def test_full_round_records_every_edge(path3):
@@ -236,7 +237,7 @@ def test_full_round_records_every_edge(path3):
     record_round(ledger, build_switching_matrix(path3, flagged_mask(path3.n, (0, 1, 2)), round=5))
     assert ledger.events == [(5, 0, 1), (5, 1, 2)]
     rec = record_of(path3, [[True, True, True]])
-    assert np.array_equal(rec.communication_fractions(), np.ones(3))
+    assert np.array_equal(rec.ledger.communication_fractions(), np.ones(3))
 
 
 def test_agent_round_counts_are_per_round_not_per_edge():
@@ -248,13 +249,37 @@ def test_agent_round_counts_are_per_round_not_per_edge():
         record_round(ledger, build_switching_matrix(net, flagged_mask(net.n, (1,)), round=t))
     assert len(ledger.events) == 6
     rec = record_of(net, [[False, True, False]] * 3)
-    assert np.array_equal(rec.communication_fractions(), np.array([3, 3, 3]) / 3)
+    assert np.array_equal(rec.ledger.communication_fractions(), np.array([3, 3, 3]) / 3)
 
 
 def test_fraction_is_rounds_touched_over_rounds_recorded(path3):
     masks = [[True, False, False], [False] * 3, [False, False, True], [False] * 3]
     rec = record_of(path3, masks)
-    assert np.array_equal(rec.communication_fractions(), np.array([1, 2, 1]) / 4)
+    assert np.array_equal(rec.ledger.communication_fractions(), np.array([1, 2, 1]) / 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([(False,) * 3, (True,) * 3]) | st.tuples(*[st.booleans()] * 3),
+                min_size=1, max_size=40))
+@example([(False,) * 3, (True,) * 3, (True, False, False), (False, True, False)])
+def test_fractions_of_a_ledger_built_directly_match_the_dense_oracle(rows):
+    # quiet, all-flagged and mixed rounds, recorded with record_round alone
+    net = metropolis_weights([(0, 1), (1, 2)], 3)
+    masks = np.array(rows, dtype=bool)
+    ledger = CommLedger(net)
+    for t, mask in enumerate(masks, start=1):
+        record_round(ledger, build_switching_matrix(net, mask, t))
+    oracle = _fired(net, masks).any(-1).sum(0) / len(masks)
+    assert np.array_equal(ledger.communication_fractions(), oracle)
+
+
+def test_a_fraction_over_no_rounds_is_refused(path3):
+    # 0 / 0 would be NaN and a numpy warning, which the suite makes an error
+    with pytest.raises(ValueError, match="no round was recorded"):
+        CommLedger(path3).communication_fractions()
+    rec = record_of(path3, np.zeros((0, 3), dtype=bool))
+    with pytest.raises(ValueError, match="no round was recorded"):
+        rec.ledger.communication_fractions()
 
 
 def test_events_match_positive_offdiagonals(path3):

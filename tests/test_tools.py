@@ -224,10 +224,25 @@ def test_paired_bench_writes_the_bench_document(tmp_path, monkeypatch, capsys):
     assert shlex.split(document["command"]) == ["python3", "tools/paired_bench.py", *argv]
     assert document["base_commit"] is None  # not a git checkout
     assert document["change_commit"] == head
-    assert set(document["host"]) == {"python", "numpy", "nproc", "cpu", "platform"}
+    assert set(document["host"]) == {"python", "numpy", "nproc", "cpu", "platform",
+                                     "openblas_core", "blas", "blas_version",
+                                     "simd_dispatch", "libc"}
     assert document["host"]["nproc"] >= 1
     assert document["reports"] == reports
     assert [r["peak_rss_mb"]["wins"] for r in reports] == [2, 2]
+
+
+def test_paired_bench_host_gives_null_for_numerics_it_cannot_read(tmp_path, monkeypatch):
+    bench = load_paired_bench()
+    assert bench.openblas_core(tmp_path) is None  # no library there
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    assert bench.openblas_core(tmp_path) is None
+    monkeypatch.setattr(bench, "openblas_core", lambda: None)
+    monkeypatch.setattr("numpy.show_config", lambda: None)  # numpy < 1.26 takes no mode
+    monkeypatch.setattr(bench.platform, "libc_ver", lambda: ("", ""))
+    numerics = {key: bench.host()[key]
+                for key in ("openblas_core", "blas", "blas_version", "simd_dispatch", "libc")}
+    assert numerics == dict.fromkeys(numerics)
 
 
 CRITERION_1, CRITERION_9 = (
@@ -402,14 +417,42 @@ def test_same_outputs_names_the_first_differing_file(tmp_path, monkeypatch, caps
 
 def test_same_outputs_compares_exit_codes_and_stdout():
     tool = load_tool("same_outputs")
-    same = (0, "ran\nwrote to OUT\n", {"x.csv": b"1"})
+    same = (0, "ran\nwrote to OUT\n", "", {"x.csv": b"1"})
     assert tool.difference(same, same) is None
     assert tool.difference(same, (2, *same[1:])) == "exit 0 vs 2"
-    assert tool.difference(same, (0, "ran\nwrote to out\n", same[2])) \
+    assert tool.difference(same, (0, "ran\nwrote to out\n", *same[2:])) \
         == "stdout line 2: 'wrote to OUT' vs 'wrote to out'"
-    assert tool.difference(same, (0, "ran\nwrote to OUT\nmore\n", same[2])) \
+    assert tool.difference(same, (0, "ran\nwrote to OUT\nmore\n", *same[2:])) \
         == "stdout has 2 lines vs 3"
-    assert tool.difference(same, (0, same[1], {})) == "files ['x.csv'] vs []"
+    assert tool.difference(same, (*same[:3], {})) == "files ['x.csv'] vs []"
+
+
+def test_same_outputs_compares_stderr_with_the_output_directory_masked(tmp_path, monkeypatch,
+                                                                       capsys):
+    tool = load_tool("same_outputs")
+    warned = (0, "", "warning: kept OUT\nseed 1\n", {})
+    assert tool.difference(warned, warned) is None
+    assert tool.difference(warned, (0, "", "warning: kept OUT\nseed 2\n", {})) \
+        == "stderr line 2: 'seed 1' vs 'seed 2'"
+    assert tool.difference(warned, (0, "", "warning: kept OUT\n", {})) \
+        == "stderr has 2 lines vs 1"
+    stub_cli(monkeypatch, tool)
+    run = tool.subprocess.run
+
+    def stderr(cmd, cwd, **kwargs):
+        # each side's own out directory, masked alike; the change's compare
+        # differs in one stderr line
+        done = run(cmd, cwd, **kwargs)
+        out = cmd[cmd.index("--out") + 1] if "--out" in cmd else "-"
+        late = Path(cwd).name == "chng" and cmd[3] == "compare"
+        done.stderr = f"wrote {out}\n{'late' if late else 'done'}\n"
+        return done
+
+    monkeypatch.setattr(tool.subprocess, "run", stderr)
+    assert tool.main(same_outputs_checkouts(tmp_path)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a.json run --out: same (exit 0, 1 files)",
+        "a.json compare: DIFFERS, stderr line 2: 'done' vs 'late'"]
 
 
 def test_same_outputs_names_differing_library_digests(tmp_path, monkeypatch, capsys):

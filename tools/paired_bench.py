@@ -36,7 +36,10 @@ With ``--out``, a run in which every workload passes also writes a
 ``BENCH_*.json`` document: its label (the file name without ``BENCH_``
 and ``.json``), the ``--what`` text, the command line, each checkout's
 ``git rev-parse HEAD`` (null where that fails), the host and the
-per-workload reports.
+per-workload reports. The host names the numerics the output bytes
+depend on: the core numpy's bundled OpenBLAS dispatches to, the BLAS
+name and version, numpy's enabled SIMD dispatch targets and the C
+library, each null where it cannot be read.
 The two checkouts must sit at resolved paths of equal length, since
 the benchmark's peak RSS moves with the checkout's directory; the
 script exits 2 before any run when they do not.
@@ -45,6 +48,7 @@ script exits 2 before any run when they do not.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import importlib.metadata
 import json
 import math
@@ -104,8 +108,40 @@ def head_commit(checkout: Path):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def openblas_core(libs=None):
+    """The core numpy's bundled OpenBLAS dispatches to, such as ``SkylakeX``, or ``None``.
+
+    Read through ``scipy_openblas_get_corename64_`` of the first
+    ``libscipy_openblas*`` library in ``libs``, by default the
+    ``numpy.libs`` directory beside numpy's package.
+    """
+    if libs is None:
+        import numpy
+        libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    found = sorted(Path(libs).glob("libscipy_openblas*"))
+    try:
+        get = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # no library, not one, or no such symbol
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    name = get()
+    return name.decode() if name else None
+
+
+def numpy_build() -> tuple:
+    """``(BLAS name, BLAS version, enabled SIMD dispatch targets)`` from
+    ``numpy.show_config``, each ``None`` where it cannot be read."""
+    import numpy
+    try:
+        config = numpy.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 has no mode
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return blas.get("name"), blas.get("version"), config.get("SIMD Extensions", {}).get("found")
+
+
 def host() -> dict:
-    """Python and numpy versions, usable cores, CPU model and platform of this host."""
+    """Python and numpy versions, usable cores, CPU model, platform and numerics of this host."""
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo") as fh:
@@ -113,12 +149,18 @@ def host() -> dict:
                         if line.startswith("model name")), cpu)
     except OSError:
         pass
+    blas, blas_version, dispatch = numpy_build()
     return {
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "nproc": len(os.sched_getaffinity(0)),
         "cpu": cpu,
         "platform": platform.platform(),
+        "openblas_core": openblas_core(),
+        "blas": blas,
+        "blas_version": blas_version,
+        "simd_dispatch": dispatch,
+        "libc": " ".join(platform.libc_ver()).strip() or None,
     }
 
 

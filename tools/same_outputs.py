@@ -9,11 +9,11 @@ then ``library``: a child process runs ``library_digests``, which
 prints the sha256 of the engine's record arrays and of the final
 beliefs of a ``run_round`` chain. ``--replicas`` is passed on to ``run``,
 ``compare`` and ``library``. Each command writes into a fresh
-temporary directory. It compares the exit codes, stdout with the
-output directory masked, and every output file, byte for byte, and
-prints one line per config and command. It exits 0 when everything
-matches, 1 at the first difference, which it names, and 2 before any
-run when the two checkouts' ``configs/`` differ.
+temporary directory. It compares the exit codes, stdout and stderr
+with the output directory masked, and every output file, byte for
+byte, and prints one line per config and command. It exits 0 when
+everything matches, 1 at the first difference, which it names, and 2
+before any run when the two checkouts' ``configs/`` differ.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def configs(checkout: Path) -> dict:
 
 
 def outputs(checkout: Path, config: str, args: tuple) -> tuple:
-    """``(exit code, masked stdout, {relative path: bytes})`` of one command."""
+    """``(exit code, masked stdout, masked stderr, {relative path: bytes})`` of one command."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         cmd = [sys.executable, *(str(out) if a == "OUT" else a for a in args),
@@ -85,20 +85,22 @@ def outputs(checkout: Path, config: str, args: tuple) -> tuple:
         done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
         files = {str(path.relative_to(out)): path.read_bytes()
                  for path in sorted(out.rglob("*")) if path.is_file()}
-    return done.returncode, done.stdout.replace(str(out), "OUT"), files
+    return (done.returncode, done.stdout.replace(str(out), "OUT"),
+            done.stderr.replace(str(out), "OUT"), files)
 
 
 def difference(base: tuple, change: tuple):
     """The first difference between two ``outputs``, in words, or ``None``."""
-    (code_b, out_b, files_b), (code_c, out_c, files_c) = base, change
+    (code_b, *streams_b, files_b), (code_c, *streams_c, files_c) = base, change
     if code_b != code_c:
         return f"exit {code_b} vs {code_c}"
-    lines_b, lines_c = out_b.splitlines(), out_c.splitlines()
-    for k, (b, c) in enumerate(zip(lines_b, lines_c), start=1):
-        if b != c:
-            return f"stdout line {k}: {b!r} vs {c!r}"
-    if out_b != out_c:
-        return f"stdout has {len(lines_b)} lines vs {len(lines_c)}"
+    for stream, text_b, text_c in zip(("stdout", "stderr"), streams_b, streams_c):
+        lines_b, lines_c = text_b.splitlines(), text_c.splitlines()
+        for k, (b, c) in enumerate(zip(lines_b, lines_c), start=1):
+            if b != c:
+                return f"{stream} line {k}: {b!r} vs {c!r}"
+        if text_b != text_c:
+            return f"{stream} has {len(lines_b)} lines vs {len(lines_c)}"
     if files_b.keys() != files_c.keys():
         return f"files {sorted(files_b)} vs {sorted(files_c)}"
     for name in files_b:
@@ -127,7 +129,7 @@ def main(argv=None) -> int:
             if diff:
                 print(f"{config} {name}: DIFFERS, {diff}")
                 return 1
-            code, _, files = got[0]
+            code, *_, files = got[0]
             if name == "library" and code:
                 print(f"{config} {name}: FAILED on both (exit {code})")
                 return 1
