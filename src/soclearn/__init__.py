@@ -7,53 +7,13 @@ so the network pays for communication exactly when private data stops
 being enough.
 """
 
-from .analysis import (
-    IdentifiabilityReport,
-    ValidationReport,
-    equivalence_classes,
-    estimate_rate,
-    identifiability_report,
-    mixing_gap,
-    product_convergence_gap,
-    validate_assumptions,
-)
-from .harness import (
-    BaselineComparison,
-    ExperimentConfig,
-    TrajectoryRecord,
-    build_likelihoods,
-    build_model,
-    compare_baseline,
-    distinguished_state,
-    export,
-    reference_config,
-    run_experiment,
-)
-from .learning import (
-    BeliefState,
-    belief_from_potentials,
-    binary_informative,
-    binary_tv,
-    initial_state,
-    potential_update,
-    run_round,
-)
-from .model import (
-    AssumptionViolation,
-    LikelihoodModel,
-    Network,
-    Prior,
-    StateSpace,
-    complete_edges,
-    generate_signals,
-    metropolis_weights,
-    ring_edges,
-)
-from .switching import (
-    CommLedger,
-    SwitchingMatrix,
-    build_switching_matrix,
-    record_round,
-)
+from . import analysis, harness, learning, model, switching
+from .analysis import *
+from .harness import *
+from .learning import *
+from .model import *
+from .switching import *
+
+__all__ = analysis.__all__ + harness.__all__ + learning.__all__ + model.__all__ + switching.__all__
 
 __version__ = "0.1.0"

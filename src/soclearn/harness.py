@@ -164,7 +164,7 @@ class ExperimentConfig:
                 _check_integer(name, value, lo, hi)
         if self.state_labels is not None and len(self.state_labels) != self.states:
             raise ValueError("state_labels length must equal states")
-        first = {}  # CSV cell -> index of the first label that writes it
+        first, equal = {}, {}  # CSV cell, label value -> index of the first label with it
         for k, label in enumerate(self.state_labels or ()):
             cell = _csv_cell(label)
             j = first.setdefault(cell, k)
@@ -172,6 +172,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"state_labels {self.state_labels[j]!r} and {label!r} "
                     f"both write the CSV cell {cell}"
+                )
+            j = equal.setdefault(label, k)
+            if j != k:
+                raise ValueError(
+                    f"state_labels {self.state_labels[j]!r} and {label!r} are equal as values"
                 )
         if self.prior_mass is not None and np.shape(self.prior_mass) != (self.states,):
             raise ValueError("prior_mass must be a vector whose length equals states")

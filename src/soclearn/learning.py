@@ -158,6 +158,16 @@ def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.nd
     return logb - _lse_last(logb)
 
 
+def _checked_potentials(potentials, shape: tuple) -> np.ndarray:
+    """``potentials`` as a read-only array, refused unless finite and of the anchor's ``shape``."""
+    phi = _readonly(potentials)
+    if phi.shape != shape:
+        raise ValueError(f"potentials {phi.shape} must have the anchor's shape {shape}")
+    if not np.isfinite(phi).all():
+        raise ValueError("potentials must be finite, without inf or NaN")
+    return phi
+
+
 @dataclass(frozen=True)
 class BeliefState:
     """Joint belief state of all agents after some round.
@@ -174,20 +184,28 @@ class BeliefState:
 
     def __post_init__(self):
         anchor = _readonly(self.log_belief_initial)
-        phi = _readonly(self.potentials)
         if anchor.ndim != 2:
             raise ValueError("log_belief_initial must be (agents, states)")
         if not _sums_to_one(anchor, BELIEF_SUM_TOL, axis=1, log=True)[1]:
             raise ValueError("log_belief_initial rows must exponentiate to 1")
-        if phi.shape != anchor.shape:
-            raise ValueError(f"potentials {phi.shape} must have the anchor's shape {anchor.shape}")
-        if not np.isfinite(phi).all():
-            raise ValueError("potentials must be finite, without inf or NaN")
+        phi = _checked_potentials(self.potentials, anchor.shape)
         _check_integer("round", self.round, 0)
         if self.round == 0 and np.any(phi != 0.0):
             raise ValueError("potentials must be identically zero at round 0")
         object.__setattr__(self, "potentials", phi)
         object.__setattr__(self, "log_belief_initial", anchor)
+
+    def _successor(self, potentials: np.ndarray) -> BeliefState:
+        """The next round's state: this state's checked, read-only anchor and new potentials.
+
+        Only the potentials are new, so only they are checked.
+        """
+        phi = _checked_potentials(potentials, self.log_belief_initial.shape)
+        new = object.__new__(BeliefState)
+        object.__setattr__(new, "potentials", phi)
+        object.__setattr__(new, "log_belief_initial", self.log_belief_initial)
+        object.__setattr__(new, "round", self.round + 1)
+        return new
 
     @cached_property
     def log_belief(self) -> np.ndarray:
@@ -228,6 +246,4 @@ def run_round(state: BeliefState, net: Network, lik: LikelihoodModel, tau: float
     tv.setflags(write=False)
     q = build_switching_matrix(net, tv < tau, round=state.round + 1)
     phi = potential_update(state.potentials, q, fresh)
-    new_state = BeliefState(potentials=phi, log_belief_initial=state.log_belief_initial,
-                            round=state.round + 1)
-    return new_state, q, tv
+    return state._successor(phi), q, tv

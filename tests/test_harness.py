@@ -170,6 +170,15 @@ def test_config_rejects_state_labels_that_write_the_same_csv_cell(labels, cell):
     reference_config(agents=2, states=3, state_labels=("z", first, "other"))
 
 
+@pytest.mark.parametrize("labels", [(1, 1.0), (0.0, -0.0), (2, 2.0)])
+def test_config_rejects_state_labels_equal_as_values(labels):
+    # they write different CSV cells, but as labels they would name one state
+    first, second = labels
+    message = f"state_labels {first!r} and {second!r} are equal as values"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(agents=3, states=4, state_labels=(*labels, "a", "b"))
+
+
 def test_equal_bernoulli_parameters_fail_a2():
     # the config allows it; with every signal law the same, A2 fails for
     # every false state and the run is refused

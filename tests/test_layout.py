@@ -2,10 +2,13 @@
 
 import ast
 import graphlib
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+
+import soclearn
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "soclearn"
@@ -142,14 +145,23 @@ def test_the_mention_guard_sees_imports_names_and_attributes():
 
 
 def exported_names() -> set:
-    """Names ``soclearn/__init__.py`` imports from the package's modules."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    """Names ``soclearn`` exports: its ``__all__``, the modules' lists joined."""
+    return set(soclearn.__all__)
+
+
+def test_the_export_list_is_the_modules_lists_joined():
+    # each module's __all__ is the one declaration of what the package exports
+    namespace = {}
+    exec("from soclearn import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(soclearn.__all__)
+    assert len(soclearn.__all__) == len(set(soclearn.__all__)), "exported twice"
+    modules = [importlib.import_module(f"soclearn.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    modules = [module for module in modules if hasattr(module, "__all__")]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ lists names it does not define"
+    assert soclearn.__all__ == [name for module in modules for name in module.__all__]
 
 
 def module_nodes():

@@ -602,7 +602,11 @@ def test_a_state_derives_its_beliefs_from_its_anchor_and_potentials():
     state = initial_state(prior, lik, signals[0])
     assert state.log_belief is state.log_belief_initial
     for sig in signals[1:]:
-        state = run_round(state, net, lik, config.tau, sig)[0]
+        new = run_round(state, net, lik, config.tau, sig)[0]
+        # the anchor was checked when the chain began; each round reuses it as it is
+        assert new.log_belief_initial is state.log_belief_initial
+        assert new.round == state.round + 1 and not new.potentials.flags.writeable
+        state = new
         want = belief_from_potentials(state.log_belief_initial, state.potentials)
         assert np.array_equal(state.log_belief.view(np.uint64), want.view(np.uint64))
         assert state.log_belief is state.log_belief  # derived once
@@ -637,3 +641,16 @@ def test_a_state_refuses_potentials_of_another_shape():
     message = "potentials (2, 3) must have the anchor's shape (2, 2)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BeliefState(potentials=np.zeros((2, 3)), log_belief_initial=logb, round=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_successor_refuses_potentials_that_are_not_finite(bad):
+    logb = np.log(np.full((2, 2), 0.5))
+    state = BeliefState(potentials=np.zeros((2, 2)), log_belief_initial=logb, round=0)
+    phi = np.zeros((2, 2))
+    phi[1, 0] = bad
+    with pytest.raises(ValueError, match="^potentials must be finite, without inf or NaN$"):
+        state._successor(phi)
+    message = "potentials (2, 3) must have the anchor's shape (2, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        state._successor(np.zeros((2, 3)))

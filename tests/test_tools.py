@@ -38,6 +38,26 @@ def test_paired_bench_refuses_checkout_paths_of_unequal_length(tmp_path, monkeyp
     assert "checkout paths must be of equal length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["base", "chng"])
+def test_paired_bench_refuses_a_checkout_that_holds_bytecode(tmp_path, monkeypatch, capsys, side):
+    bench = load_paired_bench()
+
+    def run_once(*args):
+        raise AssertionError("a benchmark was launched")
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for name in ("base", "chng"):
+        (tmp_path / name / "src" / "soclearn").mkdir(parents=True)
+    cache = tmp_path / side / "src" / "soclearn" / "__pycache__"
+    cache.mkdir()
+    (cache / "model.cpython-311.pyc").write_bytes(b"")
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main([str(tmp_path / "base"), str(tmp_path / "chng"),
+                    "--workload", "ring15-run", "--seed", "12"])
+    assert exit_info.value.code == 2
+    assert f"{cache / 'model.cpython-311.pyc'} is compiled bytecode" in capsys.readouterr().err
+
+
 def test_paired_bench_reads_wall_time_from_the_detail_line(monkeypatch):
     bench = load_paired_bench()
     detail = {"report_only": {"wall_s": 1.25, "cpu_s": 1.5},
@@ -205,6 +225,7 @@ def test_paired_bench_writes_the_bench_document(tmp_path, monkeypatch, capsys):
     (tmp_path / "chng" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     # git looks for no repository above tmp_path, so "base" is none
     monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
     subprocess.run(git + ["init", "-q"], cwd=tmp_path / "chng", check=True)
     subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], cwd=tmp_path / "chng",
@@ -226,8 +247,9 @@ def test_paired_bench_writes_the_bench_document(tmp_path, monkeypatch, capsys):
     assert document["change_commit"] == head
     assert set(document["host"]) == {"python", "numpy", "nproc", "cpu", "platform",
                                      "openblas_core", "blas", "blas_version",
-                                     "simd_dispatch", "libc"}
+                                     "simd_dispatch", "libc", "PYTHONDONTWRITEBYTECODE"}
     assert document["host"]["nproc"] >= 1
+    assert document["host"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert document["reports"] == reports
     assert [r["peak_rss_mb"]["wins"] for r in reports] == [2, 2]
 
@@ -240,8 +262,10 @@ def test_paired_bench_host_gives_null_for_numerics_it_cannot_read(tmp_path, monk
     monkeypatch.setattr(bench, "openblas_core", lambda: None)
     monkeypatch.setattr("numpy.show_config", lambda: None)  # numpy < 1.26 takes no mode
     monkeypatch.setattr(bench.platform, "libc_ver", lambda: ("", ""))
-    numerics = {key: bench.host()[key]
-                for key in ("openblas_core", "blas", "blas_version", "simd_dispatch", "libc")}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    numerics = {key: bench.host()[key] for key in ("openblas_core", "blas", "blas_version",
+                                                   "simd_dispatch", "libc",
+                                                   "PYTHONDONTWRITEBYTECODE")}
     assert numerics == dict.fromkeys(numerics)
 
 

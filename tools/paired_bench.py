@@ -41,8 +41,12 @@ depend on: the core numpy's bundled OpenBLAS dispatches to, the BLAS
 name and version, numpy's enabled SIMD dispatch targets and the C
 library, each null where it cannot be read.
 The two checkouts must sit at resolved paths of equal length, since
-the benchmark's peak RSS moves with the checkout's directory; the
-script exits 2 before any run when they do not.
+the benchmark's peak RSS moves with the checkout's directory, and
+neither may hold a ``*.pyc`` file under ``src/``, since a side that
+loads its modules from bytecode skips compiling them, which moves
+every workload's peak RSS by about 1 MiB; the script exits 2 before
+any run, naming the file, when either rule fails. The report's host
+records the ``PYTHONDONTWRITEBYTECODE`` setting it ran under.
 """
 
 from __future__ import annotations
@@ -141,7 +145,8 @@ def numpy_build() -> tuple:
 
 
 def host() -> dict:
-    """Python and numpy versions, usable cores, CPU model, platform and numerics of this host."""
+    """Python and numpy versions, usable cores, CPU model, platform and numerics of this host,
+    and the ``PYTHONDONTWRITEBYTECODE`` setting, ``None`` where it is unset."""
     cpu = platform.processor()
     try:
         with open("/proc/cpuinfo") as fh:
@@ -161,6 +166,7 @@ def host() -> dict:
         "blas_version": blas_version,
         "simd_dispatch": dispatch,
         "libc": " ".join(platform.libc_ver()).strip() or None,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
@@ -257,6 +263,11 @@ def main(argv=None) -> int:
     if base != change:
         parser.error(f"checkout paths must be of equal length, got {base} and {change} "
                      "characters: peak RSS moves with the checkout's directory")
+    for path in (args.base, args.change):
+        compiled = sorted((path / "src").rglob("*.pyc"))
+        if compiled:
+            parser.error(f"{compiled[0]} is compiled bytecode: a checkout that loads it skips "
+                         "compiling src from source, and peak RSS moves with that compile")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
