@@ -1,8 +1,9 @@
 """The protocol round: informativeness tests, potential recursion, beliefs.
 
-``run_round`` is the normative round, from ``initial_state`` on: the
-tests flag agents, the potentials mix in ``switching._mix``, as in the
-engine, and beliefs renormalise the round-0 anchor plus potentials.
+``run_round`` is the normative round, from ``initial_state`` on: it
+composes the engine's own rules, ``LikelihoodModel.signal_rows``, the
+tests of ``_bayes_tv_rows`` and ``switching._mix``, then renormalises
+the round-0 anchor plus potentials into beliefs.
 A ``BeliefState`` stores only that anchor, the potentials and the
 round; its beliefs are derived from them.
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .model import LikelihoodModel, Network, Prior, _check_integer, _check_unit, _readonly, \
     _sums_to_one
-from .switching import SwitchingMatrix, _mix, build_switching_matrix
+from .switching import _mix, build_switching_matrix
 
 # Tolerance for belief rows evolved over many rounds.
 BELIEF_SUM_TOL = 1e-10
@@ -33,7 +34,6 @@ __all__ = [
     "BeliefState",
     "binary_tv",
     "binary_informative",
-    "potential_update",
     "belief_from_potentials",
     "initial_state",
     "run_round",
@@ -125,22 +125,6 @@ def binary_informative(epsilon_prev: float, r: float, tau: float) -> bool:
     return r <= (e * (1.0 - e) - tau * e) / (e * (1.0 - e) + tau * (1.0 - e))
 
 
-def potential_update(potentials_prev: np.ndarray, q: SwitchingMatrix,
-                     fresh: np.ndarray) -> np.ndarray:
-    """One round of the potential recursion, phi_t = Q_t phi_{t-1} + l_t.
-
-    ``q`` is the round's ``SwitchingMatrix``; the potentials and ``fresh``,
-    the log-likelihood rows of its signals, are both ``(q.network.n, m)``.
-    """
-    if not isinstance(q, SwitchingMatrix):
-        raise ValueError(f"need the round's SwitchingMatrix, got {type(q).__name__}")
-    phi, fresh = np.asarray(potentials_prev, dtype=float), np.asarray(fresh, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != q.network.n or fresh.shape != phi.shape:
-        raise ValueError(f"potentials and fresh rows must both be ({q.network.n}, m), "
-                         f"got {phi.shape} and {fresh.shape}")
-    return _mix(q.network, q.flagged, phi, fresh)
-
-
 def belief_from_potentials(log_mu0: np.ndarray, potentials: np.ndarray) -> np.ndarray:
     """Normalized log beliefs from an anchor and potentials, ``anchor + phi`` renormalised.
 
@@ -217,7 +201,8 @@ class BeliefState:
 
 def initial_state(prior: Prior, lik: LikelihoodModel, signals_0) -> BeliefState:
     """Round-0 state: each agent conditions the shared prior on its first signal."""
-    logb = belief_from_potentials(prior.log_mass, lik.fresh_rows(signals_0))
+    fresh = lik.signal_rows(lik.checked_signals(signals_0))[0]
+    logb = belief_from_potentials(prior.log_mass, fresh)
     return BeliefState(potentials=np.zeros(logb.shape), log_belief_initial=logb, round=0)
 
 
@@ -245,5 +230,4 @@ def run_round(state: BeliefState, net: Network, lik: LikelihoodModel, tau: float
     tv = _bayes_tv_rows(state.log_belief, label, levels)
     tv.setflags(write=False)
     q = build_switching_matrix(net, tv < tau, round=state.round + 1)
-    phi = potential_update(state.potentials, q, fresh)
-    return state._successor(phi), q, tv
+    return state._successor(_mix(net, q.flagged, state.potentials, fresh)), q, tv

@@ -6,7 +6,8 @@ them. Every type checks that it is well formed at construction (shapes,
 symmetry, stochasticity, finiteness) and is immutable afterwards, so
 instances can be shared freely across replicas. ``generate_signals``
 draws the signals from the law ``LikelihoodModel.signal_cdf`` tabulates,
-through the package's own Philox4x64-10 generator. The module is a leaf:
+through the package's own Philox4x64-10 generator; ``signal_rows`` is
+the one lookup of a signal's rows. The module is a leaf:
 it imports nothing from the package. It holds the package's two range
 rules, ``_check_integer`` and ``_check_unit``, through which every
 range refusal goes. Whether a model meets the standing assumptions
@@ -74,8 +75,8 @@ def _sums_to_one(values, tol: float, axis=None, log=False) -> tuple:
     return sums, np.size(sums) > 0 and bool((np.abs(sums - 1.0) <= tol).all())
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -284,13 +285,6 @@ class LikelihoodModel:
             )
         return sig
 
-    def fresh_rows(self, signals) -> np.ndarray:
-        """Log-likelihood rows ``(n, m)`` of one round's signal row indices.
-
-        The indices go through ``checked_signals`` first.
-        """
-        return self.signal_rows(self.checked_signals(signals))[0]
-
 
 def _value_classes(values: np.ndarray) -> tuple:
     """Group the entries of each row of ``values`` by exact equality.
@@ -433,7 +427,7 @@ def generate_signals(
     return out[:, 0] if single else out
 
 
-def _check_mixing(mat: np.ndarray, what: str) -> None:
+def _check_mixing(mat: np.ndarray) -> None:
     """Reject a matrix that cannot mix: the one mixing-matrix invariant.
 
     ``mat`` must be square, finite, nonnegative, symmetric, have rows
@@ -442,20 +436,20 @@ def _check_mixing(mat: np.ndarray, what: str) -> None:
     its self-weight rule, every round's switching matrix meets it too.
     """
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
+        raise ValueError("weights must be a square matrix")
     # finite and nonnegative ahead of any arithmetic, where inf - inf or an
     # overflowing mat - mat.T would warn and NaN slip through every comparison
     if not np.isfinite(mat).all():
-        raise ValueError(f"{what} must be finite, without inf or NaN")
+        raise ValueError("weights must be finite, without inf or NaN")
     if np.any(mat < 0.0):
-        raise ValueError(f"{what} must be nonnegative")
+        raise ValueError("weights must be nonnegative")
     if np.max(np.abs(mat - mat.T), initial=0.0) > PROB_SUM_TOL:
-        raise ValueError(f"{what} must be symmetric")
+        raise ValueError("weights must be symmetric")
     if not (_sums_to_one(mat, PROB_SUM_TOL, axis=1)[1]
             and _sums_to_one(mat, PROB_SUM_TOL, axis=0)[1]):
-        raise ValueError(f"{what} must be doubly stochastic")
+        raise ValueError("weights must be doubly stochastic")
     if np.any(np.diag(mat) <= 0.0):
-        raise ValueError(f"{what} must have a positive diagonal")
+        raise ValueError("weights must have a positive diagonal")
 
 
 def _self_weights(edges: np.ndarray) -> np.ndarray:
@@ -480,7 +474,7 @@ class Network:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        _check_mixing(w, "weights")
+        _check_mixing(w)
         # averaging with the transpose keeps every checked property
         w = (w + w.T) / 2.0
         kept = _self_weights(w - np.diag(np.diag(w))) > 0.0

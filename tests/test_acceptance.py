@@ -248,7 +248,7 @@ def test_criterion_05_vanishing_threshold_is_pure_bayes():
 
     signals = generate_signals(lik, space, config.seed, config.rounds + 1, replica=0)
     # each agent's Bayes chain: the prior plus the running sum of its fresh rows
-    evidence = np.cumsum([lik.fresh_rows(sig) for sig in signals], axis=0)
+    evidence = np.cumsum(lik.signal_rows(signals)[0], axis=0)
     chain = log_normalized(prior.log_mass + evidence)
     position = {int(t): k for k, t in enumerate(record.stored_rounds)}
     worst = max(

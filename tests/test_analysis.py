@@ -290,6 +290,16 @@ def test_report_flags_unidentifiable_model():
     assert report.asymptotic_rate == 0.0
 
 
+def test_report_summary_names_the_states_not_excluded():
+    # both agents are blind to state "v", so A2 fails and no rate is given
+    tables = [bernoulli_table([0.5, 0.25, 0.5]), bernoulli_table([0.5, 0.25, 0.5])]
+    lik = LikelihoodModel.from_probabilities(tables)
+    report = identifiability_report(lik, StateSpace(states=("t", "u", "v"), true_state_index=0))
+    lines = report.summary().splitlines()
+    assert lines[2:4] == ["globally identifiable: NO", "states not excluded: 'v'"]
+    assert not any(line.startswith("asymptotic rate") for line in lines)
+
+
 def test_report_summary_and_csv(tmp_path):
     lik = reference_like_model(n=3, m=4)
     space = StateSpace(states=tuple(range(4)), true_state_index=0)
@@ -467,6 +477,13 @@ def test_gap_refuses_a_matrix_it_cannot_measure(bad):
         mixing_gap([[bad, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="^matrix 1 must be finite"):
         product_convergence_gap([np.eye(2), [[bad, 0.0], [0.0, 1.0]]])
+
+
+@pytest.mark.parametrize("matrix", [np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))],
+                         ids=["1-d", "2x3", "3-d"])
+def test_gap_refuses_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="^need a square matrix$"):
+        mixing_gap(matrix)
 
 
 def test_gap_names_the_first_matrix_of_another_shape():

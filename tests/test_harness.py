@@ -170,6 +170,22 @@ def test_config_rejects_state_labels_that_write_the_same_csv_cell(labels, cell):
     reference_config(agents=2, states=3, state_labels=("z", first, "other"))
 
 
+EDGES_RULE = "topology_edges is required for topology_kind='edges' and meaningless otherwise"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"state_labels": ("a", "b", "c")}, "state_labels length must equal states"),
+    ({"topology_kind": "star"}, "topology_kind must be one of ('ring', 'complete', 'edges')"),
+    ({"topology_kind": "edges"}, EDGES_RULE),
+    ({"topology_edges": ((0, 1),)}, EDGES_RULE),
+    ({"topology_kind": "complete", "topology_edges": ((0, 1),)}, EDGES_RULE),
+], ids=["labels", "kind", "edges-missing", "edges-on-a-ring", "edges-on-complete"])
+def test_config_refuses_labels_and_topologies_that_do_not_fit(fields, message):
+    with pytest.raises(ValueError) as refused:
+        ExperimentConfig(agents=3, states=4, **fields)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("labels", [(1, 1.0), (0.0, -0.0), (2, 2.0)])
 def test_config_rejects_state_labels_equal_as_values(labels):
     # they write different CSV cells, but as labels they would name one state
@@ -449,7 +465,7 @@ def test_round_with_informative_agents_is_pure_bayes():
     space, prior, lik, net = build_model(config)
     sig = generate_signals(lik, space, config.seed, rounds=4)
     state = initial_state(prior, lik, sig[0])
-    evidence = np.cumsum([lik.fresh_rows(s) for s in sig], axis=0)
+    evidence = np.cumsum(lik.signal_rows(sig)[0], axis=0)
     for t in (1, 2, 3):
         state, q, tv = run_round(state, net, lik, 1e-300, sig[t])
         assert np.array_equal(q.q, np.eye(config.agents))
@@ -511,6 +527,18 @@ def test_round_names_a_padded_or_impossible_signal_row(bad):
     agent = bad.index(2)
     with pytest.raises(ValueError, match=f"agent {agent}: signal index 2 hits"):
         run_round(state, net, lik, 0.5, bad)
+
+
+@pytest.mark.parametrize("agents, states, nodes", [(2, 2, 3), (2, 3, 2), (3, 2, 2)],
+                         ids=["network", "likelihood-states", "likelihood-agents"])
+def test_round_refuses_a_network_or_likelihood_of_other_dimensions(agents, states, nodes):
+    # the state is 2 agents by 2 states; one of the other two disagrees
+    state = initial_state(Prior.uniform(2), LikelihoodModel.from_probabilities(
+        [np.full((2, 2), 0.5)] * 2), [0, 0])
+    lik = LikelihoodModel.from_probabilities([np.full((2, states), 0.5)] * agents)
+    net = metropolis_weights([(0, 1)], nodes)
+    with pytest.raises(ValueError, match="^state, network, and likelihood dimensions disagree$"):
+        run_round(state, net, lik, 0.5, [0] * agents)
 
 
 # ------------------------------------------------------------ run_experiment
@@ -909,7 +937,7 @@ def test_potential_average_moves_by_the_mean_fresh_row(config):
     _, _, lik, net = valid_model(config)
     eps = np.finfo(float).eps
     for state, sig, new, _, _ in reference_rounds(config):
-        fresh = lik.fresh_rows(sig)
+        fresh = lik.signal_rows(sig)[0]
         drift = new.potentials.mean(axis=0) - state.potentials.mean(axis=0) \
             - fresh.mean(axis=0)
         scale = np.max(np.abs([state.potentials, new.potentials, fresh]), axis=(0, 1))

@@ -96,6 +96,14 @@ def test_the_mixing_check_has_one_call_site():
     assert package_sites(calls("_check_mixing")) == {"model.Network.__post_init__"}
 
 
+def test_the_reference_round_and_the_engine_call_the_same_rules():
+    # run_round and the engine compose one row lookup and one potential
+    # update, each called directly: no wrapper stands between them
+    assert package_sites(calls("_mix")) == {"learning.run_round", "harness.run_experiment"}
+    assert package_sites(calls("signal_rows")) == {
+        "learning.run_round", "learning.initial_state", "harness.run_experiment"}
+
+
 def test_the_call_site_guard_sees_nested_and_attribute_calls():
     tree = ast.parse("class K:\n    def f(self):\n        m._c(g(_c))\n"
                      "        def h():\n            return [_c() for _ in x]\n_c()\n")

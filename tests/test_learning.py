@@ -20,12 +20,11 @@ from soclearn.learning import (
     binary_informative,
     binary_tv,
     initial_state,
-    potential_update,
     run_round,
 )
 from soclearn.model import LikelihoodModel, Prior, _value_classes, generate_signals, \
     metropolis_weights
-from soclearn.switching import build_switching_matrix
+from soclearn.switching import _mix, build_switching_matrix
 
 LONE = metropolis_weights([], 1)
 PATH3 = metropolis_weights([(0, 1), (1, 2)], 3)
@@ -401,7 +400,7 @@ def test_binary_rejects_bad_epsilon():
             binary_informative(0.3, r, 0.1)
 
 
-# ------------------------------------------------------------ potential_update
+# ------------------------------------------------------------------- _mix
 
 
 def three_agent_model():
@@ -422,7 +421,8 @@ def test_identity_mixing_adds_fresh_evidence_exactly():
     lik = three_agent_model()
     phi = np.arange(9, dtype=float).reshape(3, 3)
     sig = np.array([1, 0, 1])
-    out = potential_update(phi, identity_round(), lik.fresh_rows(sig))
+    q = identity_round()
+    out = _mix(q.network, q.flagged, phi, lik.signal_rows(sig)[0])
     fresh = np.stack([lik.log_lik[i][sig[i]] for i in range(3)])
     assert np.array_equal(out, phi + fresh)
 
@@ -430,20 +430,10 @@ def test_identity_mixing_adds_fresh_evidence_exactly():
 def test_round_zero_convention_is_all_zero_potentials():
     # the recursion starts from nothing accumulated
     lik = three_agent_model()
-    out = potential_update(np.zeros((3, 3)), identity_round(), lik.fresh_rows([0, 0, 0]))
+    q = identity_round()
+    out = _mix(q.network, q.flagged, np.zeros((3, 3)), lik.signal_rows([0, 0, 0])[0])
     fresh = np.stack([lik.log_lik[i][0] for i in range(3)])
     assert np.array_equal(out, fresh)
-
-
-def test_potential_update_takes_the_round_and_refuses_other_shapes():
-    # the round's SwitchingMatrix, not a bare matrix: Network has checked its rule
-    fresh = three_agent_model().fresh_rows([0, 0, 0])
-    with pytest.raises(ValueError, match="^need the round's SwitchingMatrix, got ndarray$"):
-        potential_update(np.zeros((3, 3)), np.eye(3), fresh)
-    for phi, rows in ((np.zeros((2, 3)), fresh[:2]), (np.zeros(3), fresh[0]),
-                      (np.zeros((3, 3)), fresh[:, :2])):
-        with pytest.raises(ValueError, match=r"^potentials and fresh rows must both be \(3, m\)"):
-            potential_update(phi, identity_round(), rows)
 
 
 def test_recursion_matches_expanded_product_form():
@@ -466,7 +456,7 @@ def test_recursion_matches_expanded_product_form():
         fresh_list.append(
             np.stack([lik.log_lik[i][signals[t, i]] for i in range(3)])
         )
-        phi = potential_update(phi, q, lik.fresh_rows(signals[t]))
+        phi = _mix(q.network, q.flagged, phi, lik.signal_rows(signals[t])[0])
 
     expanded = np.zeros((3, 3))
     trailing = np.eye(3)
@@ -501,9 +491,11 @@ def test_one_identity_round_reproduces_bayes():
     prior = Prior.uniform(3)
     mu0 = initial_state(prior, lik, [0, 0, 0]).log_belief
     sig = np.array([1, 0, 1])
-    phi = potential_update(np.zeros((3, 3)), identity_round(), lik.fresh_rows(sig))
+    q = identity_round()
+    phi = _mix(q.network, q.flagged, np.zeros((3, 3)), lik.signal_rows(sig)[0])
     composed = belief_from_potentials(mu0, phi)
-    direct = log_normalized(prior.log_mass + lik.fresh_rows([0, 0, 0]) + lik.fresh_rows(sig))
+    first, fresh = lik.signal_rows([[0, 0, 0], sig])[0]
+    direct = log_normalized(prior.log_mass + first + fresh)
     assert np.allclose(composed, direct, atol=1e-12)
 
 
@@ -523,7 +515,7 @@ def test_agent_behind_identity_row_stays_bayesian():
     for t in range(1, 40):
         q = build_switching_matrix(net, flagged_mask(3, (2,)), round=t)
         assert np.array_equal(q.q[0], np.array([1.0, 0.0, 0.0]))
-        phi = potential_update(phi, q, lik.fresh_rows(signals[t]))
+        phi = _mix(q.network, q.flagged, phi, lik.signal_rows(signals[t])[0])
         mixed = belief_from_potentials(mu0, phi)
         assert np.allclose(mixed[0], log_normalized(solo[t]), atol=1e-10)
 
@@ -569,6 +561,13 @@ def test_belief_state_requires_normalized_rows():
     logb = np.log(np.array([[0.5, 0.4]]))  # sums to 0.9
     with pytest.raises(ValueError):
         BeliefState(potentials=np.zeros((1, 2)), log_belief_initial=logb, round=0)
+
+
+@pytest.mark.parametrize("anchor", [np.log([0.5, 0.5]), np.log(np.full((1, 1, 2), 0.5))],
+                         ids=["1-d", "3-d"])
+def test_belief_state_refuses_an_anchor_that_is_not_agents_by_states(anchor):
+    with pytest.raises(ValueError, match=r"^log_belief_initial must be \(agents, states\)$"):
+        BeliefState(potentials=np.zeros(anchor.shape), log_belief_initial=anchor, round=0)
 
 
 def test_belief_state_round_zero_needs_zero_potentials():

@@ -78,6 +78,17 @@ def test_prior_rejects_zero_mass():
         Prior.from_probabilities([1.0, 0.0])
 
 
+@pytest.mark.parametrize("log_mass, message", [
+    ([0.0], "prior needs a 1-d log-mass vector over >= 2 states"),
+    ([[-0.5, -0.5]], "prior needs a 1-d log-mass vector over >= 2 states"),
+    ([0.0, -np.inf], "prior must have full support (finite log mass)"),
+    ([0.0, np.nan], "prior must have full support (finite log mass)"),
+], ids=["one-state", "2-d", "zero-mass", "nan"])
+def test_prior_refuses_a_log_mass_it_cannot_hold(log_mass, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Prior(np.array(log_mass))
+
+
 def test_prior_rejects_unnormalized():
     # the sum used to print as a numpy repr, np.float64(1.1)
     with pytest.raises(ValueError, match=r"^prior mass sums to 1\.1\d*, not 1$"):
@@ -91,6 +102,22 @@ def test_likelihood_columns_must_normalize():
     bad = np.array([[0.5, 0.4], [0.4, 0.6]])  # first column sums to 0.9
     with pytest.raises(ValueError):
         LikelihoodModel.from_probabilities([bad])
+
+
+HALVES = np.log(np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("tables, message", [
+    ((), "need one likelihood table per agent"),
+    ((HALVES, np.log(np.full((2, 3), 0.5))), "agent 1: table shape (2, 3) does not match "
+                                             "state count 2"),
+    ((np.log([0.5, 0.5]),), "agent 0: table shape (2,) does not match state count 0"),
+    ((np.array([[np.inf, 0.0], [0.0, 0.0]]),), "agent 0: log likelihoods must be < inf"),
+    ((HALVES, np.array([[np.nan, 0.0], [0.0, 0.0]])), "agent 1: log likelihoods must be < inf"),
+], ids=["no-tables", "state-count", "1-d", "inf", "nan"])
+def test_likelihood_refuses_tables_it_cannot_hold(tables, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LikelihoodModel(tables)
 
 
 def test_likelihood_accepts_zero_entries():
@@ -122,13 +149,13 @@ def test_log_bound_is_exact_max_entry():
 
 
 def test_likelihood_symbol_lookup():
-    # a symbol is its table row index: fresh_rows reads that row, and
-    # rejects an index outside the table
+    # a symbol is its table row index: signal_rows reads that row, and
+    # checked_signals rejects an index outside the table
     lik = LikelihoodModel.from_probabilities([bernoulli_table([0.5, 0.25])])
-    assert np.array_equal(lik.fresh_rows([1]), [np.log([0.5, 0.25])])
+    assert np.array_equal(lik.signal_rows([1])[0], [np.log([0.5, 0.25])])
     for bad in (2, -1):
         with pytest.raises(ValueError, match=f"signal index {bad} hits"):
-            lik.fresh_rows([bad])
+            lik.checked_signals([bad])
 
 
 def test_padded_log_lik_pads_with_neginf():
@@ -239,6 +266,13 @@ def test_metropolis_rejects_self_loop_input():
         metropolis_weights([(0, 0), (0, 1)], 2)
 
 
+@pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 1)])
+def test_metropolis_rejects_a_node_out_of_range(edge):
+    message = f"edge {edge} out of range for 3 nodes"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        metropolis_weights([(0, 1), edge], 3)
+
+
 @pytest.mark.parametrize("edge", [(0, 1.7), (0, True), ("1", 2), (np.float64(0), 1), (None, 1)])
 def test_metropolis_rejects_node_ids_that_are_not_integers(edge):
     # int() used to truncate (0, 1.7) to the edge (0, 1) without a word
@@ -341,9 +375,12 @@ NO_SELF_WEIGHT = [[1e-20, 1 - 1e-20], [1 - 1e-20, 1e-20]]
         # the swap: every agent hands all its potential to the other
         ([[0.0, 1.0], [1.0, 0.0]], "weights must have a positive diagonal"),
         (NO_SELF_WEIGHT, "agent 0: " + SELF_WEIGHT),
+        ([[0.5, 0.5]], "weights must be a square matrix"),
+        ([1.0], "weights must be a square matrix"),
     ],
     ids=["column-sums-off", "asymmetric", "asymmetric-rows-stochastic", "symmetric-rows-short",
-         "zero-diagonal", "zero-diagonal-swap", "self-weight-rounds-to-zero"],
+         "zero-diagonal", "zero-diagonal-swap", "self-weight-rounds-to-zero", "not-square",
+         "1-d"],
 )
 def test_network_refuses_weights_that_cannot_mix(weights, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -380,7 +417,7 @@ def test_every_switching_matrix_of_an_accepted_network_mixes(w):
         assert str(exc).endswith(SELF_WEIGHT)
         return
     for mask in itertools.product([False, True], repeat=net.n):
-        _check_mixing(build_switching_matrix(net, np.array(mask), 1).q, "switching matrix")
+        _check_mixing(build_switching_matrix(net, np.array(mask), 1).q)
 
 
 def test_cli_validate_names_the_self_weight_rule(tmp_path, capsys):

@@ -520,13 +520,13 @@ def test_library_digests_cover_the_engine_and_the_reference_round(tmp_path, caps
     tool.library_digests(["--config", str(config)])
     tool.library_digests(["--replicas", "1", "--config", str(config)])
     lines = capsys.readouterr().out.splitlines()
-    two, one = (dict(line.split(": ") for line in part) for part in (lines[:5], lines[5:]))
+    two, one = (dict(line.split(": ") for line in part) for part in (lines[:7], lines[7:]))
+    reference = [f"run_round {name}" for name in ("final log_belief", "tv", "flagged")]
     assert list(two) == [f"run_experiment {name}" for name in (
-        "log_beliefs", "tv_series", "uninformative", "last_below")] \
-        + ["run_round final log_belief"]
+        "log_beliefs", "tv_series", "uninformative", "last_below")] + reference
     assert all(len(digest) == 64 for digest in two.values())
     assert two["run_experiment log_beliefs"] != one["run_experiment log_beliefs"]
-    assert two["run_round final log_belief"] == one["run_round final log_belief"]
+    assert all(two[key] == one[key] for key in reference)
 
 
 def test_same_outputs_refuses_checkouts_whose_configs_differ(tmp_path, monkeypatch, capsys):

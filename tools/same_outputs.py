@@ -6,9 +6,9 @@ For each ``configs/*.json``, runs ``python -m soclearn.cli`` in each
 checkout, with ``PYTHONPATH=<checkout>/src``, as ``run --out``,
 ``compare``, ``compare --out``, ``analyze --out`` and ``validate``,
 then ``library``: a child process runs ``library_digests``, which
-prints the sha256 of the engine's record arrays and of the final
-beliefs of a ``run_round`` chain. ``--replicas`` is passed on to ``run``,
-``compare`` and ``library``. Each command writes into a fresh
+prints the sha256 of the engine's record arrays and of a ``run_round``
+chain's final beliefs, TVs and flagged masks. ``--replicas`` is passed
+on to ``run``, ``compare`` and ``library``. Each command writes into a fresh
 temporary directory. It compares the exit codes, stdout and stderr
 with the output directory masked, and every output file, byte for
 byte, and prints one line per config and command. It exits 0 when
@@ -44,9 +44,10 @@ COMMANDS = (
 
 def library_digests(argv) -> None:
     """Print the sha256 of ``run_experiment``'s record arrays, each over
-    all replicas in order, and of the final ``log_belief`` of a
-    ``run_round`` chain over replica 0's signals, for ``config.rounds``
-    rounds. ``argv`` is ``[--replicas N] --config PATH``."""
+    all replicas in order, and of a ``run_round`` chain over replica 0's
+    signals, for ``config.rounds`` rounds: its final ``log_belief``, and
+    every round's ``tv`` and flagged mask, in round order. ``argv`` is
+    ``[--replicas N] --config PATH``."""
     from soclearn.harness import ExperimentConfig, run_experiment
     from soclearn.learning import initial_state, run_round
     from soclearn.model import generate_signals
@@ -65,9 +66,14 @@ def library_digests(argv) -> None:
     space, prior, lik, net = config.model
     signals = generate_signals(lik, space, config.seed, config.rounds + 1)
     state = initial_state(prior, lik, signals[0])
+    tvs, flagged = hashlib.sha256(), hashlib.sha256()
     for t in range(1, config.rounds + 1):
-        state = run_round(state, net, lik, config.tau, signals[t])[0]
+        state, q, tv = run_round(state, net, lik, config.tau, signals[t])
+        tvs.update(tv.tobytes())
+        flagged.update(q.flagged.tobytes())
     print(f"run_round final log_belief: {hashlib.sha256(state.log_belief.tobytes()).hexdigest()}")
+    print(f"run_round tv: {tvs.hexdigest()}")
+    print(f"run_round flagged: {flagged.hexdigest()}")
 
 
 def configs(checkout: Path) -> dict:
