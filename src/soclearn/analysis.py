@@ -282,7 +282,8 @@ def estimate_rate(stored_rounds, values, window) -> float:
     slope in nats per round. The slope is the closed form
     ``sum(x * y) / sum(x * x)`` with the rounds centred on their mean as
     ``x``. Raises ``ValueError`` when ``values`` and ``stored_rounds``
-    differ in length, or ``window`` is not exactly two integer bounds,
+    differ in length, a value is not finite, the stored rounds do not
+    strictly increase, or ``window`` is not exactly two integer bounds,
     is empty, reaches outside the stored rounds or covers fewer than
     two of them.
     """
@@ -296,6 +297,10 @@ def estimate_rate(stored_rounds, values, window) -> float:
         raise ValueError(
             f"values has {len(values)} entries, stored_rounds has {len(stored)}"
         )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if np.any(np.diff(stored) <= 0):
+        raise ValueError("stored_rounds must strictly increase")
     keep = (stored >= lo) & (stored <= hi)
     if stored.size and (lo < stored[0] or hi > stored[-1]):
         raise ValueError(

@@ -329,8 +329,9 @@ class TrajectoryRecord:
     ``1..rounds`` densely, so ``rounds`` is the number of their rows.
     ``last_below[i]`` is the last round at which agent ``i``'s belief on
     the realized state was below the run's ``1 - consensus_delta``, or
-    -1 if it never was. A record whose arrays break this layout is
-    refused with a ``ValueError`` that names the field.
+    -1 if it never was. A record whose arrays break this layout, or
+    whose verdicts are not booleans, is refused with a ``ValueError``
+    that names the field.
 
     The arrays are read-only. Records from ``run_experiment`` hold views
     into one history buffer per call, shared by all the replicas of that
@@ -367,6 +368,7 @@ class TrajectoryRecord:
             ("log_beliefs", (k, n, None), "(len(stored_rounds), n, m)"),
             ("tv_series", (k - 1, n), "(len(stored_rounds) - 1, n)"),
             ("uninformative", (None, n), "(rounds, n)"),
+            ("last_below", (n,), "(n,)"),
         ):
             shape = getattr(self, name).shape
             if len(shape) != len(want) or any(w not in (None, g) for w, g in zip(want, shape)):
@@ -374,6 +376,8 @@ class TrajectoryRecord:
                     f"{name} must be {what} with len(stored_rounds) = {k} "
                     f"and n = {n}, got shape {shape}"
                 )
+        if self.uninformative.dtype != bool:
+            raise ValueError(f"uninformative must be booleans, got {self.uninformative.dtype}")
 
     @property
     def rounds(self) -> int:
@@ -411,8 +415,8 @@ class TrajectoryRecord:
 
         Rounds are recorded one at a time from their masks, so the
         replay builds no mixing matrix. The ledger is cached on the
-        record and keeps, per round with exchanges, the round number and
-        the flagged mask packed 8 agents to a byte; its exchanges and
+        record and keeps, per round that flags an agent, the round number
+        and the flagged mask packed 8 agents to a byte; its exchanges and
         each agent's communication fraction are read off those masks by
         the fired-edge rule.
         """

@@ -157,12 +157,14 @@ class LikelihoodModel:
         tables = tuple(_readonly(t) for t in self.log_lik)
         if not tables:
             raise ValueError("need one likelihood table per agent")
-        m = tables[0].shape[1] if tables[0].ndim == 2 else 0
         for i, table in enumerate(tables):
-            if table.ndim != 2 or table.shape[1] != m:
+            if table.ndim != 2:
+                raise ValueError(
+                    f"agent {i}: table must be (symbols, states), got shape {table.shape}")
+            if table.shape[1] != tables[0].shape[1]:
                 raise ValueError(
                     f"agent {i}: table shape {table.shape} does not match "
-                    f"state count {m}"
+                    f"state count {tables[0].shape[1]}"
                 )
             if np.any(np.isnan(table)) or np.any(table == np.inf):
                 raise ValueError(f"agent {i}: log likelihoods must be < inf")

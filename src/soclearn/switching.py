@@ -111,16 +111,15 @@ def build_switching_matrix(net: Network, flagged, round: int) -> SwitchingMatrix
 class CommLedger:
     """Mutable record of which edges of ``network`` fired in which rounds.
 
-    For each recorded round that had at least one exchange, the ledger
-    keeps its round number (int64) and its flagged mask, packed 8 agents
-    to a byte; a round without exchanges stores nothing. The exchanges
-    are read off the masks by ``_fired``, the rule the mixing follows:
-    iterating the ledger unpacks blocks of masks and yields the
-    ``(round, i, j)`` tuples with ``i < j``, rounds in recorded order
-    and pairs row-major within a round. ``events`` builds a fresh list
-    of them on each access, and ``len(ledger)`` is a running count.
-    ``communication_fractions`` walks the same blocks, so no temporary
-    of either grows with the horizon.
+    For each recorded round that flagged an agent, the ledger keeps its
+    round number (int64) and its flagged mask, packed 8 agents to a
+    byte. Everything else is read off those masks in one walk,
+    ``_blocks``, by ``_fired``, the rule the mixing follows: iterating
+    the ledger yields the ``(round, i, j)`` tuples with ``i < j``,
+    rounds in recorded order and pairs row-major within a round;
+    ``len(ledger)`` counts them, ``events`` lists them afresh on each
+    access, and ``communication_fractions`` reads which agents each
+    round touched. No temporary of the walk grows with the horizon.
     Only rounds on the ledger's own network object are recorded.
     """
 
@@ -130,20 +129,21 @@ class CommLedger:
         self.network = network
         self._rounds = array("q")
         self._masks = bytearray()
-        self._count = 0
         self.rounds_recorded = 0
 
     def __len__(self) -> int:
-        return self._count
+        # fired edges are symmetric with a false diagonal: each pair twice
+        return sum(np.count_nonzero(fired) // 2 for _, fired in self._blocks())
 
     def __iter__(self):
-        for rounds, masks in self._blocks():
-            t, i, j = np.nonzero(np.triu(_fired(self.network, masks), 1))
+        for rounds, fired in self._blocks():
+            t, i, j = np.nonzero(np.triu(fired, 1))
             yield from zip(rounds[t].tolist(), i.tolist(), j.tolist())
 
     def _blocks(self):
         """The stored rows in blocks of ``_block_rounds(n)``, each as its
-        round numbers and its unpacked ``(rows, n)`` masks.
+        round numbers and its ``(rows, n, n)`` fired edges, which
+        ``_fired`` reads off the unpacked masks.
 
         Each block is copied out of the storage, so the ledger can still
         grow while a walk is paused; rows recorded meanwhile start the next.
@@ -155,13 +155,13 @@ class CommLedger:
             hi = min(lo + step, len(self._rounds))
             packed = np.frombuffer(self._masks[lo * width:hi * width], np.uint8)
             masks = np.unpackbits(packed.reshape(-1, width), axis=1, count=n).view(bool)
-            yield np.frombuffer(self._rounds[lo:hi], np.int64), masks
+            yield np.frombuffer(self._rounds[lo:hi], np.int64), _fired(self.network, masks)
             lo = hi
 
     @property
     def events(self) -> list:
         """``(round, i, j)`` tuples of Python ints, rebuilt on each access."""
-        return list(self)
+        return list(iter(self))  # list(self) would walk once more for len()
 
     def communication_fractions(self) -> np.ndarray:
         """Per agent, the fraction of recorded rounds in which one of its
@@ -169,19 +169,16 @@ class CommLedger:
         if not self.rounds_recorded:
             raise ValueError("no round was recorded, so there is no fraction of rounds")
         touched = np.zeros(self.network.n, dtype=np.int64)
-        for _, masks in self._blocks():
-            touched += _fired(self.network, masks).any(axis=-1).sum(axis=0)
+        for _, fired in self._blocks():
+            touched += fired.any(axis=-1).sum(axis=0)
         return touched / self.rounds_recorded
 
     def record(self, q: SwitchingMatrix) -> None:
         if q.network is not self.network:
             raise ValueError("the round is on another network than the ledger's")
-        # fired edges are symmetric with a false diagonal: each pair twice
-        exchanges = np.count_nonzero(_fired(self.network, q.flagged)) // 2
-        if exchanges:
+        if q.flagged.any():
             self._rounds.append(q.round)
             self._masks += np.packbits(q.flagged).tobytes()
-            self._count += exchanges
         self.rounds_recorded += 1
 
 

@@ -359,6 +359,21 @@ def test_rate_rejects_values_and_rounds_of_unequal_length(count):
         estimate_rate((0, 1, 2), np.zeros(count), (0, 2))
 
 
+@pytest.mark.parametrize("stored, values, message", [
+    ((0, 1, 2), [0.0, np.nan, 1.0], "values must be finite"),
+    ((0, 1, 2), [0.0, -np.inf, 1.0], "values must be finite"),
+    ((2, 1, 0), [0.0, 0.5, 1.0], "stored_rounds must strictly increase"),
+    ((0, 1, 1, 2), [0.0, 0.5, 0.5, 1.0], "stored_rounds must strictly increase"),
+], ids=["nan", "-inf", "decreasing", "repeated"])
+def test_rate_refuses_input_it_would_fit_wrongly(stored, values, message):
+    # a NaN used to come back as the rate, and rounds stored in
+    # decreasing order as a window reaching outside rounds [2, 0]
+    from soclearn.analysis import estimate_rate
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimate_rate(stored, values, (0, 2))
+
+
 @pytest.mark.parametrize(
     "window",
     [(2.9, 9.5), (2.0, 9), (2, 9.0), (np.float64(2), 9), ("2", 9), (True, 9),

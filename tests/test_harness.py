@@ -1107,12 +1107,24 @@ def test_record_leaves_the_callers_arrays_writable():
         ("tv_series", (1, 2), "(len(stored_rounds) - 1, n)"),
         ("uninformative", (2, 4), "(rounds, n)"),
         ("uninformative", (6,), "(rounds, n)"),
+        # one entry per agent, so consensus_round cannot outrun the record
+        ("last_below", (2,), "(n,)"),
+        ("last_below", (1, 3), "(n,)"),
     ],
 )
 def test_record_refuses_a_field_of_the_wrong_shape(name, shape, what):
     arrays = hand_record_arrays()
     arrays[name] = np.zeros(shape, dtype=arrays[name].dtype)
     message = f"{name} must be {what} with len(stored_rounds) = 2 and n = 3, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hand_record(**arrays)
+
+
+def test_record_refuses_verdicts_that_are_not_booleans():
+    # the ledger replays the verdicts as masks, which only booleans are
+    arrays = hand_record_arrays()
+    arrays["uninformative"] = np.zeros((2, 3))
+    message = "uninformative must be booleans, got float64"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         hand_record(**arrays)
 

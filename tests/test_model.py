@@ -111,10 +111,13 @@ HALVES = np.log(np.full((2, 2), 0.5))
     ((), "need one likelihood table per agent"),
     ((HALVES, np.log(np.full((2, 3), 0.5))), "agent 1: table shape (2, 3) does not match "
                                              "state count 2"),
-    ((np.log([0.5, 0.5]),), "agent 0: table shape (2,) does not match state count 0"),
+    ((np.log([0.5, 0.5]),), "agent 0: table must be (symbols, states), got shape (2,)"),
     ((np.array([[np.inf, 0.0], [0.0, 0.0]]),), "agent 0: log likelihoods must be < inf"),
     ((HALVES, np.array([[np.nan, 0.0], [0.0, 0.0]])), "agent 1: log likelihoods must be < inf"),
-], ids=["no-tables", "state-count", "1-d", "inf", "nan"])
+    ((HALVES[None],), "agent 0: table must be (symbols, states), got shape (1, 2, 2)"),
+    ((HALVES, HALVES, np.log([0.5, 0.5])),
+     "agent 2: table must be (symbols, states), got shape (2,)"),
+], ids=["no-tables", "state-count", "1-d", "inf", "nan", "3-d", "1-d-later"])
 def test_likelihood_refuses_tables_it_cannot_hold(tables, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         LikelihoodModel(tables)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import flagged_mask
+from soclearn import switching
 from soclearn.harness import TrajectoryRecord
 from soclearn.model import Network, complete_edges, metropolis_weights, ring_edges
 from soclearn.switching import (
@@ -269,8 +270,44 @@ def test_fractions_of_a_ledger_built_directly_match_the_dense_oracle(rows):
     ledger = CommLedger(net)
     for t, mask in enumerate(masks, start=1):
         record_round(ledger, build_switching_matrix(net, mask, t))
-    oracle = _fired(net, masks).any(-1).sum(0) / len(masks)
+    fired = _fired(net, masks)
+    oracle = fired.any(-1).sum(0) / len(masks)
     assert np.array_equal(ledger.communication_fractions(), oracle)
+    t, i, j = np.nonzero(np.triu(fired, 1))
+    assert ledger.events == list(zip((t + 1).tolist(), i.tolist(), j.tolist()))
+    assert len(ledger) == np.count_nonzero(fired) // 2
+
+
+def test_recording_reads_no_fired_edges_and_each_walk_reads_them(path3, monkeypatch):
+    # the ledger stores masks alone; the fired-edge rule runs only when
+    # the ledger is read
+    calls = []
+
+    def counted(net, flagged):
+        calls.append(flagged.shape)
+        return _fired(net, flagged)
+
+    monkeypatch.setattr(switching, "_fired", counted)
+    ledger = CommLedger(path3)
+    for t, members in enumerate([(), (0,), (), (0, 1, 2)], start=1):
+        record_round(ledger, build_switching_matrix(path3, flagged_mask(3, members), t))
+    assert calls == []
+    assert len(ledger) == 3
+    assert calls == [(2, 3)]
+    assert ledger.events == [(2, 0, 1), (4, 0, 1), (4, 1, 2)]
+    assert calls == [(2, 3)] * 2
+
+
+def test_a_lone_agent_fires_nothing():
+    # its flagged rounds are stored, but it has no edge to fire
+    net = metropolis_weights([], 1)
+    ledger = CommLedger(net)
+    for t in (1, 2, 3):
+        record_round(ledger, build_switching_matrix(net, np.ones(1, dtype=bool), t))
+    assert len(ledger) == 0
+    assert ledger.events == []
+    assert ledger.rounds_recorded == 3
+    assert np.array_equal(ledger.communication_fractions(), np.zeros(1))
 
 
 def test_a_fraction_over_no_rounds_is_refused(path3):

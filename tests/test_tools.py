@@ -520,12 +520,16 @@ def test_library_digests_cover_the_engine_and_the_reference_round(tmp_path, caps
     tool.library_digests(["--config", str(config)])
     tool.library_digests(["--replicas", "1", "--config", str(config)])
     lines = capsys.readouterr().out.splitlines()
-    two, one = (dict(line.split(": ") for line in part) for part in (lines[:7], lines[7:]))
+    two, one = (dict(line.split(": ") for line in part) for part in (lines[:13], lines[13:]))
     reference = [f"run_round {name}" for name in ("final log_belief", "tv", "flagged")]
+    ledgers = [f"{arm} {name}" for arm in ("ledger", "tau=1 ledger")
+               for name in ("len", "events", "communication_fractions")]
     assert list(two) == [f"run_experiment {name}" for name in (
-        "log_beliefs", "tv_series", "uninformative", "last_below")] + reference
+        "log_beliefs", "tv_series", "uninformative", "last_below")] + ledgers + reference
     assert all(len(digest) == 64 for digest in two.values())
     assert two["run_experiment log_beliefs"] != one["run_experiment log_beliefs"]
+    # this config's own arm exchanges nothing in 5 rounds; its tau = 1 arm does
+    assert all(two[key] != one[key] for key in ledgers if key != "ledger events")
     assert all(two[key] == one[key] for key in reference)
 
 

@@ -6,8 +6,9 @@ For each ``configs/*.json``, runs ``python -m soclearn.cli`` in each
 checkout, with ``PYTHONPATH=<checkout>/src``, as ``run --out``,
 ``compare``, ``compare --out``, ``analyze --out`` and ``validate``,
 then ``library``: a child process runs ``library_digests``, which
-prints the sha256 of the engine's record arrays and of a ``run_round``
-chain's final beliefs, TVs and flagged masks. ``--replicas`` is passed
+prints the sha256 of the engine's record arrays, of their ledgers and
+of the threshold-1 arm's ledgers, and of a ``run_round`` chain's final
+beliefs, TVs and flagged masks. ``--replicas`` is passed
 on to ``run``, ``compare`` and ``library``. Each command writes into a fresh
 temporary directory. It compares the exit codes, stdout and stderr
 with the output directory masked, and every output file, byte for
@@ -44,10 +45,14 @@ COMMANDS = (
 
 def library_digests(argv) -> None:
     """Print the sha256 of ``run_experiment``'s record arrays, each over
-    all replicas in order, and of a ``run_round`` chain over replica 0's
-    signals, for ``config.rounds`` rounds: its final ``log_belief``, and
-    every round's ``tv`` and flagged mask, in round order. ``argv`` is
-    ``[--replicas N] --config PATH``."""
+    all replicas in order; of each record's ledger, its ``len`` (int64),
+    its ``events`` (int64 triples) and its ``communication_fractions()``,
+    for ``config`` and for its ``tau = 1`` arm; and of a ``run_round``
+    chain over replica 0's signals, for ``config.rounds`` rounds: its
+    final ``log_belief``, and every round's ``tv`` and flagged mask, in
+    round order. ``argv`` is ``[--replicas N] --config PATH``."""
+    import numpy as np
+
     from soclearn.harness import ExperimentConfig, run_experiment
     from soclearn.learning import initial_state, run_round
     from soclearn.model import generate_signals
@@ -63,6 +68,16 @@ def library_digests(argv) -> None:
     for name in ("log_beliefs", "tv_series", "uninformative", "last_below"):
         digest = hashlib.sha256(b"".join(getattr(rec, name).tobytes() for rec in records))
         print(f"run_experiment {name}: {digest.hexdigest()}")
+    baseline = run_experiment(dataclasses.replace(config, tau=1.0))
+    for arm, arm_records in (("ledger", records), ("tau=1 ledger", baseline)):
+        digests = {name: hashlib.sha256() for name in ("len", "events", "communication_fractions")}
+        for rec in arm_records:
+            ledger = rec.ledger
+            digests["len"].update(np.int64(len(ledger)).tobytes())
+            digests["events"].update(np.array(ledger.events, np.int64).reshape(-1, 3).tobytes())
+            digests["communication_fractions"].update(ledger.communication_fractions().tobytes())
+        for name, digest in digests.items():
+            print(f"{arm} {name}: {digest.hexdigest()}")
     space, prior, lik, net = config.model
     signals = generate_signals(lik, space, config.seed, config.rounds + 1)
     state = initial_state(prior, lik, signals[0])
