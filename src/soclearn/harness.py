@@ -329,9 +329,11 @@ class TrajectoryRecord:
     ``1..rounds`` densely, so ``rounds`` is the number of their rows.
     ``last_below[i]`` is the last round at which agent ``i``'s belief on
     the realized state was below the run's ``1 - consensus_delta``, or
-    -1 if it never was. A record whose arrays break this layout, or
-    whose verdicts are not booleans, is refused with a ``ValueError``
-    that names the field.
+    -1 if it never was. A record whose arrays break this layout, whose
+    verdicts are not booleans, whose ``stored_rounds`` do not run
+    strictly upward from 0 to ``rounds``, or whose ``last_below`` leaves
+    ``[-1, rounds]``, is refused with a ``ValueError`` that names the
+    field.
 
     The arrays are read-only. Records from ``run_experiment`` hold views
     into one history buffer per call, shared by all the replicas of that
@@ -378,6 +380,13 @@ class TrajectoryRecord:
                 )
         if self.uninformative.dtype != bool:
             raise ValueError(f"uninformative must be booleans, got {self.uninformative.dtype}")
+        rounds, stored = len(self.uninformative), self.stored_rounds
+        if stored[0] != 0 or stored[-1] != rounds or np.any(stored[1:] <= stored[:-1]):
+            raise ValueError(f"stored_rounds must start at 0, strictly increase and end at "
+                             f"rounds = {rounds}, got {stored}")
+        if np.any((self.last_below < -1) | (self.last_below > rounds)):
+            raise ValueError(f"last_below must lie in [-1, rounds] with rounds = {rounds}, "
+                             f"got {self.last_below}")
 
     @property
     def rounds(self) -> int:

@@ -1,5 +1,7 @@
 """Identifiability diagnostics, rate estimation, and mixing checks."""
 
+import csv
+import io
 import math
 import tracemalloc
 import warnings
@@ -9,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bernoulli_table, reference_like_model
+from conftest import AWKWARD_LABELS, bernoulli_table, reference_like_model
 from soclearn.analysis import (
     CLASS_TOL,
+    _csv_cell,
     _reachable,
     equivalence_classes,
     identifiability_report,
@@ -507,3 +510,14 @@ def test_gap_names_the_first_matrix_of_another_shape():
         product_convergence_gap([np.eye(2), np.eye(2), np.eye(3), np.eye(4)])
     with pytest.raises(ValueError, match=r"^matrix 0 has shape \(2, 3\), not \(2, 2\)$"):
         product_convergence_gap([np.ones((2, 3))] * 2)
+
+
+# ----------------------------------------------------------------- _csv_cell
+
+
+@given(st.one_of(st.sampled_from(AWKWARD_LABELS), st.text(), st.floats(), st.integers()))
+def test_csv_cell_quotes_as_the_csv_module_does(label):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow([label, ""])
+    assert _csv_cell(label) + ",\r\n" == buf.getvalue()
+

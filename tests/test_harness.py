@@ -1,4 +1,6 @@
-"""Experiment orchestration: config, signals, round loop, export, CLI."""
+"""Experiment orchestration: config, the batched engine, trajectory records,
+export, and the baseline comparison, also as ``cli.main`` reaches them: the
+config refusals, the runs and their pinned outputs."""
 
 import csv
 import dataclasses
@@ -7,23 +9,33 @@ import io
 import itertools
 import json
 import math
-import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bernoulli, log_normalized
+from conftest import (
+    AWKWARD_LABELS,
+    CONFIG_DIR,
+    EXPORT_CASES,
+    beliefs_csv_rows,
+    bernoulli,
+    engine_configs,
+    oracle_beliefs_csv,
+    package_env,
+    settling_config,
+    valid_model,
+    write_config,
+)
 from test_trace_contract import traced_job
 from soclearn.analysis import estimate_rate, identifiability_report, validate_assumptions
-from soclearn import harness, model, switching
+from soclearn import harness, switching
 from soclearn.cli import main
 from soclearn.harness import (
     GENERATOR_NAME,
@@ -38,11 +50,8 @@ from soclearn.harness import (
     run_experiment,
 )
 from soclearn.learning import initial_state, run_round
-from soclearn.model import AssumptionViolation, LikelihoodModel, Network, Prior, \
-    metropolis_weights, ring_edges
+from soclearn.model import AssumptionViolation, LikelihoodModel, metropolis_weights, ring_edges
 
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # symmetric and doubly stochastic, but three diagonal entries are not
 # what a row fill gives: 1 - (0.1 + 0.2 + 0.3) == 0.3999999999999999
@@ -52,31 +61,6 @@ EXPLICIT_WEIGHTS = (
     (0.2, 0.3, 0.3, 0.2),
     (0.3, 0.1, 0.2, 0.4),
 )
-
-
-def settling_config(**overrides):
-    # five agents on a complete graph, every state distinguishable by
-    # several of them; strong signals settle all agents well inside the
-    # horizon
-    base = dict(
-        agents=5,
-        states=4,
-        true_state=0,
-        topology_kind="complete",
-        tables=(
-            bernoulli((0.20, 0.50, 0.70, 0.35)),
-            bernoulli((0.60, 0.30, 0.45, 0.80)),
-            bernoulli((0.35, 0.65, 0.25, 0.50)),
-            bernoulli((0.75, 0.40, 0.60, 0.30)),
-            bernoulli((0.50, 0.70, 0.30, 0.55)),
-        ),
-        tau=1e-8,
-        rounds=700,
-        seed=21,
-        replicas=20,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 # -------------------------------------------------------------------- config
@@ -207,23 +191,6 @@ def test_equal_bernoulli_parameters_fail_a2():
         run_experiment(config)
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict({"agents": 3, "states": 4, "bogus": 1})
-    # the weight, likelihood and prior kinds follow from the data fields
-    # and are not config keys
-    path = tmp_path / "config.json"
-    for key, value in (
-        ("weight_rule", "metropolis"),
-        ("likelihood_kind", "tables"),
-        ("prior_kind", "uniform"),
-    ):
-        data = json.loads((CONFIG_DIR / "complete5_tables.json").read_text())
-        path.write_text(json.dumps({**data, key: value}))
-        assert main(["validate", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
-
-
 def test_config_rejects_alphabets_without_tables():
     # signals are table row indices, so no config field names symbols; a
     # config that still carries alphabets fails, with tables or without
@@ -288,257 +255,6 @@ def test_reference_likelihoods_match_the_per_state_loop(agents, states, p_eq, p_
     )
     for got, want in zip(lik.log_lik, expect.log_lik, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-# ------------------------------------------------------------------- signals
-
-
-def test_signal_generation_is_deterministic():
-    config = reference_config()
-    space, _, lik, _ = build_model(config)
-    a = generate_signals(lik, space, seed=5, rounds=100, replica=3)
-    b = generate_signals(lik, space, seed=5, rounds=100, replica=3)
-    assert np.array_equal(a, b)
-
-
-def test_replicas_get_distinct_streams():
-    config = reference_config()
-    space, _, lik, _ = build_model(config)
-    a = generate_signals(lik, space, seed=5, rounds=100, replica=0)
-    b = generate_signals(lik, space, seed=5, rounds=100, replica=1)
-    assert not np.array_equal(a, b)
-
-
-def test_signal_frequencies_match_the_conditional_law():
-    # empirical symbol-1 rates against their binomial three-sigma bands
-    config = reference_config(agents=3, states=4)
-    space, _, lik, _ = build_model(config)
-    rounds = 100_000
-    sig = generate_signals(lik, space, seed=11, rounds=rounds, replica=0)
-    assert sig.shape == (rounds, 3)
-    for i in range(3):
-        p = np.exp(lik.log_lik[i][1, space.true_state_index])
-        got = sig[:, i].mean()
-        band = 3.0 * math.sqrt(p * (1.0 - p) / rounds)
-        assert abs(got - p) <= band
-
-
-@pytest.mark.parametrize("agents", [15, 4])
-def test_signal_slices_concatenate_to_one_draw(agents):
-    # round t of agent i reads double g = t * agents + i, which is word
-    # g % 4 of the Philox block at counter g // 4 + 1. With 15 agents,
-    # starts 7 and 22 begin at doubles 105 and 330, one and two words into
-    # a block; with 4 agents every start is block-aligned
-    config = reference_config(agents=agents, states=5)
-    space, _, lik, _ = build_model(config)
-    rounds, a, b = 40, 7, 22
-    whole = generate_signals(lik, space, seed=5, rounds=rounds, replica=2)
-    parts = [
-        generate_signals(lik, space, seed=5, rounds=hi - lo, replica=2, start=lo)
-        for lo, hi in ((0, a), (a, b), (b, rounds))
-    ]
-    assert np.array_equal(np.concatenate(parts), whole)
-
-
-def _numpy_philox_doubles(seed, replica, first, count):
-    """Doubles ``first .. first + count - 1`` as numpy's own Philox draws them."""
-    bitgen = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
-    blocks, leftover = divmod(first, 4)
-    bitgen.advance(blocks)
-    gen = np.random.Generator(bitgen)
-    gen.random(leftover)
-    return gen.random(count)
-
-
-_WORD_VALUES = st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=_WORD_VALUES,
-    replicas=st.lists(_WORD_VALUES, min_size=1, max_size=4),
-    # 4 * 2**64 - 20 keeps the last counter of 16 doubles below 2**64
-    first=st.integers(0, 10**6) | st.integers(0, 4 * 2**64 - 20),
-    count=st.integers(1, 16),
-)
-def test_philox_doubles_match_numpy(seed, replicas, first, count):
-    keys = np.array(replicas, dtype=np.uint64)[:, None]
-    got = model._philox_doubles(seed, keys, first, count)
-    assert got.shape == (len(replicas), count)
-    for r, replica in enumerate(replicas):
-        want = _numpy_philox_doubles(seed, replica, first, count)
-        assert np.array_equal(got[r].view(np.uint64), want.view(np.uint64))
-
-
-@pytest.mark.parametrize("start", [0, 7])
-def test_replica_sequence_draws_each_replica_stream(start):
-    config = reference_config(agents=15, states=5)
-    space, _, lik, _ = build_model(config)
-    many = generate_signals(lik, space, seed=5, rounds=30, replica=range(3), start=start)
-    assert many.shape == (30, 3, 15)
-    for r in range(3):
-        one = generate_signals(lik, space, seed=5, rounds=30, replica=r, start=start)
-        assert np.array_equal(many[:, r], one)
-    with pytest.raises(ValueError, match="at least one"):
-        generate_signals(lik, space, seed=5, rounds=1, replica=[])
-    with pytest.raises(ValueError, match=rf"^replica must be an integer in \[0, {2**64}\), "
-                                         rf"got {2**64}$"):
-        generate_signals(lik, space, seed=5, rounds=1, replica=[0, 2**64])
-
-
-def test_signal_counter_must_not_wrap():
-    # the largest start whose last block counter still fits in 64 bits
-    # draws; one round further the low counter word would wrap, and numpy
-    # would carry into the next word where this generator does not
-    config = reference_config()
-    space, _, lik, _ = build_model(config)
-    n = lik.agent_count
-    last = 4 * (2**64 - 1) // n - 1
-    assert generate_signals(lik, space, seed=5, rounds=1, start=last).shape == (1, n)
-    for start in (last + 1, 2**70):
-        with pytest.raises(ValueError, match="2\\*\\*64"):
-            generate_signals(lik, space, seed=5, rounds=1, start=start)
-
-
-def package_env() -> dict:
-    """The environment, with this checkout's package first on the path."""
-    src = str(Path(harness.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
-def test_run_and_compare_leave_numpy_random_unloaded(tmp_path):
-    # the package draws Philox itself; importing numpy.random costs every
-    # process several MB of memory
-    config = tmp_path / "tiny.json"
-    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5, "replicas": 2}))
-    script = (
-        "import sys\n"
-        "from soclearn.cli import main\n"
-        f"assert main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        f"assert main(['compare', '--config', {str(config)!r}]) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True,
-        check=True,
-    )
-    assert done.stdout.splitlines()[-1] == "False"
-
-
-def test_signal_start_must_be_nonnegative():
-    config = reference_config()
-    space, _, lik, _ = build_model(config)
-    with pytest.raises(ValueError, match="start"):
-        generate_signals(lik, space, seed=5, rounds=10, start=-1)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("rounds", 2.5), ("rounds", 2.0), ("rounds", True), ("start", 1.5), ("start", "1"),
-     ("seed", True), ("seed", 5.0), ("replica", True), ("replica", [True, 0]),
-     ("replica", 1.5)],
-)
-def test_signal_rounds_and_start_must_be_integers(field, value):
-    # rounds=2.5, seed=5.0 and replica=1.5 used to raise a raw TypeError;
-    # seed=True and replica=True read as 1
-    config = reference_config()
-    space, _, lik, _ = build_model(config)
-    kwargs = {"seed": 5, "rounds": 3, "start": 0, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        generate_signals(lik, space, **kwargs)
-
-
-def test_signals_are_valid_alphabet_indices():
-    config = settling_config()
-    space, _, lik, _ = build_model(config)
-    sig = generate_signals(lik, space, seed=2, rounds=500)
-    assert sig.min() >= 0
-    assert sig.max() <= 1
-
-
-# ----------------------------------------------------------------- run_round
-
-
-def test_round_with_informative_agents_is_pure_bayes():
-    # a threshold this small never trips, so every agent stays Bayesian
-    config = settling_config(replicas=1)
-    space, prior, lik, net = build_model(config)
-    sig = generate_signals(lik, space, config.seed, rounds=4)
-    state = initial_state(prior, lik, sig[0])
-    evidence = np.cumsum(lik.signal_rows(sig)[0], axis=0)
-    for t in (1, 2, 3):
-        state, q, tv = run_round(state, net, lik, 1e-300, sig[t])
-        assert np.array_equal(q.q, np.eye(config.agents))
-        assert np.all(tv >= 1e-300)
-        expected = log_normalized(prior.log_mass + evidence[t])
-        assert np.allclose(state.log_belief, expected, atol=1e-12)
-
-
-def test_round_with_threshold_one_always_mixes():
-    config = settling_config(replicas=1)
-    space, prior, lik, net = build_model(config)
-    sig = generate_signals(lik, space, config.seed, rounds=4)
-    state = initial_state(prior, lik, sig[0])
-    for t in (1, 2, 3):
-        state, q, tv = run_round(state, net, lik, 1.0, sig[t])
-        assert np.array_equal(q.q, net.weights)
-        assert np.all(tv < 1.0)
-
-
-def test_single_agent_ignores_the_threshold():
-    # no neighbors means no exchanges regardless of the verdict
-    config = ExperimentConfig(agents=1, states=2, rounds=5, seed=1, replicas=1)
-    space, prior, lik, net = build_model(config)
-    sig = generate_signals(lik, space, config.seed, rounds=6)
-    solo = log_normalized(prior.log_mass + np.cumsum(lik.log_lik[0][sig[:, 0]], axis=0))
-    for tau in (1e-300, 0.5, 1.0):
-        state = initial_state(prior, lik, sig[0])
-        for t in range(1, 6):
-            state, q, _ = run_round(state, net, lik, tau, sig[t])
-            assert np.array_equal(q.q, np.array([[1.0]]))
-            assert np.allclose(state.log_belief[0], solo[t], atol=1e-12)
-
-
-def test_round_validates_threshold_and_shapes():
-    config = settling_config(replicas=1)
-    space, prior, lik, net = build_model(config)
-    sig = generate_signals(lik, space, config.seed, rounds=2)
-    state = initial_state(prior, lik, sig[0])
-    with pytest.raises(ValueError):
-        run_round(state, net, lik, 0.0, sig[1])
-    with pytest.raises(ValueError):
-        run_round(state, net, lik, 0.5, sig[1][:3])
-    for cast in (float, bool):
-        with pytest.raises(ValueError, match="integer signal index"):
-            run_round(state, net, lik, 0.5, sig[1].astype(cast))
-
-
-@pytest.mark.parametrize("bad", [[2, 0], [0, 2]])
-def test_round_names_a_padded_or_impossible_signal_row(bad):
-    # agent 0's row 2 has probability 0 under state 1; agent 1 has two
-    # symbols, so its row 2 is padding. The kernel alone would report
-    # neither (agent 0's belief still supports state 0, and the padded
-    # row would read as a zero-probability signal)
-    lik = LikelihoodModel.from_probabilities(
-        [[[0.5, 0.6], [0.3, 0.4], [0.2, 0.0]], [[0.5, 0.25], [0.5, 0.75]]]
-    )
-    net = metropolis_weights([(0, 1)], 2)
-    state = initial_state(Prior.uniform(2), lik, [0, 0])
-    agent = bad.index(2)
-    with pytest.raises(ValueError, match=f"agent {agent}: signal index 2 hits"):
-        run_round(state, net, lik, 0.5, bad)
-
-
-@pytest.mark.parametrize("agents, states, nodes", [(2, 2, 3), (2, 3, 2), (3, 2, 2)],
-                         ids=["network", "likelihood-states", "likelihood-agents"])
-def test_round_refuses_a_network_or_likelihood_of_other_dimensions(agents, states, nodes):
-    # the state is 2 agents by 2 states; one of the other two disagrees
-    state = initial_state(Prior.uniform(2), LikelihoodModel.from_probabilities(
-        [np.full((2, 2), 0.5)] * 2), [0, 0])
-    lik = LikelihoodModel.from_probabilities([np.full((2, states), 0.5)] * agents)
-    net = metropolis_weights([(0, 1)], nodes)
-    with pytest.raises(ValueError, match="^state, network, and likelihood dimensions disagree$"):
-        run_round(state, net, lik, 0.5, [0] * agents)
 
 
 # ------------------------------------------------------------ run_experiment
@@ -748,55 +464,6 @@ def assert_engine_matches_reference(config):
             assert np.array_equal(rec.uninformative[t - 1], tv < config.tau)
 
 
-@st.composite
-def engine_configs(draw):
-    """Small random experiments, some of which fail A1 or A3.
-
-    1-6 agents on a random edge set, usually grown from a spanning tree
-    (connected) and sometimes not; Metropolis or explicit weights on it.
-    Tables over 2-4 states with 2-4 symbols per agent, now and then with
-    zero entries; uniform or skewed explicit priors; three thresholds;
-    the default thinning or any stride up to the horizon.
-    """
-    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = set()
-    if pairs:
-        edges = set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-    if draw(st.integers(0, 3)):
-        edges |= {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-    net = {"topology_kind": "edges", "topology_edges": tuple(sorted(edges))}
-    if draw(st.booleans()):
-        degree = max((sum(k in e for e in edges) for k in range(n)), default=0)
-        w = np.zeros((n, n))
-        for i, j in sorted(edges):
-            w[i, j] = w[j, i] = draw(st.integers(1, 4)) / (4.0 * (1 + degree))
-        w[np.arange(n), np.arange(n)] = 1.0 - w.sum(axis=1)
-        net = {"weight_matrix": w.tolist()}
-    weight = st.integers(0 if draw(st.integers(0, 4)) == 0 else 1, 9)
-    tables = []
-    for _ in range(n):
-        s = draw(st.integers(2, 4))
-        t = np.array(draw(st.lists(weight, min_size=s * m, max_size=s * m)), float)
-        t = t.reshape(s, m)
-        t[0] += t.sum(axis=0) == 0.0
-        tables.append((t / t.sum(axis=0)).tolist())
-    prior = {}
-    if draw(st.booleans()):
-        decades = draw(st.lists(st.integers(-8, 0), min_size=m, max_size=m))
-        mass = 10.0 ** np.array(decades)
-        prior = {"prior_mass": (mass / mass.sum()).tolist()}
-    rounds = draw(st.integers(1, 40))
-    return ExperimentConfig(
-        agents=n, states=m, true_state=draw(st.integers(0, m - 1)),
-        tables=tables,
-        tau=draw(st.sampled_from([1e-17, 0.05, 1.0])),
-        rounds=rounds, replicas=draw(st.integers(1, 2)),
-        seed=draw(st.integers(0, 2**32)),
-        thin_every=draw(st.one_of(st.none(), st.integers(1, rounds))), **net, **prior,
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(engine_configs(), st.integers(1, 64))
 def test_batched_engine_matches_reference_on_random_models(config, cells):
@@ -809,47 +476,6 @@ def test_batched_engine_matches_reference_on_random_models(config, cells):
     else:
         with pytest.raises(AssumptionViolation):
             run_experiment(config)
-
-
-@settings(max_examples=40, deadline=None)
-@given(engine_configs(), st.integers(0, 50))
-def test_signals_pick_the_first_symbol_whose_law_exceeds_the_draw(config, start):
-    # oracle: numpy's own Philox doubles and one searchsorted per agent, on
-    # tables with zero entries (tied cdf entries) and unequal alphabets
-    space, _, lik, _ = build_model(config)
-    n, rounds = config.agents, 5
-    got = generate_signals(lik, space, config.seed, rounds,
-                           replica=range(config.replicas), start=start)
-    cdf = lik.signal_cdf[:, :, space.true_state_index]
-    for r in range(config.replicas):
-        draws = _numpy_philox_doubles(config.seed, r, start * n, rounds * n)
-        draws = draws.reshape(rounds, n)
-        for i in range(n):
-            want = np.searchsorted(cdf[i], draws[:, i], side="right")
-            assert np.array_equal(got[:, r, i], want)
-
-
-def test_a_draw_on_a_cdf_entry_picks_the_symbol_after_it(monkeypatch):
-    # random draws almost never land on a cdf entry, so feed the lookup
-    # every entry below 1.0 and its two neighbouring doubles; agent 0 has a
-    # zero-probability symbol, so two of its entries tie at 0.25
-    config = ExperimentConfig(
-        agents=2, states=2, tables=(
-            ((0.25, 0.5), (0.0, 0.5), (0.75, 0.0)),
-            ((0.5, 0.5), (0.5, 0.5)),
-        ),
-    )
-    space, _, lik, _ = build_model(config)
-    cdf = lik.signal_cdf[:, :, space.true_state_index]
-    edges = np.unique(np.append(cdf[cdf < 1.0], 0.0))
-    draws = np.unique(np.concatenate([edges, np.nextafter(edges, 0.0),
-                                      np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)]]))
-    monkeypatch.setattr(model, "_philox_doubles",
-                        lambda seed, replicas, first, count: np.repeat(draws, 2)[None])
-    got = generate_signals(lik, space, 0, len(draws))
-    for i in range(2):
-        assert np.array_equal(got[:, i], np.searchsorted(cdf[i], draws, side="right"))
-    assert set(got[:, 0]) == {0, 2}
 
 
 @settings(max_examples=40, deadline=None)
@@ -892,70 +518,6 @@ def test_a_replica_range_past_64_bits_is_refused_before_any_allocation():
     assert peak < 2**20
     records = run_experiment(dataclasses.replace(config, rounds=2), first_replica=2**64 - 2)
     assert [rec.replica for rec in records] == [2**64 - 2, 2**64 - 1]
-
-
-def valid_model(config):
-    """``build_model`` of a config that passes A1-A3; rejects the example otherwise."""
-    space, prior, lik, net = build_model(config)
-    assume(validate_assumptions(lik, net, space).passed)
-    return space, prior, lik, net
-
-
-def reference_rounds(config):
-    """``(state, signals, new_state, switching, tv)`` of each ``run_round``
-    step, replica 0."""
-    space, prior, lik, net = valid_model(config)
-    sig = generate_signals(lik, space, config.seed, config.rounds + 1)
-    state = initial_state(prior, lik, sig[0])
-    for t in range(1, config.rounds + 1):
-        new, q, tv = run_round(state, net, lik, config.tau, sig[t])
-        yield state, sig[t], new, q, tv
-        state = new
-
-
-@settings(max_examples=40, deadline=None)
-@given(engine_configs(), st.lists(st.floats(1e-300, 1.0), min_size=2, max_size=2))
-def test_flagged_sets_grow_with_the_threshold(config, drawn):
-    # same state, same signal: raising tau can only add uninformative agents;
-    # the round's own tvs as thresholds put every verdict on a boundary
-    _, _, lik, net = valid_model(config)
-    for state, sig, _, _, tv in reference_rounds(config):
-        tvs = {float(v) for v in tv if 0.0 < v <= 1.0}
-        flagged = [
-            set(np.flatnonzero(run_round(state, net, lik, tau, sig)[2] < tau))
-            for tau in sorted(tvs | set(drawn) | {config.tau})
-        ]
-        assert all(lo <= hi for lo, hi in zip(flagged, flagged[1:]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(engine_configs())
-def test_potential_average_moves_by_the_mean_fresh_row(config):
-    # a doubly stochastic mix keeps the agent-average, so each round moves
-    # it by exactly the mean fresh row; rounding stays within 4n ulps of
-    # the largest magnitude in the column (about 0.85n seen at most)
-    _, _, lik, net = valid_model(config)
-    eps = np.finfo(float).eps
-    for state, sig, new, _, _ in reference_rounds(config):
-        fresh = lik.signal_rows(sig)[0]
-        drift = new.potentials.mean(axis=0) - state.potentials.mean(axis=0) \
-            - fresh.mean(axis=0)
-        scale = np.max(np.abs([state.potentials, new.potentials, fresh]), axis=(0, 1))
-        assert np.all(np.abs(drift) <= 4 * net.n * eps * scale)
-
-
-@settings(max_examples=60, deadline=None)
-@given(engine_configs())
-def test_fired_pairs_are_the_positive_offdiagonals(config):
-    # the matrix's support is the oracle of the fired-edge rule, also when
-    # every agent is flagged and the network weights are copied verbatim;
-    # a one-round ledger decodes its round's pairs by that rule
-    for _, _, _, q, _ in reference_rounds(config):
-        rows, cols = np.nonzero(np.triu(q.q > 0.0, 1))
-        ledger = switching.CommLedger(q.network)
-        ledger.record(q)
-        assert ledger.events == [(q.round, i, j) for i, j in zip(rows.tolist(), cols.tolist())]
-        assert len(ledger) == rows.size
 
 
 def test_switching_and_baseline_share_round_zero():
@@ -1072,6 +634,9 @@ def test_engine_records_are_read_only():
                 arr[...] = 0
 
 
+# ---------------------------------------------------------- TrajectoryRecord
+
+
 def hand_record_arrays() -> dict:
     """The arrays of a 3-agent, 2-state record of 2 rounds that stores rounds 0 and 2."""
     return dict(
@@ -1129,6 +694,34 @@ def test_record_refuses_verdicts_that_are_not_booleans():
         hand_record(**arrays)
 
 
+STORED_RULE = "stored_rounds must start at 0, strictly increase and end at rounds = "
+LAST_BELOW_RULE = "last_below must lie in [-1, rounds] with rounds = 2, got "
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # consensus_round would report round 10 of a 2-round record
+        ({"last_below": [5, 7, 9]}, LAST_BELOW_RULE + "[5 7 9]"),
+        ({"last_below": [3, -1, -1]}, LAST_BELOW_RULE + "[ 3 -1 -1]"),
+        # a per-agent consensus round of -4
+        ({"last_below": [-5, 0, 0]}, LAST_BELOW_RULE + "[-5  0  0]"),
+        ({"stored_rounds": [2, 0]}, STORED_RULE + "2, got [2 0]"),
+        ({"stored_rounds": [1, 2]}, STORED_RULE + "2, got [1 2]"),
+        ({"stored_rounds": [0, 1]}, STORED_RULE + "2, got [0 1]"),
+        # no rounds: [0, 0] starts at 0 and ends at rounds, but repeats a round
+        ({"stored_rounds": [0, 0], "uninformative": np.zeros((0, 3), dtype=bool)},
+         STORED_RULE + "0, got [0 0]"),
+    ],
+    ids=["last-below-past-the-end", "last-below-one-past", "last-below-under-minus-one",
+         "stored-decreasing", "stored-after-0", "stored-before-rounds", "stored-repeated"],
+)
+def test_record_refuses_values_no_run_can_produce(fields, message):
+    arrays = {**hand_record_arrays(), **{name: np.array(v) for name, v in fields.items()}}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hand_record(**arrays)
+
+
 def test_most_replicas_learn_the_realized_state():
     # strong-signal config: every replica should settle all agents
     # above 1 - consensus_delta well before the horizon
@@ -1140,173 +733,6 @@ def test_most_replicas_learn_the_realized_state():
         per_agent = rec.per_agent_consensus_rounds()
         assert all(r is not None for r in per_agent)
         assert rec.consensus_round == max(per_agent)
-
-
-def test_communication_stays_sparse_under_switching():
-    config = reference_config(replicas=4)
-    records = run_experiment(config)
-    baseline = run_experiment(dataclasses.replace(config, tau=1.0))
-    sw_events = sum(len(rec.ledger.events) for rec in records)
-    base_events = sum(len(rec.ledger.events) for rec in baseline)
-    assert sw_events < base_events
-    fractions = np.concatenate([rec.ledger.communication_fractions() for rec in records])
-    assert fractions.mean() < 0.2
-
-
-def ledger_fractions(rec):
-    """Per agent, the share of rounds with a ledger event that includes it."""
-    rounds = [set() for _ in range(rec.network.n)]
-    for t, i, j in rec.ledger:
-        rounds[i].add(t)
-        rounds[j].add(t)
-    return np.array([len(r) for r in rounds]) / rec.rounds
-
-
-def test_fraction_definitions_agree():
-    # the ledger's fraction (uninformative or uninformative neighbor)
-    # must equal the one counted from its events
-    records = run_experiment(reference_config(replicas=2))
-    for rec in records:
-        assert np.array_equal(rec.ledger.communication_fractions(), ledger_fractions(rec))
-
-
-@settings(max_examples=40, deadline=None)
-@given(engine_configs(), st.data())
-def test_communication_fractions_match_the_dense_fired_oracle(config, data):
-    # any block size, so the ledger's walk also crosses block boundaries
-    # mid-run, in the blocks its iteration uses. One more record is quiet
-    # but for one lone flagged round, which is all its ledger stores
-    valid_model(config)
-    cells = data.draw(st.integers(1, 2 * config.agents ** 2))
-    records = run_experiment(config)
-    n = config.agents
-    quiet = np.zeros((data.draw(st.integers(1, 600)), n), dtype=bool)
-    lone = data.draw(st.integers(0, len(quiet) - 1))
-    quiet[lone] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
-    records.append(dataclasses.replace(records[0], uninformative=quiet))
-    with mock.patch.object(switching, "_BLOCK_CELLS", cells):
-        for rec in records:
-            touched = switching._fired(rec.network, rec.uninformative).any(axis=-1)
-            fractions = rec.ledger.communication_fractions()
-            assert np.array_equal(fractions, touched.sum(axis=0) / rec.rounds)
-            assert np.array_equal(fractions, ledger_fractions(rec))
-
-
-def test_communication_fractions_walk_the_masks_in_blocks():
-    # at n = 64 a block is one round, whose fired edges take 4 KiB; blocks
-    # of 256 rounds would hold about 1 MiB of them. The first call replays
-    # the ledger, which the record caches, so the bar measures the ledger's
-    # walk over its stored masks after the replay
-    net = metropolis_weights(ring_edges(64), 64)
-    u = np.random.default_rng(3).random((5000, 64)) < 0.05
-    rec = harness.TrajectoryRecord(
-        replica=0, true_state_index=0, stored_rounds=np.array([0]),
-        log_beliefs=np.zeros((1, 64, 1)), tv_series=np.zeros((0, 64)),
-        uninformative=u, last_below=np.full(64, -1), network=net,
-    )
-    rec.ledger.communication_fractions()
-    tracemalloc.start()
-    try:
-        rec.ledger.communication_fractions()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 1024
-
-
-@st.composite
-def networks(draw):
-    """Connected graphs on 2..7 agents, Metropolis or explicit weights."""
-    n = draw(st.integers(2, 7))
-    # a random spanning tree keeps the graph connected; extra edges on top
-    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
-    if draw(st.booleans()):
-        return metropolis_weights(edges, n)
-    # explicit: edge weights in (0, 1 / (1 + max degree)], diagonal fills
-    degree = max(sum(k in e for e in edges) for k in range(n))
-    w = np.zeros((n, n))
-    for i, j in sorted(edges):
-        w[i, j] = w[j, i] = draw(st.integers(1, 4)) / (4.0 * (1 + degree))
-    w[np.arange(n), np.arange(n)] = 1.0 - w.sum(axis=1)
-    return Network(w)
-
-
-@st.composite
-def replayed_masks(draw):
-    """A network and a ``(rounds, n)`` uninformative mask for it."""
-    net = draw(networks())
-    n = net.n
-    row = st.one_of(
-        st.just([False] * n),
-        st.just([True] * n),
-        st.lists(st.booleans(), min_size=n, max_size=n),
-    )
-    return net, np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=bool)
-
-
-@settings(max_examples=60, deadline=None)
-@given(replayed_masks())
-def test_ledger_replay_matches_vectorised_events(case):
-    net, u = case
-    n = net.n
-    rec = harness.TrajectoryRecord(
-        replica=0,
-        true_state_index=0,
-        stored_rounds=np.array([0]),
-        log_beliefs=np.zeros((1, n, 1)),
-        tv_series=np.zeros((0, n)),
-        uninformative=u,
-        last_below=np.full(n, -1),
-        network=net,
-    )
-    fired = np.triu((u[:, :, None] | u[:, None, :]) & net.adjacency, k=1)
-    expect = [(int(t) + 1, int(i), int(j)) for t, i, j in zip(*np.nonzero(fired))]
-    ledger = rec.ledger
-    assert ledger.events == expect
-    assert len(ledger) == len(ledger.events)
-    assert ledger.rounds_recorded == len(u)
-    assert np.array_equal(ledger_fractions(rec), rec.ledger.communication_fractions())
-
-
-def test_ledger_replay_builds_no_mixing_matrix(monkeypatch):
-    # the replay reads only each round's fired edges; tau = 1 fires every
-    # edge, so a matrix built for any round would show up here
-    recs = run_experiment(settling_config(replicas=1, rounds=20, tau=1.0))
-
-    def no_matrix(net, flagged):
-        raise AssertionError("the ledger replay built a mixing matrix")
-
-    monkeypatch.setattr(switching, "_mixing_matrices", no_matrix)
-    ledger = recs[0].ledger
-    net = recs[0].network
-    assert len(ledger) == 20 * int(np.triu(net.adjacency).sum()) > 0
-    assert ledger.rounds_recorded == 20
-
-
-def test_ledger_keeps_at_most_6_bytes_per_exchange():
-    # tau = 1 on a complete graph fires every edge in every round, so the
-    # ledger dominates what the replay retains; one Python tuple per
-    # exchange kept ~75 bytes each, packed int64 triples ~26, a 2-byte
-    # pair code per exchange ~3.9, and a round number and a one-byte
-    # mask per round with exchanges (10 of them here) keep ~1.0
-    config = dataclasses.replace(
-        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
-        tau=1.0,
-        replicas=2,
-    )
-    records = run_experiment(config)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ledgers = [rec.ledger for rec in records]
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    events = sum(len(ledger) for ledger in ledgers)
-    assert events == 2 * config.rounds * 10
-    assert retained <= 6 * events
 
 
 # ---------------------------------------------------------- compare_baseline
@@ -1345,16 +771,22 @@ def test_comparison_without_edges_has_none_to_avoid():
     assert lines[-1] == "total exchanges: 0 vs 0 baseline (none to avoid)"
 
 
+def test_compare_baseline_stores_only_the_ends(tmp_path):
+    # the summary reads only the final stored round, so both routes keep
+    # rounds 0 and `rounds` of each record; with out_dir the config's
+    # thinning decides what both arms export
+    config = settling_config(replicas=2, rounds=30, thin_every=7)
+    bare = compare_baseline(config)
+    written = compare_baseline(config, tmp_path / "cmp")
+    assert written.summary() == bare.summary()
+    for rec in bare.switching + bare.baseline + written.switching + written.baseline:
+        assert rec.stored_rounds.tolist() == [0, 30]
+    for arm in ("switching", "baseline"):
+        _, rows = beliefs_csv_rows(tmp_path / "cmp" / arm / "beliefs.csv")
+        assert sorted({int(row[1]) for row in rows}) == [0, 7, 14, 21, 28, 30]
+
+
 # -------------------------------------------------------------------- export
-
-
-def beliefs_csv_rows(path):
-    """The two comment lines and the data rows of a beliefs.csv, as ``csv`` reads them."""
-    with open(path, newline="") as fh:
-        comments = [next(fh), next(fh)]
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["replica", "t", "agent", "state_label", "belief"]
-    return comments, rows[1:]
 
 
 def test_export_round_trip(tmp_path):
@@ -1387,59 +819,6 @@ def test_export_is_byte_deterministic(tmp_path):
         ).read_bytes()
 
 
-def oracle_beliefs_csv(records, config) -> bytes:
-    """beliefs.csv as one ``csv.writer`` row per belief writes it."""
-    buf = io.StringIO(newline="")
-    buf.write(f"# generator: {GENERATOR_NAME}\n")
-    buf.write(f"# seed: {config.seed}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["replica", "t", "agent", "state_label", "belief"])
-    labels = build_model(config)[0].states
-    for rec in records:
-        belief = np.exp(rec.log_beliefs)
-        n_agents = belief.shape[1]
-        for s, t in enumerate(rec.stored_rounds):
-            for i in range(n_agents):
-                for label, value in zip(labels, belief[s, i]):
-                    writer.writerow(
-                        [rec.replica, int(t), i, label, format(value, ".17g")]
-                    )
-    return buf.getvalue().encode()
-
-
-# labels the csv module must quote, an empty one, one it leaves
-# unquoted despite its space, ones a %-template must escape, and numbers
-AWKWARD_LABELS = ("a,b", 'say "hi"', "line\nbreak", "", " lead", "cr\r", '"', "50%", "%s",
-                  0.1, 3)
-
-EXPORT_CASES = [
-    pytest.param(settling_config(replicas=2, rounds=25), id="two-replicas"),
-    pytest.param(settling_config(replicas=1, rounds=10, thin_every=3), id="thinned"),
-    pytest.param(
-        reference_config(
-            agents=len(AWKWARD_LABELS) - 1, states=len(AWKWARD_LABELS),
-            state_labels=AWKWARD_LABELS,
-            replicas=2, rounds=20,
-        ),
-        id="awkward-labels",
-    ),
-    pytest.param(
-        settling_config(replicas=2, rounds=harness._SIGNAL_CHUNK + 37),
-        id="past-a-signal-chunk",
-    ),
-    pytest.param(settling_config(replicas=2, rounds=1), id="one-round"),
-    pytest.param(settling_config(replicas=2, rounds=40, comparison_agent=3),
-                 id="designated-agent-3"),
-]
-
-
-@given(st.one_of(st.sampled_from(AWKWARD_LABELS), st.text(), st.floats(), st.integers()))
-def test_csv_cell_quotes_as_the_csv_module_does(label):
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerow([label, ""])
-    assert harness._csv_cell(label) + ",\r\n" == buf.getvalue()
-
-
 @pytest.mark.parametrize("config", EXPORT_CASES)
 def test_export_matches_the_per_row_csv_writer(tmp_path, config):
     export(config, tmp_path)
@@ -1449,32 +828,6 @@ def test_export_matches_the_per_row_csv_writer(tmp_path, config):
     _, rows = beliefs_csv_rows(tmp_path / "beliefs.csv")
     labels = [str(label) for label in build_model(config)[0].states]
     assert [row[3] for row in rows[: len(labels)]] == labels
-
-
-@pytest.mark.parametrize("config", EXPORT_CASES)
-def test_cli_run_writes_what_export_writes_from_stored_records(tmp_path, capsys, config):
-    # run streams each replica's rows and keeps only the rate fit's
-    # column; the oracles read the records of one stored run
-    path = write_config(tmp_path, config)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    records = run_experiment(config)
-    assert (tmp_path / "out" / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
-        records, config
-    )
-    comm = (tmp_path / "out" / "comm.csv").read_text().splitlines()
-    assert comm[1:] == [f"{rec.replica},{t},{i},{j}" for rec in records for t, i, j in rec.ledger]
-    space, _, lik, _ = build_model(config)
-    state = identifiability_report(lik, space).slowest_state
-    window = (math.ceil(config.rounds / 2), config.rounds)
-    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()[3:]
-    for rec, line in zip(records, summary, strict=True):
-        if config.rounds > 1:
-            rate = estimate_rate(
-                rec.stored_rounds, rec.log_beliefs[:, config.comparison_agent, state], window
-            )
-            assert f"estimated rate {rate:.6g} nats/round over rounds " in line
-        else:
-            assert "estimated rate not estimated (" in line
 
 
 def _export_peak_bytes(records, out_dir, config):
@@ -1518,6 +871,113 @@ def test_export_memory_does_not_grow_with_the_horizon(tmp_path):
         )
     assert max(peak.values()) <= 512 * 1024
     assert peak[1000] <= peak[500] + 16 * 1024
+
+
+def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
+    config = settling_config(replicas=1, rounds=40)
+    export(config, tmp_path)
+    space, _, lik, _ = build_model(config)
+    expected = identifiability_report(lik, space).asymptotic_rate
+    summary = (tmp_path / "summary.txt").read_text()
+    assert f"theoretical asymptotic rate: {expected:.12g} nats/round" in summary
+
+
+def test_comm_csv_matches_ledgers(tmp_path):
+    config = reference_config(replicas=2, rounds=200)
+    records = []
+    export(config, tmp_path, records.append)
+    lines = (tmp_path / "comm.csv").read_text().splitlines()
+    assert lines[0] == "replica,t,agent_i,agent_j"
+    expected = [
+        f"{rec.replica},{t},{i},{j}"
+        for rec in records
+        for (t, i, j) in rec.ledger.events
+    ]
+    assert lines[1:] == expected
+
+
+def test_export_line_endings_are_pinned(tmp_path):
+    # every CSV row ends with \r\n; the two '#' lines of beliefs.csv end
+    # with \n. Pinned output digests depend on this mix.
+    config = settling_config(replicas=1, rounds=15, tau=1.0)
+    export(config, tmp_path)
+    beliefs = (tmp_path / "beliefs.csv").read_bytes()
+    assert beliefs.startswith(
+        b"# generator: philox4x64\n# seed: 21\n"
+        b"replica,t,agent,state_label,belief\r\n"
+    )
+    assert beliefs.count(b"\n") == beliefs.count(b"\r\n") + 2
+    comm = (tmp_path / "comm.csv").read_bytes()
+    assert comm.startswith(b"replica,t,agent_i,agent_j\r\n")
+    assert comm.count(b"\n") == comm.count(b"\r\n") > 1
+    summary = (tmp_path / "summary.txt").read_bytes()
+    assert summary.endswith(b"\n") and b"\r" not in summary
+
+
+# --------------------------------------------------- config keys and imports
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({"agents": 3, "states": 4, "bogus": 1})
+    # the weight, likelihood and prior kinds follow from the data fields
+    # and are not config keys
+    path = tmp_path / "config.json"
+    for key, value in (
+        ("weight_rule", "metropolis"),
+        ("likelihood_kind", "tables"),
+        ("prior_kind", "uniform"),
+    ):
+        data = json.loads((CONFIG_DIR / "complete5_tables.json").read_text())
+        path.write_text(json.dumps({**data, key: value}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+def test_run_and_compare_leave_numpy_random_unloaded(tmp_path):
+    # the package draws Philox itself; importing numpy.random costs every
+    # process several MB of memory
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5, "replicas": 2}))
+    script = (
+        "import sys\n"
+        "from soclearn.cli import main\n"
+        f"assert main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"assert main(['compare', '--config', {str(config)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+# --------------------------------------------------------------- subcommands
+
+
+@pytest.mark.parametrize("config", EXPORT_CASES)
+def test_cli_run_writes_what_export_writes_from_stored_records(tmp_path, capsys, config):
+    # run streams each replica's rows and keeps only the rate fit's
+    # column; the oracles read the records of one stored run
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    records = run_experiment(config)
+    assert (tmp_path / "out" / "beliefs.csv").read_bytes() == oracle_beliefs_csv(
+        records, config
+    )
+    comm = (tmp_path / "out" / "comm.csv").read_text().splitlines()
+    assert comm[1:] == [f"{rec.replica},{t},{i},{j}" for rec in records for t, i, j in rec.ledger]
+    space, _, lik, _ = build_model(config)
+    state = identifiability_report(lik, space).slowest_state
+    window = (math.ceil(config.rounds / 2), config.rounds)
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()[3:]
+    for rec, line in zip(records, summary, strict=True):
+        if config.rounds > 1:
+            rate = estimate_rate(
+                rec.stored_rounds, rec.log_beliefs[:, config.comparison_agent, state], window
+            )
+            assert f"estimated rate {rate:.6g} nats/round over rounds " in line
+        else:
+            assert "estimated rate not estimated (" in line
 
 
 def _cli_peak_bytes(out, config, command="run"):
@@ -1609,100 +1069,12 @@ def test_cli_compare_out_memory_does_not_grow_with_the_horizon(tmp_path, capsys)
     verdicts = config.agents * (2400 - 600) * config.replicas * 2
     assert peak[2400] <= peak[600] + verdicts + ledger[2400] - ledger[600] + 64 * 1024
 
-
-def test_summary_rate_matches_analysis_to_the_digit(tmp_path):
-    config = settling_config(replicas=1, rounds=40)
-    export(config, tmp_path)
-    space, _, lik, _ = build_model(config)
-    expected = identifiability_report(lik, space).asymptotic_rate
-    summary = (tmp_path / "summary.txt").read_text()
-    assert f"theoretical asymptotic rate: {expected:.12g} nats/round" in summary
-
-
-def test_comm_csv_matches_ledgers(tmp_path):
-    config = reference_config(replicas=2, rounds=200)
-    records = []
-    export(config, tmp_path, records.append)
-    lines = (tmp_path / "comm.csv").read_text().splitlines()
-    assert lines[0] == "replica,t,agent_i,agent_j"
-    expected = [
-        f"{rec.replica},{t},{i},{j}"
-        for rec in records
-        for (t, i, j) in rec.ledger.events
-    ]
-    assert lines[1:] == expected
-
-
-# ----------------------------------------------------------------------- CLI
-
-
-def write_config(tmp_path, config):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config.to_dict()))
-    return path
-
-
-def test_cli_validate_ok(tmp_path, capsys):
-    path = write_config(tmp_path, settling_config(replicas=1, rounds=10))
-    assert main(["validate", "--config", str(path)]) == 0
-    assert "A1" in capsys.readouterr().out
-
-
-def test_cli_validate_failure_exit_code(tmp_path, capsys):
-    config = settling_config(
-        agents=2,
-        states=3,
-        tables=(bernoulli((0.5, 0.25, 0.5)), bernoulli((0.5, 0.25, 0.5))),
-        replicas=1,
-        rounds=10,
-    )
-    path = write_config(tmp_path, config)
-    assert main(["validate", "--config", str(path)]) == 2
-    assert "A2" in capsys.readouterr().out
-
-
 def test_cli_run_writes_outputs(tmp_path):
     path = write_config(tmp_path, settling_config(replicas=1, rounds=15))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     for fname in ("beliefs.csv", "comm.csv", "summary.txt"):
         assert (out / fname).exists()
-
-
-def test_export_line_endings_are_pinned(tmp_path):
-    # every CSV row ends with \r\n; the two '#' lines of beliefs.csv end
-    # with \n. Pinned output digests depend on this mix.
-    config = settling_config(replicas=1, rounds=15, tau=1.0)
-    export(config, tmp_path)
-    beliefs = (tmp_path / "beliefs.csv").read_bytes()
-    assert beliefs.startswith(
-        b"# generator: philox4x64\n# seed: 21\n"
-        b"replica,t,agent,state_label,belief\r\n"
-    )
-    assert beliefs.count(b"\n") == beliefs.count(b"\r\n") + 2
-    comm = (tmp_path / "comm.csv").read_bytes()
-    assert comm.startswith(b"replica,t,agent_i,agent_j\r\n")
-    assert comm.count(b"\n") == comm.count(b"\r\n") > 1
-    summary = (tmp_path / "summary.txt").read_bytes()
-    assert summary.endswith(b"\n") and b"\r" not in summary
-
-
-def test_cli_run_overrides_seed_and_replicas(tmp_path):
-    path = write_config(tmp_path, settling_config(replicas=1, rounds=15))
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    main(["run", "--config", str(path), "--out", str(out_a)])
-    main(
-        ["run", "--config", str(path), "--seed", "99", "--replicas", "2",
-         "--out", str(out_b)]
-    )
-    comments_a, rows_a = beliefs_csv_rows(out_a / "beliefs.csv")
-    comments_b, rows_b = beliefs_csv_rows(out_b / "beliefs.csv")
-    assert comments_a[1] == "# seed: 21\n"
-    assert comments_b[1] == "# seed: 99\n"
-    assert {row[0] for row in rows_a} == {"0"}
-    assert {row[0] for row in rows_b} == {"0", "1"}
-
 
 def test_cli_analyze_prints_report(tmp_path, capsys):
     path = write_config(tmp_path, settling_config(replicas=1, rounds=10))
@@ -1719,54 +1091,6 @@ def test_cli_compare_writes_comparison(tmp_path):
     for arm in ("switching", "baseline"):
         for fname in ("beliefs.csv", "comm.csv", "summary.txt"):
             assert (out / arm / fname).exists()
-
-
-def test_cli_compare_agent_sets_the_exported_rate_agent(tmp_path, capsys):
-    # --agent overrides comparison_agent, so the exported rate follows it
-    config = dataclasses.replace(
-        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
-        replicas=1, rounds=60,
-    )
-    path = write_config(tmp_path, config)
-    out = tmp_path / "cmp"
-    argv = ["compare", "--config", str(path), "--agent", "3", "--out", str(out)]
-    assert main(argv) == 0
-    assert "designated agent: 3" in capsys.readouterr().out
-    space, _, lik, _ = build_model(config)
-    binding = identifiability_report(lik, space).slowest_state
-    window = (30, 60)
-    (rec,) = run_experiment(config)
-    rate = estimate_rate(rec.stored_rounds, rec.log_beliefs[:, 3, binding], window)
-    summary = (out / "switching" / "summary.txt").read_text()
-    assert f"estimated rate {rate:.6g} nats/round over rounds 30..60" in summary
-    assert rate != estimate_rate(rec.stored_rounds, rec.log_beliefs[:, 0, binding], window)
-
-
-def test_cli_compare_overrides_seed_and_replicas(tmp_path, capsys):
-    config = settling_config(replicas=2, rounds=30)
-    path = write_config(tmp_path, config)
-    argv = ["compare", "--config", str(path), "--agent", "3"]
-    assert main(argv + ["--replicas", "1"]) == 0
-    out = capsys.readouterr().out
-    assert sum(line.startswith("replica ") for line in out.splitlines()) == 1
-    assert main(argv + ["--replicas", "1", "--seed", "99"]) == 0
-    assert capsys.readouterr().out != out
-
-
-def test_compare_baseline_stores_only_the_ends(tmp_path):
-    # the summary reads only the final stored round, so both routes keep
-    # rounds 0 and `rounds` of each record; with out_dir the config's
-    # thinning decides what both arms export
-    config = settling_config(replicas=2, rounds=30, thin_every=7)
-    bare = compare_baseline(config)
-    written = compare_baseline(config, tmp_path / "cmp")
-    assert written.summary() == bare.summary()
-    for rec in bare.switching + bare.baseline + written.switching + written.baseline:
-        assert rec.stored_rounds.tolist() == [0, 30]
-    for arm in ("switching", "baseline"):
-        _, rows = beliefs_csv_rows(tmp_path / "cmp" / arm / "beliefs.csv")
-        assert sorted({int(row[1]) for row in rows}) == [0, 7, 14, 21, 28, 30]
-
 
 def test_cli_run_builds_the_model_as_often_at_any_replica_count(tmp_path):
     # each one-replica engine call used to build and check the model again
@@ -1817,13 +1141,19 @@ def test_cli_compare_prints_the_same_with_or_without_out(tmp_path, capsys, name)
     assert exported == bare + f"wrote comparison to {out}\n"
     assert (out / "comparison.txt").read_text() == bare
 
+# ------------------------------------------------------------ pinned outputs
+
 
 # Golden digests of the outputs the ledger feeds, on runs small enough
 # for every test session. A change that means to alter these bytes
 # re-pins them: run the test, copy the digest it reports, and say in
 # CHANGES.md which output changed and why.
 COMM_CSV_SHA256 = "919f86e792e80817e474bfe4bde0bff93a2fa6dda24c0305e1e913fe2d0dfa43"
+
+
 COMPARE_STDOUT_SHA256 = "6e1ec610848e51dba4336d8750832c72779f5e735cf12d4cb3e10b50511fcda0"
+
+
 COMPARE_TREE_SHA256 = "4f2d69c9e91b3e68e4fe6c46dd865bfb8362b30348af26a09d9595442a1fda3d"
 
 
@@ -1983,32 +1313,7 @@ def test_cli_analyze_out_quotes_labels_as_the_csv_module_does(tmp_path, capsys):
     for name, want in oracle_report_csvs(identifiability_report(lik, space)).items():
         assert (tmp_path / "out" / name).read_bytes() == want, name
 
-
-def test_cli_exits_quietly_when_stdout_is_closed(tmp_path):
-    # the reader of the pipe is gone before the first write, as after `| head -0`
-    config = tmp_path / "tiny.json"
-    config.write_text(json.dumps({"agents": 3, "states": 4, "rounds": 5, "replicas": 2}))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "soclearn.cli", "compare", "--config", str(config)],
-            env=package_env(), stdout=write_end, stderr=subprocess.PIPE, text=True,
-        )
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (1, "")
-
-
-def test_cli_runs_with_no_stdout_at_all(tmp_path):
-    # started as `soclearn validate ... >&-`, Python sets sys.stdout to None
-    path = write_config(tmp_path, settling_config(replicas=1, rounds=10))
-    done = subprocess.run(
-        [sys.executable, "-m", "soclearn.cli", "validate", "--config", str(path)],
-        env=package_env(), stderr=subprocess.PIPE, text=True,
-        preexec_fn=lambda: os.close(1),
-    )
-    assert (done.returncode, done.stderr) == (0, "")
+# ------------------------------------------------------------------ refusals
 
 
 def test_cli_refuses_an_overflowing_prior_in_one_line(tmp_path):

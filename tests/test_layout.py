@@ -34,6 +34,14 @@ def test_model_is_a_leaf_and_the_imports_form_no_cycle():
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
+def test_each_test_file_tests_one_module():
+    # tests/test_<module>.py for each module, and the four suites that span the package
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    suites = {"acceptance", "layout", "tools", "trace_contract"}
+    files = {path.stem for path in (ROOT / "tests").glob("test_*.py")}
+    assert files == {f"test_{name}" for name in modules | suites}
+
+
 def top_level_definitions(tree) -> set:
     """Names a module's top level defines: functions, classes and assigned names, not imports."""
     names = set()

@@ -1,4 +1,4 @@
-"""Belief updates, informativeness, and the potential recursion."""
+"""Belief updates, informativeness, the potential recursion, and the reference round."""
 
 import math
 import re
@@ -10,8 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import flagged_mask, log_normalized
-from soclearn.harness import build_likelihoods, build_model, reference_config
+from conftest import (
+    engine_configs,
+    flagged_mask,
+    log_normalized,
+    reference_rounds,
+    settling_config,
+    valid_model,
+)
+from soclearn.harness import ExperimentConfig, build_likelihoods, build_model, reference_config
 from soclearn.learning import (
     BeliefState,
     _bayes_tv_rows,
@@ -653,3 +660,120 @@ def test_a_successor_refuses_potentials_that_are_not_finite(bad):
     message = "potentials (2, 3) must have the anchor's shape (2, 2)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         state._successor(np.zeros((2, 3)))
+
+
+# ----------------------------------------------------------------- run_round
+
+
+def test_round_with_informative_agents_is_pure_bayes():
+    # a threshold this small never trips, so every agent stays Bayesian
+    config = settling_config(replicas=1)
+    space, prior, lik, net = build_model(config)
+    sig = generate_signals(lik, space, config.seed, rounds=4)
+    state = initial_state(prior, lik, sig[0])
+    evidence = np.cumsum(lik.signal_rows(sig)[0], axis=0)
+    for t in (1, 2, 3):
+        state, q, tv = run_round(state, net, lik, 1e-300, sig[t])
+        assert np.array_equal(q.q, np.eye(config.agents))
+        assert np.all(tv >= 1e-300)
+        expected = log_normalized(prior.log_mass + evidence[t])
+        assert np.allclose(state.log_belief, expected, atol=1e-12)
+
+
+def test_round_with_threshold_one_always_mixes():
+    config = settling_config(replicas=1)
+    space, prior, lik, net = build_model(config)
+    sig = generate_signals(lik, space, config.seed, rounds=4)
+    state = initial_state(prior, lik, sig[0])
+    for t in (1, 2, 3):
+        state, q, tv = run_round(state, net, lik, 1.0, sig[t])
+        assert np.array_equal(q.q, net.weights)
+        assert np.all(tv < 1.0)
+
+
+def test_single_agent_ignores_the_threshold():
+    # no neighbors means no exchanges regardless of the verdict
+    config = ExperimentConfig(agents=1, states=2, rounds=5, seed=1, replicas=1)
+    space, prior, lik, net = build_model(config)
+    sig = generate_signals(lik, space, config.seed, rounds=6)
+    solo = log_normalized(prior.log_mass + np.cumsum(lik.log_lik[0][sig[:, 0]], axis=0))
+    for tau in (1e-300, 0.5, 1.0):
+        state = initial_state(prior, lik, sig[0])
+        for t in range(1, 6):
+            state, q, _ = run_round(state, net, lik, tau, sig[t])
+            assert np.array_equal(q.q, np.array([[1.0]]))
+            assert np.allclose(state.log_belief[0], solo[t], atol=1e-12)
+
+
+def test_round_validates_threshold_and_shapes():
+    config = settling_config(replicas=1)
+    space, prior, lik, net = build_model(config)
+    sig = generate_signals(lik, space, config.seed, rounds=2)
+    state = initial_state(prior, lik, sig[0])
+    with pytest.raises(ValueError):
+        run_round(state, net, lik, 0.0, sig[1])
+    with pytest.raises(ValueError):
+        run_round(state, net, lik, 0.5, sig[1][:3])
+    for cast in (float, bool):
+        with pytest.raises(ValueError, match="integer signal index"):
+            run_round(state, net, lik, 0.5, sig[1].astype(cast))
+
+
+@pytest.mark.parametrize("bad", [[2, 0], [0, 2]])
+def test_round_names_a_padded_or_impossible_signal_row(bad):
+    # agent 0's row 2 has probability 0 under state 1; agent 1 has two
+    # symbols, so its row 2 is padding. The kernel alone would report
+    # neither (agent 0's belief still supports state 0, and the padded
+    # row would read as a zero-probability signal)
+    lik = LikelihoodModel.from_probabilities(
+        [[[0.5, 0.6], [0.3, 0.4], [0.2, 0.0]], [[0.5, 0.25], [0.5, 0.75]]]
+    )
+    net = metropolis_weights([(0, 1)], 2)
+    state = initial_state(Prior.uniform(2), lik, [0, 0])
+    agent = bad.index(2)
+    with pytest.raises(ValueError, match=f"agent {agent}: signal index 2 hits"):
+        run_round(state, net, lik, 0.5, bad)
+
+
+@pytest.mark.parametrize("agents, states, nodes", [(2, 2, 3), (2, 3, 2), (3, 2, 2)],
+                         ids=["network", "likelihood-states", "likelihood-agents"])
+def test_round_refuses_a_network_or_likelihood_of_other_dimensions(agents, states, nodes):
+    # the state is 2 agents by 2 states; one of the other two disagrees
+    state = initial_state(Prior.uniform(2), LikelihoodModel.from_probabilities(
+        [np.full((2, 2), 0.5)] * 2), [0, 0])
+    lik = LikelihoodModel.from_probabilities([np.full((2, states), 0.5)] * agents)
+    net = metropolis_weights([(0, 1)], nodes)
+    with pytest.raises(ValueError, match="^state, network, and likelihood dimensions disagree$"):
+        run_round(state, net, lik, 0.5, [0] * agents)
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_configs(), st.lists(st.floats(1e-300, 1.0), min_size=2, max_size=2))
+def test_flagged_sets_grow_with_the_threshold(config, drawn):
+    # same state, same signal: raising tau can only add uninformative agents;
+    # the round's own tvs as thresholds put every verdict on a boundary
+    _, _, lik, net = valid_model(config)
+    for state, sig, _, _, tv in reference_rounds(config):
+        tvs = {float(v) for v in tv if 0.0 < v <= 1.0}
+        flagged = [
+            set(np.flatnonzero(run_round(state, net, lik, tau, sig)[2] < tau))
+            for tau in sorted(tvs | set(drawn) | {config.tau})
+        ]
+        assert all(lo <= hi for lo, hi in zip(flagged, flagged[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_configs())
+def test_potential_average_moves_by_the_mean_fresh_row(config):
+    # a doubly stochastic mix keeps the agent-average, so each round moves
+    # it by exactly the mean fresh row; rounding stays within 4n ulps of
+    # the largest magnitude in the column (about 0.85n seen at most)
+    _, _, lik, net = valid_model(config)
+    eps = np.finfo(float).eps
+    for state, sig, new, _, _ in reference_rounds(config):
+        fresh = lik.signal_rows(sig)[0]
+        drift = new.potentials.mean(axis=0) - state.potentials.mean(axis=0) \
+            - fresh.mean(axis=0)
+        scale = np.max(np.abs([state.potentials, new.potentials, fresh]), axis=(0, 1))
+        assert np.all(np.abs(drift) <= 4 * net.n * eps * scale)
+

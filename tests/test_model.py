@@ -1,4 +1,4 @@
-"""Domain types: state space, prior, likelihoods, network, assumptions."""
+"""Domain types: state space, prior, likelihoods, network, assumptions, and the signal draw."""
 
 import itertools
 import json
@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bernoulli_table, reference_like_model
+from conftest import bernoulli_table, engine_configs, reference_like_model, settling_config
+from soclearn import model
 from soclearn.analysis import validate_assumptions
 from soclearn.cli import main
+from soclearn.harness import ExperimentConfig, build_model, reference_config
 from soclearn.learning import BeliefState
 from soclearn.model import (
     PROB_SUM_TOL,
@@ -22,6 +24,7 @@ from soclearn.model import (
     StateSpace,
     _check_mixing,
     complete_edges,
+    generate_signals,
     metropolis_weights,
     ring_edges,
 )
@@ -573,3 +576,186 @@ def test_validate_assumptions_is_pure():
     first = validate_assumptions(lik, net, space)
     second = validate_assumptions(lik, net, space)
     assert first == second
+
+
+# --------------------------------------------------------------- signal draw
+
+
+def test_signal_generation_is_deterministic():
+    config = reference_config()
+    space, _, lik, _ = build_model(config)
+    a = generate_signals(lik, space, seed=5, rounds=100, replica=3)
+    b = generate_signals(lik, space, seed=5, rounds=100, replica=3)
+    assert np.array_equal(a, b)
+
+
+def test_replicas_get_distinct_streams():
+    config = reference_config()
+    space, _, lik, _ = build_model(config)
+    a = generate_signals(lik, space, seed=5, rounds=100, replica=0)
+    b = generate_signals(lik, space, seed=5, rounds=100, replica=1)
+    assert not np.array_equal(a, b)
+
+
+def test_signal_frequencies_match_the_conditional_law():
+    # empirical symbol-1 rates against their binomial three-sigma bands
+    config = reference_config(agents=3, states=4)
+    space, _, lik, _ = build_model(config)
+    rounds = 100_000
+    sig = generate_signals(lik, space, seed=11, rounds=rounds, replica=0)
+    assert sig.shape == (rounds, 3)
+    for i in range(3):
+        p = np.exp(lik.log_lik[i][1, space.true_state_index])
+        got = sig[:, i].mean()
+        band = 3.0 * math.sqrt(p * (1.0 - p) / rounds)
+        assert abs(got - p) <= band
+
+
+@pytest.mark.parametrize("agents", [15, 4])
+def test_signal_slices_concatenate_to_one_draw(agents):
+    # round t of agent i reads double g = t * agents + i, which is word
+    # g % 4 of the Philox block at counter g // 4 + 1. With 15 agents,
+    # starts 7 and 22 begin at doubles 105 and 330, one and two words into
+    # a block; with 4 agents every start is block-aligned
+    config = reference_config(agents=agents, states=5)
+    space, _, lik, _ = build_model(config)
+    rounds, a, b = 40, 7, 22
+    whole = generate_signals(lik, space, seed=5, rounds=rounds, replica=2)
+    parts = [
+        generate_signals(lik, space, seed=5, rounds=hi - lo, replica=2, start=lo)
+        for lo, hi in ((0, a), (a, b), (b, rounds))
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _numpy_philox_doubles(seed, replica, first, count):
+    """Doubles ``first .. first + count - 1`` as numpy's own Philox draws them."""
+    bitgen = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64))
+    blocks, leftover = divmod(first, 4)
+    bitgen.advance(blocks)
+    gen = np.random.Generator(bitgen)
+    gen.random(leftover)
+    return gen.random(count)
+
+
+_WORD_VALUES = st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_WORD_VALUES,
+    replicas=st.lists(_WORD_VALUES, min_size=1, max_size=4),
+    # 4 * 2**64 - 20 keeps the last counter of 16 doubles below 2**64
+    first=st.integers(0, 10**6) | st.integers(0, 4 * 2**64 - 20),
+    count=st.integers(1, 16),
+)
+def test_philox_doubles_match_numpy(seed, replicas, first, count):
+    keys = np.array(replicas, dtype=np.uint64)[:, None]
+    got = model._philox_doubles(seed, keys, first, count)
+    assert got.shape == (len(replicas), count)
+    for r, replica in enumerate(replicas):
+        want = _numpy_philox_doubles(seed, replica, first, count)
+        assert np.array_equal(got[r].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("start", [0, 7])
+def test_replica_sequence_draws_each_replica_stream(start):
+    config = reference_config(agents=15, states=5)
+    space, _, lik, _ = build_model(config)
+    many = generate_signals(lik, space, seed=5, rounds=30, replica=range(3), start=start)
+    assert many.shape == (30, 3, 15)
+    for r in range(3):
+        one = generate_signals(lik, space, seed=5, rounds=30, replica=r, start=start)
+        assert np.array_equal(many[:, r], one)
+    with pytest.raises(ValueError, match="at least one"):
+        generate_signals(lik, space, seed=5, rounds=1, replica=[])
+    with pytest.raises(ValueError, match=rf"^replica must be an integer in \[0, {2**64}\), "
+                                         rf"got {2**64}$"):
+        generate_signals(lik, space, seed=5, rounds=1, replica=[0, 2**64])
+
+
+def test_signal_counter_must_not_wrap():
+    # the largest start whose last block counter still fits in 64 bits
+    # draws; one round further the low counter word would wrap, and numpy
+    # would carry into the next word where this generator does not
+    config = reference_config()
+    space, _, lik, _ = build_model(config)
+    n = lik.agent_count
+    last = 4 * (2**64 - 1) // n - 1
+    assert generate_signals(lik, space, seed=5, rounds=1, start=last).shape == (1, n)
+    for start in (last + 1, 2**70):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            generate_signals(lik, space, seed=5, rounds=1, start=start)
+
+
+def test_signal_start_must_be_nonnegative():
+    config = reference_config()
+    space, _, lik, _ = build_model(config)
+    with pytest.raises(ValueError, match="start"):
+        generate_signals(lik, space, seed=5, rounds=10, start=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rounds", 2.5), ("rounds", 2.0), ("rounds", True), ("start", 1.5), ("start", "1"),
+     ("seed", True), ("seed", 5.0), ("replica", True), ("replica", [True, 0]),
+     ("replica", 1.5)],
+)
+def test_signal_rounds_and_start_must_be_integers(field, value):
+    # rounds=2.5, seed=5.0 and replica=1.5 used to raise a raw TypeError;
+    # seed=True and replica=True read as 1
+    config = reference_config()
+    space, _, lik, _ = build_model(config)
+    kwargs = {"seed": 5, "rounds": 3, "start": 0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        generate_signals(lik, space, **kwargs)
+
+
+def test_signals_are_valid_alphabet_indices():
+    config = settling_config()
+    space, _, lik, _ = build_model(config)
+    sig = generate_signals(lik, space, seed=2, rounds=500)
+    assert sig.min() >= 0
+    assert sig.max() <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_configs(), st.integers(0, 50))
+def test_signals_pick_the_first_symbol_whose_law_exceeds_the_draw(config, start):
+    # oracle: numpy's own Philox doubles and one searchsorted per agent, on
+    # tables with zero entries (tied cdf entries) and unequal alphabets
+    space, _, lik, _ = build_model(config)
+    n, rounds = config.agents, 5
+    got = generate_signals(lik, space, config.seed, rounds,
+                           replica=range(config.replicas), start=start)
+    cdf = lik.signal_cdf[:, :, space.true_state_index]
+    for r in range(config.replicas):
+        draws = _numpy_philox_doubles(config.seed, r, start * n, rounds * n)
+        draws = draws.reshape(rounds, n)
+        for i in range(n):
+            want = np.searchsorted(cdf[i], draws[:, i], side="right")
+            assert np.array_equal(got[:, r, i], want)
+
+
+def test_a_draw_on_a_cdf_entry_picks_the_symbol_after_it(monkeypatch):
+    # random draws almost never land on a cdf entry, so feed the lookup
+    # every entry below 1.0 and its two neighbouring doubles; agent 0 has a
+    # zero-probability symbol, so two of its entries tie at 0.25
+    config = ExperimentConfig(
+        agents=2, states=2, tables=(
+            ((0.25, 0.5), (0.0, 0.5), (0.75, 0.0)),
+            ((0.5, 0.5), (0.5, 0.5)),
+        ),
+    )
+    space, _, lik, _ = build_model(config)
+    cdf = lik.signal_cdf[:, :, space.true_state_index]
+    edges = np.unique(np.append(cdf[cdf < 1.0], 0.0))
+    draws = np.unique(np.concatenate([edges, np.nextafter(edges, 0.0),
+                                      np.nextafter(edges, 1.0), [np.nextafter(1.0, 0.0)]]))
+    monkeypatch.setattr(model, "_philox_doubles",
+                        lambda seed, replicas, first, count: np.repeat(draws, 2)[None])
+    got = generate_signals(lik, space, 0, len(draws))
+    for i in range(2):
+        assert np.array_equal(got[:, i], np.searchsorted(cdf[i], draws, side="right"))
+    assert set(got[:, 0]) == {0, 2}
+

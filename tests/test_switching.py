@@ -1,13 +1,24 @@
 """Mixing-matrix construction from the uninformative set, plus the ledger."""
 
+import dataclasses
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import flagged_mask
+from conftest import (
+    CONFIG_DIR,
+    engine_configs,
+    flagged_mask,
+    reference_rounds,
+    settling_config,
+    valid_model,
+)
 from soclearn import switching
-from soclearn.harness import TrajectoryRecord
+from soclearn.harness import ExperimentConfig, TrajectoryRecord, reference_config, run_experiment
 from soclearn.model import Network, complete_edges, metropolis_weights, ring_edges
 from soclearn.switching import (
     CommLedger,
@@ -37,15 +48,17 @@ def pairs(q):
 
 
 def record_of(net, uninformative):
-    """A trajectory holding only the given ``(rounds, n)`` verdicts."""
+    """A trajectory holding only the given ``(rounds, n)`` verdicts, and
+    zero beliefs at round 0 and the final round."""
     u = np.array(uninformative, dtype=bool)
     n = net.n
+    stored = np.unique([0, len(u)])
     return TrajectoryRecord(
         replica=0,
         true_state_index=0,
-        stored_rounds=np.array([0]),
-        log_beliefs=np.zeros((1, n, 1)),
-        tv_series=np.zeros((0, n)),
+        stored_rounds=stored,
+        log_beliefs=np.zeros((len(stored), n, 1)),
+        tv_series=np.zeros((len(stored) - 1, n)),
         uninformative=u,
         last_below=np.full(n, -1),
         network=net,
@@ -424,3 +437,174 @@ def test_ledger_round_trips_the_per_round_pairs(case):
     assert ledger.events == expect
     assert len(ledger) == len(expect)
     assert ledger.rounds_recorded == len(rounds)
+
+
+# ----------------------------- communication fractions and the ledger replay
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_configs())
+def test_fired_pairs_are_the_positive_offdiagonals(config):
+    # the matrix's support is the oracle of the fired-edge rule, also when
+    # every agent is flagged and the network weights are copied verbatim;
+    # a one-round ledger decodes its round's pairs by that rule
+    for _, _, _, q, _ in reference_rounds(config):
+        rows, cols = np.nonzero(np.triu(q.q > 0.0, 1))
+        ledger = switching.CommLedger(q.network)
+        ledger.record(q)
+        assert ledger.events == [(q.round, i, j) for i, j in zip(rows.tolist(), cols.tolist())]
+        assert len(ledger) == rows.size
+
+
+def test_communication_stays_sparse_under_switching():
+    config = reference_config(replicas=4)
+    records = run_experiment(config)
+    baseline = run_experiment(dataclasses.replace(config, tau=1.0))
+    sw_events = sum(len(rec.ledger.events) for rec in records)
+    base_events = sum(len(rec.ledger.events) for rec in baseline)
+    assert sw_events < base_events
+    fractions = np.concatenate([rec.ledger.communication_fractions() for rec in records])
+    assert fractions.mean() < 0.2
+
+
+def ledger_fractions(rec):
+    """Per agent, the share of rounds with a ledger event that includes it."""
+    rounds = [set() for _ in range(rec.network.n)]
+    for t, i, j in rec.ledger:
+        rounds[i].add(t)
+        rounds[j].add(t)
+    return np.array([len(r) for r in rounds]) / rec.rounds
+
+
+def test_fraction_definitions_agree():
+    # the ledger's fraction (uninformative or uninformative neighbor)
+    # must equal the one counted from its events
+    records = run_experiment(reference_config(replicas=2))
+    for rec in records:
+        assert np.array_equal(rec.ledger.communication_fractions(), ledger_fractions(rec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_configs(), st.data())
+def test_communication_fractions_match_the_dense_fired_oracle(config, data):
+    # any block size, so the ledger's walk also crosses block boundaries
+    # mid-run, in the blocks its iteration uses. One more record is quiet
+    # but for one lone flagged round, which is all its ledger stores
+    valid_model(config)
+    cells = data.draw(st.integers(1, 2 * config.agents ** 2))
+    records = run_experiment(config)
+    n = config.agents
+    quiet = np.zeros((data.draw(st.integers(1, 600)), n), dtype=bool)
+    lone = data.draw(st.integers(0, len(quiet) - 1))
+    quiet[lone] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    records.append(record_of(records[0].network, quiet))
+    with mock.patch.object(switching, "_BLOCK_CELLS", cells):
+        for rec in records:
+            touched = switching._fired(rec.network, rec.uninformative).any(axis=-1)
+            fractions = rec.ledger.communication_fractions()
+            assert np.array_equal(fractions, touched.sum(axis=0) / rec.rounds)
+            assert np.array_equal(fractions, ledger_fractions(rec))
+
+
+def test_communication_fractions_walk_the_masks_in_blocks():
+    # at n = 64 a block is one round, whose fired edges take 4 KiB; blocks
+    # of 256 rounds would hold about 1 MiB of them. The first call replays
+    # the ledger, which the record caches, so the bar measures the ledger's
+    # walk over its stored masks after the replay
+    net = metropolis_weights(ring_edges(64), 64)
+    u = np.random.default_rng(3).random((5000, 64)) < 0.05
+    rec = record_of(net, u)
+    rec.ledger.communication_fractions()
+    tracemalloc.start()
+    try:
+        rec.ledger.communication_fractions()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
+@st.composite
+def networks(draw):
+    """Connected graphs on 2..7 agents, Metropolis or explicit weights."""
+    n = draw(st.integers(2, 7))
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    if draw(st.booleans()):
+        return metropolis_weights(edges, n)
+    # explicit: edge weights in (0, 1 / (1 + max degree)], diagonal fills
+    degree = max(sum(k in e for e in edges) for k in range(n))
+    w = np.zeros((n, n))
+    for i, j in sorted(edges):
+        w[i, j] = w[j, i] = draw(st.integers(1, 4)) / (4.0 * (1 + degree))
+    w[np.arange(n), np.arange(n)] = 1.0 - w.sum(axis=1)
+    return Network(w)
+
+
+@st.composite
+def replayed_masks(draw):
+    """A network and a ``(rounds, n)`` uninformative mask for it."""
+    net = draw(networks())
+    n = net.n
+    row = st.one_of(
+        st.just([False] * n),
+        st.just([True] * n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+    return net, np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(replayed_masks())
+def test_ledger_replay_matches_vectorised_events(case):
+    net, u = case
+    rec = record_of(net, u)
+    fired = np.triu((u[:, :, None] | u[:, None, :]) & net.adjacency, k=1)
+    expect = [(int(t) + 1, int(i), int(j)) for t, i, j in zip(*np.nonzero(fired))]
+    ledger = rec.ledger
+    assert ledger.events == expect
+    assert len(ledger) == len(ledger.events)
+    assert ledger.rounds_recorded == len(u)
+    assert np.array_equal(ledger_fractions(rec), rec.ledger.communication_fractions())
+
+
+def test_ledger_replay_builds_no_mixing_matrix(monkeypatch):
+    # the replay reads only each round's fired edges; tau = 1 fires every
+    # edge, so a matrix built for any round would show up here
+    recs = run_experiment(settling_config(replicas=1, rounds=20, tau=1.0))
+
+    def no_matrix(net, flagged):
+        raise AssertionError("the ledger replay built a mixing matrix")
+
+    monkeypatch.setattr(switching, "_mixing_matrices", no_matrix)
+    ledger = recs[0].ledger
+    net = recs[0].network
+    assert len(ledger) == 20 * int(np.triu(net.adjacency).sum()) > 0
+    assert ledger.rounds_recorded == 20
+
+
+def test_ledger_keeps_at_most_6_bytes_per_exchange():
+    # tau = 1 on a complete graph fires every edge in every round, so the
+    # ledger dominates what the replay retains; one Python tuple per
+    # exchange kept ~75 bytes each, packed int64 triples ~26, a 2-byte
+    # pair code per exchange ~3.9, and a round number and a one-byte
+    # mask per round with exchanges (10 of them here) keep ~1.0
+    config = dataclasses.replace(
+        ExperimentConfig.from_json(CONFIG_DIR / "complete5_tables.json"),
+        tau=1.0,
+        replicas=2,
+    )
+    records = run_experiment(config)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ledgers = [rec.ledger for rec in records]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    events = sum(len(ledger) for ledger in ledgers)
+    assert events == 2 * config.rounds * 10
+    assert retained <= 6 * events
+

@@ -323,6 +323,9 @@ def test_tier1_accepts_exactly_the_by_design_failures(monkeypatch, capsys):
     status, lines = run_tier1(monkeypatch, capsys, xml)
     assert status == 0
     assert lines == ["tier-1: 1 passed, 2 failed, 0 errors, 1 skipped in 87.5 s",
+                     "per file:",
+                     "    2 tests   0 failed     0.20 s  tests.test_a",
+                     "    2 tests   2 failed     0.20 s  tests.test_acceptance",
                      *slowest_block(CRITERION_1, CRITERION_9, "tests.test_a::test_x",
                                     "tests.test_a::test_y")]
 
@@ -335,6 +338,9 @@ def test_tier1_names_each_unexpected_failure_and_error(monkeypatch, capsys):
     status, lines = run_tier1(monkeypatch, capsys, xml)
     assert status == 1
     assert lines == ["tier-1: 1 passed, 3 failed, 1 errors, 0 skipped in 87.5 s",
+                     "per file:",
+                     "    3 tests   2 failed     0.30 s  tests.test_a",
+                     "    2 tests   2 failed     0.20 s  tests.test_acceptance",
                      *slowest_block(CRITERION_1, CRITERION_9, "tests.test_a::test_x",
                                     "tests.test_a::test_y", "tests.test_a::test_z"),
                      "unexpected failed: tests.test_a::test_x",
@@ -345,6 +351,8 @@ def test_tier1_names_a_by_design_failure_that_did_not_fail(monkeypatch, capsys):
     status, lines = run_tier1(monkeypatch, capsys, junit_xml(**{CRITERION_9: ""}))
     assert status == 1
     assert lines == ["tier-1: 1 passed, 0 failed, 0 errors, 0 skipped in 87.5 s",
+                     "per file:",
+                     "    1 tests   0 failed     0.10 s  tests.test_acceptance",
                      *slowest_block(CRITERION_9),
                      f"fails by design but did not run: {CRITERION_1}",
                      f"fails by design but passed: {CRITERION_9}"]
@@ -358,7 +366,10 @@ def test_tier1_prints_the_ten_slowest_tests_slowest_first(monkeypatch, capsys):
                     **dict.fromkeys(times, ""))
     status, lines = run_tier1(monkeypatch, capsys, xml)
     assert status == 0
-    assert lines[1:] == ["slowest tests:",
+    assert lines[1:] == ["per file:",
+                         "   12 tests   0 failed    29.03 s  tests.test_a",
+                         "    2 tests   2 failed     0.20 s  tests.test_acceptance",
+                         "slowest tests:",
                          "   11.70 s  tests.test_a::test_01",
                          "    6.90 s  tests.test_a::test_04",
                          "    3.00 s  tests.test_a::test_10",
@@ -369,6 +380,22 @@ def test_tier1_prints_the_ten_slowest_tests_slowest_first(monkeypatch, capsys):
                          "    0.40 s  tests.test_a::test_09",
                          "    0.30 s  tests.test_a::test_03",
                          "    0.20 s  tests.test_a::test_11"]
+
+
+def test_tier1_prints_each_files_tests_failures_and_seconds(monkeypatch, capsys):
+    # files by name; a failure and an error both count as failed, a skip does not
+    times = {"tests.test_b::test_x": 1.25, "tests.test_b::test_y": 0.5,
+             "tests.test_a::test_z": 2.0, CRITERION_1: 40.0, CRITERION_9: 3.5}
+    xml = junit_xml(times=times, **{CRITERION_1: FAILED, CRITERION_9: FAILED,
+                                    "tests.test_b::test_x": FAILED,
+                                    "tests.test_b::test_y": '<error message="fixture">trace</error>',
+                                    "tests.test_a::test_z": '<skipped message="no"/>'})
+    status, lines = run_tier1(monkeypatch, capsys, xml)
+    assert status == 1
+    assert lines[1:5] == ["per file:",
+                          "    1 tests   0 failed     2.00 s  tests.test_a",
+                          "    2 tests   2 failed    43.50 s  tests.test_acceptance",
+                          "    2 tests   2 failed     1.75 s  tests.test_b"]
 
 
 def same_outputs_checkouts(tmp_path, change_config=b"{}"):

@@ -6,11 +6,13 @@ Runs ROADMAP.md's tier-1 command, ``python -m pytest -q
 --continue-on-collection-errors``, at the repository root with ``src``
 on ``PYTHONPATH`` and ``--junitxml`` into a temporary file, then prints
 the counts of passed, failed, errored and skipped tests and the suite's
-time, then the ten slowest tests with their seconds (setup and teardown
-included), as the report gives them. It exits 0 only when no test errored and the failed tests are
-exactly acceptance criteria 1 and 9, which fail by design (README
-"Known failures"). Otherwise it exits 1 and names each unexpected
-failure or error, and each by-design failure that did not fail.
+time, then one line per test file with its tests, its failures (errors
+included) and its seconds, then the ten slowest tests with their
+seconds (setup and teardown included), as the report gives them. It
+exits 0 only when no test errored and the failed tests are exactly
+acceptance criteria 1 and 9, which fail by design (README "Known
+failures"). Otherwise it exits 1 and names each unexpected failure or
+error, and each by-design failure that did not fail.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ def slowest(times: dict, count: int = 10) -> list:
     return [f"{seconds:8.2f} s  {test_id}" for test_id, seconds in ranked]
 
 
+def per_file(results: dict, times: dict) -> list:
+    """One line per test file, by name: its tests, its failed or errored tests and its seconds."""
+    files = {}
+    for test_id, outcome in results.items():
+        name = test_id.split("::")[0]
+        count, failed, seconds = files.get(name, (0, 0, 0.0))
+        files[name] = (count + 1, failed + (outcome in ("failed", "error")), seconds + times[test_id])
+    return [f"{count:5d} tests {failed:3d} failed {seconds:8.2f} s  {name}"
+            for name, (count, failed, seconds) in sorted(files.items())]
+
+
 def problems(results: dict) -> list:
     """One line per unexpected failure or error, and per by-design failure that did not fail."""
     lines = [f"unexpected {outcome}: {test_id}" for test_id, outcome in sorted(results.items())
@@ -81,6 +94,9 @@ def main() -> int:
               for o in ("passed", "failed", "error", "skipped")}
     print(f"tier-1: {counts['passed']} passed, {counts['failed']} failed, "
           f"{counts['error']} errors, {counts['skipped']} skipped in {seconds:.1f} s")
+    print("per file:")
+    for line in per_file(results, times):
+        print(line)
     print("slowest tests:")
     for line in slowest(times):
         print(line)
