@@ -319,7 +319,7 @@ def build_model(config: ExperimentConfig) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """One replica's recorded trajectory.
+    """One replica's recorded trajectory; its run's settings stay in the config.
 
     Beliefs are stored at ``stored_rounds`` (always including round 0
     and the final round; intermediate rounds may be thinned), with
@@ -345,7 +345,6 @@ class TrajectoryRecord:
     """
 
     replica: int
-    true_state_index: int
     stored_rounds: np.ndarray
     log_beliefs: np.ndarray
     tv_series: np.ndarray
@@ -395,10 +394,6 @@ class TrajectoryRecord:
     @property
     def final_log_belief(self) -> np.ndarray:
         return self.log_beliefs[-1]
-
-    @property
-    def final_belief(self) -> np.ndarray:
-        return np.exp(self.log_beliefs[-1])
 
     def per_agent_consensus_rounds(self) -> tuple:
         """First round from which each agent stays at belief >= 1 - delta.
@@ -529,7 +524,6 @@ def run_experiment(
     return [
         TrajectoryRecord(
             replica=replica,
-            true_state_index=space.true_state_index,
             stored_rounds=stored,
             log_beliefs=store[r],
             tv_series=tv_hist[r],
@@ -546,25 +540,21 @@ class BaselineComparison:
     """Paired runs: the switching protocol vs always-communicate.
 
     Both arms consume identical signal streams, so every difference is
-    attributable to the communication rule alone. The baseline arm is
-    the same configuration with threshold 1.0, under which no signal is
-    ever informative and the network mixes every round.
+    attributable to the communication rule alone. The baseline arm,
+    ``config._baseline``, mixes every round (threshold 1.0). The summary
+    reads the realized state and the designated agent from ``config``.
     """
 
     config: ExperimentConfig
     switching: tuple
     baseline: tuple
 
-    @property
-    def agent(self) -> int:
-        """The designated agent, ``config.comparison_agent``."""
-        return self.config.comparison_agent
-
     def summary(self) -> str:
+        agent, state = self.config.comparison_agent, self.config.true_state
         lines = [
             f"replicas: {len(self.switching)}, rounds: {self.config.rounds}, "
             f"threshold: {self.config.tau:g}",
-            f"designated agent: {self.agent}",
+            f"designated agent: {agent}",
         ]
         sw_events = [len(rec.ledger) for rec in self.switching]
         base_events = [len(rec.ledger) for rec in self.baseline]
@@ -572,8 +562,8 @@ class BaselineComparison:
             self.switching, self.baseline, sw_events, base_events
         ):
             frac = float(np.mean(rec_s.ledger.communication_fractions()))
-            final_s = float(rec_s.final_belief[self.agent, rec_s.true_state_index])
-            final_b = float(rec_b.final_belief[self.agent, rec_b.true_state_index])
+            final_s = float(np.exp(rec_s.final_log_belief)[agent, state])
+            final_b = float(np.exp(rec_b.final_log_belief)[agent, state])
             lines.append(
                 f"replica {rec_s.replica}: exchanges {ne_s} vs {ne_b} baseline, "
                 f"mean comm fraction {frac:.4f}, "

@@ -1,13 +1,15 @@
 """Shared pytest plumbing: the acceptance suite's criterion report, the
-closed-form Bayes oracle, the flagged-mask helper, the binary signal
-tables the suites build their models from, and the configs, strategies,
-reference rounds, CSV oracles and config-file helpers that more than one
-test file reads."""
+closed-form Bayes oracle, the 60-digit protocol oracle, the flagged-mask
+helper, the binary signal tables the suites build their models from, and
+the configs, strategies, reference rounds, CSV oracles and config-file
+helpers that more than one test file reads."""
 
 import csv
+import decimal
 import io
 import json
 import os
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +183,72 @@ def reference_rounds(config):
         new, q, tv = run_round(state, net, lik, config.tau, sig[t])
         yield state, sig[t], new, q, tv
         state = new
+
+
+# a verdict whose oracle margin |tv - tau| / tau is at most this could
+# go either way on a host whose last bits differ
+FRAGILE_MARGIN = Decimal("1e-9")
+
+
+def decimal_protocol(config, replica, engine_verdicts):
+    """The protocol run from its equations in 60-digit ``decimal``.
+
+    From the package it takes only ``valid_model``'s model objects and
+    the signals of ``generate_signals``; every rule is written here
+    afresh, in the linear domain, with ``L = exp(log_lik)`` and the
+    prior mass ``exp(log_mass)`` taken exactly. Round 0 conditions the
+    prior on each agent's first signal. In round t each agent's Bayes
+    posterior is ``mu_k L_k / sum_j mu_j L_j``, its TV is ``0.5 sum_k
+    |posterior_k - mu_k|``, and it is flagged when ``tv < tau``. An
+    edge fires when an endpoint is flagged; the round's dense matrix
+    gives a fired edge its network weight and the diagonal the rest of
+    the row. Potentials follow ``phi_t = Q_t phi_(t-1) + log L(s_t)``
+    from zero, and beliefs ``mu_t,k = mu_0,k exp(phi_t,k)``, normalised.
+
+    Returns ``(tvs, beliefs, fragile)``: the ``(rounds, n)`` TVs, the
+    ``(rounds + 1, n, m)`` beliefs, and the ``(t, i)`` of each fragile
+    verdict, one whose margin ``|tv - tau| / tau`` is at most
+    ``FRAGILE_MARGIN``. There the oracle applies ``engine_verdicts[t -
+    1, i]``, so the two runs stay comparable; elsewhere its own.
+    """
+    space, prior, lik, net = valid_model(config)
+    signals = generate_signals(lik, space, config.seed, config.rounds + 1, replica=replica)
+    n, m = net.n, lik.state_count
+    with decimal.localcontext(decimal.Context(prec=60)):
+        exp = [[[Decimal(float(v)).exp() for v in row] for row in table] for table in lik.log_lik]
+        tau = Decimal(config.tau)
+        weights = [[Decimal(float(w)) for w in row] for row in net.weights]
+
+        def normalised(rows):
+            return [[v / sum(row) for v in row] for row in rows]
+
+        mass = [Decimal(float(v)).exp() for v in prior.log_mass]
+        mu0 = normalised([[mass[k] * exp[i][signals[0, i]][k] for k in range(m)]
+                          for i in range(n)])
+        phi = [[Decimal(0)] * m for _ in range(n)]
+        tvs, beliefs, fragile = [], [mu0], []
+        for t in range(1, config.rounds + 1):
+            mu, lik_t = beliefs[-1], [exp[i][signals[t, i]] for i in range(n)]
+            post = normalised([[mu[i][k] * lik_t[i][k] for k in range(m)] for i in range(n)])
+            tv = [sum(abs(p - b) for p, b in zip(post[i], mu[i])) / 2 for i in range(n)]
+            flagged = []
+            for i in range(n):
+                if abs(tv[i] - tau) / tau <= FRAGILE_MARGIN:
+                    fragile.append((t, i))
+                    flagged.append(bool(engine_verdicts[t - 1, i]))
+                else:
+                    flagged.append(tv[i] < tau)
+            q = [[weights[i][j] if i != j and weights[i][j] > 0 and (flagged[i] or flagged[j])
+                  else Decimal(0) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                q[i][i] = 1 - sum(q[i])
+            phi = [[sum(q[i][j] * phi[j][k] for j in range(n))
+                    + Decimal(float(lik.log_lik[i][signals[t, i], k])) for k in range(m)]
+                   for i in range(n)]
+            tvs.append(tv)
+            beliefs.append(normalised([[mu0[i][k] * phi[i][k].exp() for k in range(m)]
+                                       for i in range(n)]))
+    return tvs, beliefs, fragile
 
 
 def beliefs_csv_rows(path):

@@ -296,7 +296,6 @@ SHARED_READS = {
     "IdentifiabilityReport.summary": "cli._cmd_analyze",
     "LikelihoodModel.log_bound": "analysis.validate_assumptions",
     "StateSpace.size": "analysis.identifiability_report",
-    "TrajectoryRecord.true_state_index": "harness.BaselineComparison.summary",
     "ValidationReport.summary": "cli._cmd_validate",
 }
 
@@ -355,7 +354,6 @@ def test_every_dataclass_field_is_read_or_has_a_stated_reason():
 # with its reason.
 UNREAD_MEMBERS = {
     "ExperimentConfig.to_dict": "perfbench writes workload configs with it",
-    "TrajectoryRecord.final_log_belief": "perfbench digests the final beliefs with it",
     "CommLedger.events": "perfbench counts ledger events with it",
     "SwitchingMatrix.q": "the dense round matrix that the tests and criteria 4, 7 and 9 multiply",
 }

@@ -55,7 +55,6 @@ def record_of(net, uninformative):
     stored = np.unique([0, len(u)])
     return TrajectoryRecord(
         replica=0,
-        true_state_index=0,
         stored_rounds=stored,
         log_beliefs=np.zeros((len(stored), n, 1)),
         tv_series=np.zeros((len(stored) - 1, n)),

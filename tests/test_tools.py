@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import shlex
 import subprocess
 from pathlib import Path
@@ -566,3 +567,27 @@ def test_same_outputs_refuses_checkouts_whose_configs_differ(tmp_path, monkeypat
     assert tool.main(same_outputs_checkouts(tmp_path, change_config=b'{"seed": 1}')) == 2
     assert "the two checkouts' configs/ differ" in capsys.readouterr().err
     assert calls == []
+
+
+NUMBER = r"[\d,.e+-]+"
+
+
+@pytest.mark.parametrize("name, row", [
+    ("regime-shares", rf"\({NUMBER} rounds, 1 replica\): {NUMBER}% nobody flagged, "
+                      rf"{NUMBER}% all, {NUMBER}% mixed"),
+    ("verdict-margins", rf"\({NUMBER} rounds, 1 replica\): {NUMBER} over {NUMBER} verdicts"),
+])
+def test_measure_prints_one_row_per_bundled_config(name, row, capsys):
+    load_tool("measure").MEASUREMENTS[name](replicas=1, rounds=3)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["ring15", "complete5"]
+    for line in lines:
+        assert re.fullmatch(rf"\w+ {row}", line), line
+
+
+def test_measure_prints_the_warm_call_count(capsys):
+    load_tool("measure").MEASUREMENTS["warm-calls"](replicas=1, rounds=3)
+    assert re.fullmatch(
+        rf"run_experiment\(reference_config\(replicas=1, rounds=3\)\): {NUMBER} calls on the "
+        rf"first call, then {NUMBER} on a warm call: {NUMBER} per round\n",
+        capsys.readouterr().out)
