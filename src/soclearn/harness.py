@@ -417,17 +417,15 @@ class TrajectoryRecord:
     def ledger(self) -> CommLedger:
         """Communication ledger replayed from the recorded verdicts.
 
-        Rounds are recorded one at a time from their masks, so the
-        replay builds no mixing matrix. The ledger is cached on the
-        record and keeps, per round that flags an agent, the round number
-        and the flagged mask packed 8 agents to a byte; its exchanges and
-        each agent's communication fraction are read off those masks by
-        the fired-edge rule.
+        The verdicts of rounds ``1..rounds`` are recorded as one block
+        of masks, so the replay builds no mixing matrix. The ledger is
+        cached on the record and keeps, per round that flags an agent,
+        the round number and the flagged mask packed 8 agents to a byte;
+        its exchanges and each agent's communication fraction are read
+        off those masks by the fired-edge rule.
         """
-        ledger = CommLedger(self.network)
-        for t, mask in enumerate(self.uninformative, start=1):
-            record_round(ledger, build_switching_matrix(self.network, mask, t))
-        return ledger
+        return record_round(CommLedger(self.network),
+                            build_switching_matrix(self.network, self.uninformative, 1))
 
 
 def run_experiment(
@@ -556,12 +554,12 @@ class BaselineComparison:
             f"threshold: {self.config.tau:g}",
             f"designated agent: {agent}",
         ]
-        sw_events = [len(rec.ledger) for rec in self.switching]
+        sw_tallies = [rec.ledger._tally() for rec in self.switching]  # one walk of each
         base_events = [len(rec.ledger) for rec in self.baseline]
-        for rec_s, rec_b, ne_s, ne_b in zip(
-            self.switching, self.baseline, sw_events, base_events
+        for rec_s, rec_b, (ne_s, touched), ne_b in zip(
+            self.switching, self.baseline, sw_tallies, base_events
         ):
-            frac = float(np.mean(rec_s.ledger.communication_fractions()))
+            frac = float(np.mean(touched / rec_s.ledger.rounds_recorded))
             final_s = float(np.exp(rec_s.final_log_belief)[agent, state])
             final_b = float(np.exp(rec_b.final_log_belief)[agent, state])
             lines.append(
@@ -570,7 +568,7 @@ class BaselineComparison:
                 f"final belief on realized state {final_s:.12g} vs {final_b:.12g}, "
                 f"consensus round {rec_s.consensus_round} vs {rec_b.consensus_round}"
             )
-        total_s, total_b = sum(sw_events), sum(base_events)
+        total_s, total_b = sum(ne for ne, _ in sw_tallies), sum(base_events)
         # a lone agent has no edges, so even the baseline never exchanges
         saved = f"{1.0 - total_s / total_b:.1%} avoided" if total_b else "none to avoid"
         lines.append(f"total exchanges: {total_s} vs {total_b} baseline ({saved})")

@@ -1,4 +1,4 @@
-"""Round-by-round mixing matrices, the potential update and the ledger.
+"""Mixing matrices of a round or a block of rounds, the potential update and the ledger.
 
 The protocol communicates selectively: a network edge carries weight in
 a given round only when at least one endpoint found its own signal
@@ -28,11 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SwitchingMatrix:
-    """One round's switching rule: the read-only ``(n,)`` mask of agents
-    that found their signal uninformative, on its network.
+    """A switching rule: the read-only mask of agents that found their
+    signal uninformative, ``(n,)`` for round ``round`` or ``(rows, n)``
+    for rounds ``round .. round + rows - 1``, on its network.
 
-    ``q`` is the mixing matrix that follows, built on each read. It
-    needs no check: ``Network``'s self-weight rule makes it mix.
+    ``q`` is the mixing matrix that follows, one per row, built on each
+    read. It needs no check: ``Network``'s self-weight rule makes it mix.
     """
 
     network: Network
@@ -41,9 +42,9 @@ class SwitchingMatrix:
 
     def __post_init__(self):
         mask = np.asarray(self.flagged).view()  # the caller's mask stays writable
-        if mask.dtype != bool or mask.shape != (self.network.n,):
-            raise ValueError(f"flagged must be {self.network.n} booleans, got "
-                             f"{mask.dtype} of shape {mask.shape}")
+        if mask.dtype != bool or mask.ndim not in (1, 2) or mask.shape[-1] != self.network.n:
+            raise ValueError(f"flagged must be {self.network.n} booleans or rows of them, "
+                             f"got {mask.dtype} of shape {mask.shape}")
         _check_integer("round", self.round, 0)
         mask.setflags(write=False)
         object.__setattr__(self, "flagged", mask)
@@ -64,11 +65,6 @@ def _fired(net: Network, flagged: np.ndarray) -> np.ndarray:
 # fired-edge cells (rounds x n x n) per step of a walk over a run's
 # masks; a round is never split
 _BLOCK_CELLS = 4096
-
-
-def _block_rounds(n: int) -> int:
-    """Rounds of ``(n,)`` masks per step of a walk over a run's masks."""
-    return max(1, _BLOCK_CELLS // n ** 2)
 
 
 def _mixing_matrices(net: Network, flagged: np.ndarray) -> np.ndarray:
@@ -98,7 +94,7 @@ def _mix(net: Network, flagged: np.ndarray, phi: np.ndarray, fresh: np.ndarray) 
 
 
 def build_switching_matrix(net: Network, flagged, round: int) -> SwitchingMatrix:
-    """One round's switching rule from the ``(n,)`` boolean mask ``flagged``.
+    """A switching rule from an ``(n,)`` boolean mask or a ``(rows, n)`` block.
 
     An edge carries its network weight iff either endpoint is flagged;
     the diagonal absorbs whatever each row sheds. No agent flagged
@@ -117,10 +113,10 @@ class CommLedger:
     ``_blocks``, by ``_fired``, the rule the mixing follows: iterating
     the ledger yields the ``(round, i, j)`` tuples with ``i < j``,
     rounds in recorded order and pairs row-major within a round;
-    ``len(ledger)`` counts them, ``events`` lists them afresh on each
-    access, and ``communication_fractions`` reads which agents each
-    round touched. No temporary of the walk grows with the horizon.
-    Only rounds on the ledger's own network object are recorded.
+    ``events`` lists them afresh on each access, and ``_tally`` counts
+    them and which agents each round touched, for ``len(ledger)`` and
+    ``communication_fractions``. No temporary of the walk grows with the
+    horizon. Only rules on the ledger's own network object are recorded.
     """
 
     def __init__(self, network: Network):
@@ -132,8 +128,7 @@ class CommLedger:
         self.rounds_recorded = 0
 
     def __len__(self) -> int:
-        # fired edges are symmetric with a false diagonal: each pair twice
-        return sum(np.count_nonzero(fired) // 2 for _, fired in self._blocks())
+        return self._tally()[0]
 
     def __iter__(self):
         for rounds, fired in self._blocks():
@@ -141,7 +136,7 @@ class CommLedger:
             yield from zip(rounds[t].tolist(), i.tolist(), j.tolist())
 
     def _blocks(self):
-        """The stored rows in blocks of ``_block_rounds(n)``, each as its
+        """The stored rows in blocks of ``_BLOCK_CELLS`` cells, each as its
         round numbers and its ``(rows, n, n)`` fired edges, which
         ``_fired`` reads off the unpacked masks.
 
@@ -149,7 +144,7 @@ class CommLedger:
         grow while a walk is paused; rows recorded meanwhile start the next.
         """
         n = self.network.n
-        width, step = -(-n // 8), _block_rounds(n)
+        width, step = -(-n // 8), max(1, _BLOCK_CELLS // n ** 2)
         lo = 0
         while lo < len(self._rounds):
             hi = min(lo + step, len(self._rounds))
@@ -157,6 +152,14 @@ class CommLedger:
             masks = np.unpackbits(packed.reshape(-1, width), axis=1, count=n).view(bool)
             yield np.frombuffer(self._rounds[lo:hi], np.int64), _fired(self.network, masks)
             lo = hi
+
+    def _tally(self) -> tuple:
+        """The exchange count and each agent's rounds with a fired edge, in one walk."""
+        exchanges, touched = 0, np.zeros(self.network.n, dtype=np.int64)
+        for _, fired in self._blocks():
+            exchanges += np.count_nonzero(fired) // 2  # symmetric: each pair twice
+            touched += fired.any(axis=-1).sum(axis=0)
+        return exchanges, touched
 
     @property
     def events(self) -> list:
@@ -168,21 +171,20 @@ class CommLedger:
         edges fired; ``ValueError`` when no round was recorded."""
         if not self.rounds_recorded:
             raise ValueError("no round was recorded, so there is no fraction of rounds")
-        touched = np.zeros(self.network.n, dtype=np.int64)
-        for _, fired in self._blocks():
-            touched += fired.any(axis=-1).sum(axis=0)
-        return touched / self.rounds_recorded
+        return self._tally()[1] / self.rounds_recorded
 
     def record(self, q: SwitchingMatrix) -> None:
         if q.network is not self.network:
             raise ValueError("the round is on another network than the ledger's")
-        if q.flagged.any():
-            self._rounds.append(q.round)
-            self._masks += np.packbits(q.flagged).tobytes()
-        self.rounds_recorded += 1
+        # packed first, so no temporary holds more than a bit per agent-round
+        packed = np.packbits(q.flagged.reshape(-1, self.network.n), axis=1)
+        rows = np.flatnonzero(packed.any(axis=1))
+        self._rounds.frombytes((rows + q.round).astype(np.int64).tobytes())
+        self._masks += packed[rows].tobytes()
+        self.rounds_recorded += len(packed)
 
 
 def record_round(ledger: CommLedger, q: SwitchingMatrix) -> CommLedger:
-    """Record one round's exchanges; returns the same ledger for chaining."""
+    """Record a round's or a block's exchanges; returns the same ledger for chaining."""
     ledger.record(q)
     return ledger

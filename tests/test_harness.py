@@ -813,6 +813,23 @@ def test_comparison_without_edges_has_none_to_avoid():
     assert lines[-1] == "total exchanges: 0 vs 0 baseline (none to avoid)"
 
 
+def test_summary_walks_each_ledger_once(monkeypatch):
+    # one walk of a switching ledger gives both its exchange count and its
+    # communication fractions; each walk applies _fired once per block
+    comparison = compare_baseline(reference_config(replicas=2))
+    fired, calls = switching._fired, []
+    monkeypatch.setattr(switching, "_fired", lambda *args: calls.append(1) or fired(*args))
+    walks = []
+    for rec in comparison.switching + comparison.baseline:
+        calls.clear()
+        len(rec.ledger)
+        walks.append(len(calls))
+    assert min(walks) > 0
+    calls.clear()
+    comparison.summary()
+    assert len(calls) == sum(walks)
+
+
 def test_compare_baseline_stores_only_the_ends(tmp_path):
     # the summary reads only the final stored round, so both routes keep
     # rounds 0 and `rounds` of each record; with out_dir the config's

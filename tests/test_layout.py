@@ -149,7 +149,7 @@ def mentions(name: str):
 def test_the_walk_over_a_runs_masks_lives_in_switching():
     # the ledger's iteration and its communication fractions are the one
     # walk: no other module reads off fired edges or sizes a block of masks
-    for name in ("_fired", "_block_rounds"):
+    for name in ("_fired", "_BLOCK_CELLS"):
         assert {site.split(".")[0] for site in package_sites(mentions(name))} \
             == {"switching"}, name
 

@@ -1,6 +1,7 @@
 """Mixing-matrix construction from the uninformative set, plus the ledger."""
 
 import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +18,7 @@ from conftest import (
     settling_config,
     valid_model,
 )
-from soclearn import switching
+from soclearn import harness, switching
 from soclearn.harness import ExperimentConfig, TrajectoryRecord, reference_config, run_experiment
 from soclearn.model import Network, complete_edges, metropolis_weights, ring_edges
 from soclearn.switching import (
@@ -607,3 +608,69 @@ def test_ledger_keeps_at_most_6_bytes_per_exchange():
     assert events == 2 * config.rounds * 10
     assert retained <= 6 * events
 
+
+
+# ------------------------------------------------------------ blocks of rounds
+
+
+def ledger_bytes(ledger):
+    """What a ledger stores and counts, for comparing two ledgers."""
+    return (ledger._rounds.tobytes(), bytes(ledger._masks), ledger.rounds_recorded)
+
+
+@settings(max_examples=80, deadline=None)
+@given(replayed_masks(), st.integers(0, 5), st.data())
+def test_a_block_records_as_its_rounds_do(case, start, data):
+    # one block, row by row, and consecutive blocks split anywhere (empty
+    # blocks included) store the same rounds and masks and read the same
+    net, u = case
+    bounds = sorted([0, len(u), *data.draw(st.lists(st.integers(0, len(u)), max_size=6))])
+    whole, by_row, split = CommLedger(net), CommLedger(net), CommLedger(net)
+    record_round(whole, build_switching_matrix(net, u, start))
+    for t, mask in enumerate(u, start=start):
+        record_round(by_row, build_switching_matrix(net, mask, t))
+    for lo, hi in zip(bounds, bounds[1:]):
+        record_round(split, build_switching_matrix(net, u[lo:hi], start + lo))
+    assert whole.rounds_recorded == len(u)
+    for ledger in (by_row, split):
+        assert ledger_bytes(ledger) == ledger_bytes(whole)
+        assert ledger.events == whole.events
+        assert len(ledger) == len(whole)
+        assert np.array_equal(ledger.communication_fractions(), whole.communication_fractions())
+
+
+@settings(max_examples=60, deadline=None)
+@given(replayed_masks())
+def test_a_blocks_matrices_are_its_rounds_matrices(case):
+    net, u = case
+    block = build_switching_matrix(net, u, 1).q
+    rounds = np.stack([build_switching_matrix(net, mask, t).q for t, mask in enumerate(u, 1)])
+    assert block.shape == (len(u), net.n, net.n) and not block.flags.writeable
+    assert block.tobytes() == rounds.tobytes()
+
+
+@pytest.mark.parametrize("flagged, got", [
+    (np.zeros((2, 2, 3), dtype=bool), "bool of shape (2, 2, 3)"),
+    (np.bool_(True), "bool of shape ()"),
+    (np.zeros((2, 4), dtype=bool), "bool of shape (2, 4)"),
+    (np.zeros((2, 0), dtype=bool), "bool of shape (2, 0)"),
+    (np.zeros((2, 3), dtype=np.int64), "int64 of shape (2, 3)"),
+    ([[0.0, 1.0, 0.0]], "float64 of shape (1, 3)"),
+], ids=["3-d", "0-d", "last-axis-4", "last-axis-0", "ints", "floats"])
+def test_a_block_must_be_rows_of_n_booleans(path3, flagged, got):
+    message = f"flagged must be 3 booleans or rows of them, got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_switching_matrix(path3, flagged, round=1)
+
+
+def test_a_records_ledger_is_one_build_and_one_record(path3):
+    # the replay records the verdicts of every round as one block
+    u = np.random.default_rng(5).random((300, 3)) < 0.2
+    with mock.patch.object(harness, "build_switching_matrix",
+                           wraps=harness.build_switching_matrix) as build, \
+            mock.patch.object(harness, "record_round", wraps=harness.record_round) as record:
+        ledger = record_of(path3, u).ledger
+    assert (build.call_count, record.call_count) == (1, 1)
+    assert ledger.rounds_recorded == 300
+    fired = np.triu(_fired(path3, u), 1)
+    assert ledger.events == [(int(t) + 1, int(i), int(j)) for t, i, j in zip(*np.nonzero(fired))]

@@ -548,10 +548,10 @@ def test_library_digests_cover_the_engine_and_the_reference_round(tmp_path, caps
     tool.library_digests(["--config", str(config)])
     tool.library_digests(["--replicas", "1", "--config", str(config)])
     lines = capsys.readouterr().out.splitlines()
-    two, one = (dict(line.split(": ") for line in part) for part in (lines[:13], lines[13:]))
+    two, one = (dict(line.split(": ") for line in part) for part in (lines[:15], lines[15:]))
     reference = [f"run_round {name}" for name in ("final log_belief", "tv", "flagged")]
     ledgers = [f"{arm} {name}" for arm in ("ledger", "tau=1 ledger")
-               for name in ("len", "events", "communication_fractions")]
+               for name in ("len", "events", "communication_fractions", "rounds_recorded")]
     assert list(two) == [f"run_experiment {name}" for name in (
         "log_beliefs", "tv_series", "uninformative", "last_below")] + ledgers + reference
     assert all(len(digest) == 64 for digest in two.values())
@@ -590,4 +590,12 @@ def test_measure_prints_the_warm_call_count(capsys):
     assert re.fullmatch(
         rf"run_experiment\(reference_config\(replicas=1, rounds=3\)\): {NUMBER} calls on the "
         rf"first call, then {NUMBER} on a warm call: {NUMBER} per round\n",
+        capsys.readouterr().out)
+
+
+def test_measure_prints_the_compare_split(capsys):
+    load_tool("measure").MEASUREMENTS["compare-split"](replicas=1, rounds=3)
+    assert re.fullmatch(
+        rf"complete5 \(3 rounds, 1 replica\), best of 5: engines {NUMBER} ms, ledger replays "
+        rf"{NUMBER} ms, summary\(\) {NUMBER} ms; {NUMBER} build_switching_matrix calls\n",
         capsys.readouterr().out)

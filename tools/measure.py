@@ -14,6 +14,10 @@ Each NAME is one seeded function over this checkout's ``src``:
   twice with one config in one process: the first call also builds the
   model's cached tables, the second is warm, and its count is also
   given per round.
+- ``compare-split``: ``compare_baseline`` on complete5 at 10 replicas,
+  in-process, best of 5: both arms' engine time, the time to replay
+  every record's ledger, then ``summary()``'s time; and the
+  ``build_switching_matrix`` calls of one comparison, counted apart.
 
 Each function takes keyword overrides of the configs it runs, so that
 a test can take its row at a small size.
@@ -26,14 +30,18 @@ import cProfile
 import dataclasses
 import pstats
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from soclearn.harness import ExperimentConfig, reference_config, run_experiment  # noqa: E402
+from soclearn import harness  # noqa: E402
+from soclearn.harness import (  # noqa: E402
+    ExperimentConfig, compare_baseline, reference_config, run_experiment)
 
 BUNDLED = {"ring15": "ring15.json", "complete5": "complete5_tables.json"}
 
@@ -84,10 +92,36 @@ def warm_calls(**overrides) -> None:
           f"{counts[1]:,} on a warm call: {counts[1] / config.rounds:.1f} per round")
 
 
+def compare_split(**overrides) -> None:
+    config = dataclasses.replace(ExperimentConfig.from_json(ROOT / "configs" / BUNDLED["complete5"]),
+                                 **{"replicas": 10, **overrides})
+    best = [np.inf] * 3
+    for _ in range(5):
+        marks = [time.perf_counter()]
+        comparison = compare_baseline(config)
+        marks.append(time.perf_counter())
+        for rec in comparison.switching + comparison.baseline:
+            rec.ledger
+        marks.append(time.perf_counter())
+        comparison.summary()
+        marks.append(time.perf_counter())
+        best = [min(b, hi - lo) for b, lo, hi in zip(best, marks, marks[1:])]
+    # counted on a run of its own, so the wrapper slows no timed run
+    with mock.patch.object(harness, "build_switching_matrix",
+                           wraps=harness.build_switching_matrix) as build:
+        comparison = compare_baseline(config)
+        for rec in comparison.switching + comparison.baseline:
+            rec.ledger
+    engines, replays, summary = (f"{t * 1e3:.1f} ms" for t in best)
+    print(f"complete5 ({sized(config)}), best of 5: engines {engines}, ledger replays "
+          f"{replays}, summary() {summary}; {build.call_count:,} build_switching_matrix calls")
+
+
 MEASUREMENTS = {
     "regime-shares": regime_shares,
     "verdict-margins": verdict_margins,
     "warm-calls": warm_calls,
+    "compare-split": compare_split,
 }
 
 

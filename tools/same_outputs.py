@@ -46,11 +46,12 @@ COMMANDS = (
 def library_digests(argv) -> None:
     """Print the sha256 of ``run_experiment``'s record arrays, each over
     all replicas in order; of each record's ledger, its ``len`` (int64),
-    its ``events`` (int64 triples) and its ``communication_fractions()``,
-    for ``config`` and for its ``tau = 1`` arm; and of a ``run_round``
-    chain over replica 0's signals, for ``config.rounds`` rounds: its
-    final ``log_belief``, and every round's ``tv`` and flagged mask, in
-    round order. ``argv`` is ``[--replicas N] --config PATH``."""
+    its ``events`` (int64 triples), its ``communication_fractions()`` and
+    its ``rounds_recorded`` (int64), for ``config`` and for its ``tau = 1``
+    arm; and of a ``run_round`` chain over replica 0's signals, for
+    ``config.rounds`` rounds: its final ``log_belief``, and every round's
+    ``tv`` and flagged mask, in round order. ``argv`` is
+    ``[--replicas N] --config PATH``."""
     import numpy as np
 
     from soclearn.harness import ExperimentConfig, run_experiment
@@ -70,12 +71,14 @@ def library_digests(argv) -> None:
         print(f"run_experiment {name}: {digest.hexdigest()}")
     baseline = run_experiment(dataclasses.replace(config, tau=1.0))
     for arm, arm_records in (("ledger", records), ("tau=1 ledger", baseline)):
-        digests = {name: hashlib.sha256() for name in ("len", "events", "communication_fractions")}
+        digests = {name: hashlib.sha256()
+                   for name in ("len", "events", "communication_fractions", "rounds_recorded")}
         for rec in arm_records:
             ledger = rec.ledger
             digests["len"].update(np.int64(len(ledger)).tobytes())
             digests["events"].update(np.array(ledger.events, np.int64).reshape(-1, 3).tobytes())
             digests["communication_fractions"].update(ledger.communication_fractions().tobytes())
+            digests["rounds_recorded"].update(np.int64(ledger.rounds_recorded).tobytes())
         for name, digest in digests.items():
             print(f"{arm} {name}: {digest.hexdigest()}")
     space, prior, lik, net = config.model
